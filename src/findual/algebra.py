@@ -85,11 +85,6 @@ class FinDimAlgebra:
         return Matrix(self.field, self.dim, self.dim,
                       [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
 
-    def right_mult_matrix(self, vec) -> Matrix:
-        cols = [self.multiply(_basis_vec(self.field, self.dim, j), vec) for j in range(self.dim)]
-        return Matrix(self.field, self.dim, self.dim,
-                      [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
-
     def power(self, vec, n: int):
         acc = list(self.unit)
         base = list(vec)

@@ -40,7 +40,10 @@ def _require(doc, key, types=None):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaMismatchError(f"missing key {key!r}")
     val = doc[key]
-    if types is not None and not isinstance(val, types):
+    # bool is an int subclass, but JSON true/false is never a count or index.
+    if types is not None and (
+        not isinstance(val, types) or (types is int and isinstance(val, bool))
+    ):
         raise SchemaMismatchError(f"key {key!r} has wrong type")
     return val
 

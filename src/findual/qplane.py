@@ -5,13 +5,20 @@ regular-point invariant check.
 The quantum plane relation is y x = q * x y.  Truncations come in two kinds:
 ``box(a, b)`` kills x^a and y^b; ``central_fiber(c, d)`` reduces x^n -> c and
 y^n -> d, producing the n^2-dimensional fiber algebra over the central point
-(c, d).  Monomial bases are ordered x-major: x^i y^j at index i*b + j.
+(c, d).  Monomial bases are ordered x-major: x^i y^j at index i*b + j.  One
+function, `_fiber_table`, builds the structure constants of both.
+
+The census uses the torus action: x -> lam x, y -> mu y carries
+fiber(lam^n c, mu^n d) isomorphically onto fiber(c, d).  A coordinate's orbit
+class is 0 or its coset in GF(p)* / (GF(p)*)^n, so the p^2 fibers fall into
+(n + 1)^2 classes.  The first fiber of each class in c-major order is the
+representative; it alone is validated and profiled.  Every other fiber is
+certified by comparing its structure constants exactly, entry by entry, with
+the representative's under the diagonal isomorphism, an O(dim^2) check.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .algebra import (
@@ -74,54 +81,50 @@ def oq_truncation(n: int, p: int, kind: str, params) -> QPlaneTrunc:
         a, b = params
         if a < 1 or b < 1:
             raise BadParamsError("box truncation needs a, b >= 1")
-        xmax, ymax = a, b
-
-        def reduce_pow(i, j):
-            if i >= a or j >= b:
-                return ()
-            return (((i, j), field.one()),)
-
+        params = (a, b)
+        xmax, ymax, c, d = a, b, field.zero(), field.zero()
     elif kind == "central_fiber":
-        c, d = field.of(params[0]), field.of(params[1])
+        params = (field.of(params[0]), field.of(params[1]))
         xmax = ymax = n
-
-        def reduce_pow(i, j):
-            coeff = field.one()
-            if i >= n:
-                coeff = field.mul(coeff, c)
-                i -= n
-            if j >= n:
-                coeff = field.mul(coeff, d)
-                j -= n
-            if coeff == field.zero():
-                return ()
-            return (((i, j), coeff),)
-
+        c, d = params
     else:
         raise BadParamsError(f"unknown truncation kind {kind!r}")
-
     dim = xmax * ymax
     labels = [f"x^{i}y^{j}" for i in range(xmax) for j in range(ymax)]
-    mul = [[() for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(xmax):
-        for j1 in range(ymax):
-            left = i1 * ymax + j1
-            for i2 in range(xmax):
-                for j2 in range(ymax):
-                    right = i2 * ymax + j2
-                    scale = field.pow(q, j1 * i2)
-                    pairs = []
-                    for (i, j), coeff in reduce_pow(i1 + i2, j1 + j2):
-                        pairs.append((i * ymax + j, field.mul(scale, coeff)))
-                    mul[left][right] = tuple(pairs)
     unit = [field.zero()] * dim
     unit[0] = field.one()
-    alg = FinDimAlgebra(field, labels, mul, unit)
+    alg = FinDimAlgebra(field, labels, _fiber_table(field, q, xmax, ymax, c, d), unit)
     if not validate_algebra(alg).ok:
         raise InvalidInputError("quantum plane truncation failed validation")
-    if kind == "box":
-        return QPlaneTrunc(n, p, q, kind, (params[0], params[1]), alg)
-    return QPlaneTrunc(n, p, q, kind, (field.of(params[0]), field.of(params[1])), alg)
+    return QPlaneTrunc(n, p, q, kind, params, alg)
+
+
+def _fiber_table(field, q, xmax: int, ymax: int, c, d):
+    """Sparse structure constants of y x = q x y on x^i y^j (i < xmax, j < ymax,
+    index i*ymax + j) with x^xmax -> c and y^ymax -> d; box(a, b) is c = d = 0.
+
+    Every cell is () or a single (index, nonzero coefficient) pair, which is
+    already the normalized form FinDimAlgebra stores.
+    """
+    zero = field.zero()
+    qpow = [field.pow(q, e) for e in range((xmax - 1) * (ymax - 1) + 1)]
+    table = []
+    for i1 in range(xmax):
+        for j1 in range(ymax):
+            row = []
+            for i2 in range(xmax):
+                for j2 in range(ymax):
+                    i, j = i1 + i2, j1 + j2
+                    coeff = qpow[j1 * i2]
+                    if i >= xmax:
+                        coeff = field.mul(coeff, c)
+                        i -= xmax
+                    if j >= ymax:
+                        coeff = field.mul(coeff, d)
+                        j -= ymax
+                    row.append(((i * ymax + j, coeff),) if coeff != zero else ())
+            table.append(tuple(row))
+    return tuple(table)
 
 
 class QTwistReport(NamedTuple):
@@ -244,40 +247,97 @@ class CensusReport(NamedTuple):
     aggregate: dict
 
 
-def _fiber_record(n: int, p: int, c: int, d: int) -> FiberRecord:
-    trunc = oq_truncation(n, p, "central_fiber", (c, d))
-    prof = semisimple_profile(trunc.algebra)
+class _OrbitClass(NamedTuple):
+    """A torus-orbit class of central fibers, carried by its representative."""
+
+    c: int
+    d: int
+    table: tuple  # the representative's validated structure constants
+    azumaya: bool
+    profile: SemisimpleProfile
+    characters: int  # one-dimensional characters; counted on axis classes only
+
+
+def _orbit_class(n: int, p: int, c: int, d: int) -> _OrbitClass:
+    alg = oq_truncation(n, p, "central_fiber", (c, d)).algebra
+    prof = semisimple_profile(alg)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
-    return FiberRecord(c, d, azumaya, prof)
+    characters = len(one_dim_characters(alg)) if c * d % p == 0 else 0
+    return _OrbitClass(c, d, alg.mul, azumaya, prof, characters)
 
 
-def azumaya_census(n: int, p: int, threads: int | None = None) -> CensusReport:
+def _certify_torus_image(field, q, n: int, c: int, d: int, rep: _OrbitClass, nth_root):
+    """Raise InvalidInputError unless the table of fiber(c, d) is the image of
+    the representative's table under x^i y^j -> lam^-i mu^-j x^i y^j, where
+    lam^n = c / c0 and mu^n = d / d0.
+
+    That diagonal map fixes the unit, so an exact match makes fiber(c, d) an
+    algebra isomorphic to the validated representative: b_a b_b = k0 b_r there
+    becomes b_a b_b = (k0 s_a s_b / s_r) b_r here, with s = lam^i mu^j.
+    """
+    lam = nth_root[field.div(c, rep.c)] if c else field.one()
+    mu = nth_root[field.div(d, rep.d)] if d else field.one()
+    s = [field.mul(field.pow(lam, i), field.pow(mu, j)) for i in range(n) for j in range(n)]
+    s_inv = [field.inv(x) for x in s]
+    table = _fiber_table(field, q, n, n, c, d)
+    for a, (row, row0) in enumerate(zip(table, rep.table)):
+        for b, (cell, cell0) in enumerate(zip(row, row0)):
+            if cell0:
+                ((r, k0),) = cell0
+                want = ((r, field.mul(field.mul(k0, field.mul(s[a], s[b])), s_inv[r])),)
+            else:
+                want = ()
+            if cell != want:
+                raise InvalidInputError(
+                    f"fiber ({c}, {d}) is not the torus image of fiber "
+                    f"({rep.c}, {rep.d}): structure constant ({a}, {b}) is {cell}, "
+                    f"expected {want}"
+                )
+
+
+def azumaya_census(n: int, p: int) -> CensusReport:
     """Profile every central fiber (c, d) in GF(p)^2 and tabulate the
-    Azumaya/axis split with its rational-point counts."""
-    field, _ = _require_root(n, p)
+    Azumaya/axis split with its rational-point counts.
+
+    Sending x -> lam x, y -> mu y is an isomorphism from fiber(lam^n c, mu^n d)
+    onto fiber(c, d), so a coordinate's class is 0 or its coset in
+    GF(p)* / (GF(p)*)^n, and the p^2 fibers fall into (n + 1)^2 classes.  The
+    first fiber of each class in c-major order is its representative: it is
+    built and validated by `oq_truncation`, profiled, and on the axes cd = 0
+    its one-dimensional characters are counted.  Every other fiber's table is
+    built without validation and certified by an exact entrywise comparison
+    with its representative's table under the diagonal isomorphism (see
+    `_certify_torus_image`); the profile and character count carry over.
+    """
+    field, q = _require_root(n, p)
     if p <= n * n:
         raise CharacteristicTooSmallError(f"census needs p > n^2; got p = {p}, n = {n}")
-    if threads is None:
-        threads = _default_threads()
-    points = [(c, d) for c in range(p) for d in range(p)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fibers = list(pool.map(lambda cd: _fiber_record(n, p, *cd), points))
-    else:
-        fibers = [_fiber_record(n, p, c, d) for c, d in points]
+    # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
+    coset = [field.pow(z, (p - 1) // n) for z in range(p)]
+    nth_root = {}
+    for lam in range(1, p):
+        nth_root.setdefault(field.pow(lam, n), lam)
+    classes = {}
+    fibers = []
+    rational_axis_points = 0
+    nonsplit_axis_factors = 0
+    for c in range(p):
+        for d in range(p):
+            key = (coset[c], coset[d])
+            rep = classes.get(key)
+            if rep is None:
+                rep = classes[key] = _orbit_class(n, p, c, d)
+            else:
+                _certify_torus_image(field, q, n, c, d, rep, nth_root)
+            fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
+            if field.mul(c, d) == field.zero():
+                rational_axis_points += rep.characters
+                nonsplit_axis_factors += sum(1 for _, cd in rep.profile.factors if cd > 1)
     azumaya_fibers = sum(1 for f in fibers if f.azumaya)
     axis_fibers = sum(1 for f in fibers if field.mul(f.c, f.d) == field.zero())
     identity = all(
         f.azumaya == (field.mul(f.c, f.d) != field.zero()) for f in fibers
     )
-    rational_axis_points = 0
-    nonsplit_axis_factors = 0
-    for f in fibers:
-        if field.mul(f.c, f.d) != field.zero():
-            continue
-        fiber_alg = oq_truncation(n, p, "central_fiber", (f.c, f.d)).algebra
-        rational_axis_points += len(one_dim_characters(fiber_alg))
-        nonsplit_axis_factors += sum(1 for _, cd in f.profile.factors if cd > 1)
     aggregate = {
         "azumaya_fibers": azumaya_fibers,
         "axis_fibers": axis_fibers,
@@ -287,13 +347,6 @@ def azumaya_census(n: int, p: int, threads: int | None = None) -> CensusReport:
         "nonsplit_axis_factors": nonsplit_axis_factors,
     }
     return CensusReport(n, p, tuple(fibers), aggregate)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("FINDUAL_THREADS", "")
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 1
 
 
 class PointInvariants(NamedTuple):

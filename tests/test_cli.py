@@ -95,6 +95,14 @@ class TestDualize:
         code, _ = run(["dualize", "--in", str(path)])
         assert code == 2
 
+    def test_bool_dim_rejected(self, tmp_path):
+        doc = json.loads(to_canonical_json(truncated_polynomial_algebra(F5, 1)))
+        doc["dim"] = True  # bool is an int subclass and len(labels) == True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run(["dualize", "--in", str(path)])
+        assert code == 2
+
 
 class TestTwistCheck:
     def test_valid_swap(self, tmp_path):

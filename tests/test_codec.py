@@ -92,6 +92,13 @@ def test_malformed_indices_rejected():
         loads(to_canonical_json(doc))
 
 
+def test_census_bool_coordinate_rejected():
+    doc = encode(azumaya_census(2, 5))
+    doc["fibers"][1]["c"] = True
+    with pytest.raises(SchemaMismatchError):
+        loads(to_canonical_json(doc))
+
+
 def test_csv_emitter():
     report = azumaya_census(2, 5)
     csv = census_to_csv(report)

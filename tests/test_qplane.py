@@ -1,14 +1,25 @@
 import pytest
 
-from findual.algebra import ideal_closure, validate_algebra
+from findual import qplane
+from findual.algebra import (
+    ideal_closure,
+    one_dim_characters,
+    semisimple_profile,
+    validate_algebra,
+)
+from findual.codec import census_to_csv, to_canonical_json
 from findual.errors import (
     CharacteristicTooSmallError,
     GradingError,
+    InvalidInputError,
     NotAzumayaError,
     OrderUnavailableError,
 )
 from findual.kernel import GF, Matrix
 from findual.qplane import (
+    CensusReport,
+    FiberRecord,
+    _fiber_table as fiber_table,
     azumaya_census,
     azumaya_point_invariants,
     box_dual_tower,
@@ -182,20 +193,86 @@ class TestCensus:
                 assert f.azumaya
                 assert f.profile == (0, ((1, 1),))
 
-    def test_threads_match_sequential(self):
-        seq = azumaya_census(2, 5, threads=1)
-        par = azumaya_census(2, 5, threads=2)
-        assert seq == par
-
-    def test_threads_env_var(self, monkeypatch):
-        monkeypatch.setenv("FINDUAL_THREADS", "2")
-        assert azumaya_census(2, 5) == azumaya_census(2, 5, threads=1)
-
     def test_precondition(self):
         with pytest.raises(CharacteristicTooSmallError):
-            azumaya_census(2, 3)  # would need p > 4 but 2 | 3 - 1 fails first?
+            azumaya_census(2, 3)  # 2 | 3 - 1 holds, so it is p <= n^2 = 4 that fails
         with pytest.raises(OrderUnavailableError):
             azumaya_census(3, 5)
+
+
+def exhaustive_census(n, p):
+    """The census without orbit classes: every fiber built, validated and
+    profiled, and every axis fiber rebuilt to count its characters."""
+    field = GF(p)
+    fibers = []
+    for c in range(p):
+        for d in range(p):
+            prof = semisimple_profile(oq_truncation(n, p, "central_fiber", (c, d)).algebra)
+            azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
+            fibers.append(FiberRecord(c, d, azumaya, prof))
+    rational_axis_points = 0
+    nonsplit_axis_factors = 0
+    for f in fibers:
+        if field.mul(f.c, f.d) != field.zero():
+            continue
+        fiber_alg = oq_truncation(n, p, "central_fiber", (f.c, f.d)).algebra
+        rational_axis_points += len(one_dim_characters(fiber_alg))
+        nonsplit_axis_factors += sum(1 for _, cd in f.profile.factors if cd > 1)
+    aggregate = {
+        "azumaya_fibers": sum(1 for f in fibers if f.azumaya),
+        "axis_fibers": sum(1 for f in fibers if field.mul(f.c, f.d) == field.zero()),
+        "azumaya_iff_off_axis": all(
+            f.azumaya == (field.mul(f.c, f.d) != field.zero()) for f in fibers
+        ),
+        "rational_axis_points": rational_axis_points,
+        "rational_orbit_classes": irrep_classify(n, p).n_dim_classes,
+        "nonsplit_axis_factors": nonsplit_axis_factors,
+    }
+    return CensusReport(n, p, tuple(fibers), aggregate)
+
+
+class TestOrbitCensus:
+    @pytest.mark.parametrize("n,p", [(2, 5), (2, 13), (3, 13)])
+    def test_bytes_match_exhaustive(self, n, p):
+        orbit = azumaya_census(n, p)
+        oracle = exhaustive_census(n, p)
+        assert to_canonical_json(orbit) == to_canonical_json(oracle)
+        assert census_to_csv(orbit) == census_to_csv(oracle)
+
+    @pytest.mark.parametrize("n,p", [(1, 3), (2, 5), (3, 13)])
+    def test_one_profile_per_class(self, n, p, monkeypatch):
+        calls = []
+
+        def spy(alg):
+            calls.append(alg.dim)
+            return semisimple_profile(alg)
+
+        monkeypatch.setattr(qplane, "semisimple_profile", spy)
+        azumaya_census(n, p)
+        assert len(calls) == (n + 1) ** 2
+
+    def test_certificate_rejects_perturbed_fiber(self, monkeypatch):
+        # (4, 4) is not a representative: 4 = 1 * 2^2 shares the class of 1.
+        def perturbed(field, q, xmax, ymax, c, d):
+            table = fiber_table(field, q, xmax, ymax, c, d)
+            if (c, d) != (4, 4):
+                return table
+            rows = [list(row) for row in table]
+            ((r, k),) = rows[1][1]
+            rows[1][1] = ((r, field.add(k, field.one())),)
+            return tuple(tuple(row) for row in rows)
+
+        monkeypatch.setattr(qplane, "_fiber_table", perturbed)
+        with pytest.raises(InvalidInputError, match=r"fiber \(4, 4\)"):
+            azumaya_census(2, 5)
+
+    def test_aggregate_4_17(self):
+        # Computed with the exhaustive census (every fiber profiled).
+        assert azumaya_census(4, 17).aggregate == {
+            "azumaya_fibers": 256, "axis_fibers": 33, "azumaya_iff_off_axis": True,
+            "rational_axis_points": 33, "rational_orbit_classes": 16,
+            "nonsplit_axis_factors": 32,
+        }
 
 
 class TestPointInvariants:
