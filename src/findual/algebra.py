@@ -1,9 +1,15 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
 An algebra stores its multiplication sparsely: ``mul[i][j]`` is a tuple of
-(r, coeff) pairs meaning b_i b_j = sum coeff * b_r.  All operations are pure;
-subspaces are kept in canonical reduced echelon form so equal subspaces have
-equal representations.
+(r, coeff) pairs, one pair per r with a nonzero coeff, sorted by r, meaning
+b_i b_j = sum coeff * b_r.  This table is the source of truth: products,
+validation, the center and the trace form are computed by walking it, never
+from a densified copy.  Arithmetic on it is lazy over GF(p): loops use the
+plain ``+ - *`` operators on ints and reduce each output entry once with
+`Field.canonical`; over Q the same operators act on Fractions.
+
+All operations are pure; subspaces are kept in canonical reduced echelon form
+so equal subspaces have equal representations.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .kernel import (
     coordinates_in_row_span,
     echelon_rows,
     factor_over_field,
-    in_row_span,
+    reduce_against,
+    row_pivots,
     rref_kernel,
     solve_linear,
 )
@@ -48,15 +55,6 @@ class FinDimAlgebra:
             raise BadParamsError("unit vector has wrong length")
         self.unit = unit
 
-    def product_pairs(self, i: int, j: int):
-        return self.mul[i][j]
-
-    def mul_entry(self, i: int, j: int, r: int):
-        for rr, c in self.mul[i][j]:
-            if rr == r:
-                return c
-        return self.field.zero()
-
     def basis_product(self, i: int, j: int):
         out = [self.field.zero()] * self.dim
         for r, c in self.mul[i][j]:
@@ -65,20 +63,17 @@ class FinDimAlgebra:
 
     def multiply(self, u, v):
         """Product of two dense coordinate vectors."""
-        f = self.field
-        zero = f.zero()
-        out = [zero] * self.dim
+        out = [self.field.zero()] * self.dim
+        v_terms = [(j, vj) for j, vj in enumerate(v) if vj]
         for i, ui in enumerate(u):
-            if ui == zero:
+            if not ui:
                 continue
             row = self.mul[i]
-            for j, vj in enumerate(v):
-                if vj == zero:
-                    continue
-                c = f.mul(ui, vj)
+            for j, vj in v_terms:
+                c = ui * vj
                 for r, coeff in row[j]:
-                    out[r] = f.add(out[r], f.mul(c, coeff))
-        return out
+                    out[r] += c * coeff
+        return self.field.canonical(out)
 
     def left_mult_matrix(self, vec) -> Matrix:
         cols = [self.multiply(vec, _basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
@@ -112,23 +107,24 @@ class FinDimAlgebra:
 
 
 def _normalize_mul(field: Field, dim: int, mul):
+    """One (r, coeff) pair per r with coeff != 0, sorted by r; the coefficients
+    of repeated pairs (i, j, r) are summed."""
     zero = field.zero()
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
             cell = mul[i][j]
-            pairs = []
             if cell and isinstance(cell[0], tuple):
-                for r, c in cell:
-                    if c != zero:
-                        pairs.append((r, c))
+                pairs = cell
+                if len(cell) > 1:
+                    merged = {}
+                    for r, c in cell:
+                        merged[r] = field.add(merged[r], c) if r in merged else c
+                    pairs = merged.items()
             else:
-                for r, c in enumerate(cell):
-                    if c != zero:
-                        pairs.append((r, c))
-            pairs.sort(key=lambda rc: rc[0])
-            row.append(tuple(pairs))
+                pairs = enumerate(cell)
+            row.append(tuple(sorted((r, c) for r, c in pairs if c != zero)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -142,18 +138,19 @@ def _basis_vec(field: Field, dim: int, i: int):
 class Subspace:
     """Subspace of an algebra's coordinate space, rows in canonical RREF."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: FinDimAlgebra, rows):
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in echelon_rows(ambient.field, rows))
+        self.pivots = row_pivots(self.rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        return in_row_span(self.rows, vec, self.ambient.field)
+        return not any(reduce_against(self.rows, self.pivots, vec, self.ambient.field)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -211,11 +208,7 @@ class Character:
         self.values = tuple(values)
 
     def evaluate(self, vec):
-        f = self.algebra.field
-        acc = f.zero()
-        for x, v in zip(self.values, vec):
-            acc = f.add(acc, f.mul(x, v))
-        return acc
+        return self.algebra.field.dot(self.values, vec)
 
     def is_valid(self) -> bool:
         a = self.algebra
@@ -342,33 +335,14 @@ def diagonal_algebra(field: Field, m: int) -> FinDimAlgebra:
 
 
 def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
+    """Associativity on every basis triple, then the unit; the first failing
+    triple (i, j, k, t) in lexicographic order of (i, j, k), or basis index,
+    is the witness."""
     f = a.field
     witnesses = []
-    associative = True
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ij = a.mul[i][j]
-            for k in range(a.dim):
-                lhs = {}
-                for s, c in ij:
-                    for t, c2 in a.mul[s][k]:
-                        lhs[t] = f.add(lhs.get(t, f.zero()), f.mul(c, c2))
-                rhs = {}
-                for s, c in a.mul[j][k]:
-                    for t, c2 in a.mul[i][s]:
-                        rhs[t] = f.add(rhs.get(t, f.zero()), f.mul(c, c2))
-                if not _same_sparse(f, lhs, rhs):
-                    associative = False
-                    bad_t = next(
-                        t for t in set(lhs) | set(rhs)
-                        if lhs.get(t, f.zero()) != rhs.get(t, f.zero())
-                    )
-                    witnesses.append(("associativity", (i, j, k, bad_t)))
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
+    triple = _first_non_associative_triple(a)
+    if triple is not None:
+        witnesses.append(("associativity", (*triple, _associativity_witness(a, *triple))))
     unital = True
     for j in range(a.dim):
         left = a.multiply(list(a.unit), _basis_vec(f, a.dim, j))
@@ -378,19 +352,71 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
             unital = False
             witnesses.append(("unit", (j,)))
             break
-    return ValidationReport(associative, unital, tuple(witnesses))
+    return ValidationReport(triple is None, unital, tuple(witnesses))
 
 
-def _same_sparse(f, lhs: dict, rhs: dict) -> bool:
+def _first_non_associative_triple(a: FinDimAlgebra):
+    """Least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None.
+
+    For each (i, j) one accumulator holds the difference for every k at once,
+    keyed k * dim + t, and is reduced once at the end.
+    """
+    mul = a.mul
+    dim = a.dim
+    # flat[s]: the products b_s b_k for every k, as (k * dim + t, coeff)
+    flat = [[(k * dim + t, c) for k, cell in enumerate(row) for t, c in cell] for row in mul]
+    for i, row_i in enumerate(mul):
+        for j, ij in enumerate(row_i):
+            acc = {}
+            for s, c in ij:
+                for key, c2 in flat[s]:
+                    acc[key] = acc.get(key, 0) + c * c2
+            base = 0
+            for cell in mul[j]:
+                for s, c in cell:
+                    for t, c2 in row_i[s]:
+                        acc[base + t] = acc.get(base + t, 0) - c * c2
+                base += dim
+            residue = a.field.canonical(acc.values())
+            if any(residue):
+                return i, j, min(key for key, x in zip(acc, residue) if x) // dim
+    return None
+
+
+def _associativity_witness(a: FinDimAlgebra, i: int, j: int, k: int):
+    """First output index t at which (b_i b_j) b_k and b_i (b_j b_k) differ,
+    in the order of the set of indices the two sparse products touch."""
+    f = a.field
     zero = f.zero()
-    for t in set(lhs) | set(rhs):
-        if lhs.get(t, zero) != rhs.get(t, zero):
-            return False
-    return True
+    lhs = {}
+    for s, c in a.mul[i][j]:
+        for t, c2 in a.mul[s][k]:
+            lhs[t] = f.add(lhs.get(t, zero), f.mul(c, c2))
+    rhs = {}
+    for s, c in a.mul[j][k]:
+        for t, c2 in a.mul[i][s]:
+            rhs[t] = f.add(rhs.get(t, zero), f.mul(c, c2))
+    return next(t for t in set(lhs) | set(rhs) if lhs.get(t, zero) != rhs.get(t, zero))
 
 
 # ---------------------------------------------------------------------------
 # ideals and quotients
+
+
+def _basis_translates(a: FinDimAlgebra, v):
+    """(b_i v, v b_i) for each basis index i in order, read off the table and
+    not yet reduced (see `Field.canonical`)."""
+    f = a.field
+    terms = [(j, x) for j, x in enumerate(v) if x]
+    for i, row_i in enumerate(a.mul):
+        left = [f.zero()] * a.dim
+        right = [f.zero()] * a.dim
+        for j, x in terms:
+            for r, c in row_i[j]:
+                left[r] += c * x
+            for r, c in a.mul[j][i]:
+                right[r] += x * c
+        yield left, right
 
 
 def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
@@ -400,9 +426,8 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
     while True:
         new_rows = [list(r) for r in rows]
         for v in rows:
-            for i in range(a.dim):
-                new_rows.append(a.multiply(_basis_vec(f, a.dim, i), list(v)))
-                new_rows.append(a.multiply(list(v), _basis_vec(f, a.dim, i)))
+            for left, right in _basis_translates(a, v):
+                new_rows += [f.canonical(left), f.canonical(right)]
         next_rows = echelon_rows(f, new_rows)
         if len(next_rows) == len(rows):
             return Subspace(a, rows)
@@ -410,25 +435,11 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
 
 
 def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
-    f = a.field
-    for v in space.rows:
-        for i in range(a.dim):
-            if not space.contains(a.multiply(_basis_vec(f, a.dim, i), list(v))):
-                return False
-            if not space.contains(a.multiply(list(v), _basis_vec(f, a.dim, i))):
-                return False
-    return True
-
-
-def _reduce_mod_rows(f: Field, rows, vec):
-    v = list(vec)
-    zero = f.zero()
-    for row in rows:
-        pc = next(j for j, x in enumerate(row) if x != zero)
-        c = v[pc]
-        if c != zero:
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-    return v
+    return all(
+        space.contains(left) and space.contains(right)
+        for v in space.rows
+        for left, right in _basis_translates(a, v)
+    )
 
 
 def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
@@ -438,13 +449,12 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
         raise NotAnIdealError("subspace is not closure-stable")
     if ideal.contains(a.unit):
         raise ImproperIdealError("ideal contains the unit")
-    zero = f.zero()
-    pivots = [next(j for j, x in enumerate(row) if x != zero) for row in ideal.rows]
+    pivots = set(ideal.pivots)
     non_pivots = [j for j in range(a.dim) if j not in pivots]
 
     def reduce_coords(vec):
-        red = _reduce_mod_rows(f, ideal.rows, vec)
-        return [red[j] for j in non_pivots]
+        residual = reduce_against(ideal.rows, ideal.pivots, vec, f)[0]
+        return [residual[j] for j in non_pivots]
 
     m = len(non_pivots)
     mul = [[None] * m for _ in range(m)]
@@ -476,55 +486,41 @@ def _check_radical_precondition(a: FinDimAlgebra):
 
 
 def _trace_vector(a: FinDimAlgebra):
-    """tau[s] = trace of left multiplication by b_s."""
-    f = a.field
+    """tau[s] = trace of left multiplication by b_s: the diagonal of the table."""
     tau = []
-    for s in range(a.dim):
-        acc = f.zero()
-        for r in range(a.dim):
-            acc = f.add(acc, a.mul_entry(s, r, r))
+    for row in a.mul:
+        acc = a.field.zero()
+        for r, cell in enumerate(row):
+            for rr, c in cell:
+                if rr == r:
+                    acc += c
         tau.append(acc)
-    return tau
+    return a.field.canonical(tau)
 
 
 def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
     """Iterated kernel of (x, y) -> trace(L_x L_y); valid when the simple
-    constituents' multiplicities avoid the characteristic (callers gate)."""
+    constituents' multiplicities avoid the characteristic (callers gate).
+
+    T[i][j] = tau(b_i b_j) is read off the table once.  The first pass is the
+    kernel of T itself; on the RREF basis B of each later subspace the Gram
+    matrix is B T B^T.
+    """
     f = a.field
     tau = _trace_vector(a)
-    basis = [list(r) for r in echelon_rows(f, [_basis_vec(f, a.dim, i) for i in range(a.dim)])]
-    while True:
-        k = len(basis)
-        gram_rows = []
-        for x in basis:
-            row = []
-            for y in basis:
-                prod = a.multiply(x, y)
-                row.append(_dot(f, prod, tau))
-            gram_rows.append(row)
-        gram = Matrix.from_rows(f, gram_rows) if k else Matrix.zeros(f, 0, 0)
-        ker = rref_kernel(gram).kernel
-        if ker.cols == k:
-            return Subspace(a, basis)
-        new_basis = []
-        for c in range(ker.cols):
-            coeffs = ker.col(c)
-            vec = [f.zero()] * a.dim
-            for coef, b in zip(coeffs, basis):
-                if coef != f.zero():
-                    vec = [f.add(x, f.mul(coef, y)) for x, y in zip(vec, b)]
-            new_basis.append(vec)
-        new_basis = [list(r) for r in echelon_rows(f, new_basis)]
-        if len(new_basis) == len(basis):
-            return Subspace(a, new_basis)
-        basis = new_basis
-
-
-def _dot(f: Field, u, v):
-    acc = f.zero()
-    for x, y in zip(u, v):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
+    zero = f.zero()
+    trace_table = Matrix.from_rows(f, [
+        f.canonical([sum((c * tau[r] for r, c in cell), zero) for cell in row])
+        for row in a.mul
+    ])
+    rows = echelon_rows(f, rref_kernel(trace_table).kernel.transpose().row_lists())
+    while rows:
+        basis = Matrix.from_rows(f, rows)
+        ker = rref_kernel(basis @ trace_table @ basis.transpose()).kernel
+        if ker.cols == len(rows):
+            break
+        rows = echelon_rows(f, (ker.transpose() @ basis).row_lists())
+    return Subspace(a, rows)
 
 
 def radical(a: FinDimAlgebra) -> Subspace:
@@ -534,14 +530,31 @@ def radical(a: FinDimAlgebra) -> Subspace:
 
 
 def center(a: FinDimAlgebra) -> Subspace:
-    """Subspace of elements commuting with every basis element."""
+    """Subspace of elements commuting with every basis element.
+
+    z = sum z_i b_i is central iff sum_i z_i (b_i b_j - b_j b_i) = 0 for all j:
+    one row per (j, r) with entries [b_i b_j - b_j b_i]_r, read straight off
+    the table.  Zero and repeated rows are dropped before the RREF; the row
+    space, and so the kernel, is unchanged.
+    """
     f = a.field
-    rows = []
-    for j in range(a.dim):
-        for r in range(a.dim):
-            rows.append([f.sub(a.mul_entry(i, j, r), a.mul_entry(j, i, r)) for i in range(a.dim)])
-    ker = rref_kernel(Matrix.from_rows(f, rows)).kernel
-    return Subspace(a, [[ker.get(i, c) for i in range(a.dim)] for c in range(ker.cols)])
+    dim = a.dim
+    zero = f.zero()
+    rows = {}
+    for j in range(dim):
+        by_r = {}
+        for i in range(dim):
+            for r, c in a.mul[i][j]:
+                by_r.setdefault(r, [zero] * dim)[i] += c
+            for r, c in a.mul[j][i]:
+                by_r.setdefault(r, [zero] * dim)[i] -= c
+        for row in by_r.values():
+            row = tuple(f.canonical(row))
+            if any(row):
+                rows[row] = None
+    m = Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, dim)
+    ker = rref_kernel(m).kernel
+    return Subspace(a, [[ker.get(i, c) for i in range(dim)] for c in range(ker.cols)])
 
 
 def _subalgebra_on_rows(a: FinDimAlgebra, rows, unit_vec):
@@ -556,8 +569,7 @@ def _subalgebra_on_rows(a: FinDimAlgebra, rows, unit_vec):
     mul = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            prod = a.multiply(rows[i], rows[j])
-            coords = coordinates_in_row_span(rows, prod, f)
+            coords = coordinates_in_row_span(rows, a.multiply(rows[i], rows[j]), f)
             if coords is None:
                 raise InvalidInputError("subspace not closed under multiplication")
             mul[i][j] = coords

@@ -25,7 +25,7 @@ from .errors import (
     NotACoalgebraMapError,
     NotInjectiveError,
 )
-from .kernel import Matrix, PrimeField, echelon_rows, rref_kernel
+from .kernel import Matrix, PrimeField, echelon_rows, reduce_against, row_pivots, rref_kernel
 from .kernel.fields import Field
 from typing import NamedTuple
 
@@ -64,11 +64,7 @@ class FinDimCoalgebra:
         return out
 
     def counit_of_vector(self, vec):
-        f = self.field
-        acc = f.zero()
-        for e, x in zip(self.counit, vec):
-            acc = f.add(acc, f.mul(e, x))
-        return acc
+        return self.field.dot(self.counit, vec)
 
     def __eq__(self, other):
         return (
@@ -297,10 +293,11 @@ def coradical_filtration(c: FinDimCoalgebra):
             for j in range(c.dim):
                 wedge_rows.append(_tensor_vec(f, list(g), _basis_vec(f, c.dim, j)))
         wedge = echelon_rows(f, wedge_rows)
+        wedge_pivots = row_pivots(wedge)
         residual_cols = []
         for r in range(c.dim):
             delta = c.delta_of_vector(_basis_vec(f, c.dim, r))
-            residual_cols.append(_reduce_against(f, wedge, delta))
+            residual_cols.append(reduce_against(wedge, wedge_pivots, delta, f)[0])
         mat = Matrix(f, n2, c.dim,
                      [residual_cols[r][k] for k in range(n2) for r in range(c.dim)])
         ker = rref_kernel(mat).kernel
@@ -313,17 +310,6 @@ def coradical_filtration(c: FinDimCoalgebra):
 
 def _tensor_vec(f: Field, u, v):
     return [f.mul(a, b) for a in u for b in v]
-
-
-def _reduce_against(f: Field, rref_rows, vec):
-    v = list(vec)
-    zero = f.zero()
-    for row in rref_rows:
-        pc = next(j for j, x in enumerate(row) if x != zero)
-        cval = v[pc]
-        if cval != zero:
-            v = [f.sub(x, f.mul(cval, y)) for x, y in zip(v, row)]
-    return v
 
 
 class CoradicalReport(NamedTuple):

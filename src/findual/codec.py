@@ -12,7 +12,7 @@ import json
 
 from .algebra import FinDimAlgebra, SemisimpleProfile
 from .coalgebra import CoalgebraHom, DualTower, FinDimCoalgebra
-from .errors import SchemaMismatchError
+from .errors import BadParamsError, SchemaMismatchError
 from .kernel import Matrix, field_from_json, field_to_json
 from .kernel.fields import Field
 from .qplane import CensusReport, FiberRecord
@@ -25,15 +25,40 @@ def _scalars_out(field: Field, values):
     return [field.scalar_to_json(v) for v in values]
 
 
+def _scalar_in(field: Field, doc):
+    try:
+        return field.scalar_from_json(doc)
+    except (BadParamsError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaMismatchError(f"bad scalar {doc!r}: {exc}") from exc
+
+
 def _scalars_in(field: Field, doc, expected_len=None):
     if not isinstance(doc, list):
         raise SchemaMismatchError("expected a list of scalars")
     if expected_len is not None and len(doc) != expected_len:
         raise SchemaMismatchError(f"expected {expected_len} scalars, got {len(doc)}")
+    return [_scalar_in(field, v) for v in doc]
+
+
+def _field_in(doc) -> Field:
+    spec = _require(doc, "field", dict)
+    if spec.get("kind") == "prime-field":
+        _require(spec, "p", int)
     try:
-        return [field.scalar_from_json(v) for v in doc]
-    except Exception as exc:
-        raise SchemaMismatchError(f"bad scalar: {exc}") from exc
+        return field_from_json(spec)
+    except BadParamsError as exc:
+        raise SchemaMismatchError(f"bad field: {exc}") from exc
+
+
+def _index_triples(doc, key, dim):
+    """The [a, b, c, scalar] entries of doc[key] as ((a, b, c), scalar), each
+    index an int in [0, dim); JSON true/false is never an index."""
+    for entry in _require(doc, key, list):
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise SchemaMismatchError(f"{key} entries must be [index, index, index, scalar]")
+        if not all(type(x) is int and 0 <= x < dim for x in entry[:3]):
+            raise SchemaMismatchError(f"{key} index out of range or not an int: {entry!r}")
+        yield tuple(entry[:3]), entry[3]
 
 
 def _require(doc, key, types=None):
@@ -170,7 +195,7 @@ def decode(doc):
         ent = _scalars_in(c.field, _require(doc, "matrix", list), n * n)
         return CotwistingMap(c, d, Matrix(c.field, n, n, ent))
     if tag == "bialgebra":
-        field = field_from_json(_require(doc, "field", dict))
+        field = _field_in(doc)
         dim = _require(doc, "dim", int)
         labels = _require(doc, "labels", list)
         alg = _decode_algebra(
@@ -223,19 +248,19 @@ def decode(doc):
 def _decode_algebra(doc) -> FinDimAlgebra:
     if _require(doc, "type", str) != "algebra":
         raise SchemaMismatchError("expected an algebra document")
-    field = field_from_json(_require(doc, "field", dict))
+    field = _field_in(doc)
     dim = _require(doc, "dim", int)
     labels = _require(doc, "labels", list)
     if len(labels) != dim:
         raise SchemaMismatchError("label count does not match dim")
     mul = [[[] for _ in range(dim)] for _ in range(dim)]
-    for triple in _require(doc, "mul", list):
-        if not (isinstance(triple, list) and len(triple) == 4):
-            raise SchemaMismatchError("mul entries must be [i, j, r, scalar]")
-        i, j, r, c = triple
-        if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, r)):
-            raise SchemaMismatchError("mul index out of range")
-        mul[i][j].append((r, field.scalar_from_json(c)))
+    seen = set()
+    for (i, j, r), c in _index_triples(doc, "mul", dim):
+        # a structure constant is given once; encode never repeats a triple
+        if (i, j, r) in seen:
+            raise SchemaMismatchError(f"mul triple {[i, j, r]} given twice")
+        seen.add((i, j, r))
+        mul[i][j].append((r, _scalar_in(field, c)))
     unit = _scalars_in(field, _require(doc, "unit", list), dim)
     return FinDimAlgebra(field, labels, mul, unit)
 
@@ -243,25 +268,20 @@ def _decode_algebra(doc) -> FinDimAlgebra:
 def _decode_coalgebra(doc) -> FinDimCoalgebra:
     if _require(doc, "type", str) != "coalgebra":
         raise SchemaMismatchError("expected a coalgebra document")
-    field = field_from_json(_require(doc, "field", dict))
+    field = _field_in(doc)
     dim = _require(doc, "dim", int)
     labels = _require(doc, "labels", list)
     if len(labels) != dim:
         raise SchemaMismatchError("label count does not match dim")
     comul = [[] for _ in range(dim)]
-    for triple in _require(doc, "comul", list):
-        if not (isinstance(triple, list) and len(triple) == 4):
-            raise SchemaMismatchError("comul entries must be [r, i, j, scalar]")
-        r, i, j, c = triple
-        if not all(isinstance(x, int) and 0 <= x < dim for x in (r, i, j)):
-            raise SchemaMismatchError("comul index out of range")
-        comul[r].append((i, j, field.scalar_from_json(c)))
+    for (r, i, j), c in _index_triples(doc, "comul", dim):
+        comul[r].append((i, j, _scalar_in(field, c)))
     counit = _scalars_in(field, _require(doc, "counit", list), dim)
     return FinDimCoalgebra(field, labels, comul, counit)
 
 
 def _decode_matrix(doc) -> Matrix:
-    field = field_from_json(_require(doc, "field", dict))
+    field = _field_in(doc)
     rows = _require(doc, "rows", int)
     cols = _require(doc, "cols", int)
     ent = _scalars_in(field, _require(doc, "entries", list), rows * cols)

@@ -18,6 +18,8 @@ from .linalg import (
     echelon_rows,
     in_row_span,
     kron,
+    reduce_against,
+    row_pivots,
     rref_kernel,
     solve_linear,
 )
@@ -42,6 +44,8 @@ __all__ = [
     "is_prime",
     "kron",
     "primitive_root_of_unity",
+    "reduce_against",
+    "row_pivots",
     "rref_kernel",
     "solve_linear",
 ]

@@ -3,10 +3,13 @@
 Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
 residues ``int`` in [0, p) over GF(p)); a Field object supplies the arithmetic.
 Both representations are canonical, so ``==`` on scalars is exact equality.
+Hot loops compute with the plain ``+ - *`` operators and call `canonical`
+once at the end; over GF(p) that is the single ``% p`` per entry.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ..errors import BadParamsError, OrderUnavailableError
@@ -60,6 +63,15 @@ class Field:
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
+    def canonical(self, values) -> list:
+        """Canonical scalars of values computed with the plain + - * operators
+        (lazy reduction: one reduction per entry, after the arithmetic)."""
+        raise NotImplementedError
+
+    def dot(self, u, v):
+        """sum u_i v_i, reduced once."""
+        raise NotImplementedError
+
     def pow(self, x, n: int):
         if n < 0:
             return self.pow(self.inv(x), -n)
@@ -109,6 +121,12 @@ class Rationals(Field):
 
     def neg(self, x):
         return -x
+
+    def canonical(self, values) -> list:
+        return list(values)
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v), Fraction(0))
 
     def inv(self, x):
         if x == 0:
@@ -168,6 +186,13 @@ class PrimeField(Field):
 
     def neg(self, x):
         return (-x) % self.p
+
+    def canonical(self, values) -> list:
+        p = self.p
+        return [x % p for x in values]
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v)) % self.p
 
     def inv(self, x):
         if x % self.p == 0:

@@ -4,6 +4,12 @@ Entries are scalars of an attached Field, stored row-major.  The composite
 tensor index is row-major everywhere: the pair (i, j) on factors of dimensions
 (da, db) maps to i*db + j.  This single convention is load-bearing for all
 duality comparisons.
+
+Reduction is lazy over GF(p): the kernels compute on plain ints with the
+``+ - *`` operators and take ``% p`` once per output entry; over Q the same
+operators act on Fractions, which are always canonical.  There is one row
+reduction, `_row_reduce` (behind `rref_kernel`, `echelon_rows` and
+`solve_linear`), and one membership reduction, `reduce_against`.
 """
 
 from __future__ import annotations
@@ -107,28 +113,15 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = [other.col(j) for j in range(other.cols)]
-        out = []
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            for i in range(self.rows):
-                r = self.row(i)
-                out.extend(sum(x * y for x, y in zip(r, c)) % p for c in cols)
-        else:
-            zero = self.field.zero()
-            for i in range(self.rows):
-                r = self.row(i)
-                out.extend(sum((x * y for x, y in zip(r, c)), zero) for c in cols)
+        dot = self.field.dot
+        out = [dot(self.row(i), c) for i in range(self.rows) for c in cols]
         return Matrix(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix @ column vector, returned as a list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            return [sum(x * y for x, y in zip(self.row(i), vec)) % p for i in range(self.rows)]
-        zero = self.field.zero()
-        return [sum((x * y for x, y in zip(self.row(i), vec)), zero) for i in range(self.rows)]
+        return [self.field.dot(self.row(i), vec) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -169,29 +162,39 @@ class RrefKernel(NamedTuple):
 
 
 def _row_reduce(rows, field: Field):
-    """In-place-ish RREF of a list of row lists; returns (rows, pivot columns)."""
+    """RREF of a list of row lists; returns (rows, pivot columns).
+
+    Columns left of the current pivot are already zero in the pivot row, so
+    eliminations touch only the columns from the pivot on.
+    """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    zero = field.zero()
+    p = field.p if isinstance(field, PrimeField) else None
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if rows[rr][c] != zero:
-                piv = rr
-                break
+        piv = next((rr for rr in range(r, nrows) if rows[rr][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one():
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        lead = prow[c]
+        if lead != 1:
+            inv = field.inv(lead)
+            if p:
+                prow[c:] = [inv * x % p for x in prow[c:]]
+            else:
+                prow[c:] = [inv * x for x in prow[c:]]
+        tail = prow[c:]
         for rr in range(nrows):
-            if rr != r and rows[rr][c] != zero:
-                factor = rows[rr][c]
-                rows[rr] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[rr], rows[r])]
+            row = rows[rr]
+            factor = row[c]
+            if rr != r and factor:
+                if p:
+                    row[c:] = [(x - factor * y) % p for x, y in zip(row[c:], tail)]
+                else:
+                    row[c:] = [x - factor * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -205,7 +208,8 @@ def rref_kernel(m: Matrix) -> RrefKernel:
     reduced, pivots = _row_reduce(m.row_lists(), f)
     rank = len(pivots)
     rref = Matrix.from_rows(f, reduced) if reduced else Matrix.zeros(f, 0, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     z, o = f.zero(), f.one()
     cols = []
     for fc in free:
@@ -224,7 +228,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def echelon_rows(field: Field, rows):
     """Canonical nonzero RREF rows spanning the same space; [] for empty input."""
-    rows = [list(r) for r in rows if any(x != field.zero() for x in r)]
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
     reduced, pivots = _row_reduce(rows, field)
@@ -244,34 +248,33 @@ def solve_linear(a: Matrix, b):
     return x
 
 
+def row_pivots(rows):
+    """Pivot column of each nonzero echelon row."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in rows)
+
+
+def reduce_against(rows, pivots, vec, field: Field):
+    """(residual, coords) of vec against fully reduced RREF rows.
+
+    Every row is 1 at its own pivot and 0 at the others, so the coordinate
+    on row i is vec[pivots[i]] and the residual is 0 on every pivot column;
+    vec lies in the span exactly when the residual is zero.  Over GF(p) the
+    residual is accumulated on plain ints and reduced once per entry.
+    """
+    coords = [vec[pc] for pc in pivots]
+    residual = vec
+    for c, row in zip(coords, rows):
+        if c:
+            residual = [x - c * y for x, y in zip(residual, row)]
+    return field.canonical(residual), coords
+
+
 def in_row_span(rows, vec, field: Field) -> bool:
-    """Whether vec lies in the span of echelon rows (rows must be RREF)."""
-    v = list(vec)
-    zero = field.zero()
-    for row in rows:
-        pc = next((j for j, x in enumerate(row) if x != zero), None)
-        if pc is None:
-            continue
-        if v[pc] != zero:
-            c = v[pc]
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return all(x == zero for x in v)
+    """Whether vec lies in the span of RREF rows."""
+    return not any(reduce_against(rows, row_pivots(rows), vec, field)[0])
 
 
 def coordinates_in_row_span(rows, vec, field: Field):
     """Coordinates of vec in the given RREF rows, or None if outside the span."""
-    v = list(vec)
-    zero = field.zero()
-    coords = []
-    for row in rows:
-        pc = next((j for j, x in enumerate(row) if x != zero), None)
-        if pc is None:
-            coords.append(zero)
-            continue
-        c = v[pc]
-        coords.append(c)
-        if c != zero:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    if any(x != zero for x in v):
-        return None
-    return coords
+    residual, coords = reduce_against(rows, row_pivots(rows), vec, field)
+    return None if any(residual) else coords

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from ..errors import ZeroPolynomialError
 from .fields import Field, PrimeField, Rationals
+from .linalg import Matrix, rref_kernel
 
 
 class Poly:
@@ -234,12 +235,11 @@ def _berlekamp_split(f: Poly, p: int):
         coeffs = list(cur.coeffs) + [field.zero()] * (n - len(cur.coeffs))
         rows.append(coeffs)
         cur = (cur * tp) % f
-    # kernel of (Q - I)
-    mat = [
-        [field.sub(rows[i][j], field.one() if i == j else field.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-    kernel = _kernel_rows(mat, field)
+    # v (Q - I) = 0: the kernel of the transpose, read by columns
+    for i in range(n):
+        rows[i][i] = field.sub(rows[i][i], field.one())
+    ker = rref_kernel(Matrix.from_rows(field, rows).transpose()).kernel
+    kernel = [ker.col(c) for c in range(ker.cols)]
     if len(kernel) == 1:
         return [f]
     factors = [f]
@@ -269,53 +269,6 @@ def _berlekamp_split(f: Poly, p: int):
         if len(factors) == len(kernel):
             break
     return factors
-
-
-def _kernel_rows(mat, field: Field):
-    """Kernel basis (list of coefficient lists) of the matrix, rows as given.
-
-    Works on the transpose convention v @ mat = 0?  No: returns v with
-    mat^T v = 0 in the Berlekamp convention, i.e. solutions of
-    sum_i v_i * row_i = 0 read column-wise.
-    """
-    n = len(mat)
-    cols = len(mat[0]) if mat else 0
-    # solve v * M = 0 where rows of M are mat's rows: transpose then kernel
-    m = [[mat[i][j] for i in range(n)] for j in range(cols)]
-    rowc = len(m)
-    pivots = []
-    r = 0
-    work = [row[:] for row in m]
-    for c in range(n):
-        piv = None
-        for rr in range(r, rowc):
-            if work[rr][c] != field.zero():
-                piv = rr
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for rr in range(rowc):
-            if rr != r and work[rr][c] != field.zero():
-                factor = work[rr][c]
-                work[rr] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(work[rr], work[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == rowc:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [field.zero()] * n
-        vec[fcol] = field.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(work[i][fcol])
-        basis.append(vec)
-    return basis
 
 
 def _rational_linear_split(f: Poly):

@@ -106,7 +106,6 @@ def _fiber_table(field, q, xmax: int, ymax: int, c, d):
     Every cell is () or a single (index, nonzero coefficient) pair, which is
     already the normalized form FinDimAlgebra stores.
     """
-    zero = field.zero()
     qpow = [field.pow(q, e) for e in range((xmax - 1) * (ymax - 1) + 1)]
     table = []
     for i1 in range(xmax):
@@ -117,12 +116,13 @@ def _fiber_table(field, q, xmax: int, ymax: int, c, d):
                     i, j = i1 + i2, j1 + j2
                     coeff = qpow[j1 * i2]
                     if i >= xmax:
-                        coeff = field.mul(coeff, c)
+                        coeff *= c
                         i -= xmax
                     if j >= ymax:
-                        coeff = field.mul(coeff, d)
+                        coeff *= d
                         j -= ymax
-                    row.append(((i * ymax + j, coeff),) if coeff != zero else ())
+                    coeff %= field.p
+                    row.append(((i * ymax + j, coeff),) if coeff else ())
             table.append(tuple(row))
     return tuple(table)
 
@@ -284,7 +284,7 @@ def _certify_torus_image(field, q, n: int, c: int, d: int, rep: _OrbitClass, nth
         for b, (cell, cell0) in enumerate(zip(row, row0)):
             if cell0:
                 ((r, k0),) = cell0
-                want = ((r, field.mul(field.mul(k0, field.mul(s[a], s[b])), s_inv[r])),)
+                want = ((r, k0 * s[a] * s[b] * s_inv[r] % field.p),)
             else:
                 want = ()
             if cell != want:

@@ -147,12 +147,6 @@ def check_twisting_map(rho: TwistingMap) -> TwistReport:
     zero = f.zero()
     witnesses = []
 
-    def apply_basis(j, i):
-        out = [zero] * (da * db)
-        for flat, c in rho.image_of(j, i):
-            out[flat] = c
-        return out
-
     normal = True
     for i in range(da):
         # rho(1_B (x) a_i) = a_i (x) 1_B

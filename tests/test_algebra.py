@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from findual.algebra import (
     AlgebraHom,
     Character,
     FinDimAlgebra,
     Subspace,
+    _basis_translates,
+    _radical_trace_form,
     center,
     cyclic_group_algebra,
     diagonal_algebra,
     ideal_closure,
+    is_ideal,
     matrix_algebra,
     minimal_polynomial,
     monogenic_algebra,
@@ -27,7 +32,17 @@ from findual.errors import (
     NotAnIdealError,
     NotSplitError,
 )
-from findual.kernel import GF, QQ, Matrix, Poly
+from findual.kernel import (
+    GF,
+    QQ,
+    Matrix,
+    Poly,
+    Rationals,
+    coordinates_in_row_span,
+    echelon_rows,
+    rref_kernel,
+    solve_linear,
+)
 
 F5 = GF(5)
 
@@ -255,3 +270,243 @@ class TestHoms:
     def test_center_of_matrix_algebra(self):
         assert center(matrix_algebra(F5, 3)).dim == 1
         assert center(diagonal_algebra(F5, 3)).dim == 3
+
+
+class TestDuplicateStructureConstants:
+    def test_repeated_pairs_are_summed(self):
+        # b_1 b_1 = 2 b_1 given as two pairs, plus a pair summing to zero
+        a = FinDimAlgebra(F5, ["1", "e"], [[[(0, 1)], [(1, 1)]],
+                                           [[(1, 1)], [(1, 1), (0, 2), (1, 1), (0, 3)]]],
+                          [1, 0])
+        assert a.mul[1][1] == ((1, 2),)
+        assert a.multiply([0, 1], [0, 1]) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the table-driven kernels against the per-scalar
+# implementations they replaced, kept here as oracles.
+
+
+def oracle_multiply(a, u, v):
+    f = a.field
+    out = [f.zero()] * a.dim
+    for i, ui in enumerate(u):
+        if ui == f.zero():
+            continue
+        for j, vj in enumerate(v):
+            if vj == f.zero():
+                continue
+            c = f.mul(ui, vj)
+            for r, coeff in a.mul[i][j]:
+                out[r] = f.add(out[r], f.mul(c, coeff))
+    return out
+
+
+def oracle_mul_entry(a, i, j, r):
+    for rr, c in a.mul[i][j]:
+        if rr == r:
+            return c
+    return a.field.zero()
+
+
+def oracle_validate(a):
+    f = a.field
+    witnesses = []
+    associative = True
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                lhs = {}
+                for s, c in a.mul[i][j]:
+                    for t, c2 in a.mul[s][k]:
+                        lhs[t] = f.add(lhs.get(t, f.zero()), f.mul(c, c2))
+                rhs = {}
+                for s, c in a.mul[j][k]:
+                    for t, c2 in a.mul[i][s]:
+                        rhs[t] = f.add(rhs.get(t, f.zero()), f.mul(c, c2))
+                keys = set(lhs) | set(rhs)
+                if any(lhs.get(t, f.zero()) != rhs.get(t, f.zero()) for t in keys):
+                    associative = False
+                    bad_t = next(t for t in keys if lhs.get(t, f.zero()) != rhs.get(t, f.zero()))
+                    witnesses.append(("associativity", (i, j, k, bad_t)))
+                    break
+            if not associative:
+                break
+        if not associative:
+            break
+    unital = True
+    for j in range(a.dim):
+        e = basis_vec(f, a.dim, j)
+        if oracle_multiply(a, list(a.unit), e) != e or oracle_multiply(a, e, list(a.unit)) != e:
+            unital = False
+            witnesses.append(("unit", (j,)))
+            break
+    return (associative, unital, tuple(witnesses))
+
+
+def oracle_center(a):
+    """Kernel of the dense dim^2 x dim commutator matrix."""
+    f = a.field
+    rows = [[f.sub(oracle_mul_entry(a, i, j, r), oracle_mul_entry(a, j, i, r)) for i in range(a.dim)]
+            for j in range(a.dim) for r in range(a.dim)]
+    ker = rref_kernel(Matrix.from_rows(f, rows)).kernel
+    return Subspace(a, [list(ker.col(c)) for c in range(ker.cols)])
+
+
+def oracle_dot(f, u, v):
+    acc = f.zero()
+    for x, y in zip(u, v):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def oracle_radical_trace_form(a):
+    """Iterated kernel of the Gram matrix of tau(x y), built entry by entry."""
+    f = a.field
+    tau = [oracle_dot(f, [oracle_mul_entry(a, s, r, r) for r in range(a.dim)], [f.one()] * a.dim)
+           for s in range(a.dim)]
+    basis = [list(r) for r in echelon_rows(f, [basis_vec(f, a.dim, i) for i in range(a.dim)])]
+    while True:
+        k = len(basis)
+        gram = [[oracle_dot(f, oracle_multiply(a, x, y), tau) for y in basis] for x in basis]
+        ker = rref_kernel(Matrix.from_rows(f, gram) if k else Matrix.zeros(f, 0, 0)).kernel
+        if ker.cols == k:
+            return Subspace(a, basis)
+        new_basis = []
+        for c in range(ker.cols):
+            vec = [f.zero()] * a.dim
+            for coef, b in zip(ker.col(c), basis):
+                vec = [f.add(x, f.mul(coef, y)) for x, y in zip(vec, b)]
+            new_basis.append(vec)
+        new_basis = [list(r) for r in echelon_rows(f, new_basis)]
+        if len(new_basis) == len(basis):
+            return Subspace(a, new_basis)
+        basis = new_basis
+
+
+def oracle_translates(a, v):
+    for i in range(a.dim):
+        e = basis_vec(a.field, a.dim, i)
+        yield oracle_multiply(a, e, list(v))
+        yield oracle_multiply(a, list(v), e)
+
+
+def oracle_ideal_closure(a, generators):
+    rows = echelon_rows(a.field, [list(g) for g in generators])
+    while True:
+        next_rows = echelon_rows(a.field, [list(r) for r in rows]
+                                 + [w for v in rows for w in oracle_translates(a, v)])
+        if len(next_rows) == len(rows):
+            return Subspace(a, rows)
+        rows = next_rows
+
+
+def oracle_is_ideal(a, space):
+    f = a.field
+    return all(all(x == f.zero() for x in oracle_coordinates(space.rows, w, f)[1])
+               for v in space.rows for w in oracle_translates(a, v))
+
+
+def oracle_coordinates(rows, vec, f):
+    """Sequential reduction of vec by RREF rows: (coordinates, residual)."""
+    v = list(vec)
+    coords = []
+    for row in rows:
+        pc = next(j for j, x in enumerate(row) if x != f.zero())
+        c = v[pc]
+        coords.append(c)
+        if c != f.zero():
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return coords, v
+
+
+PROPERTY_FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
+
+
+@st.composite
+def small_scalars(draw, field, nonzero=False):
+    if isinstance(field, Rationals):
+        n = draw(st.integers(-3, 3).filter(lambda x: x or not nonzero))
+        return field.of(n) / draw(st.sampled_from([1, 1, 2, 3]))
+    return field.of(draw(st.integers(1 if nonzero else 0, field.p - 1)))
+
+
+@st.composite
+def algebras(draw, perturbed=False):
+    """A matrix, triangular or cyclic group algebra under a random change of
+    basis (P = L U with unit-triangular L, U); optionally one structure
+    constant then moved by a nonzero amount."""
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    kind = draw(st.sampled_from(["matrix", "triangular", "group"]))
+    if kind == "matrix":
+        base = matrix_algebra(f, draw(st.integers(1, 2)))
+    elif kind == "triangular":
+        base = triangular_algebra(f, draw(st.integers(1, 3)))
+    else:
+        base = cyclic_group_algebra(f, draw(st.integers(1, 4)))
+    n = base.dim
+    lower = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i > j else f.zero()
+                                  for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i < j else f.zero()
+                                  for j in range(n)] for i in range(n)])
+    p = lower @ upper
+    cols = [list(p.col(j)) for j in range(n)]
+    mul = [[solve_linear(p, base.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    unit = solve_linear(p, list(base.unit))
+    if perturbed:
+        i, j, r = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mul[i][j][r] = f.add(mul[i][j][r], draw(small_scalars(f, nonzero=True)))
+    return FinDimAlgebra(f, base.labels, mul, unit)
+
+
+class TestKernelsAgainstOracles:
+    @settings(max_examples=150)
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_validate_verdict_and_witness(self, a):
+        assert tuple(validate_algebra(a)) == oracle_validate(a)
+
+    @given(algebras())
+    def test_basis_change_keeps_algebra_valid(self, a):
+        assert validate_algebra(a).ok
+
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_center_is_kernel_of_dense_commutators(self, a):
+        assert center(a).rows == oracle_center(a).rows
+
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_trace_form_radical_matches_gram_oracle(self, a):
+        assert _radical_trace_form(a).rows == oracle_radical_trace_form(a).rows
+
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_products_match_per_scalar_products(self, a):
+        f = a.field
+        u = [f.of(i * i + 1) for i in range(a.dim)]
+        v = [f.of(3 - 2 * i) for i in range(a.dim)]
+        assert a.multiply(u, v) == oracle_multiply(a, u, v)
+        assert [f.canonical(w) for pair in _basis_translates(a, v) for w in pair] == list(oracle_translates(a, v))
+
+    @given(st.data())
+    def test_ideals_match_per_scalar_products(self, data):
+        a = data.draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+        vectors = st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim)
+        gens = data.draw(st.lists(vectors, max_size=2))
+        assert ideal_closure(a, gens).rows == oracle_ideal_closure(a, gens).rows
+        space = Subspace(a, gens)
+        assert is_ideal(a, space) == oracle_is_ideal(a, space)
+
+    @given(st.data())
+    def test_membership_matches_sequential_reduction(self, data):
+        f = data.draw(st.sampled_from(PROPERTY_FIELDS))
+        n = data.draw(st.integers(1, 6))
+        gens = data.draw(st.lists(st.lists(small_scalars(f), min_size=n, max_size=n), max_size=4))
+        space = Subspace(diagonal_algebra(f, n), gens)
+        if gens and data.draw(st.booleans()):
+            # an element of the span
+            weights = data.draw(st.lists(small_scalars(f), min_size=len(gens), max_size=len(gens)))
+            vec = [oracle_dot(f, weights, [g[i] for g in gens]) for i in range(n)]
+        else:
+            vec = data.draw(st.lists(small_scalars(f), min_size=n, max_size=n))
+        coords, residual = oracle_coordinates(space.rows, vec, f)
+        inside = all(x == f.zero() for x in residual)
+        assert space.contains(vec) == inside
+        assert coordinates_in_row_span(space.rows, vec, f) == (coords if inside else None)

@@ -1,11 +1,13 @@
 import io
 import json
 
+import pytest
+
 from findual.cli import cli_run
 from findual.codec import loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
 from findual.algebra import matrix_algebra
-from findual.kernel import GF
+from findual.kernel import GF, QQ
 from findual.twist import tensor_swap
 from findual.algebra import truncated_polynomial_algebra
 
@@ -94,6 +96,30 @@ class TestDualize:
         path.write_text("{{{{")
         code, _ = run(["dualize", "--in", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("field,mutate", [
+        # a Q scalar with a zero denominator
+        (QQ, lambda doc: doc["mul"][0].__setitem__(3, "1/0")),
+        # the modulus given as a string
+        (F5, lambda doc: doc["field"].__setitem__("p", "5")),
+        # a float scalar
+        (F5, lambda doc: doc["mul"][0].__setitem__(3, 1.5)),
+        # a string that is not a rational
+        (QQ, lambda doc: doc["mul"][0].__setitem__(3, "abc")),
+        # one structure constant given twice
+        (F5, lambda doc: doc["mul"].append(list(doc["mul"][0]))),
+        # a JSON bool as an index
+        (F5, lambda doc: doc["mul"][0].__setitem__(0, doc["mul"][0][0] == 0)),
+    ], ids=["zero-denominator", "string-modulus", "float-scalar", "non-rational-string",
+            "repeated-triple", "bool-index"])
+    def test_malformed_algebra_exits_2(self, tmp_path, field, mutate):
+        doc = json.loads(to_canonical_json(truncated_polynomial_algebra(field, 2)))
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["dualize", "--in", str(path)])
+        assert code == 2
+        assert out.startswith("error: ")
 
     def test_bool_dim_rejected(self, tmp_path):
         doc = json.loads(to_canonical_json(truncated_polynomial_algebra(F5, 1)))

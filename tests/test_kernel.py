@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from findual.errors import OrderUnavailableError, ZeroPolynomialError
 from findual.kernel import (
@@ -9,9 +11,14 @@ from findual.kernel import (
     QQ,
     Matrix,
     Poly,
+    PrimeField,
+    echelon_rows,
     factor_over_field,
+    in_row_span,
     kron,
     primitive_root_of_unity,
+    reduce_against,
+    row_pivots,
     rref_kernel,
 )
 
@@ -211,3 +218,100 @@ class TestKron:
             c = Matrix(f, 2, 2, [rng.randrange(7) for _ in range(4)])
             d = Matrix(f, 3, 3, [rng.randrange(7) for _ in range(9)])
             assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the single GF(p)/Q row reduction against the per-scalar
+# eliminations it replaced, kept here as oracles.
+
+
+def oracle_row_reduce(rows, field):
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    zero = field.zero()
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((rr for rr in range(r, nrows) if rows[rr][c] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for rr in range(nrows):
+            if rr != r and rows[rr][c] != zero:
+                factor = rows[rr][c]
+                rows[rr] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def oracle_berlekamp_kernel(mat, field):
+    """Solutions v of sum_i v_i * mat[i] = 0, by elimination on the transpose."""
+    n = len(mat)
+    work, pivots = oracle_row_reduce([[mat[i][j] for i in range(n)] for j in range(len(mat[0]))], field)
+    basis = []
+    for fcol in (c for c in range(n) if c not in pivots):
+        vec = [field.zero()] * n
+        vec[fcol] = field.one()
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(work[i][fcol])
+        basis.append(vec)
+    return basis
+
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(10007), QQ]
+
+
+@st.composite
+def matrices(draw, square=False):
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    rows = draw(st.integers(1, 7))
+    cols = rows if square else draw(st.integers(1, 7))
+    # few distinct values, so that rank deficiency is common
+    if isinstance(f, PrimeField):
+        scalar = st.integers(0, min(f.p - 1, 4)).map(f.of)
+    else:
+        scalar = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    zero_heavy = st.one_of(st.just(f.zero()), scalar)
+    entries = draw(st.lists(zero_heavy, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(f, rows, cols, entries)
+
+
+class TestRowReductionAgainstOracle:
+    @settings(max_examples=200)
+    @given(matrices())
+    def test_rref_and_pivots(self, m):
+        rows, pivots = oracle_row_reduce(m.row_lists(), m.field)
+        res = rref_kernel(m)
+        assert res.pivots == tuple(pivots)
+        assert res.rref == Matrix.from_rows(m.field, rows)
+
+    @given(matrices())
+    def test_echelon_rows_are_the_nonzero_rref_rows(self, m):
+        rows, pivots = oracle_row_reduce(m.row_lists(), m.field)
+        assert echelon_rows(m.field, m.row_lists()) == [tuple(r) for r in rows[:len(pivots)]]
+
+    @given(matrices(square=True))
+    def test_berlekamp_kernel_is_rref_kernel_of_transpose(self, m):
+        mat = m.row_lists()
+        ker = rref_kernel(m.transpose()).kernel
+        assert [list(ker.col(c)) for c in range(ker.cols)] == oracle_berlekamp_kernel(mat, m.field)
+
+    @given(matrices(), st.data())
+    def test_reduce_against_matches_sequential_reduction(self, m, data):
+        f = m.field
+        rows = echelon_rows(f, m.row_lists())
+        vec = data.draw(st.lists(st.sampled_from([f.zero(), f.one(), f.of(2), f.of(-3)]),
+                                 min_size=m.cols, max_size=m.cols))
+        residual, coords = reduce_against(rows, row_pivots(rows), vec, f)
+        expect = list(vec)
+        for row in rows:
+            c = expect[next(j for j, x in enumerate(row) if x != f.zero())]
+            expect = [f.sub(x, f.mul(c, y)) for x, y in zip(expect, row)]
+        assert residual == expect
+        assert in_row_span(rows, vec, f) == (not any(expect))
