@@ -135,6 +135,20 @@ def _basis_vec(field: Field, dim: int, i: int):
     return v
 
 
+def _first_failure(field: Field, laws):
+    """(name, index) of the first law whose lhs - rhs is nonzero, or None.
+
+    `laws` yields (name, index, diff) lazily, diff a dict of lhs - rhs
+    coefficients built with the plain ``+ - *`` operators; each diff is
+    reduced once here, and no law after the first failure is built.
+    """
+    for name, index, diff in laws:
+        # an exact zero needs no reduction
+        if any(diff.values()) and any(field.canonical(diff.values())):
+            return name, index
+    return None
+
+
 class Subspace:
     """Subspace of an algebra's coordinate space, rows in canonical RREF."""
 

@@ -8,11 +8,14 @@ round trip is the identity entrywise.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .algebra import (
     AlgebraHom,
     FinDimAlgebra,
     Subspace,
     _basis_vec,
+    _first_failure,
     _radical_trace_form,
     _check_radical_precondition,
     one_dim_characters,
@@ -27,24 +30,26 @@ from .errors import (
 )
 from .kernel import Matrix, PrimeField, echelon_rows, reduce_against, row_pivots, rref_kernel
 from .kernel.fields import Field
-from typing import NamedTuple
 
 
 class FinDimCoalgebra:
     __slots__ = ("field", "dim", "labels", "comul", "counit")
 
     def __init__(self, field: Field, labels, comul, counit):
-        """comul[r] is an iterable of (i, j, coeff) triples."""
+        """comul[r] is an iterable of (i, j, coeff) triples; the coefficients
+        of repeated (i, j) are summed and zero sums dropped."""
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        zero = field.zero()
-        norm = []
+        merged = {}
         for r in range(self.dim):
-            triples = [(i, j, c) for (i, j, c) in comul[r] if c != zero]
-            triples.sort(key=lambda t: (t[0], t[1]))
-            norm.append(tuple(triples))
-        self.comul = tuple(norm)
+            for i, j, c in comul[r]:
+                merged[r, i, j] = merged.get((r, i, j), 0) + c
+        norm = [[] for _ in range(self.dim)]
+        for (r, i, j), c in zip(merged, field.canonical(merged.values())):
+            if c:
+                norm[r].append((i, j, c))
+        self.comul = tuple(tuple(sorted(triples)) for triples in norm)
         counit = tuple(counit)
         if len(counit) != self.dim:
             raise BadParamsError("counit vector has wrong length")
@@ -52,16 +57,11 @@ class FinDimCoalgebra:
 
     def delta_of_vector(self, vec):
         """Delta(vec) as a dense vector on the tensor-square basis (i*dim + j)."""
-        f = self.field
-        zero = f.zero()
-        out = [zero] * (self.dim * self.dim)
+        out = [self.field.zero()] * (self.dim * self.dim)
         for r, xr in enumerate(vec):
-            if xr == zero:
-                continue
             for i, j, c in self.comul[r]:
-                idx = i * self.dim + j
-                out[idx] = f.add(out[idx], f.mul(xr, c))
-        return out
+                out[i * self.dim + j] += xr * c
+        return self.field.canonical(out)
 
     def counit_of_vector(self, vec):
         return self.field.dot(self.counit, vec)
@@ -99,25 +99,26 @@ class CoalgebraHom:
 
     def is_valid(self) -> bool:
         src, tgt = self.source, self.target
-        f = src.field
-        images = [self.apply(_basis_vec(f, src.dim, r)) for r in range(src.dim)]
-        for r in range(src.dim):
-            if tgt.counit_of_vector(images[r]) != src.counit[r]:
-                return False
-            lhs = tgt.delta_of_vector(images[r])
-            rhs = [f.zero()] * (tgt.dim * tgt.dim)
-            for i, j, c in src.comul[r]:
-                for x, fx in enumerate(images[i]):
-                    if fx == f.zero():
-                        continue
-                    for y, fy in enumerate(images[j]):
-                        if fy == f.zero():
-                            continue
-                        idx = x * tgt.dim + y
-                        rhs[idx] = f.add(rhs[idx], f.mul(c, f.mul(fx, fy)))
-            if lhs != rhs:
-                return False
-        return True
+        m, n = self.matrix, tgt.dim
+        images = [[(x, m.get(x, r)) for x in range(n) if m.get(x, r)] for r in range(src.dim)]
+
+        def laws():
+            for r in range(src.dim):
+                # eps(f(b_r)) = eps(b_r)
+                counit = sum(tgt.counit[x] * fx for x, fx in images[r])
+                yield "counit", r, {0: counit - src.counit[r]}
+                # Delta(f(b_r)) = (f (x) f) Delta(b_r)
+                diff = {}
+                for x, fx in images[r]:
+                    for i, j, c in tgt.comul[x]:
+                        diff[i * n + j] = diff.get(i * n + j, 0) + fx * c
+                for i, j, c in src.comul[r]:
+                    for x, fx in images[i]:
+                        for y, fy in images[j]:
+                            diff[x * n + y] = diff.get(x * n + y, 0) - c * fx * fy
+                yield "comul", r, diff
+
+        return _first_failure(src.field, laws()) is None
 
     def is_injective(self) -> bool:
         return self.matrix.rank() == self.source.dim
@@ -166,40 +167,52 @@ class CoalgebraValidation(NamedTuple):
 
 
 def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
+    """Coassociativity on every basis element, then the counit; the first
+    failing basis index r is the witness, with the first failing key for
+    coassociativity."""
     f = c.field
-    zero = f.zero()
-    witnesses = []
-    coassoc = True
-    for r in range(c.dim):
-        lhs = {}
-        rhs = {}
-        for i, j, cf in c.comul[r]:
-            for x, y, cf2 in c.comul[i]:
-                key = (x, y, j)
-                lhs[key] = f.add(lhs.get(key, zero), f.mul(cf, cf2))
-            for x, y, cf2 in c.comul[j]:
-                key = (i, x, y)
-                rhs[key] = f.add(rhs.get(key, zero), f.mul(cf, cf2))
-        for key in set(lhs) | set(rhs):
-            if lhs.get(key, zero) != rhs.get(key, zero):
-                coassoc = False
-                witnesses.append(("coassociativity", (r,) + key))
-                break
-        if not coassoc:
-            break
-    counital = True
-    for r in range(c.dim):
-        left = [zero] * c.dim
-        right = [zero] * c.dim
-        for i, j, cf in c.comul[r]:
-            left[j] = f.add(left[j], f.mul(cf, c.counit[i]))
-            right[i] = f.add(right[i], f.mul(cf, c.counit[j]))
-        target = _basis_vec(f, c.dim, r)
-        if left != target or right != target:
-            counital = False
-            witnesses.append(("counit", (r,)))
-            break
-    return CoalgebraValidation(coassoc, counital, tuple(witnesses))
+
+    def coassociative():
+        for r in range(c.dim):
+            # (Delta (x) id) Delta(b_r) = (id (x) Delta) Delta(b_r)
+            diff = {}
+            for i, j, cf in c.comul[r]:
+                for x, y, cf2 in c.comul[i]:
+                    diff[x, y, j] = diff.get((x, y, j), 0) + cf * cf2
+                for x, y, cf2 in c.comul[j]:
+                    diff[i, x, y] = diff.get((i, x, y), 0) - cf * cf2
+            yield "coassociativity", (r,), diff
+
+    def counital():
+        for r in range(c.dim):
+            # (eps (x) id) Delta(b_r) = b_r = (id (x) eps) Delta(b_r), the
+            # right-hand law keyed dim + i
+            diff = {r: -1, c.dim + r: -1}
+            for i, j, cf in c.comul[r]:
+                diff[j] = diff.get(j, 0) + cf * c.counit[i]
+                diff[c.dim + i] = diff.get(c.dim + i, 0) + cf * c.counit[j]
+            yield "counit", (r,), diff
+
+    coassoc = _first_failure(f, coassociative())
+    if coassoc:
+        coassoc = ("coassociativity", coassoc[1] + _coassociativity_witness(c, *coassoc[1]))
+    failures = (coassoc, _first_failure(f, counital()))
+    return CoalgebraValidation(*(w is None for w in failures), tuple(w for w in failures if w))
+
+
+def _coassociativity_witness(c: FinDimCoalgebra, r: int):
+    """First key (x, y, z) at which (Delta (x) id) Delta(b_r) and
+    (id (x) Delta) Delta(b_r) differ, in the order of set(lhs) | set(rhs)."""
+    lhs = {}
+    rhs = {}
+    for i, j, cf in c.comul[r]:
+        for x, y, cf2 in c.comul[i]:
+            lhs[x, y, j] = lhs.get((x, y, j), 0) + cf * cf2
+        for x, y, cf2 in c.comul[j]:
+            rhs[i, x, y] = rhs.get((i, x, y), 0) + cf * cf2
+    keys = list(set(lhs) | set(rhs))
+    diff = c.field.canonical(lhs.get(k, 0) - rhs.get(k, 0) for k in keys)
+    return next(k for k, x in zip(keys, diff) if x)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,19 @@ def _field_in(doc) -> Field:
 
 def _index_triples(doc, key, dim):
     """The [a, b, c, scalar] entries of doc[key] as ((a, b, c), scalar), each
-    index an int in [0, dim); JSON true/false is never an index."""
+    index an int in [0, dim); JSON true/false is never an index.  A structure
+    constant is given once: encode never repeats a triple."""
+    seen = set()
     for entry in _require(doc, key, list):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise SchemaMismatchError(f"{key} entries must be [index, index, index, scalar]")
         if not all(type(x) is int and 0 <= x < dim for x in entry[:3]):
             raise SchemaMismatchError(f"{key} index out of range or not an int: {entry!r}")
-        yield tuple(entry[:3]), entry[3]
+        triple = tuple(entry[:3])
+        if triple in seen:
+            raise SchemaMismatchError(f"{key} triple {list(triple)} given twice")
+        seen.add(triple)
+        yield triple, entry[3]
 
 
 def _require(doc, key, types=None):
@@ -254,12 +260,7 @@ def _decode_algebra(doc) -> FinDimAlgebra:
     if len(labels) != dim:
         raise SchemaMismatchError("label count does not match dim")
     mul = [[[] for _ in range(dim)] for _ in range(dim)]
-    seen = set()
     for (i, j, r), c in _index_triples(doc, "mul", dim):
-        # a structure constant is given once; encode never repeats a triple
-        if (i, j, r) in seen:
-            raise SchemaMismatchError(f"mul triple {[i, j, r]} given twice")
-        seen.add((i, j, r))
         mul[i][j].append((r, _scalar_in(field, c)))
     unit = _scalars_in(field, _require(doc, "unit", list), dim)
     return FinDimAlgebra(field, labels, mul, unit)

@@ -9,17 +9,23 @@ Conventions (load-bearing, shared with the JSON codec):
     i*dim(D) + j and rows d_j (x) c_i at j*dim(C) + i.
 Dualization is matrix transposition on the fixed dual bases, which makes the
 finite-level crossed-product duality an entrywise equality.
+
+Law checks: every axiom is a stream of laws, each an unreduced sparse
+lhs - rhs built with the plain ``+ - *`` operators and reduced once
+(`algebra._first_failure`).  The first law that fails, in loop order, is the
+witness, and the later laws of the same axiom are not evaluated.
 """
 
 from __future__ import annotations
 
 import random
+from operator import sub
 from typing import NamedTuple
 
 from .algebra import (
     AlgebraHom,
     FinDimAlgebra,
-    _basis_vec,
+    _first_failure,
     cyclic_group_algebra,
     monogenic_algebra,
     triangular_algebra,
@@ -142,128 +148,91 @@ class TwistReport(NamedTuple):
 
 def check_twisting_map(rho: TwistingMap) -> TwistReport:
     a, b = rho.a, rho.b
-    f = a.field
     da, db = a.dim, b.dim
-    zero = f.zero()
-    witnesses = []
+    image = rho.image_of
 
-    normal = True
-    for i in range(da):
-        # rho(1_B (x) a_i) = a_i (x) 1_B
-        out = [zero] * (da * db)
-        for j, uj in enumerate(b.unit):
-            if uj == zero:
-                continue
-            for flat, c in rho.image_of(j, i):
-                out[flat] = f.add(out[flat], f.mul(uj, c))
-        expected = [zero] * (da * db)
-        for j, uj in enumerate(b.unit):
-            expected[i * db + j] = uj
-        if out != expected:
-            normal = False
-            witnesses.append(("normal-left", (i,)))
-            break
-    if normal:
+    def normal():
+        for i in range(da):
+            # rho(1_B (x) a_i) = a_i (x) 1_B
+            diff = {}
+            for j, uj in enumerate(b.unit):
+                diff[i * db + j] = diff.get(i * db + j, 0) - uj
+                for flat, c in image(j, i):
+                    diff[flat] = diff.get(flat, 0) + uj * c
+            yield "normal-left", (i,), diff
         for j in range(db):
-            out = [zero] * (da * db)
+            # rho(b_j (x) 1_A) = 1_A (x) b_j
+            diff = {}
             for i, ui in enumerate(a.unit):
-                if ui == zero:
-                    continue
-                for flat, c in rho.image_of(j, i):
-                    out[flat] = f.add(out[flat], f.mul(ui, c))
-            expected = [zero] * (da * db)
-            for i, ui in enumerate(a.unit):
-                expected[i * db + j] = ui
-            if out != expected:
-                normal = False
-                witnesses.append(("normal-right", (j,)))
-                break
+                diff[i * db + j] = diff.get(i * db + j, 0) - ui
+                for flat, c in image(j, i):
+                    diff[flat] = diff.get(flat, 0) + ui * c
+            yield "normal-right", (j,), diff
 
-    multiplicative = True
-    # rho o (id_B (x) m_A) = (m_A (x) id_B) o (id_A (x) rho) o (rho (x) id_A)
-    for j in range(db):
-        for i1 in range(da):
-            rho_j_i1 = rho.image_of(j, i1)
-            for i2 in range(da):
-                lhs = [zero] * (da * db)
-                for r, c in a.mul[i1][i2]:
-                    for flat, c2 in rho.image_of(j, r):
-                        lhs[flat] = f.add(lhs[flat], f.mul(c, c2))
-                rhs = [zero] * (da * db)
-                for flat, c in rho_j_i1:
-                    x, y = divmod(flat, db)
-                    for flat2, c2 in rho.image_of(y, i2):
-                        u, v = divmod(flat2, db)
-                        cc = f.mul(c, c2)
-                        for w, c3 in a.mul[x][u]:
-                            idx = w * db + v
-                            rhs[idx] = f.add(rhs[idx], f.mul(cc, c3))
-                if lhs != rhs:
-                    multiplicative = False
-                    witnesses.append(("multiplicative-A", (j, i1, i2)))
-                    break
-            if not multiplicative:
-                break
-        if not multiplicative:
-            break
-    if multiplicative:
+    def multiplicative():
+        # rho o (id_B (x) m_A) = (m_A (x) id_B) o (id_A (x) rho) o (rho (x) id_A)
+        for j in range(db):
+            for i1 in range(da):
+                for i2 in range(da):
+                    diff = {}
+                    for r, c in a.mul[i1][i2]:
+                        for flat, c2 in image(j, r):
+                            diff[flat] = diff.get(flat, 0) + c * c2
+                    for flat, c in image(j, i1):
+                        x, y = divmod(flat, db)
+                        for flat2, c2 in image(y, i2):
+                            u, v = divmod(flat2, db)
+                            cc = c * c2
+                            for w, c3 in a.mul[x][u]:
+                                diff[w * db + v] = diff.get(w * db + v, 0) - cc * c3
+                    yield "multiplicative-A", (j, i1, i2), diff
         # rho o (m_B (x) id_A) = (id_A (x) m_B) o (rho (x) id_B) o (id_B (x) rho)
         for j1 in range(db):
             for j2 in range(db):
-                bb = b.mul[j1][j2]
                 for i in range(da):
-                    lhs = [zero] * (da * db)
-                    for s, c in bb:
-                        for flat, c2 in rho.image_of(s, i):
-                            lhs[flat] = f.add(lhs[flat], f.mul(c, c2))
-                    rhs = [zero] * (da * db)
-                    for flat, c in rho.image_of(j2, i):
+                    diff = {}
+                    for s, c in b.mul[j1][j2]:
+                        for flat, c2 in image(s, i):
+                            diff[flat] = diff.get(flat, 0) + c * c2
+                    for flat, c in image(j2, i):
                         x, y = divmod(flat, db)
-                        for flat2, c2 in rho.image_of(j1, x):
+                        for flat2, c2 in image(j1, x):
                             u, v = divmod(flat2, db)
-                            cc = f.mul(c, c2)
+                            cc = c * c2
                             for w, c3 in b.mul[v][y]:
-                                idx = u * db + w
-                                rhs[idx] = f.add(rhs[idx], f.mul(cc, c3))
-                    if lhs != rhs:
-                        multiplicative = False
-                        witnesses.append(("multiplicative-B", (j1, j2, i)))
-                        break
-                if not multiplicative:
-                    break
-            if not multiplicative:
-                break
-    return TwistReport(normal, multiplicative, tuple(witnesses))
+                                diff[u * db + w] = diff.get(u * db + w, 0) - cc * c3
+                    yield "multiplicative-B", (j1, j2, i), diff
+
+    failures = (_first_failure(a.field, normal()), _first_failure(a.field, multiplicative()))
+    return TwistReport(*(w is None for w in failures), tuple(w for w in failures if w))
 
 
 def _twisted_mul_table(rho: TwistingMap):
     """Structure constants of m_rho on the A(x)B basis, no validity gate."""
     a, b = rho.a, rho.b
-    f = a.field
     da, db = a.dim, b.dim
     n = da * db
-    mul = [[[] for _ in range(n)] for _ in range(n)]
+    acc = {}  # (left, right, output) -> coefficient, one reduction for the table
     for i1 in range(da):
         for j1 in range(db):
             left = i1 * db + j1
             for i2 in range(da):
-                for j2 in range(db):
-                    right = i2 * db + j2
-                    acc = {}
-                    for flat, c in rho.image_of(j1, i2):
-                        x, y = divmod(flat, db)
-                        for w, c2 in a.mul[i1][x]:
-                            cc = f.mul(c, c2)
+                for flat, c in rho.image_of(j1, i2):
+                    x, y = divmod(flat, db)
+                    for w, c2 in a.mul[i1][x]:
+                        cc = c * c2
+                        for j2 in range(db):
                             for z, c3 in b.mul[y][j2]:
-                                idx = w * db + z
-                                acc[idx] = f.add(acc.get(idx, f.zero()), f.mul(cc, c3))
-                    mul[left][right] = sorted(acc.items())
+                                key = (left, i2 * db + j2, w * db + z)
+                                acc[key] = acc.get(key, 0) + cc * c3
+    mul = [[[] for _ in range(n)] for _ in range(n)]
+    for (left, right, out), v in zip(acc, a.field.canonical(acc.values())):
+        mul[left][right].append((out, v))
     return mul
 
 
 def _tensor_unit(a: FinDimAlgebra, b: FinDimAlgebra):
-    f = a.field
-    return [f.mul(ua, ub) for ua in a.unit for ub in b.unit]
+    return a.field.canonical(ua * ub for ua in a.unit for ub in b.unit)
 
 
 def _tensor_labels(la, lb):
@@ -309,92 +278,58 @@ class CotwistReport(NamedTuple):
 
 def check_cotwisting_map(phi: CotwistingMap) -> CotwistReport:
     c, d = phi.c, phi.d
-    f = c.field
     dc, dd = c.dim, d.dim
-    zero = f.zero()
-    witnesses = []
+    image = phi.image_of
 
-    conormal = True
-    for i in range(dc):
-        for j in range(dd):
-            left = [zero] * dc   # (eps_D (x) id_C) phi
-            right = [zero] * dd  # (id_D (x) eps_C) phi
-            for flat, cf in phi.image_of(i, j):
-                y, x = divmod(flat, dc)
-                left[x] = f.add(left[x], f.mul(cf, d.counit[y]))
-                right[y] = f.add(right[y], f.mul(cf, c.counit[x]))
-            exp_left = [f.mul(d.counit[j], f.one()) if k == i else zero for k in range(dc)]
-            exp_right = [f.mul(c.counit[i], f.one()) if k == j else zero for k in range(dd)]
-            if left != exp_left:
-                conormal = False
-                witnesses.append(("conormal-left", (i, j)))
-                break
-            if right != exp_right:
-                conormal = False
-                witnesses.append(("conormal-right", (i, j)))
-                break
-        if not conormal:
-            break
-
-    comultiplicative = True
-    # (id_D (x) Delta_C) o phi = (phi (x) id_C) o (id_C (x) phi) o (Delta_C (x) id_D)
-    for r in range(dc):
-        for s in range(dd):
-            lhs = {}
-            for flat, cf in phi.image_of(r, s):
-                y, x = divmod(flat, dc)
-                for u, v, cf2 in c.comul[x]:
-                    key = (y, u, v)
-                    lhs[key] = f.add(lhs.get(key, zero), f.mul(cf, cf2))
-            rhs = {}
-            for u1, u2, cf in c.comul[r]:
-                for flat, cf2 in phi.image_of(u2, s):
+    def conormal():
+        for i in range(dc):
+            for j in range(dd):
+                # (eps_D (x) id_C) phi = id_C (x) eps_D and (id_D (x) eps_C) phi = eps_C (x) id_D
+                left = {i: -d.counit[j]}
+                right = {j: -c.counit[i]}
+                for flat, cf in image(i, j):
                     y, x = divmod(flat, dc)
-                    cc = f.mul(cf, cf2)
-                    for flat2, cf3 in phi.image_of(u1, y):
-                        v, w = divmod(flat2, dc)
-                        key = (v, w, x)
-                        rhs[key] = f.add(rhs.get(key, zero), f.mul(cc, cf3))
-            if not _same_dict(f, lhs, rhs):
-                comultiplicative = False
-                witnesses.append(("comultiplicative-C", (r, s)))
-                break
-        if not comultiplicative:
-            break
-    if comultiplicative:
+                    left[x] = left.get(x, 0) + cf * d.counit[y]
+                    right[y] = right.get(y, 0) + cf * c.counit[x]
+                yield "conormal-left", (i, j), left
+                yield "conormal-right", (i, j), right
+
+    def comultiplicative():
+        # (id_D (x) Delta_C) o phi = (phi (x) id_C) o (id_C (x) phi) o (Delta_C (x) id_D)
+        for r in range(dc):
+            for s in range(dd):
+                diff = {}
+                for flat, cf in image(r, s):
+                    y, x = divmod(flat, dc)
+                    for u, v, cf2 in c.comul[x]:
+                        diff[y, u, v] = diff.get((y, u, v), 0) + cf * cf2
+                for u1, u2, cf in c.comul[r]:
+                    for flat, cf2 in image(u2, s):
+                        y, x = divmod(flat, dc)
+                        cc = cf * cf2
+                        for flat2, cf3 in image(u1, y):
+                            v, w = divmod(flat2, dc)
+                            diff[v, w, x] = diff.get((v, w, x), 0) - cc * cf3
+                yield "comultiplicative-C", (r, s), diff
         # (Delta_D (x) id_C) o phi = (id_D (x) phi) o (phi (x) id_D) o (id_C (x) Delta_D)
         for r in range(dc):
             for s in range(dd):
-                lhs = {}
-                for flat, cf in phi.image_of(r, s):
+                diff = {}
+                for flat, cf in image(r, s):
                     y, x = divmod(flat, dc)
                     for v1, v2, cf2 in d.comul[y]:
-                        key = (v1, v2, x)
-                        lhs[key] = f.add(lhs.get(key, zero), f.mul(cf, cf2))
-                rhs = {}
+                        diff[v1, v2, x] = diff.get((v1, v2, x), 0) + cf * cf2
                 for w1, w2, cf in d.comul[s]:
-                    for flat, cf2 in phi.image_of(r, w1):
+                    for flat, cf2 in image(r, w1):
                         y, x = divmod(flat, dc)
-                        cc = f.mul(cf, cf2)
-                        for flat2, cf3 in phi.image_of(x, w2):
+                        cc = cf * cf2
+                        for flat2, cf3 in image(x, w2):
                             v, u = divmod(flat2, dc)
-                            key = (y, v, u)
-                            rhs[key] = f.add(rhs.get(key, zero), f.mul(cc, cf3))
-                if not _same_dict(f, lhs, rhs):
-                    comultiplicative = False
-                    witnesses.append(("comultiplicative-D", (r, s)))
-                    break
-            if not comultiplicative:
-                break
-    return CotwistReport(conormal, comultiplicative, tuple(witnesses))
+                            diff[y, v, u] = diff.get((y, v, u), 0) - cc * cf3
+                yield "comultiplicative-D", (r, s), diff
 
-
-def _same_dict(f, lhs: dict, rhs: dict) -> bool:
-    zero = f.zero()
-    for key in set(lhs) | set(rhs):
-        if lhs.get(key, zero) != rhs.get(key, zero):
-            return False
-    return True
+    failures = (_first_failure(c.field, conormal()), _first_failure(c.field, comultiplicative()))
+    return CotwistReport(*(w is None for w in failures), tuple(w for w in failures if w))
 
 
 def raw_crossed_coalgebra(phi: CotwistingMap) -> FinDimCoalgebra:
@@ -402,20 +337,18 @@ def raw_crossed_coalgebra(phi: CotwistingMap) -> FinDimCoalgebra:
     c, d = phi.c, phi.d
     f = c.field
     dc, dd = c.dim, d.dim
-    n = dc * dd
-    comul = [[] for _ in range(n)]
+    # unreduced terms; FinDimCoalgebra sums repeated (i, j) and reduces once
+    comul = [[] for _ in range(dc * dd)]
     for r in range(dc):
         for s in range(dd):
-            acc = {}
+            terms = comul[r * dd + s]
             for i1, i2, cf1 in c.comul[r]:
                 for j1, j2, cf2 in d.comul[s]:
-                    cc = f.mul(cf1, cf2)
+                    cc = cf1 * cf2
                     for flat, cf3 in phi.image_of(i2, j1):
                         y, x = divmod(flat, dc)
-                        key = (i1 * dd + y, x * dd + j2)
-                        acc[key] = f.add(acc.get(key, f.zero()), f.mul(cc, cf3))
-            comul[r * dd + s] = [(i, j, v) for (i, j), v in sorted(acc.items())]
-    counit = [f.mul(ec, ed) for ec in c.counit for ed in d.counit]
+                        terms.append((i1 * dd + y, x * dd + j2, cc * cf3))
+    counit = f.canonical(ec * ed for ec in c.counit for ed in d.counit)
     return FinDimCoalgebra(f, _tensor_labels(c.labels, d.labels), comul, counit)
 
 
@@ -558,79 +491,63 @@ def validate_bialgebra(h: Bialgebra) -> BialgebraReport:
     alg, coalg = h.alg, h.coalg
     f = alg.field
     n = alg.dim
-    zero = f.zero()
-    witnesses = []
+    comul, counit, unit = coalg.comul, coalg.counit, alg.unit
     components = validate_algebra(alg).ok and validate_coalgebra(coalg).ok
-    if not components:
-        witnesses.append(("components", ()))
 
-    comul_mult = True
-    if components:
-        deltas = [coalg.comul[r] for r in range(n)]
+    def comul_multiplicative():
         for i in range(n):
             for j in range(n):
-                lhs = {}
+                # Delta(b_i b_j) = Delta(b_i) Delta(b_j)
+                diff = {}
                 for r, c in alg.mul[i][j]:
-                    for x, y, cf in deltas[r]:
-                        key = (x, y)
-                        lhs[key] = f.add(lhs.get(key, zero), f.mul(c, cf))
-                rhs = {}
-                for x1, y1, c1 in deltas[i]:
-                    for x2, y2, c2 in deltas[j]:
-                        cc = f.mul(c1, c2)
+                    for x, y, cf in comul[r]:
+                        diff[x, y] = diff.get((x, y), 0) + c * cf
+                for x1, y1, c1 in comul[i]:
+                    for x2, y2, c2 in comul[j]:
+                        cc = c1 * c2
                         for w, cw in alg.mul[x1][x2]:
                             for z, cz in alg.mul[y1][y2]:
-                                key = (w, z)
-                                rhs[key] = f.add(rhs.get(key, zero), f.mul(cc, f.mul(cw, cz)))
-                if not _same_dict(f, lhs, rhs):
-                    comul_mult = False
-                    witnesses.append(("comul-multiplicative", (i, j)))
-                    break
-            if not comul_mult:
-                break
+                                diff[w, z] = diff.get((w, z), 0) - cc * cw * cz
+                yield "comul-multiplicative", (i, j), diff
 
-    delta_unit = coalg.delta_of_vector(list(alg.unit))
-    unit_tensor = [f.mul(x, y) for x in alg.unit for y in alg.unit]
-    comul_unital = delta_unit == unit_tensor
-    if not comul_unital:
-        witnesses.append(("comul-unit", ()))
+    def counit_multiplicative():
+        for i in range(n):
+            for j in range(n):
+                # eps(b_i b_j) = eps(b_i) eps(b_j)
+                prod = sum(counit[r] * c for r, c in alg.mul[i][j])
+                yield "counit-multiplicative", (i, j), {0: prod - counit[i] * counit[j]}
 
-    counit_mult = True
-    for i in range(n):
-        for j in range(n):
-            lhs = coalg.counit_of_vector(alg.basis_product(i, j))
-            rhs = f.mul(coalg.counit[i], coalg.counit[j])
-            if lhs != rhs:
-                counit_mult = False
-                witnesses.append(("counit-multiplicative", (i, j)))
-                break
-        if not counit_mult:
-            break
-    counit_unital = coalg.counit_of_vector(list(alg.unit)) == f.one()
-    if not counit_unital:
-        witnesses.append(("counit-unit", ()))
-
-    antipode_valid = None
-    if h.antipode is not None:
-        antipode_valid = True
+    def antipode():
+        s_cols = _sparse_cols(h.antipode)
         for r in range(n):
-            left = [zero] * n
-            right = [zero] * n
-            for i, j, c in coalg.comul[r]:
-                si = h.antipode.apply(_basis_vec(f, n, i))
-                term = alg.multiply(si, _basis_vec(f, n, j))
-                left = [f.add(x, f.mul(c, y)) for x, y in zip(left, term)]
-                sj = h.antipode.apply(_basis_vec(f, n, j))
-                term2 = alg.multiply(_basis_vec(f, n, i), sj)
-                right = [f.add(x, f.mul(c, y)) for x, y in zip(right, term2)]
-            target = [f.mul(coalg.counit[r], u) for u in alg.unit]
-            if left != target or right != target:
-                antipode_valid = False
-                witnesses.append(("antipode", (r,)))
-                break
+            # m(S (x) id) Delta(b_r) = eps(b_r) 1 = m(id (x) S) Delta(b_r), the
+            # right-hand law keyed n + t
+            diff = {}
+            for t, u in enumerate(unit):
+                diff[t] = diff[n + t] = -counit[r] * u
+            for i, j, c in comul[r]:
+                for x, s in s_cols[i]:
+                    for t, c2 in alg.mul[x][j]:
+                        diff[t] = diff.get(t, 0) + c * s * c2
+                for y, s in s_cols[j]:
+                    for t, c2 in alg.mul[i][y]:
+                        diff[n + t] = diff.get(n + t, 0) + c * s * c2
+            yield "antipode", (r,), diff
+
+    unit_tensor = [x * y for x in unit for y in unit]
+    delta_unit = dict(enumerate(map(sub, coalg.delta_of_vector(unit), unit_tensor)))
+    failures = (
+        None if components else ("components", ()),
+        _first_failure(f, comul_multiplicative()) if components else None,
+        _first_failure(f, [("comul-unit", (), delta_unit)]),
+        _first_failure(f, counit_multiplicative()),
+        _first_failure(f, [("counit-unit", (), {0: coalg.counit_of_vector(unit) - f.one()})]),
+        _first_failure(f, antipode()) if h.antipode is not None else None,
+    )
+    holds = [w is None for w in failures]
     return BialgebraReport(
-        components, comul_mult, comul_unital, counit_mult, counit_unital,
-        antipode_valid, tuple(witnesses),
+        *holds[:5], holds[5] if h.antipode is not None else None,
+        tuple(w for w in failures if w),
     )
 
 
@@ -686,75 +603,65 @@ def smash_twist(h: Bialgebra, a: FinDimAlgebra, action: Matrix) -> TwistingMap:
     dh, da = h.dim, a.dim
     if action.rows != da or action.cols != dh * da:
         raise BadParamsError("action matrix must be dim(A) x (dim(H)*dim(A))")
-    act_cols = _sparse_cols(action)
+    act = _sparse_cols(action)  # act[j * da + i]: h_j . a_i
 
-    def act(j, i):
-        out = [f.zero()] * da
-        for r, c in act_cols[j * da + i]:
-            out[r] = c
-        return out
+    def axioms():
+        # 1_H acts as the identity
+        for i in range(da):
+            diff = {i: -1}
+            for j, uj in enumerate(h.alg.unit):
+                for r, c in act[j * da + i]:
+                    diff[r] = diff.get(r, 0) + uj * c
+            yield "unit-action", (i,), diff
+        # action is associative over m_H
+        for j1 in range(dh):
+            for j2 in range(dh):
+                for i in range(da):
+                    diff = {}
+                    for s, c in h.alg.mul[j1][j2]:
+                        for r, c2 in act[s * da + i]:
+                            diff[r] = diff.get(r, 0) + c * c2
+                    for x, c in act[j2 * da + i]:
+                        for r, c2 in act[j1 * da + x]:
+                            diff[r] = diff.get(r, 0) - c * c2
+                    yield "associativity", (j1, j2, i), diff
+        # h . (xy) = sum (h1 . x)(h2 . y)
+        for j in range(dh):
+            for k1 in range(da):
+                for k2 in range(da):
+                    diff = {}
+                    for r, c in a.mul[k1][k2]:
+                        for t, c2 in act[j * da + r]:
+                            diff[t] = diff.get(t, 0) + c * c2
+                    for j1, j2, cf in h.coalg.comul[j]:
+                        for x, c1 in act[j1 * da + k1]:
+                            for y, c2 in act[j2 * da + k2]:
+                                cc = cf * c1 * c2
+                                for t, c3 in a.mul[x][y]:
+                                    diff[t] = diff.get(t, 0) - cc * c3
+                    yield "module-algebra", (j, k1, k2), diff
+        # h . 1_A = eps(h) 1_A
+        for j in range(dh):
+            diff = {}
+            for i, ui in enumerate(a.unit):
+                diff[i] = diff.get(i, 0) - h.coalg.counit[j] * ui
+                for r, c in act[j * da + i]:
+                    diff[r] = diff.get(r, 0) + ui * c
+            yield "unit-preservation", (j,), diff
 
-    def act_vec(j, vec):
-        out = [f.zero()] * da
-        for i, vi in enumerate(vec):
-            if vi == f.zero():
-                continue
-            for r, c in act_cols[j * da + i]:
-                out[r] = f.add(out[r], f.mul(vi, c))
-        return out
-
-    zero = f.zero()
-    # 1_H acts as the identity
-    for i in range(da):
-        out = [zero] * da
-        for j, uj in enumerate(h.alg.unit):
-            if uj == zero:
-                continue
-            out = [f.add(x, f.mul(uj, y)) for x, y in zip(out, act(j, i))]
-        if out != _basis_vec(f, da, i):
-            raise NotAModuleAlgebraError("unit-action", (i,))
-    # action is associative over m_H
-    for j1 in range(dh):
-        for j2 in range(dh):
-            for i in range(da):
-                lhs = [zero] * da
-                for s, c in h.alg.mul[j1][j2]:
-                    lhs = [f.add(x, f.mul(c, y)) for x, y in zip(lhs, act(s, i))]
-                rhs = act_vec(j1, act(j2, i))
-                if lhs != rhs:
-                    raise NotAModuleAlgebraError("associativity", (j1, j2, i))
-    # h . (xy) = sum (h1 . x)(h2 . y)
-    for j in range(dh):
-        for k1 in range(da):
-            for k2 in range(da):
-                lhs = [zero] * da
-                for r, c in a.mul[k1][k2]:
-                    lhs = [f.add(x, f.mul(c, y)) for x, y in zip(lhs, act(j, r))]
-                rhs = [zero] * da
-                for j1, j2, cf in h.coalg.comul[j]:
-                    term = a.multiply(act(j1, k1), act(j2, k2))
-                    rhs = [f.add(x, f.mul(cf, y)) for x, y in zip(rhs, term)]
-                if lhs != rhs:
-                    raise NotAModuleAlgebraError("module-algebra", (j, k1, k2))
-    # h . 1_A = eps(h) 1_A
-    for j in range(dh):
-        out = act_vec(j, list(a.unit))
-        expected = [f.mul(h.coalg.counit[j], u) for u in a.unit]
-        if out != expected:
-            raise NotAModuleAlgebraError("unit-preservation", (j,))
+    failure = _first_failure(f, axioms())
+    if failure:
+        raise NotAModuleAlgebraError(*failure)
 
     n = da * dh
-    ent = [zero] * (n * n)
+    ent = [f.zero()] * (n * n)
     for j in range(dh):
         for i in range(da):
             col = j * da + i
             for j1, j2, cf in h.coalg.comul[j]:
-                va = act(j1, i)
-                for x, v in enumerate(va):
-                    if v != zero:
-                        row = x * dh + j2
-                        ent[row * n + col] = f.add(ent[row * n + col], f.mul(cf, v))
-    return TwistingMap(a, h.alg, Matrix(f, n, n, ent))
+                for x, v in act[j1 * da + i]:
+                    ent[(x * dh + j2) * n + col] += cf * v
+    return TwistingMap(a, h.alg, Matrix(f, n, n, f.canonical(ent)))
 
 
 class CrossedBialgebraReport(NamedTuple):

@@ -432,11 +432,11 @@ def small_scalars(draw, field, nonzero=False):
 
 
 @st.composite
-def algebras(draw, perturbed=False):
+def algebras(draw, perturbed=False, field=None):
     """A matrix, triangular or cyclic group algebra under a random change of
     basis (P = L U with unit-triangular L, U); optionally one structure
     constant then moved by a nonzero amount."""
-    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    f = field or draw(st.sampled_from(PROPERTY_FIELDS))
     kind = draw(st.sampled_from(["matrix", "triangular", "group"]))
     if kind == "matrix":
         base = matrix_algebra(f, draw(st.integers(1, 2)))

@@ -1,13 +1,18 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import findual
 from findual.cli import cli_run
 from findual.codec import loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
 from findual.algebra import matrix_algebra
-from findual.kernel import GF, QQ
+from findual.kernel import GF, QQ, Matrix
 from findual.twist import tensor_swap
 from findual.algebra import truncated_polynomial_algebra
 
@@ -223,3 +228,73 @@ class TestSelftest:
         assert len(pass_lines) == 8
         doc = json.loads(lines[-1])
         assert doc["summary"]["ok"]
+
+
+def _twist_check_documents():
+    """The twist-check inputs whose report bytes are pinned below."""
+    from findual.qplane import qtwist_decomposition
+    from findual.twist import CotwistingMap, twist_corpus
+
+    yield "rho-box8", qtwist_decomposition(4, 17, 8, 8).rho_q
+    for k, rho in enumerate(twist_corpus(QQ, seed=7, trials=5)):
+        yield f"corpus-{k}", rho
+    f = GF(7)
+    rho = twist_corpus(f, seed=3, trials=1)[0]
+    ent = list(rho.matrix.transpose().entries)
+    ent[5] = f.of(3)
+    n = rho.matrix.rows
+    yield "cotwist", CotwistingMap(dualize_algebra(rho.a), dualize_algebra(rho.b),
+                                   Matrix(f, n, n, ent))
+
+
+_PASS = "26d4bf2ecacd806b56386f5f763e4903fb9dac4e46f19f34274d18461bb3335a"
+
+# exit code and sha256 of the `twist-check --in doc.json` report, witnesses
+# included: the law checks must reproduce these bytes exactly
+TWIST_CHECK_DIGESTS = {
+    "rho-box8": (0, _PASS),
+    "corpus-0": (0, _PASS),
+    "corpus-1": (1, "6624d260acc81440785e01a2167d04f41197cf9702db40129c30da9b87f3bc79"),
+    "corpus-2": (0, _PASS),
+    "corpus-3": (0, _PASS),
+    "corpus-4": (1, "b0cd6a755ad08c4ebb37eac0ccb2476697e5741f23bc264032fc2434cfbc722d"),
+    "cotwist": (1, "d8f2a377d1eef443eb5db56951ed0d8830a3c1f9708ce3ec36d8bc6ef060df57"),
+}
+
+
+class TestTwistCheckBytes:
+    def test_reports_are_byte_identical(self, tmp_path, monkeypatch):
+        # the report echoes argv, so the --in path is a fixed relative one
+        monkeypatch.chdir(tmp_path)
+        got = {}
+        for name, value in _twist_check_documents():
+            (tmp_path / "doc.json").write_text(to_canonical_json(value))
+            code, out = run(["twist-check", "--in", "doc.json"])
+            got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+        assert got == TWIST_CHECK_DIGESTS
+
+
+class TestHostileDocuments:
+    def test_repeated_comul_triple_exits_2(self, tmp_path):
+        doc = json.loads(to_canonical_json(comatrix_coalgebra(F5, 2)))
+        doc["comul"].append(list(doc["comul"][0]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["dualize", "--in", str(path)])
+        assert code == 2
+        assert "given twice" in out
+
+    def test_huge_modulus_exits_2_promptly(self, tmp_path):
+        # primality of a 31-digit modulus by trial division would not return
+        doc = json.loads(to_canonical_json(truncated_polynomial_algebra(F5, 2)))
+        doc["field"]["p"] = 10**30 + 57
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "findual.cli", "dualize", "--in", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("error: ")

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import algebras, small_scalars
 
 from findual.algebra import (
     AlgebraHom,
@@ -333,3 +336,127 @@ class TestEmbeddingFunctor:
         assert g.is_valid()
         gf = g.compose(f)
         assert gf.matrix.transpose() == f.matrix.transpose() @ g.matrix.transpose()
+
+
+class TestRepeatedComulTriples:
+    def test_repeated_pairs_are_summed(self):
+        assert FinDimCoalgebra(F5, ["a"], [[(0, 0, 1), (0, 0, 4)]], [1]).comul == ((),)
+        twice = FinDimCoalgebra(F5, ["a"], [[(0, 0, 1), (0, 0, 1)]], [1])
+        assert twice.comul == (((0, 0, 2),),)
+        assert twice == FinDimCoalgebra(F5, ["a"], [[(0, 0, 2)]], [1])
+
+
+# ---------------------------------------------------------------------------
+# the per-scalar coalgebra checks that the lazy lhs - rhs checks replaced,
+# kept as oracles
+
+
+def oracle_validate_coalgebra(c):
+    f = c.field
+    zero = f.zero()
+    witnesses = []
+    coassoc = True
+    for r in range(c.dim):
+        lhs, rhs = {}, {}
+        for i, j, cf in c.comul[r]:
+            for x, y, cf2 in c.comul[i]:
+                lhs[(x, y, j)] = f.add(lhs.get((x, y, j), zero), f.mul(cf, cf2))
+            for x, y, cf2 in c.comul[j]:
+                rhs[(i, x, y)] = f.add(rhs.get((i, x, y), zero), f.mul(cf, cf2))
+        bad = [key for key in set(lhs) | set(rhs) if lhs.get(key, zero) != rhs.get(key, zero)]
+        if bad:
+            coassoc = False
+            witnesses.append(("coassociativity", (r,) + bad[0]))
+            break
+    counital = True
+    for r in range(c.dim):
+        left = [zero] * c.dim
+        right = [zero] * c.dim
+        for i, j, cf in c.comul[r]:
+            left[j] = f.add(left[j], f.mul(cf, c.counit[i]))
+            right[i] = f.add(right[i], f.mul(cf, c.counit[j]))
+        target = [f.one() if k == r else zero for k in range(c.dim)]
+        if left != target or right != target:
+            counital = False
+            witnesses.append(("counit", (r,)))
+            break
+    return (coassoc, counital, tuple(witnesses))
+
+
+def oracle_delta_of_vector(c, vec):
+    f = c.field
+    out = [f.zero()] * (c.dim * c.dim)
+    for r, xr in enumerate(vec):
+        for i, j, cf in c.comul[r]:
+            out[i * c.dim + j] = f.add(out[i * c.dim + j], f.mul(xr, cf))
+    return out
+
+
+def oracle_hom_is_valid(hom):
+    src, tgt = hom.source, hom.target
+    f = src.field
+    images = [[hom.matrix.get(x, r) for x in range(tgt.dim)] for r in range(src.dim)]
+    for r in range(src.dim):
+        counit = f.zero()
+        for e, x in zip(tgt.counit, images[r]):
+            counit = f.add(counit, f.mul(e, x))
+        if counit != src.counit[r]:
+            return False
+        rhs = [f.zero()] * (tgt.dim * tgt.dim)
+        for i, j, c in src.comul[r]:
+            for x, fx in enumerate(images[i]):
+                for y, fy in enumerate(images[j]):
+                    k = x * tgt.dim + y
+                    rhs[k] = f.add(rhs[k], f.mul(c, f.mul(fx, fy)))
+        if oracle_delta_of_vector(tgt, images[r]) != rhs:
+            return False
+    return True
+
+
+@st.composite
+def coalgebras(draw, perturbed=False):
+    """The dual of a random algebra under a random change of basis (see
+    test_algebra.algebras); optionally one comul entry set to a new nonzero
+    value and, now and then, one counit entry changed."""
+    c = dualize_algebra(draw(algebras()))
+    if not perturbed:
+        return c
+    f = c.field
+    r, i, j = (draw(st.integers(0, c.dim - 1)) for _ in range(3))
+    comul = [[t for t in c.comul[k] if k != r or t[:2] != (i, j)] for k in range(c.dim)]
+    comul[r].append((i, j, draw(small_scalars(f, nonzero=True))))
+    counit = list(c.counit)
+    if draw(st.integers(0, 4)) == 0:
+        counit[draw(st.integers(0, c.dim - 1))] = draw(small_scalars(f))
+    return FinDimCoalgebra(f, c.labels, comul, counit)
+
+
+class TestLawChecksAgainstOracles:
+    @settings(max_examples=200)
+    @given(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
+    def test_validate_verdict_and_witness(self, c):
+        assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
+
+    @given(st.data())
+    def test_delta_of_vector_matches_per_scalar_sum(self, data):
+        c = data.draw(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
+        vec = data.draw(st.lists(small_scalars(c.field), min_size=c.dim, max_size=c.dim))
+        assert c.delta_of_vector(vec) == oracle_delta_of_vector(c, vec)
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_hom_validity_matches_per_scalar_check(self, data):
+        src = data.draw(coalgebras())
+        tgt = data.draw(st.sampled_from([src, data.draw(coalgebras(perturbed=True))]))
+        f = src.field
+        ent = [f.one() if i == j else f.zero() for i in range(tgt.dim) for j in range(src.dim)]
+        if data.draw(st.booleans()):
+            ent[data.draw(st.integers(0, len(ent) - 1))] = data.draw(small_scalars(f))
+        hom = CoalgebraHom(src, tgt, Matrix(f, tgt.dim, src.dim, ent))
+        assert hom.is_valid() == oracle_hom_is_valid(hom)
+
+    @settings(max_examples=50)
+    @given(coalgebras())
+    def test_dualization_is_an_involution(self, c):
+        assert validate_coalgebra(c).ok
+        assert dualize_algebra(dualize_coalgebra(c)) == c

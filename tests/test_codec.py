@@ -1,4 +1,11 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import algebras
+from test_coalgebra import coalgebras
+from test_twist import perturbed_cotwists, twisting_maps
 
 from findual.algebra import matrix_algebra, triangular_algebra, truncated_polynomial_algebra
 from findual.coalgebra import (
@@ -9,7 +16,7 @@ from findual.coalgebra import (
     line_dist_coalgebra,
     tower_extend,
 )
-from findual.codec import census_to_csv, codec_roundtrip, encode, loads, to_canonical_json
+from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
 from findual.errors import SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
 from findual.qplane import azumaya_census
@@ -106,3 +113,32 @@ def test_csv_emitter():
     assert lines[0] == "n,p,c,d,azumaya,radical_dim,factors"
     assert len(lines) == 1 + 25
     assert "2,5,1,1,1,0,4x1" in lines
+
+
+def test_repeated_comul_triple_rejected():
+    doc = encode(divided_power_coalgebra(F5, 2))
+    doc["comul"].append(list(doc["comul"][0]))
+    with pytest.raises(SchemaMismatchError, match="given twice"):
+        decode(doc)
+
+
+@st.composite
+def documents(draw):
+    """A random algebra, coalgebra, twisting map or cotwisting map over
+    GF(2/3/5/7) or Q."""
+    kind = draw(st.sampled_from(["algebra", "coalgebra", "twist", "cotwist"]))
+    if kind == "algebra":
+        return draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    if kind == "coalgebra":
+        return draw(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
+    if kind == "twist":
+        return draw(st.sampled_from(draw(twisting_maps())))
+    return draw(st.sampled_from(draw(perturbed_cotwists())))
+
+
+@settings(max_examples=150)
+@given(documents())
+def test_round_trip_property(value):
+    text = to_canonical_json(value)
+    assert decode(json.loads(text)) == value
+    assert to_canonical_json(loads(text)) == text

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from findual.errors import OrderUnavailableError, ZeroPolynomialError
+from findual.errors import BadParamsError, OrderUnavailableError, ZeroPolynomialError
 from findual.kernel import (
     GF,
     QQ,
@@ -15,12 +15,41 @@ from findual.kernel import (
     echelon_rows,
     factor_over_field,
     in_row_span,
+    is_prime,
     kron,
     primitive_root_of_unity,
     reduce_against,
     row_pivots,
     rref_kernel,
 )
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial_division_is_prime(n)]
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        318665857834031151167461,  # strong pseudoprime to the prime bases up to 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(10007) and not is_prime(10007 * 10009)
+
+    def test_modulus_bound(self):
+        assert is_prime(3317044064679887385961813)  # the largest prime below the bound
+        with pytest.raises(BadParamsError):
+            GF(3317044064679887385961981)
+        with pytest.raises(BadParamsError):
+            GF(10**30 + 57)
 
 
 class TestPrimitiveRoots:

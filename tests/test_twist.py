@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import algebras
 
 from findual.algebra import (
+    FinDimAlgebra,
     cyclic_group_algebra,
     monogenic_algebra,
     truncated_polynomial_algebra,
@@ -14,7 +18,7 @@ from findual.coalgebra import (
     validate_coalgebra,
 )
 from findual.errors import InvalidTwistError, NotAModuleAlgebraError, NotAnAutomorphismError
-from findual.kernel import GF, Matrix, Poly
+from findual.kernel import GF, QQ, Matrix, Poly
 from findual.twist import (
     Bialgebra,
     CotwistingMap,
@@ -28,6 +32,7 @@ from findual.twist import (
     grouplike_bialgebra,
     ore_twist,
     primitive_bialgebra_components,
+    raw_crossed_coalgebra,
     raw_twisted_algebra,
     scaling_automorphism,
     smash_twist,
@@ -381,3 +386,425 @@ class TestCorpusEquivalence:
             crep = check_cotwisting_map(phi)
             assert trep.normal == crep.conormal
             assert trep.multiplicative == crep.comultiplicative
+
+
+# ---------------------------------------------------------------------------
+# the per-scalar law checks that the lazy lhs - rhs checks replaced, kept as
+# oracles: each law is evaluated with f.add / f.mul per term and compared
+# entrywise, and the first failure in loop order is the witness
+
+
+def oracle_same_dict(f, lhs, rhs):
+    zero = f.zero()
+    return all(lhs.get(key, zero) == rhs.get(key, zero) for key in set(lhs) | set(rhs))
+
+
+def oracle_check_twisting_map(rho):
+    a, b = rho.a, rho.b
+    f = a.field
+    da, db = a.dim, b.dim
+    zero = f.zero()
+
+    def normal_failure():
+        for i in range(da):
+            out = [zero] * (da * db)
+            for j, uj in enumerate(b.unit):
+                for flat, c in rho.image_of(j, i):
+                    out[flat] = f.add(out[flat], f.mul(uj, c))
+            expected = [zero] * (da * db)
+            for j, uj in enumerate(b.unit):
+                expected[i * db + j] = uj
+            if out != expected:
+                return ("normal-left", (i,))
+        for j in range(db):
+            out = [zero] * (da * db)
+            for i, ui in enumerate(a.unit):
+                for flat, c in rho.image_of(j, i):
+                    out[flat] = f.add(out[flat], f.mul(ui, c))
+            expected = [zero] * (da * db)
+            for i, ui in enumerate(a.unit):
+                expected[i * db + j] = ui
+            if out != expected:
+                return ("normal-right", (j,))
+        return None
+
+    def multiplicative_failure():
+        for j in range(db):
+            for i1 in range(da):
+                for i2 in range(da):
+                    lhs = [zero] * (da * db)
+                    for r, c in a.mul[i1][i2]:
+                        for flat, c2 in rho.image_of(j, r):
+                            lhs[flat] = f.add(lhs[flat], f.mul(c, c2))
+                    rhs = [zero] * (da * db)
+                    for flat, c in rho.image_of(j, i1):
+                        x, y = divmod(flat, db)
+                        for flat2, c2 in rho.image_of(y, i2):
+                            u, v = divmod(flat2, db)
+                            for w, c3 in a.mul[x][u]:
+                                rhs[w * db + v] = f.add(rhs[w * db + v], f.mul(f.mul(c, c2), c3))
+                    if lhs != rhs:
+                        return ("multiplicative-A", (j, i1, i2))
+        for j1 in range(db):
+            for j2 in range(db):
+                for i in range(da):
+                    lhs = [zero] * (da * db)
+                    for s, c in b.mul[j1][j2]:
+                        for flat, c2 in rho.image_of(s, i):
+                            lhs[flat] = f.add(lhs[flat], f.mul(c, c2))
+                    rhs = [zero] * (da * db)
+                    for flat, c in rho.image_of(j2, i):
+                        x, y = divmod(flat, db)
+                        for flat2, c2 in rho.image_of(j1, x):
+                            u, v = divmod(flat2, db)
+                            for w, c3 in b.mul[v][y]:
+                                rhs[u * db + w] = f.add(rhs[u * db + w], f.mul(f.mul(c, c2), c3))
+                    if lhs != rhs:
+                        return ("multiplicative-B", (j1, j2, i))
+        return None
+
+    normal, mult = normal_failure(), multiplicative_failure()
+    return (normal is None, mult is None, tuple(w for w in (normal, mult) if w))
+
+
+def oracle_twisted_mul_table(rho):
+    a, b = rho.a, rho.b
+    f = a.field
+    db = b.dim
+    n = a.dim * db
+    mul = [[[] for _ in range(n)] for _ in range(n)]
+    for i1 in range(a.dim):
+        for j1 in range(db):
+            for i2 in range(a.dim):
+                for j2 in range(db):
+                    acc = {}
+                    for flat, c in rho.image_of(j1, i2):
+                        x, y = divmod(flat, db)
+                        for w, c2 in a.mul[i1][x]:
+                            for z, c3 in b.mul[y][j2]:
+                                idx = w * db + z
+                                acc[idx] = f.add(acc.get(idx, f.zero()), f.mul(f.mul(c, c2), c3))
+                    mul[i1 * db + j1][i2 * db + j2] = sorted(acc.items())
+    return mul
+
+
+def oracle_check_cotwisting_map(phi):
+    c, d = phi.c, phi.d
+    f = c.field
+    dc, dd = c.dim, d.dim
+    zero = f.zero()
+
+    def conormal_failure():
+        for i in range(dc):
+            for j in range(dd):
+                left = [zero] * dc
+                right = [zero] * dd
+                for flat, cf in phi.image_of(i, j):
+                    y, x = divmod(flat, dc)
+                    left[x] = f.add(left[x], f.mul(cf, d.counit[y]))
+                    right[y] = f.add(right[y], f.mul(cf, c.counit[x]))
+                if left != [d.counit[j] if k == i else zero for k in range(dc)]:
+                    return ("conormal-left", (i, j))
+                if right != [c.counit[i] if k == j else zero for k in range(dd)]:
+                    return ("conormal-right", (i, j))
+        return None
+
+    def comultiplicative_failure():
+        for r in range(dc):
+            for s in range(dd):
+                lhs, rhs = {}, {}
+                for flat, cf in phi.image_of(r, s):
+                    y, x = divmod(flat, dc)
+                    for u, v, cf2 in c.comul[x]:
+                        lhs[(y, u, v)] = f.add(lhs.get((y, u, v), zero), f.mul(cf, cf2))
+                for u1, u2, cf in c.comul[r]:
+                    for flat, cf2 in phi.image_of(u2, s):
+                        y, x = divmod(flat, dc)
+                        for flat2, cf3 in phi.image_of(u1, y):
+                            v, w = divmod(flat2, dc)
+                            rhs[(v, w, x)] = f.add(rhs.get((v, w, x), zero), f.mul(f.mul(cf, cf2), cf3))
+                if not oracle_same_dict(f, lhs, rhs):
+                    return ("comultiplicative-C", (r, s))
+        for r in range(dc):
+            for s in range(dd):
+                lhs, rhs = {}, {}
+                for flat, cf in phi.image_of(r, s):
+                    y, x = divmod(flat, dc)
+                    for v1, v2, cf2 in d.comul[y]:
+                        lhs[(v1, v2, x)] = f.add(lhs.get((v1, v2, x), zero), f.mul(cf, cf2))
+                for w1, w2, cf in d.comul[s]:
+                    for flat, cf2 in phi.image_of(r, w1):
+                        y, x = divmod(flat, dc)
+                        for flat2, cf3 in phi.image_of(x, w2):
+                            v, u = divmod(flat2, dc)
+                            rhs[(y, v, u)] = f.add(rhs.get((y, v, u), zero), f.mul(f.mul(cf, cf2), cf3))
+                if not oracle_same_dict(f, lhs, rhs):
+                    return ("comultiplicative-D", (r, s))
+        return None
+
+    conormal, comult = conormal_failure(), comultiplicative_failure()
+    return (conormal is None, comult is None, tuple(w for w in (conormal, comult) if w))
+
+
+def oracle_crossed_comul(phi):
+    c, d = phi.c, phi.d
+    f = c.field
+    dc, dd = c.dim, d.dim
+    comul = []
+    for r in range(dc):
+        for s in range(dd):
+            acc = {}
+            for i1, i2, cf1 in c.comul[r]:
+                for j1, j2, cf2 in d.comul[s]:
+                    for flat, cf3 in phi.image_of(i2, j1):
+                        y, x = divmod(flat, dc)
+                        key = (i1 * dd + y, x * dd + j2)
+                        acc[key] = f.add(acc.get(key, f.zero()), f.mul(f.mul(cf1, cf2), cf3))
+            comul.append(tuple((i, j, v) for (i, j), v in sorted(acc.items()) if v != f.zero()))
+    return tuple(comul)
+
+
+def oracle_validate_bialgebra(h):
+    alg, coalg = h.alg, h.coalg
+    f = alg.field
+    n = alg.dim
+    zero = f.zero()
+    components = validate_algebra(alg).ok and validate_coalgebra(coalg).ok
+    witnesses = [] if components else [("components", ())]
+    comul_mult = True
+    if components:
+        for i, j in ((i, j) for i in range(n) for j in range(n)):
+            lhs, rhs = {}, {}
+            for r, c in alg.mul[i][j]:
+                for x, y, cf in coalg.comul[r]:
+                    lhs[(x, y)] = f.add(lhs.get((x, y), zero), f.mul(c, cf))
+            for x1, y1, c1 in coalg.comul[i]:
+                for x2, y2, c2 in coalg.comul[j]:
+                    for w, cw in alg.mul[x1][x2]:
+                        for z, cz in alg.mul[y1][y2]:
+                            term = f.mul(f.mul(c1, c2), f.mul(cw, cz))
+                            rhs[(w, z)] = f.add(rhs.get((w, z), zero), term)
+            if not oracle_same_dict(f, lhs, rhs):
+                comul_mult = False
+                witnesses.append(("comul-multiplicative", (i, j)))
+                break
+    delta_unit = [zero] * (n * n)
+    for r, ur in enumerate(alg.unit):
+        for i, j, c in coalg.comul[r]:
+            delta_unit[i * n + j] = f.add(delta_unit[i * n + j], f.mul(ur, c))
+    comul_unital = delta_unit == [f.mul(x, y) for x in alg.unit for y in alg.unit]
+    if not comul_unital:
+        witnesses.append(("comul-unit", ()))
+
+    def counit_of(vec):
+        out = zero
+        for e, x in zip(coalg.counit, vec):
+            out = f.add(out, f.mul(e, x))
+        return out
+
+    counit_mult = True
+    for i, j in ((i, j) for i in range(n) for j in range(n)):
+        if counit_of(alg.basis_product(i, j)) != f.mul(coalg.counit[i], coalg.counit[j]):
+            counit_mult = False
+            witnesses.append(("counit-multiplicative", (i, j)))
+            break
+    counit_unital = counit_of(alg.unit) == f.one()
+    if not counit_unital:
+        witnesses.append(("counit-unit", ()))
+    antipode_valid = None
+    if h.antipode is not None:
+        antipode_valid = True
+        basis = [[f.one() if k == i else zero for k in range(n)] for i in range(n)]
+        for r in range(n):
+            left = [zero] * n
+            right = [zero] * n
+            for i, j, c in coalg.comul[r]:
+                term = alg.multiply(h.antipode.apply(basis[i]), basis[j])
+                left = [f.add(x, f.mul(c, y)) for x, y in zip(left, term)]
+                term2 = alg.multiply(basis[i], h.antipode.apply(basis[j]))
+                right = [f.add(x, f.mul(c, y)) for x, y in zip(right, term2)]
+            target = [f.mul(coalg.counit[r], u) for u in alg.unit]
+            if left != target or right != target:
+                antipode_valid = False
+                witnesses.append(("antipode", (r,)))
+                break
+    return (components, comul_mult, comul_unital, counit_mult, counit_unital,
+            antipode_valid, tuple(witnesses))
+
+
+def oracle_module_algebra_failure(h, a, action):
+    """The first failing module-algebra axiom of smash_twist, or None."""
+    f = a.field
+    dh, da = h.dim, a.dim
+    zero = f.zero()
+
+    def act(j, i):
+        return [action.get(r, j * da + i) for r in range(da)]
+
+    def act_vec(j, vec):
+        out = [zero] * da
+        for i, vi in enumerate(vec):
+            out = [f.add(x, f.mul(vi, y)) for x, y in zip(out, act(j, i))]
+        return out
+
+    def combo(pairs):
+        out = [zero] * da
+        for c, vec in pairs:
+            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, vec)]
+        return out
+
+    for i in range(da):
+        if combo((uj, act(j, i)) for j, uj in enumerate(h.alg.unit)) != [
+                f.one() if k == i else zero for k in range(da)]:
+            return ("unit-action", (i,))
+    for j1 in range(dh):
+        for j2 in range(dh):
+            for i in range(da):
+                lhs = combo((c, act(s, i)) for s, c in h.alg.mul[j1][j2])
+                if lhs != act_vec(j1, act(j2, i)):
+                    return ("associativity", (j1, j2, i))
+    for j in range(dh):
+        for k1 in range(da):
+            for k2 in range(da):
+                lhs = combo((c, act(j, r)) for r, c in a.mul[k1][k2])
+                rhs = combo((cf, a.multiply(act(j1, k1), act(j2, k2)))
+                            for j1, j2, cf in h.coalg.comul[j])
+                if lhs != rhs:
+                    return ("module-algebra", (j, k1, k2))
+    for j in range(dh):
+        if act_vec(j, list(a.unit)) != [f.mul(h.coalg.counit[j], u) for u in a.unit]:
+            return ("unit-preservation", (j,))
+    return None
+
+
+def oracle_smash_entries(h, a, action):
+    f = a.field
+    dh, da = h.dim, a.dim
+    n = da * dh
+    ent = [f.zero()] * (n * n)
+    for j in range(dh):
+        for i in range(da):
+            for j1, j2, cf in h.coalg.comul[j]:
+                for x in range(da):
+                    k = (x * dh + j2) * n + j * da + i
+                    ent[k] = f.add(ent[k], f.mul(cf, action.get(x, j1 * da + i)))
+    return ent
+
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
+
+
+@st.composite
+def twisting_maps(draw):
+    """A short seeded twist_corpus stream over a small field, or the swap of
+    two algebras in random bases (structure constants other than 0 and 1)
+    with one matrix entry optionally replaced."""
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(ORACLE_FIELDS))
+        return twist_corpus(f, seed=draw(st.integers(0, 10**6)), trials=draw(st.integers(1, 6)))
+    a = draw(algebras().filter(lambda a: a.dim <= 4))
+    b = draw(algebras(field=a.field).filter(lambda b: b.dim <= 4))
+    f = a.field
+    ent = list(tensor_swap(a, b).matrix.entries)
+    if draw(st.booleans()):
+        ent[draw(st.integers(0, len(ent) - 1))] = f.of(draw(st.integers(-3, 3)))
+    n = a.dim * b.dim
+    return [TwistingMap(a, b, Matrix(f, n, n, ent))]
+
+
+@st.composite
+def perturbed_cotwists(draw):
+    """Transposes of twisting maps on the dual coalgebras, one entry of the
+    matrix optionally replaced."""
+    out = []
+    for rho in draw(twisting_maps()):
+        f = rho.a.field
+        ent = list(rho.matrix.transpose().entries)
+        if draw(st.booleans()):
+            ent[draw(st.integers(0, len(ent) - 1))] = f.of(draw(st.integers(-3, 3)))
+        n = rho.matrix.rows
+        out.append(CotwistingMap(dualize_algebra(rho.a), dualize_algebra(rho.b),
+                                 Matrix(f, n, n, ent)))
+    return out
+
+
+@st.composite
+def bialgebra_candidates(draw):
+    """The group bialgebra of Z/m with a perturbed antipode, counit or comul
+    entry, or a truncated-polynomial or group algebra on the same labels paired
+    with the dual of either, so that comultiplicativity is reached and can fail."""
+    f = draw(st.sampled_from(ORACLE_FIELDS))
+    m = draw(st.integers(1, 4))
+    h = grouplike_bialgebra(f, m)
+    scalar = st.integers(-3, 3).map(f.of)
+    kind = draw(st.sampled_from(["antipode", "counit", "comul", "mixed"]))
+    if kind == "counit":
+        counit = list(h.coalg.counit)
+        counit[draw(st.integers(0, m - 1))] = draw(scalar)
+        return Bialgebra(h.alg, FinDimCoalgebra(f, h.labels, h.coalg.comul, counit), h.antipode)
+    if kind == "mixed":
+        algs = [truncated_polynomial_algebra(f, m, var="g"), cyclic_group_algebra(f, m, var="g")]
+        coalg = dualize_algebra(draw(st.sampled_from(algs)))
+        return Bialgebra(draw(st.sampled_from(algs)), coalg, h.antipode)
+    if kind == "antipode":
+        ent = list(h.antipode.entries)
+        ent[draw(st.integers(0, m * m - 1))] = draw(scalar)
+        return Bialgebra(h.alg, h.coalg, Matrix(f, m, m, ent))
+    r, i, j = (draw(st.integers(0, m - 1)) for _ in range(3))
+    comul = [[t for t in h.coalg.comul[k] if k != r or t[:2] != (i, j)] for k in range(m)]
+    comul[r].append((i, j, draw(scalar)))
+    return Bialgebra(h.alg, FinDimCoalgebra(f, h.labels, comul, h.coalg.counit), h.antipode)
+
+
+@st.composite
+def module_actions(draw):
+    """The trivial action of the group bialgebra of Z/2 on a small algebra,
+    with one entry of the action matrix usually replaced."""
+    f = draw(st.sampled_from([GF(3), GF(5), GF(7), QQ]))
+    h = grouplike_bialgebra(f, 2)
+    a = draw(st.sampled_from([truncated_polynomial_algebra(f, 2), cyclic_group_algebra(f, 2),
+                              truncated_polynomial_algebra(f, 3)]))
+    da = a.dim
+    ent = [f.one() if c % da == r else f.zero() for r in range(da) for c in range(2 * da)]
+    if draw(st.integers(0, 9)):
+        ent[draw(st.integers(0, len(ent) - 1))] = f.of(draw(st.integers(-2, 2)))
+    return h, a, Matrix(f, da, 2 * da, ent)
+
+
+class TestLawChecksAgainstOracles:
+    @settings(max_examples=150)
+    @given(twisting_maps())
+    def test_twisting_reports_match_per_scalar_checks(self, corpus):
+        for rho in corpus:
+            assert tuple(check_twisting_map(rho)) == oracle_check_twisting_map(rho)
+
+    @given(twisting_maps())
+    def test_twisted_table_matches_per_scalar_table(self, corpus):
+        for rho in corpus:
+            raw = raw_twisted_algebra(rho)
+            assert raw.mul == FinDimAlgebra(rho.a.field, raw.labels,
+                                            oracle_twisted_mul_table(rho), raw.unit).mul
+
+    @settings(max_examples=150)
+    @given(perturbed_cotwists())
+    def test_cotwisting_reports_match_per_scalar_checks(self, maps):
+        for phi in maps:
+            assert tuple(check_cotwisting_map(phi)) == oracle_check_cotwisting_map(phi)
+            assert raw_crossed_coalgebra(phi).comul == oracle_crossed_comul(phi)
+
+    @settings(max_examples=150)
+    @given(bialgebra_candidates())
+    def test_bialgebra_reports_match_per_scalar_checks(self, h):
+        assert tuple(validate_bialgebra(h)) == oracle_validate_bialgebra(h)
+
+    @settings(max_examples=150)
+    @given(module_actions())
+    def test_smash_twist_fails_on_the_same_axiom(self, case):
+        h, a, action = case
+        want = oracle_module_algebra_failure(h, a, action)
+        if want is None:
+            assert list(smash_twist(h, a, action).matrix.entries) == oracle_smash_entries(h, a, action)
+        else:
+            with pytest.raises(NotAModuleAlgebraError) as err:
+                smash_twist(h, a, action)
+            assert (err.value.axiom, err.value.witness) == want
