@@ -278,7 +278,7 @@ def cli_run(argv, stdout=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _HANDLERS[args.command](args, argv, stdout)
-    except (SchemaMismatchError, UsageError, FileNotFoundError, ValueError) as exc:
+    except (SchemaMismatchError, UsageError, OSError, ValueError) as exc:
         stdout.write(f"error: {exc}\n")
         return 2
     except PreconditionError as exc:

@@ -542,6 +542,8 @@ class DualTower:
 def _check_tower_step(small: FinDimCoalgebra, big: FinDimCoalgebra, inc: CoalgebraHom):
     if inc.source != small or inc.target != big:
         raise BadParamsError("inclusion endpoints do not match the levels")
+    if small.field != big.field:
+        raise BadParamsError("tower levels must share a field")
     if big.labels[: small.dim] != small.labels:
         raise BadParamsError("level labels must extend by suffix")
     if not inc.is_injective():

@@ -50,6 +50,11 @@ def _field_in(doc) -> Field:
         raise SchemaMismatchError(f"bad field: {exc}") from exc
 
 
+def _same_field(*parts):
+    if len({part.field for part in parts}) > 1:
+        raise SchemaMismatchError("components are over different fields")
+
+
 def _index_triples(doc, key, dim):
     """The [a, b, c, scalar] entries of doc[key] as ((a, b, c), scalar), each
     index an int in [0, dim); JSON true/false is never an index.  A structure
@@ -191,12 +196,14 @@ def decode(doc):
     if tag == "twisting-map":
         a = _decode_algebra(_require(doc, "a", dict))
         b = _decode_algebra(_require(doc, "b", dict))
+        _same_field(a, b)
         n = a.dim * b.dim
         ent = _scalars_in(a.field, _require(doc, "matrix", list), n * n)
         return TwistingMap(a, b, Matrix(a.field, n, n, ent))
     if tag == "cotwisting-map":
         c = _decode_coalgebra(_require(doc, "c", dict))
         d = _decode_coalgebra(_require(doc, "d", dict))
+        _same_field(c, d)
         n = c.dim * d.dim
         ent = _scalars_in(c.field, _require(doc, "matrix", list), n * n)
         return CotwistingMap(c, d, Matrix(c.field, n, n, ent))
@@ -219,6 +226,7 @@ def decode(doc):
         return Bialgebra(alg, coalg, antipode)
     if tag == "dual-tower":
         levels = [_decode_coalgebra(lv) for lv in _require(doc, "levels", list)]
+        _same_field(*levels)
         incs_raw = _require(doc, "inclusions", list)
         if len(incs_raw) != max(len(levels) - 1, 0):
             raise SchemaMismatchError("wrong number of inclusions")
@@ -298,7 +306,7 @@ def to_canonical_json(value) -> str:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaMismatchError(f"malformed JSON: {exc}") from exc
     return decode(doc)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 from ..errors import BadParamsError, OrderUnavailableError
 
@@ -279,6 +280,8 @@ def primitive_root_of_unity(field: Field, n: int):
     """Smallest scalar of multiplicative order exactly n, by canonical order.
 
     Over GF(p) this needs n | p - 1; over Q only n in {1, 2} is realizable.
+    The first z = x^((p-1)/n) of exact order n generates the n-th roots of
+    unity, whose elements of order n are the z^k with gcd(k, n) = 1.
     """
     if n < 1:
         raise BadParamsError(f"order must be positive, got {n}")
@@ -293,8 +296,7 @@ def primitive_root_of_unity(field: Field, n: int):
         raise OrderUnavailableError(f"{n} does not divide {p} - 1")
     divisors = proper_divisors(n)
     for x in range(1, p):
-        if pow(x, n, p) != 1:
-            continue
-        if all(pow(x, d, p) != 1 for d in divisors):
-            return x
+        z = pow(x, (p - 1) // n, p)
+        if all(pow(z, d, p) != 1 for d in divisors):
+            return min(pow(z, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
     raise OrderUnavailableError(f"no element of order {n} in GF({p})")

@@ -69,7 +69,7 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def __eq__(self, other):
         return (
@@ -124,9 +124,10 @@ class Matrix:
         return [self.field.dot(self.row(i), vec) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
+        ent = self.entries
         return Matrix(
             self.field, self.cols, self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+            [x for j in range(self.cols) for x in ent[j :: self.cols]],
         )
 
     def kron(self, other: "Matrix") -> "Matrix":

@@ -332,7 +332,7 @@ def _divisors_int(n: int):
     return sorted(out)
 
 
-def factor_over_field(f: Poly, field: Field | None = None) -> Factorization:
+def factor_over_field(f: Poly) -> Factorization:
     """Factor f into monic factors with multiplicities and a unit.
 
     Over GF(p) the factorization is complete and every factor irreducible.
@@ -340,8 +340,7 @@ def factor_over_field(f: Poly, field: Field | None = None) -> Factorization:
     linear part is extracted and the remainder returned as a single factor
     with ``complete=False``.
     """
-    if field is None:
-        field = f.field
+    field = f.field
     if f.is_zero():
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     unit = f.leading()

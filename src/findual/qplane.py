@@ -6,7 +6,10 @@ The quantum plane relation is y x = q * x y.  Truncations come in two kinds:
 ``box(a, b)`` kills x^a and y^b; ``central_fiber(c, d)`` reduces x^n -> c and
 y^n -> d, producing the n^2-dimensional fiber algebra over the central point
 (c, d).  Monomial bases are ordered x-major: x^i y^j at index i*b + j.  One
-function, `_fiber_table`, builds the structure constants of both.
+function, `_fiber_table`, builds every quantum-plane structure-constant
+table: the box, the central fiber, the jet algebra R/(R m^2) at an Azumaya
+point (a fiber table lifted to the jets 1, u, v) and each level of the box
+dual tower (a box table re-indexed into shells).
 
 The census uses the torus action: x -> lam x, y -> mu y carries
 fiber(lam^n c, mu^n d) isomorphically onto fiber(c, d).  A coordinate's orbit
@@ -31,6 +34,7 @@ from .algebra import (
     quotient_algebra,
     semisimple_profile,
     subspace_product,
+    truncated_polynomial_algebra,
     validate_algebra,
 )
 from .coalgebra import DualTower, canonical_inclusion, dualize_algebra, tower_extend
@@ -40,11 +44,9 @@ from .errors import (
     GradingError,
     InvalidInputError,
     NotAzumayaError,
-    OrderUnavailableError,
 )
-from .kernel import GF, Matrix, Poly, primitive_root_of_unity
+from .kernel import GF, Matrix, primitive_root_of_unity
 from .twist import TwistingMap, check_twisting_map, tensor_swap
-from .algebra import monogenic_algebra
 
 
 class QPlaneTrunc(NamedTuple):
@@ -139,10 +141,8 @@ def qtwist_decomposition(n: int, p: int, a: int, b: int) -> QTwistReport:
     field, q = _require_root(n, p)
     if a % n or b % n:
         raise GradingError("truncation levels must be multiples of n")
-    ax = Poly(field, [field.zero()] * a + [field.one()])
-    by = Poly(field, [field.zero()] * b + [field.one()])
-    A = monogenic_algebra(field, ax, var="x")
-    B = monogenic_algebra(field, by, var="y")
+    A = truncated_polynomial_algebra(field, a, var="x")
+    B = truncated_polynomial_algebra(field, b, var="y")
     size = a * b
     rho_ent = [field.zero()] * (size * size)
     tau_ent = [field.zero()] * (size * size)
@@ -359,72 +359,46 @@ class PointInvariants(NamedTuple):
 
 def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
     """R/(R m^2) at the central point m = (x^n - c, y^n - d), on the basis
-    x^i y^j * {1, u, v} with u = x^n - c, v = y^n - d and (u, v)^2 = 0."""
+    x^i y^j * {1, u, v} with u = x^n - c, v = y^n - d and (u, v)^2 = 0.
+
+    u and v are central, so a product of basis elements is the fiber(c, d)
+    product k0 x^i y^j of their monomials times the product of their jets;
+    where both jets are 1, the overflow x^n = c + u (y^n = d + v) also
+    leaves k0 / c on u (k0 / d on v).
+    """
     field, q = _require_root(n, p)
     c = field.of(c)
     d = field.of(d)
     if field.mul(c, d) == field.zero():
         raise NotAzumayaError("point lies on a coordinate axis (cd = 0)")
-    jets = ((0, 0), (1, 0), (0, 1))
-    jet_index = {e: k for k, e in enumerate(jets)}
-    dim = n * n * 3
-
-    def index(i, j, e):
-        return (i * n + j) * 3 + jet_index[e]
-
-    def label(i, j, e):
-        tail = {(0, 0): "", (1, 0): "u", (0, 1): "v"}[e]
-        return f"x^{i}y^{j}{tail}"
-
-    labels = [label(i, j, e) for i in range(n) for j in range(n) for e in jets]
-    mul = [[() for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(n):
-        for j1 in range(n):
-            for e1 in jets:
-                row_idx = index(i1, j1, e1)
-                for i2 in range(n):
-                    for j2 in range(n):
-                        for e2 in jets:
-                            col_idx = index(i2, j2, e2)
-                            acc = {}
-                            base = field.pow(q, j1 * i2)
-                            # (u, v)-degree of the product before overflow
-                            ud = e1[0] + e2[0]
-                            vd = e1[1] + e2[1]
-                            if ud + vd > 1:
-                                mul[row_idx][col_idx] = ()
-                                continue
-                            terms = [(ud, vd, base)]
-                            i = i1 + i2
-                            j = j1 + j2
-                            if i >= n:
-                                i -= n
-                                terms = [t for term in terms for t in _times_u_plus_c(term, field, c)]
-                            if j >= n:
-                                j -= n
-                                terms = [t for term in terms for t in _times_v_plus_d(term, field, d)]
-                            for tud, tvd, coeff in terms:
-                                if tud + tvd > 1 or coeff == field.zero():
-                                    continue
-                                key = index(i, j, (tud, tvd))
-                                acc[key] = field.add(acc.get(key, field.zero()), coeff)
-                            mul[row_idx][col_idx] = tuple(sorted(acc.items()))
-    unit = [field.zero()] * dim
+    c_inv, d_inv = field.inv(c), field.inv(d)
+    labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
+    mul = []
+    for a, row in enumerate(_fiber_table(field, q, n, n, c, d)):
+        i1, j1 = divmod(a, n)
+        for e1 in range(3):
+            jet_row = []
+            for b, ((r, k0),) in enumerate(row):
+                i2, j2 = divmod(b, n)
+                for e2 in range(3):
+                    if e1 and e2:
+                        cell = ()
+                    elif e1 or e2:
+                        cell = ((3 * r + e1 + e2, k0),)
+                    else:
+                        cell = ((3 * r, k0),)
+                        if i1 + i2 >= n:
+                            cell += ((3 * r + 1, k0 * c_inv % p),)
+                        if j1 + j2 >= n:
+                            cell += ((3 * r + 2, k0 * d_inv % p),)
+                    jet_row.append(cell)
+            mul.append(jet_row)
+    unit = [field.zero()] * len(labels)
     unit[0] = field.one()
     alg = FinDimAlgebra(field, labels, mul, unit)
     if not validate_algebra(alg).ok:
         raise InvalidInputError("jet algebra failed validation")
     return alg
-
-
-def _times_u_plus_c(term, field, c):
-    ud, vd, coeff = term
-    return [(ud + 1, vd, coeff), (ud, vd, field.mul(coeff, c))]
-
-
-def _times_v_plus_d(term, field, d):
-    ud, vd, coeff = term
-    return [(ud, vd + 1, coeff), (ud, vd, field.mul(coeff, d))]
 
 
 def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
@@ -471,21 +445,14 @@ def box_dual_tower(n: int, p: int, steps) -> DualTower:
     levels = []
     for k in steps:
         side = k * n
-        monomials = sorted(
-            ((i, j) for i in range(side) for j in range(side)),
-            key=lambda ij: (max(ij), ij[0], ij[1]),
-        )
-        index = {m: t for t, m in enumerate(monomials)}
-        labels = [f"x^{i}y^{j}" for i, j in monomials]
-        dim = side * side
-        mul = [[() for _ in range(dim)] for _ in range(dim)]
-        for (i1, j1), left in index.items():
-            for (i2, j2), right in index.items():
-                i, j = i1 + i2, j1 + j2
-                if i < side and j < side:
-                    mul[left][right] = ((index[(i, j)], field.pow(q, j1 * i2)),)
-        unit = [field.zero()] * dim
-        unit[index[(0, 0)]] = field.one()
+        # x-major index t = i*side + j, listed in shells (max(i, j), i, j)
+        order = sorted(range(side * side), key=lambda t: (max(divmod(t, side)), t))
+        shell = {t: s for s, t in enumerate(order)}
+        table = _fiber_table(field, q, side, side, 0, 0)
+        labels = [f"x^{t // side}y^{t % side}" for t in order]
+        mul = [[tuple((shell[r], k0) for r, k0 in table[a][b]) for b in order] for a in order]
+        unit = [field.zero()] * len(order)
+        unit[shell[0]] = field.one()
         levels.append(dualize_algebra(FinDimAlgebra(field, labels, mul, unit)))
     tower = DualTower(levels[:1], [])
     for small, big in zip(levels, levels[1:]):

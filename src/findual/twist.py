@@ -54,6 +54,8 @@ class TwistingMap:
     __slots__ = ("a", "b", "matrix", "_cols")
 
     def __init__(self, a: FinDimAlgebra, b: FinDimAlgebra, matrix: Matrix):
+        if a.field != b.field:
+            raise BadParamsError("twisting-map components must share a field")
         n = a.dim * b.dim
         if matrix.rows != n or matrix.cols != n:
             raise BadParamsError(f"twisting matrix must be {n}x{n}")
@@ -82,6 +84,8 @@ class CotwistingMap:
     __slots__ = ("c", "d", "matrix", "_cols")
 
     def __init__(self, c: FinDimCoalgebra, d: FinDimCoalgebra, matrix: Matrix):
+        if c.field != d.field:
+            raise BadParamsError("cotwisting-map components must share a field")
         n = c.dim * d.dim
         if matrix.rows != n or matrix.cols != n:
             raise BadParamsError(f"cotwisting matrix must be {n}x{n}")
@@ -408,7 +412,7 @@ def ore_twist(a: FinDimAlgebra, theta: AlgebraHom, order: int) -> TwistingMap:
     return TwistingMap(a, b, Matrix(f, n, n, ent))
 
 
-def scaling_automorphism(a: FinDimAlgebra, scale, generator_index: int = 1) -> AlgebraHom:
+def scaling_automorphism(a: FinDimAlgebra, scale) -> AlgebraHom:
     """For a monogenic algebra on basis 1, t, ..., the map t -> scale * t,
     provided that defines an algebra automorphism (validated)."""
     f = a.field
@@ -468,7 +472,7 @@ class Bialgebra:
 
 class BialgebraReport(NamedTuple):
     components_valid: bool
-    comul_multiplicative: bool
+    comul_multiplicative: bool | None  # None: not evaluated on invalid components
     comul_unital: bool
     counit_multiplicative: bool
     counit_unital: bool
@@ -546,7 +550,8 @@ def validate_bialgebra(h: Bialgebra) -> BialgebraReport:
     )
     holds = [w is None for w in failures]
     return BialgebraReport(
-        *holds[:5], holds[5] if h.antipode is not None else None,
+        holds[0], holds[1] if components else None, *holds[2:5],
+        holds[5] if h.antipode is not None else None,
         tuple(w for w in failures if w),
     )
 

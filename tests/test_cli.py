@@ -96,6 +96,18 @@ class TestDualize:
         code, out = run(["dualize", "--in", "/nonexistent/file.json"])
         assert code == 2
 
+    def test_directory_as_input(self, tmp_path):
+        code, out = run(["dualize", "--in", str(tmp_path)])
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out = run(["dualize", "--in", str(path)])
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{{{{")
@@ -144,6 +156,17 @@ class TestTwistCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["normal"] and doc["results"]["multiplicative"]
+
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_components_over_different_fields_exit_2(self, tmp_path, other):
+        doc = json.loads(to_canonical_json(
+            tensor_swap(matrix_algebra(F5, 2), truncated_polynomial_algebra(F5, 2))))
+        doc["b"] = json.loads(to_canonical_json(truncated_polynomial_algebra(other, 2)))
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["twist-check", "--in", str(path)])
+        assert code == 2
+        assert out.startswith("error: ")
 
     def test_failing_map_exits_one(self, tmp_path):
         from findual.algebra import cyclic_group_algebra

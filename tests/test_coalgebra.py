@@ -34,7 +34,12 @@ from findual.coalgebra import (
     triangular_coalgebra,
     validate_coalgebra,
 )
-from findual.errors import CyclicQuiverError, NotACoalgebraMapError, NotInjectiveError
+from findual.errors import (
+    BadParamsError,
+    CyclicQuiverError,
+    NotACoalgebraMapError,
+    NotInjectiveError,
+)
 from findual.kernel import GF, QQ, Matrix, echelon_rows, in_row_span
 
 F5 = GF(5)
@@ -310,6 +315,12 @@ class TestTowers:
         ent[2 * 2 + 1] = F5.one()  # eps1 -> eps2
         with pytest.raises(NotACoalgebraMapError):
             tower_extend(tower, big, CoalgebraHom(small, big, Matrix(F5, 3, 2, ent)))
+
+    def test_levels_over_different_fields_rejected(self):
+        small = divided_power_coalgebra(F5, 1)
+        big = divided_power_coalgebra(GF(7), 2)
+        with pytest.raises(BadParamsError):
+            DualTower([small, big], [canonical_inclusion(small, big)])
 
 
 class TestEmbeddingFunctor:

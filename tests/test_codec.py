@@ -21,7 +21,7 @@ from findual.errors import SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
 from findual.qplane import azumaya_census
 from findual.selftest import sweedler_crossed_instance
-from findual.twist import grouplike_bialgebra, tensor_swap
+from findual.twist import cotensor_swap, grouplike_bialgebra, tensor_swap
 
 F5 = GF(5)
 
@@ -113,6 +113,29 @@ def test_csv_emitter():
     assert lines[0] == "n,p,c,d,azumaya,radical_dim,factors"
     assert len(lines) == 1 + 25
     assert "2,5,1,1,1,0,4x1" in lines
+
+
+def test_deeply_nested_document_rejected():
+    with pytest.raises(SchemaMismatchError):
+        loads("[" * 200_000 + "]" * 200_000)
+
+
+def _mixed_field_documents():
+    f7 = GF(7)
+    rho = encode(tensor_swap(matrix_algebra(F5, 2), truncated_polynomial_algebra(F5, 2)))
+    rho["b"] = encode(truncated_polynomial_algebra(f7, 2))
+    phi = encode(cotensor_swap(divided_power_coalgebra(F5, 2), divided_power_coalgebra(F5, 2)))
+    phi["d"] = encode(divided_power_coalgebra(f7, 2))
+    small, big = divided_power_coalgebra(F5, 1), divided_power_coalgebra(F5, 2)
+    tower = encode(DualTower([small, big], [canonical_inclusion(small, big)]))
+    tower["levels"][1]["field"]["p"] = 7
+    return [rho, phi, tower]
+
+
+@pytest.mark.parametrize("doc", _mixed_field_documents(), ids=["twist", "cotwist", "tower"])
+def test_components_over_different_fields_rejected(doc):
+    with pytest.raises(SchemaMismatchError, match="different fields"):
+        decode(doc)
 
 
 def test_repeated_comul_triple_rejected():

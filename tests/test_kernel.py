@@ -1,10 +1,15 @@
+import inspect
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import findual
 from findual.errors import BadParamsError, OrderUnavailableError, ZeroPolynomialError
 from findual.kernel import (
     GF,
@@ -79,8 +84,32 @@ class TestPrimitiveRoots:
             if n % d == 0:
                 assert f.pow(q, d) != 1
 
+    def test_matches_brute_force_below_300(self):
+        for p in filter(is_prime, range(300)):
+            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+            order = {x: next(d for d in divisors if pow(x, d, p) == 1) for x in range(1, p)}
+            for n in divisors:
+                want = min(x for x in range(1, p) if order[x] == n)
+                assert primitive_root_of_unity(GF(p), n) == want, (p, n)
+
+    def test_large_prime_order_2_returns_promptly(self):
+        # the smallest element of order 2 is p - 1: a scan of [1, p) would not return
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        code = ("from findual.kernel import GF, primitive_root_of_unity\n"
+                "print(primitive_root_of_unity(GF(1000000000039), 2))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "1000000000038\n"
+
 
 class TestFactor:
+    def test_takes_only_the_polynomial(self):
+        # the field is always the polynomial's own
+        assert list(inspect.signature(factor_over_field).parameters) == ["f"]
+
     def test_t2_minus_1_gf5(self):
         f = Poly.from_ints(GF(5), [-1, 0, 1])
         fac = factor_over_field(f)
@@ -209,6 +238,16 @@ class TestRref:
             m = Matrix(f, 3, 4, [rng.randrange(5) for _ in range(12)])
             r1 = rref_kernel(m).rref
             assert rref_kernel(r1).rref == r1
+
+
+class TestMatrixSlices:
+    def test_col_and_transpose_follow_get(self):
+        m = Matrix(GF(13), 3, 4, range(12))
+        assert [m.col(j) for j in range(4)] == [
+            tuple(m.get(i, j) for i in range(3)) for j in range(4)]
+        t = m.transpose()
+        assert (t.rows, t.cols) == (4, 3)
+        assert all(t.get(j, i) == m.get(i, j) for i in range(3) for j in range(4))
 
 
 class TestKron:

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from findual import qplane
 from findual.algebra import (
     ideal_closure,
+    monogenic_algebra,
     one_dim_characters,
     semisimple_profile,
     validate_algebra,
@@ -15,7 +18,7 @@ from findual.errors import (
     NotAzumayaError,
     OrderUnavailableError,
 )
-from findual.kernel import GF, Matrix
+from findual.kernel import GF, Matrix, Poly
 from findual.qplane import (
     CensusReport,
     FiberRecord,
@@ -330,3 +333,50 @@ class TestBoxTower:
         assert [lv.dim for lv in tower.levels] == [4, 16, 36]
         for small, big in zip(tower.levels, tower.levels[1:]):
             assert big.labels[: small.dim] == small.labels
+
+
+# sha256 of to_canonical_json, recorded before the jet algebra and the box
+# tower were built from `_fiber_table`
+JET_DIGESTS = {
+    (2, 5, 1, 1): "276573fda7c56fba111b893e9d8c7408189084c9df51f52fcc05505bed653be8",
+    (2, 5, 1, 2): "32c0463346e63cc81b9d2e5e35734ce8a4ce1b1c2fb8d10f335db689edfad04a",
+    (2, 5, 1, 3): "fdd23a1d14f93f5b830ef4ae541aafbddf0615daf1816e3248ec751c7eef7d1c",
+    (2, 5, 1, 4): "093f3a5e5dc33de578e9a3c30e9ded39e34be9522a16a947c2866c12b51eef28",
+    (2, 5, 2, 1): "84f7962e36e6c46ea63a9506ccece3581fbeec1309afe5689bff683a8a5ec7f8",
+    (2, 5, 2, 2): "81d189ac861a6c9f04fcb50467b3ec6f562403641db042f67b96aa6cd651322e",
+    (2, 5, 2, 3): "1a13a971b0622122faad032df057e82b0b7b933efde3dda3cf69d5fb73783251",
+    (2, 5, 2, 4): "0e9750420bb3b6f74300f873c26f8d9f2d7b42dfc91a1e695644b43d93a94e00",
+    (2, 5, 3, 1): "efb5160ed2df2af690e4b09e54a3a0160d3f6190eb23108b6a8de63e9ff2e115",
+    (2, 5, 3, 2): "80c6192bffa75bab9136745f0a7994a30e5494542a37584e043f07fc49c2372d",
+    (2, 5, 3, 3): "4f65ea3d177d241bc77798efc5664cfbef53b368fc7cd7871bd85f89e89ad1de",
+    (2, 5, 3, 4): "ad9ae1dbb67a66d2f9607155b9577a97a65a7ae9d977d4b88f14185d03019ac4",
+    (2, 5, 4, 1): "1c6462cd42d47b44d421609810db6291e50f045ede2d8b90cceea8ae90ac97d8",
+    (2, 5, 4, 2): "c1b752d059789fc4340c84c3c80f6ed0bf7b943f62f3492879ea7a22d3e7867a",
+    (2, 5, 4, 3): "89b82b4f93e5c2aa590f065ed378ba93b467d4a078bf71b440367a77d7ccba85",
+    (2, 5, 4, 4): "ebd51b6cbd961f0eaeb151e291fde3c67e438eabdaac0d98b415bc7f85e6f5a4",
+    (3, 13, 2, 5): "1c814e058200c717a72b9c368984abc8da7e83d20e86079d926a50156a62d11e",
+    (4, 17, 9, 12): "0fc8ba8cccd729518bd99ed9db6621851b672ff8cbeba16ef15d8f9e3d655764",
+    (5, 31, 26, 23): "94b9c9bd127bf348b5ffb94e3abfa55608cf448fa8a3de3222a033beba4cba3e",
+}
+TOWER_DIGESTS = {
+    (2, 5, (1, 2, 3)): "5b8a90bdc8ea168052bdff7c58b0d04d11bcc0f12ee5d6434482dfd1ffeff7ca",
+    (3, 7, (1, 2)): "8cdfa71626e4f97b7b10d213c6b9743e601b551bdad6f3234c019ac62305b623",
+}
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("point", sorted(JET_DIGESTS))
+    def test_jet_algebra_bytes(self, point):
+        text = to_canonical_json(regular_point_jet_algebra(*point))
+        assert hashlib.sha256(text.encode()).hexdigest() == JET_DIGESTS[point]
+
+    @pytest.mark.parametrize("args", sorted(TOWER_DIGESTS))
+    def test_box_tower_bytes(self, args):
+        n, p, steps = args
+        text = to_canonical_json(box_dual_tower(n, p, list(steps)))
+        assert hashlib.sha256(text.encode()).hexdigest() == TOWER_DIGESTS[args]
+
+    def test_qtwist_components_are_truncated_polynomials(self):
+        rep = qtwist_decomposition(2, 5, 4, 2)
+        assert rep.rho_q.a == monogenic_algebra(F5, Poly.from_ints(F5, [0, 0, 0, 0, 1]), var="x")
+        assert rep.rho_q.b == monogenic_algebra(F5, Poly.from_ints(F5, [0, 0, 1]), var="y")

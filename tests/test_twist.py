@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,12 @@ from findual.coalgebra import (
     grouplikes,
     validate_coalgebra,
 )
-from findual.errors import InvalidTwistError, NotAModuleAlgebraError, NotAnAutomorphismError
+from findual.errors import (
+    BadParamsError,
+    InvalidTwistError,
+    NotAModuleAlgebraError,
+    NotAnAutomorphismError,
+)
 from findual.kernel import GF, QQ, Matrix, Poly
 from findual.twist import (
     Bialgebra,
@@ -197,6 +204,26 @@ class TestOreTwist:
             theta = scaling_automorphism(a, F5.of(3))
             assert check_twisting_map(ore_twist(a, theta, order)).ok
 
+    def test_scaling_takes_algebra_and_scale(self):
+        # the generator is always t, the basis element at index 1
+        assert list(inspect.signature(scaling_automorphism).parameters) == ["a", "scale"]
+
+
+class TestMixedFields:
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_twisting_map_rejected(self, other):
+        a = truncated_polynomial_algebra(F5, 2)
+        b = truncated_polynomial_algebra(other, 2)
+        with pytest.raises(BadParamsError):
+            TwistingMap(a, b, Matrix.identity(F5, 4))
+
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_cotwisting_map_rejected(self, other):
+        c = divided_power_coalgebra(F5, 2)
+        d = divided_power_coalgebra(other, 2)
+        with pytest.raises(BadParamsError):
+            CotwistingMap(c, d, Matrix.identity(F5, 4))
+
 
 class TestSmash:
     def test_trivial_action_gives_swap(self):
@@ -265,6 +292,16 @@ class TestBialgebra:
         hdd = dual_bialgebra(dual_bialgebra(h))
         assert hdd.alg == h.alg and hdd.coalg == h.coalg
         assert hdd.antipode == h.antipode
+
+    def test_unchecked_comul_law_is_not_reported(self):
+        h = grouplike_bialgebra(F5, 2)
+        comul = list(h.coalg.comul)
+        comul[1] = [(1, 1, F5.of(2))]  # Delta(g) = 2 g (x) g breaks the counit law
+        bad = Bialgebra(h.alg, FinDimCoalgebra(F5, h.labels, comul, h.coalg.counit), h.antipode)
+        rep = validate_bialgebra(bad)
+        assert not rep.components_valid
+        assert rep.comul_multiplicative is None
+        assert not rep.ok
 
 
 def sweedler_instance():
@@ -571,7 +608,7 @@ def oracle_validate_bialgebra(h):
     zero = f.zero()
     components = validate_algebra(alg).ok and validate_coalgebra(coalg).ok
     witnesses = [] if components else [("components", ())]
-    comul_mult = True
+    comul_mult = True if components else None  # never evaluated on invalid components
     if components:
         for i, j in ((i, j) for i in range(n) for j in range(n)):
             lhs, rhs = {}, {}
