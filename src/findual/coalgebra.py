@@ -90,6 +90,8 @@ class CoalgebraHom:
     def __init__(self, source: FinDimCoalgebra, target: FinDimCoalgebra, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise BadParamsError("hom matrix shape mismatch")
+        if not source.field == target.field == matrix.field:
+            raise BadParamsError("hom source, target and matrix must share a field")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -542,8 +544,6 @@ class DualTower:
 def _check_tower_step(small: FinDimCoalgebra, big: FinDimCoalgebra, inc: CoalgebraHom):
     if inc.source != small or inc.target != big:
         raise BadParamsError("inclusion endpoints do not match the levels")
-    if small.field != big.field:
-        raise BadParamsError("tower levels must share a field")
     if big.labels[: small.dim] != small.labels:
         raise BadParamsError("level labels must extend by suffix")
     if not inc.is_injective():

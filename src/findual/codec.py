@@ -72,6 +72,17 @@ def _index_triples(doc, key, dim):
         yield triple, entry[3]
 
 
+def _basis_in(doc):
+    """doc's dim and labels: dim strings, repeats allowed (a basis element is its index)."""
+    dim = _require(doc, "dim", int)
+    labels = _require(doc, "labels", list)
+    if len(labels) != dim:
+        raise SchemaMismatchError("label count does not match dim")
+    if not all(isinstance(label, str) for label in labels):
+        raise SchemaMismatchError("labels must be strings")
+    return dim, labels
+
+
 def _require(doc, key, types=None):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaMismatchError(f"missing key {key!r}")
@@ -263,10 +274,7 @@ def _decode_algebra(doc) -> FinDimAlgebra:
     if _require(doc, "type", str) != "algebra":
         raise SchemaMismatchError("expected an algebra document")
     field = _field_in(doc)
-    dim = _require(doc, "dim", int)
-    labels = _require(doc, "labels", list)
-    if len(labels) != dim:
-        raise SchemaMismatchError("label count does not match dim")
+    dim, labels = _basis_in(doc)
     mul = [[[] for _ in range(dim)] for _ in range(dim)]
     for (i, j, r), c in _index_triples(doc, "mul", dim):
         mul[i][j].append((r, _scalar_in(field, c)))
@@ -278,10 +286,7 @@ def _decode_coalgebra(doc) -> FinDimCoalgebra:
     if _require(doc, "type", str) != "coalgebra":
         raise SchemaMismatchError("expected a coalgebra document")
     field = _field_in(doc)
-    dim = _require(doc, "dim", int)
-    labels = _require(doc, "labels", list)
-    if len(labels) != dim:
-        raise SchemaMismatchError("label count does not match dim")
+    dim, labels = _basis_in(doc)
     comul = [[] for _ in range(dim)]
     for (r, i, j), c in _index_triples(doc, "comul", dim):
         comul[r].append((i, j, _scalar_in(field, c)))

@@ -272,16 +272,27 @@ def field_from_json(doc) -> Field:
     raise BadParamsError(f"unknown field kind {doc['kind']!r}")
 
 
-def proper_divisors(n: int):
-    return [d for d in range(1, n) if n % d == 0]
+def prime_factors(n: int):
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] * (n > 1)
 
 
 def primitive_root_of_unity(field: Field, n: int):
     """Smallest scalar of multiplicative order exactly n, by canonical order.
 
     Over GF(p) this needs n | p - 1; over Q only n in {1, 2} is realizable.
-    The first z = x^((p-1)/n) of exact order n generates the n-th roots of
-    unity, whose elements of order n are the z^k with gcd(k, n) = 1.
+    z with z^n = 1 has order n iff z^(n/l) != 1 for every prime l | n.  A scan
+    of x = 1, 2, ... meets one of the phi(n) elements of order n about every
+    (p - 1) / phi(n) steps: when n phi(n) > p - 1 the first such x is taken;
+    otherwise the first z = x^((p-1)/n) of order n gives them all as the z^k
+    with gcd(k, n) = 1, and their min takes n steps.
     """
     if n < 1:
         raise BadParamsError(f"order must be positive, got {n}")
@@ -294,9 +305,13 @@ def primitive_root_of_unity(field: Field, n: int):
     p = field.p
     if (p - 1) % n != 0:
         raise OrderUnavailableError(f"{n} does not divide {p} - 1")
-    divisors = proper_divisors(n)
+    primes = prime_factors(n)
+    phi = n
+    for ell in primes:
+        phi -= phi // ell
+    dense = n * phi > p - 1
     for x in range(1, p):
-        z = pow(x, (p - 1) // n, p)
-        if all(pow(z, d, p) != 1 for d in divisors):
-            return min(pow(z, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
+        z = x if dense else pow(x, (p - 1) // n, p)
+        if pow(z, n, p) == 1 and all(pow(z, n // ell, p) != 1 for ell in primes):
+            return z if dense else min(pow(z, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
     raise OrderUnavailableError(f"no element of order {n} in GF({p})")

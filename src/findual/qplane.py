@@ -5,19 +5,18 @@ regular-point invariant check.
 The quantum plane relation is y x = q * x y.  Truncations come in two kinds:
 ``box(a, b)`` kills x^a and y^b; ``central_fiber(c, d)`` reduces x^n -> c and
 y^n -> d, producing the n^2-dimensional fiber algebra over the central point
-(c, d).  Monomial bases are ordered x-major: x^i y^j at index i*b + j.  One
-function, `_fiber_table`, builds every quantum-plane structure-constant
-table: the box, the central fiber, the jet algebra R/(R m^2) at an Azumaya
-point (a fiber table lifted to the jets 1, u, v) and each level of the box
-dual tower (a box table re-indexed into shells).
+(c, d).  Monomial bases are ordered x-major: x^i y^j at index i*b + j.  The
+rule is one integer table, `_exponent_table`: b_s b_t = q^e c^a d^b b_r with
+overflow flags a, b in {0, 1}.  `_fiber_table` instantiates it at (q, c, d)
+for the box, the central fiber, the jet algebra R/(R m^2) at an Azumaya point
+(lifted to the jets 1, u, v) and each level of the box dual tower.
 
 The census uses the torus action: x -> lam x, y -> mu y carries
-fiber(lam^n c, mu^n d) isomorphically onto fiber(c, d).  A coordinate's orbit
-class is 0 or its coset in GF(p)* / (GF(p)*)^n, so the p^2 fibers fall into
-(n + 1)^2 classes.  The first fiber of each class in c-major order is the
-representative; it alone is validated and profiled.  Every other fiber is
-certified by comparing its structure constants exactly, entry by entry, with
-the representative's under the diagonal isomorphism, an O(dim^2) check.
+fiber(lam^n c, mu^n d) isomorphically onto fiber(c, d), so the p^2 fibers fall
+into (n + 1)^2 classes (a coordinate's class is 0 or its coset in
+GF(p)* / (GF(p)*)^n).  The exponent table is certified Z^2-graded once; the
+first fiber of each class in c-major order is validated and profiled, and
+every other fiber needs only the exact field check lam^n c0 = c, mu^n d0 = d.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ def q_number(m: int, q, field) -> object:
 
 def _require_root(n: int, p: int):
     field = GF(p)
-    q = primitive_root_of_unity(field, n)
-    return field, q
+    return field, primitive_root_of_unity(field, n)
 
 
 def oq_truncation(n: int, p: int, kind: str, params) -> QPlaneTrunc:
@@ -91,42 +89,41 @@ def oq_truncation(n: int, p: int, kind: str, params) -> QPlaneTrunc:
         c, d = params
     else:
         raise BadParamsError(f"unknown truncation kind {kind!r}")
-    dim = xmax * ymax
     labels = [f"x^{i}y^{j}" for i in range(xmax) for j in range(ymax)]
-    unit = [field.zero()] * dim
-    unit[0] = field.one()
+    unit = [field.one()] + [field.zero()] * (xmax * ymax - 1)
     alg = FinDimAlgebra(field, labels, _fiber_table(field, q, xmax, ymax, c, d), unit)
     if not validate_algebra(alg).ok:
         raise InvalidInputError("quantum plane truncation failed validation")
     return QPlaneTrunc(n, p, q, kind, params, alg)
 
 
+def _exponent_table(xmax: int, ymax: int):
+    """The rule y x = q x y on x^i y^j (i < xmax, j < ymax, index i*ymax + j)
+    in integers: cell (s, t) is (r, e, a, b), meaning b_s b_t = q^e c^a d^b b_r
+    under x^xmax -> c and y^ymax -> d; a, b in {0, 1} flag the overflows."""
+    cells = [(i, j) for i in range(xmax) for j in range(ymax)]
+    return tuple(
+        tuple(((i1 + i2) % xmax * ymax + (j1 + j2) % ymax, j1 * i2,
+               (i1 + i2) // xmax, (j1 + j2) // ymax) for i2, j2 in cells)
+        for i1, j1 in cells
+    )
+
+
 def _fiber_table(field, q, xmax: int, ymax: int, c, d):
-    """Sparse structure constants of y x = q x y on x^i y^j (i < xmax, j < ymax,
-    index i*ymax + j) with x^xmax -> c and y^ymax -> d; box(a, b) is c = d = 0.
+    """Sparse structure constants of y x = q x y on x^i y^j with x^xmax -> c
+    and y^ymax -> d: `_exponent_table` instantiated at (q, c, d); box(a, b)
+    is c = d = 0.
 
     Every cell is () or a single (index, nonzero coefficient) pair, which is
     already the normalized form FinDimAlgebra stores.
     """
     qpow = [field.pow(q, e) for e in range((xmax - 1) * (ymax - 1) + 1)]
-    table = []
-    for i1 in range(xmax):
-        for j1 in range(ymax):
-            row = []
-            for i2 in range(xmax):
-                for j2 in range(ymax):
-                    i, j = i1 + i2, j1 + j2
-                    coeff = qpow[j1 * i2]
-                    if i >= xmax:
-                        coeff *= c
-                        i -= xmax
-                    if j >= ymax:
-                        coeff *= d
-                        j -= ymax
-                    coeff %= field.p
-                    row.append(((i * ymax + j, coeff),) if coeff else ())
-            table.append(tuple(row))
-    return tuple(table)
+    overflow = ((1, d), (c, c * d))  # overflow[a][b] = c^a d^b
+    return tuple(
+        tuple(((r, k),) if (k := qpow[e] * overflow[a][b] % field.p) else ()
+              for r, e, a, b in row)
+        for row in _exponent_table(xmax, ymax)
+    )
 
 
 class QTwistReport(NamedTuple):
@@ -193,11 +190,7 @@ def irrep(n: int, p: int, alpha, beta) -> Irrep:
     y = perm.scale(beta)
     if y @ x != (x @ y).scale(q):
         raise InvalidInputError("YX = qXY failed")
-    image_rows = []
-    for i in range(n):
-        for j in range(n):
-            m = _mat_pow(x, i) @ _mat_pow(y, j)
-            image_rows.append(list(m.entries))
+    image_rows = [list((_mat_pow(x, i) @ _mat_pow(y, j)).entries) for i in range(n) for j in range(n)]
     rank = Matrix.from_rows(field, image_rows).rank()
     return Irrep(alpha, beta, n, x, y, rank == n * n)
 
@@ -219,18 +212,13 @@ def irrep_classify(n: int, p: int) -> IrrepClassification:
     """Count one-dimensional representations (axis points) and classify the
     n-dimensional ones by their central character (alpha^n, beta^n)."""
     field, _ = _require_root(n, p)
-    one_dim = 0
+    nth = [field.pow(z, n) for z in range(p)]
     classes = {}
-    for alpha in range(p):
-        for beta in range(p):
-            if alpha == 0 or beta == 0:
-                one_dim += 1
-                continue
-            key = (field.pow(alpha, n), field.pow(beta, n))
-            if key not in classes:
-                classes[key] = (alpha, beta)
-    reps = tuple(sorted(classes.values()))
-    return IrrepClassification(one_dim, len(classes), reps)
+    for alpha in range(1, p):
+        for beta in range(1, p):
+            classes.setdefault((nth[alpha], nth[beta]), (alpha, beta))
+    # the one-dimensional ones are the 2p - 1 points with alpha beta = 0
+    return IrrepClassification(2 * p - 1, len(classes), tuple(sorted(classes.values())))
 
 
 class FiberRecord(NamedTuple):
@@ -252,7 +240,6 @@ class _OrbitClass(NamedTuple):
 
     c: int
     d: int
-    table: tuple  # the representative's validated structure constants
     azumaya: bool
     profile: SemisimpleProfile
     characters: int  # one-dimensional characters; counted on axis classes only
@@ -263,36 +250,38 @@ def _orbit_class(n: int, p: int, c: int, d: int) -> _OrbitClass:
     prof = semisimple_profile(alg)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     characters = len(one_dim_characters(alg)) if c * d % p == 0 else 0
-    return _OrbitClass(c, d, alg.mul, azumaya, prof, characters)
+    return _OrbitClass(c, d, azumaya, prof, characters)
 
 
-def _certify_torus_image(field, q, n: int, c: int, d: int, rep: _OrbitClass, nth_root):
-    """Raise InvalidInputError unless the table of fiber(c, d) is the image of
-    the representative's table under x^i y^j -> lam^-i mu^-j x^i y^j, where
-    lam^n = c / c0 and mu^n = d / d0.
+def _certify_grading(table, n: int) -> None:
+    """Raise InvalidInputError unless the central fibers' exponent table is
+    Z^2-graded: cell (s, t) = (r, e, a, b) sends x^i1 y^j1 * x^i2 y^j2 to
+    x^i y^j with i1 + i2 = i + n a, j1 + j2 = j + n b and a, b in {0, 1}.
 
-    That diagonal map fixes the unit, so an exact match makes fiber(c, d) an
-    algebra isomorphic to the validated representative: b_a b_b = k0 b_r there
-    becomes b_a b_b = (k0 s_a s_b / s_r) b_r here, with s = lam^i mu^j.
+    Then for lam, mu != 0 with lam^n c0 = c and mu^n d0 = d, the diagonal map
+    x^i y^j -> lam^i mu^j x^i y^j from fiber(c, d) onto fiber(c0, d0) fixes
+    the unit and is multiplicative: lam^(i1+i2) mu^(j1+j2) c0^a d0^b equals
+    lam^i mu^j c^a d^b.
     """
+    for s, row in enumerate(table):
+        i1, j1 = divmod(s, n)
+        for t, (r, e, a, b) in enumerate(row):
+            i2, j2 = divmod(t, n)
+            if not (0 <= r < n * n and {a, b} <= {0, 1}
+                    and (i1 + i2 - n * a, j1 + j2 - n * b) == divmod(r, n)):
+                raise InvalidInputError(f"exponent cell ({s}, {t}) = {(r, e, a, b)} "
+                                        f"is not Z^2-graded")
+
+
+def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_root):
+    """Raise InvalidInputError unless lam^n c0 = c and mu^n d0 = d: on the
+    graded exponent table that makes fiber(c, d) isomorphic to fiber(c0, d0)."""
     lam = nth_root[field.div(c, rep.c)] if c else field.one()
     mu = nth_root[field.div(d, rep.d)] if d else field.one()
-    s = [field.mul(field.pow(lam, i), field.pow(mu, j)) for i in range(n) for j in range(n)]
-    s_inv = [field.inv(x) for x in s]
-    table = _fiber_table(field, q, n, n, c, d)
-    for a, (row, row0) in enumerate(zip(table, rep.table)):
-        for b, (cell, cell0) in enumerate(zip(row, row0)):
-            if cell0:
-                ((r, k0),) = cell0
-                want = ((r, k0 * s[a] * s[b] * s_inv[r] % field.p),)
-            else:
-                want = ()
-            if cell != want:
-                raise InvalidInputError(
-                    f"fiber ({c}, {d}) is not the torus image of fiber "
-                    f"({rep.c}, {rep.d}): structure constant ({a}, {b}) is {cell}, "
-                    f"expected {want}"
-                )
+    if (field.mul(field.pow(lam, n), rep.c) != c
+            or field.mul(field.pow(mu, n), rep.d) != d):
+        raise InvalidInputError(f"fiber ({c}, {d}) is not the torus image of fiber "
+                                f"({rep.c}, {rep.d}) under lam = {lam}, mu = {mu}")
 
 
 def azumaya_census(n: int, p: int) -> CensusReport:
@@ -302,21 +291,22 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     Sending x -> lam x, y -> mu y is an isomorphism from fiber(lam^n c, mu^n d)
     onto fiber(c, d), so a coordinate's class is 0 or its coset in
     GF(p)* / (GF(p)*)^n, and the p^2 fibers fall into (n + 1)^2 classes.  The
-    first fiber of each class in c-major order is its representative: it is
-    built and validated by `oq_truncation`, profiled, and on the axes cd = 0
-    its one-dimensional characters are counted.  Every other fiber's table is
-    built without validation and certified by an exact entrywise comparison
-    with its representative's table under the diagonal isomorphism (see
-    `_certify_torus_image`); the profile and character count carry over.
+    exponent table that every fiber instantiates is certified Z^2-graded once
+    (`_certify_grading`, O(n^4) integer operations).  The first fiber of each
+    class in c-major order is its representative: it is built and validated
+    by `oq_truncation`, profiled, and on the axes cd = 0 its one-dimensional
+    characters are counted.  Every other fiber builds no table: the exact
+    field check lam^n c0 = c, mu^n d0 = d (`_certify_torus_image`) certifies
+    it isomorphic to its representative, and the profile and character count
+    carry over.  The census costs O(p^2 + (n + 1)^2 rep).
     """
-    field, q = _require_root(n, p)
+    field, _ = _require_root(n, p)
     if p <= n * n:
         raise CharacteristicTooSmallError(f"census needs p > n^2; got p = {p}, n = {n}")
+    _certify_grading(_exponent_table(n, n), n)
     # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
     coset = [field.pow(z, (p - 1) // n) for z in range(p)]
-    nth_root = {}
-    for lam in range(1, p):
-        nth_root.setdefault(field.pow(lam, n), lam)
+    nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do
     classes = {}
     fibers = []
     rational_axis_points = 0
@@ -328,20 +318,15 @@ def azumaya_census(n: int, p: int) -> CensusReport:
             if rep is None:
                 rep = classes[key] = _orbit_class(n, p, c, d)
             else:
-                _certify_torus_image(field, q, n, c, d, rep, nth_root)
+                _certify_torus_image(field, n, c, d, rep, nth_root)
             fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
             if field.mul(c, d) == field.zero():
                 rational_axis_points += rep.characters
                 nonsplit_axis_factors += sum(1 for _, cd in rep.profile.factors if cd > 1)
-    azumaya_fibers = sum(1 for f in fibers if f.azumaya)
-    axis_fibers = sum(1 for f in fibers if field.mul(f.c, f.d) == field.zero())
-    identity = all(
-        f.azumaya == (field.mul(f.c, f.d) != field.zero()) for f in fibers
-    )
     aggregate = {
-        "azumaya_fibers": azumaya_fibers,
-        "axis_fibers": axis_fibers,
-        "azumaya_iff_off_axis": identity,
+        "azumaya_fibers": sum(f.azumaya for f in fibers),
+        "axis_fibers": sum(f.c * f.d % p == 0 for f in fibers),
+        "azumaya_iff_off_axis": all(f.azumaya == (f.c * f.d % p != 0) for f in fibers),
         "rational_axis_points": rational_axis_points,
         "rational_orbit_classes": irrep_classify(n, p).n_dim_classes,
         "nonsplit_axis_factors": nonsplit_axis_factors,
@@ -374,12 +359,10 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
     c_inv, d_inv = field.inv(c), field.inv(d)
     labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
     mul = []
-    for a, row in enumerate(_fiber_table(field, q, n, n, c, d)):
-        i1, j1 = divmod(a, n)
+    for row, flags in zip(_fiber_table(field, q, n, n, c, d), _exponent_table(n, n)):
         for e1 in range(3):
             jet_row = []
-            for b, ((r, k0),) in enumerate(row):
-                i2, j2 = divmod(b, n)
+            for ((r, k0),), (_, _, a, b) in zip(row, flags):
                 for e2 in range(3):
                     if e1 and e2:
                         cell = ()
@@ -387,14 +370,13 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
                         cell = ((3 * r + e1 + e2, k0),)
                     else:
                         cell = ((3 * r, k0),)
-                        if i1 + i2 >= n:
+                        if a:
                             cell += ((3 * r + 1, k0 * c_inv % p),)
-                        if j1 + j2 >= n:
+                        if b:
                             cell += ((3 * r + 2, k0 * d_inv % p),)
                     jet_row.append(cell)
             mul.append(jet_row)
-    unit = [field.zero()] * len(labels)
-    unit[0] = field.one()
+    unit = [field.one()] + [field.zero()] * (len(labels) - 1)
     alg = FinDimAlgebra(field, labels, mul, unit)
     if not validate_algebra(alg).ok:
         raise InvalidInputError("jet algebra failed validation")
@@ -408,8 +390,7 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
         raise CharacteristicTooSmallError(
             f"trace form needs p coprime to 3n; got p = {p}, n = {n}"
         )
-    alg = regular_point_jet_algebra(n, p, c, d)
-    return measure_point_invariants(alg)
+    return measure_point_invariants(regular_point_jet_algebra(n, p, c, d))
 
 
 def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
@@ -417,10 +398,7 @@ def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
     (trace-form radical: callers guarantee the characteristic is safe)."""
     rad = _radical_trace_form(alg)
     rad_sq = subspace_product(alg, rad, rad)
-    if rad.dim:
-        top = quotient_algebra(alg, rad)[0]
-    else:
-        top = alg
+    top = quotient_algebra(alg, rad)[0] if rad.dim else alg
     return PointInvariants(
         total_dim=alg.dim,
         radical_dim=rad.dim,

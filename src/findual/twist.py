@@ -54,8 +54,8 @@ class TwistingMap:
     __slots__ = ("a", "b", "matrix", "_cols")
 
     def __init__(self, a: FinDimAlgebra, b: FinDimAlgebra, matrix: Matrix):
-        if a.field != b.field:
-            raise BadParamsError("twisting-map components must share a field")
+        if not a.field == b.field == matrix.field:
+            raise BadParamsError("twisting-map components and matrix must share a field")
         n = a.dim * b.dim
         if matrix.rows != n or matrix.cols != n:
             raise BadParamsError(f"twisting matrix must be {n}x{n}")
@@ -84,8 +84,8 @@ class CotwistingMap:
     __slots__ = ("c", "d", "matrix", "_cols")
 
     def __init__(self, c: FinDimCoalgebra, d: FinDimCoalgebra, matrix: Matrix):
-        if c.field != d.field:
-            raise BadParamsError("cotwisting-map components must share a field")
+        if not c.field == d.field == matrix.field:
+            raise BadParamsError("cotwisting-map components and matrix must share a field")
         n = c.dim * d.dim
         if matrix.rows != n or matrix.cols != n:
             raise BadParamsError(f"cotwisting matrix must be {n}x{n}")
@@ -440,8 +440,9 @@ class Bialgebra:
     def __init__(self, alg: FinDimAlgebra, coalg: FinDimCoalgebra, antipode: Matrix | None = None):
         if alg.field != coalg.field or alg.labels != coalg.labels:
             raise BadParamsError("algebra and coalgebra must share field and basis")
-        if antipode is not None and (antipode.rows != alg.dim or antipode.cols != alg.dim):
-            raise BadParamsError("antipode matrix has wrong shape")
+        if antipode is not None and (antipode.rows != alg.dim or antipode.cols != alg.dim
+                                     or antipode.field != alg.field):
+            raise BadParamsError("antipode matrix has wrong shape or field")
         self.alg = alg
         self.coalg = coalg
         self.antipode = antipode

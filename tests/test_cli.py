@@ -147,6 +147,21 @@ class TestDualize:
         assert code == 2
 
 
+    @pytest.mark.parametrize("labels", [[None, "a"], [1.5, True], [[], {}]],
+                             ids=["null", "float-bool", "list-dict"])
+    @pytest.mark.parametrize("value", [truncated_polynomial_algebra(F5, 2),
+                                       dualize_algebra(truncated_polynomial_algebra(F5, 2))],
+                             ids=["algebra", "coalgebra"])
+    def test_non_string_labels_exit_2(self, tmp_path, value, labels):
+        doc = json.loads(to_canonical_json(value))
+        doc["labels"] = labels
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["dualize", "--in", str(path)])
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
 class TestTwistCheck:
     def test_valid_swap(self, tmp_path):
         rho = tensor_swap(matrix_algebra(F5, 2), truncated_polynomial_algebra(F5, 2))

@@ -322,6 +322,12 @@ class TestTowers:
         with pytest.raises(BadParamsError):
             DualTower([small, big], [canonical_inclusion(small, big)])
 
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_hom_matrix_over_other_field_rejected(self, other):
+        c = divided_power_coalgebra(F5, 2)
+        with pytest.raises(BadParamsError, match="share a field"):
+            CoalgebraHom(c, c, Matrix(other, 2, 2, [1, 0, 0, 1]))
+
 
 class TestEmbeddingFunctor:
     def test_set_maps_induce_coalgebra_homs(self):
@@ -425,11 +431,11 @@ def oracle_hom_is_valid(hom):
 
 
 @st.composite
-def coalgebras(draw, perturbed=False):
+def coalgebras(draw, perturbed=False, field=None):
     """The dual of a random algebra under a random change of basis (see
     test_algebra.algebras); optionally one comul entry set to a new nonzero
     value and, now and then, one counit entry changed."""
-    c = dualize_algebra(draw(algebras()))
+    c = dualize_algebra(draw(algebras(field=field)))
     if not perturbed:
         return c
     f = c.field
@@ -458,7 +464,9 @@ class TestLawChecksAgainstOracles:
     @given(st.data())
     def test_hom_validity_matches_per_scalar_check(self, data):
         src = data.draw(coalgebras())
-        tgt = data.draw(st.sampled_from([src, data.draw(coalgebras(perturbed=True))]))
+        # a hom's matrix, source and target share a field (see
+        # test_hom_matrix_over_other_field_rejected)
+        tgt = data.draw(st.sampled_from([src, data.draw(coalgebras(perturbed=True, field=src.field))]))
         f = src.field
         ent = [f.one() if i == j else f.zero() for i in range(tgt.dim) for j in range(src.dim)]
         if data.draw(st.booleans()):

@@ -145,6 +145,26 @@ def test_repeated_comul_triple_rejected():
         decode(doc)
 
 
+
+@pytest.mark.parametrize("labels", [[None, "a"], [1.5, True], [[], {}]],
+                         ids=["null", "float-bool", "list-dict"])
+@pytest.mark.parametrize("value", [truncated_polynomial_algebra(F5, 2),
+                                   dualize_algebra(truncated_polynomial_algebra(F5, 2))],
+                         ids=["algebra", "coalgebra"])
+def test_non_string_labels_rejected(value, labels):
+    doc = encode(value)
+    doc["labels"] = labels
+    with pytest.raises(SchemaMismatchError, match="labels must be strings"):
+        decode(doc)
+
+
+def test_repeated_labels_accepted():
+    # a basis element is its index; labels only name it
+    doc = encode(truncated_polynomial_algebra(F5, 2))
+    doc["labels"] = ["x", "x"]
+    assert decode(doc).labels == ("x", "x")
+
+
 @st.composite
 def documents(draw):
     """A random algebra, coalgebra, twisting map or cotwisting map over

@@ -85,6 +85,8 @@ class TestPrimitiveRoots:
                 assert f.pow(q, d) != 1
 
     def test_matches_brute_force_below_300(self):
+        # both scans are reached: e.g. (p, n) = (293, 2) takes the min over the
+        # z^k and (293, 73) the scan over x
         for p in filter(is_prime, range(300)):
             divisors = [d for d in range(1, p) if (p - 1) % d == 0]
             order = {x: next(d for d in divisors if pow(x, d, p) == 1) for x in range(1, p)}
@@ -103,6 +105,20 @@ class TestPrimitiveRoots:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.stdout == "1000000000038\n"
+
+    def test_large_order_returns_promptly(self):
+        # n = (p - 1) / 2 = 7^2 * 67 * 1523: a scan of the divisors below n, or
+        # a min over all n powers z^k, takes seconds; 2 is a non-square mod p
+        # (p = 3 mod 8), so 3 is the smallest element of order n
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        code = ("from findual.kernel import GF, primitive_root_of_unity\n"
+                "print(primitive_root_of_unity(GF(10000019), 5000009))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "3\n"
 
 
 class TestFactor:

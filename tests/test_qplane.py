@@ -22,6 +22,7 @@ from findual.kernel import GF, Matrix, Poly
 from findual.qplane import (
     CensusReport,
     FiberRecord,
+    _exponent_table as exponent_table,
     _fiber_table as fiber_table,
     azumaya_census,
     azumaya_point_invariants,
@@ -254,20 +255,37 @@ class TestOrbitCensus:
         azumaya_census(n, p)
         assert len(calls) == (n + 1) ** 2
 
-    def test_certificate_rejects_perturbed_fiber(self, monkeypatch):
-        # (4, 4) is not a representative: 4 = 1 * 2^2 shares the class of 1.
-        def perturbed(field, q, xmax, ymax, c, d):
-            table = fiber_table(field, q, xmax, ymax, c, d)
-            if (c, d) != (4, 4):
-                return table
-            rows = [list(row) for row in table]
-            ((r, k),) = rows[1][1]
-            rows[1][1] = ((r, field.add(k, field.one())),)
-            return tuple(tuple(row) for row in rows)
+    @pytest.mark.parametrize("n,p", [(1, 3), (2, 5), (3, 13)])
+    def test_one_table_per_class(self, n, p, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(qplane, "_fiber_table", perturbed)
-        with pytest.raises(InvalidInputError, match=r"fiber \(4, 4\)"):
-            azumaya_census(2, 5)
+        def spy(*args):
+            calls.append(args[2:])
+            return fiber_table(*args)
+
+        monkeypatch.setattr(qplane, "_fiber_table", spy)
+        azumaya_census(n, p)
+        assert len(calls) == (n + 1) ** 2
+
+    def test_certificate_rejects_perturbed_fiber(self, monkeypatch):
+        # On (n, p) = (2, 5) the exponent cell (x, y) = (2, 1) is (3, 0, 0, 0),
+        # x * y = q^0 xy, and (y, y) = (1, 1) is (0, 0, 0, 1), y * y = d.  A
+        # wrong target or overflow flag breaks the grading certificate; a wrong
+        # q exponent keeps the grading and fails the representatives' validation.
+        cases = [
+            ((2, 1), (2, 0, 0, 0), r"cell \(2, 1\) = \(2, 0, 0, 0\) is not Z\^2-graded"),
+            ((1, 1), (0, 0, 1, 1), r"cell \(1, 1\) = \(0, 0, 1, 1\) is not Z\^2-graded"),
+            ((2, 1), (3, 1, 0, 0), "quantum plane truncation failed validation"),
+        ]
+        for (s, t), cell, message in cases:
+            def perturbed(xmax, ymax, s=s, t=t, cell=cell):
+                rows = [list(row) for row in exponent_table(xmax, ymax)]
+                rows[s][t] = cell
+                return tuple(tuple(row) for row in rows)
+
+            monkeypatch.setattr(qplane, "_exponent_table", perturbed)
+            with pytest.raises(InvalidInputError, match=message):
+                azumaya_census(2, 5)
 
     def test_aggregate_4_17(self):
         # Computed with the exhaustive census (every fiber profiled).
@@ -380,3 +398,24 @@ class TestPinnedTables:
         rep = qtwist_decomposition(2, 5, 4, 2)
         assert rep.rho_q.a == monogenic_algebra(F5, Poly.from_ints(F5, [0, 0, 0, 0, 1]), var="x")
         assert rep.rho_q.b == monogenic_algebra(F5, Poly.from_ints(F5, [0, 0, 1]), var="y")
+
+
+# sha256 of the census canonical JSON and CSV (the `qplane-census` stdout
+# bytes), recorded when every non-representative fiber's table was still
+# built and compared entrywise with its representative's.
+CENSUS_DIGESTS = {
+    (5, 31): ("508f04a41354c47fc4937f00f47ba5969620b74069e2f38f86c396af84638f19",
+              "119ab94a303b269f7724aff542615ee6475cb235676f1e9d68f7c518dc587591"),
+    (6, 37): ("5b968ab2dae804b4f7d9ba501f84b28ca01a2629943075acd7f8b1fada6f1c3b",
+              "511f60e9c6f366580d1fe22afbe3dd9a2b911db7bb2d92f2adc5240060b44689"),
+    (4, 101): ("a05934c6a69f536c4617ce75d7c7b53d5e9fd1a6f1765ecb057eb67055a79c26",
+               "3628979ba73df73d9207e96462558cf30ed12bb1d015a9d2b9b926e354eeffa8"),
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(CENSUS_DIGESTS))
+def test_census_bytes_pinned(n, p):
+    report = azumaya_census(n, p)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (to_canonical_json(report), census_to_csv(report)))
+    assert digests == CENSUS_DIGESTS[n, p]

@@ -224,6 +224,24 @@ class TestMixedFields:
         with pytest.raises(BadParamsError):
             CotwistingMap(c, d, Matrix.identity(F5, 4))
 
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_twisting_matrix_over_other_field_rejected(self, other):
+        a = truncated_polynomial_algebra(F5, 2)
+        with pytest.raises(BadParamsError):
+            TwistingMap(a, a, Matrix.identity(other, 4))
+
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_cotwisting_matrix_over_other_field_rejected(self, other):
+        c = divided_power_coalgebra(F5, 2)
+        with pytest.raises(BadParamsError):
+            CotwistingMap(c, c, Matrix.identity(other, 4))
+
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_antipode_over_other_field_rejected(self, other):
+        h = grouplike_bialgebra(F5, 2)
+        with pytest.raises(BadParamsError):
+            Bialgebra(h.alg, h.coalg, Matrix.identity(other, 2))
+
 
 class TestSmash:
     def test_trivial_action_gives_swap(self):
