@@ -14,6 +14,7 @@ so equal subspaces have equal representations.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import (
@@ -28,8 +29,6 @@ from .kernel import (
     Matrix,
     PrimeField,
     Poly,
-    Rationals,
-    coordinates_in_row_span,
     echelon_rows,
     factor_over_field,
     reduce_against,
@@ -193,16 +192,30 @@ class AlgebraHom:
 
     def is_valid(self) -> bool:
         src, tgt = self.source, self.target
-        if self.apply(src.unit) != list(tgt.unit):
-            return False
-        images = [self.apply(_basis_vec(src.field, src.dim, i)) for i in range(src.dim)]
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = self.apply(src.basis_product(i, j))
-                rhs = tgt.multiply(images[i], images[j])
-                if lhs != rhs:
-                    return False
-        return True
+        m = self.matrix
+        images = [[(x, m.get(x, i)) for x in range(tgt.dim) if m.get(x, i)] for i in range(src.dim)]
+
+        def laws():
+            # f(1) = 1
+            diff = dict(enumerate(tgt.unit))
+            for i, u in enumerate(src.unit):
+                for x, fx in images[i]:
+                    diff[x] -= u * fx
+            yield "unit", 0, diff
+            # f(b_i b_j) = f(b_i) f(b_j)
+            for i in range(src.dim):
+                for j in range(src.dim):
+                    diff = {}
+                    for r, c in src.mul[i][j]:
+                        for x, fx in images[r]:
+                            diff[x] = diff.get(x, 0) + c * fx
+                    for x, fx in images[i]:
+                        for y, fy in images[j]:
+                            for t, c in tgt.mul[x][y]:
+                                diff[t] = diff.get(t, 0) - fx * fy * c
+                    yield "mul", (i, j), diff
+
+        return _first_failure(src.field, laws()) is None
 
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         """self o inner."""
@@ -225,15 +238,10 @@ class Character:
         return self.algebra.field.dot(self.values, vec)
 
     def is_valid(self) -> bool:
+        """Whether the values define an algebra map to the one-dimensional algebra k."""
         a = self.algebra
-        if self.evaluate(a.unit) != a.field.one():
-            return False
-        for i in range(a.dim):
-            for j in range(a.dim):
-                prod = self.evaluate(a.basis_product(i, j))
-                if prod != a.field.mul(self.values[i], self.values[j]):
-                    return False
-        return True
+        row = Matrix(a.field, 1, a.dim, self.values)
+        return AlgebraHom(a, diagonal_algebra(a.field, 1), row).is_valid()
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
@@ -571,30 +579,6 @@ def center(a: FinDimAlgebra) -> Subspace:
     return Subspace(a, [[ker.get(i, c) for i in range(dim)] for c in range(ker.cols)])
 
 
-def _subalgebra_on_rows(a: FinDimAlgebra, rows, unit_vec):
-    """Algebra structure on a multiplicatively closed subspace.
-
-    Returns (algebra, embed) where embed maps subalgebra coordinates to
-    ambient coordinates (columns = basis rows).
-    """
-    f = a.field
-    rows = [list(r) for r in rows]
-    k = len(rows)
-    mul = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            coords = coordinates_in_row_span(rows, a.multiply(rows[i], rows[j]), f)
-            if coords is None:
-                raise InvalidInputError("subspace not closed under multiplication")
-            mul[i][j] = coords
-    unit_coords = coordinates_in_row_span(rows, unit_vec, f)
-    if unit_coords is None:
-        raise InvalidInputError("unit not in subspace")
-    sub = FinDimAlgebra(f, [f"s{i}" for i in range(k)], mul, unit_coords)
-    embed = Matrix(f, a.dim, k, [rows[j][i] for i in range(a.dim) for j in range(k)])
-    return sub, embed
-
-
 def minimal_polynomial(a: FinDimAlgebra, vec) -> Poly:
     """Monic minimal polynomial of an element."""
     f = a.field
@@ -602,127 +586,65 @@ def minimal_polynomial(a: FinDimAlgebra, vec) -> Poly:
     cur = list(a.unit)
     for _ in range(a.dim + 1):
         cur = a.multiply(cur, list(vec))
-        sol = _coords_in_span(f, powers, cur)
+        sol = solve_linear(Matrix.from_rows(f, powers).transpose(), cur)
         if sol is not None:
             return Poly(f, [f.neg(c) for c in sol] + [f.one()])
         powers.append(cur)
     raise InvalidInputError("minimal polynomial search exceeded the dimension")
 
 
-def _coords_in_span(f: Field, span_vectors, target):
-    """Coordinates of target as a combination of span_vectors, else None."""
-    n = len(target)
-    k = len(span_vectors)
-    mat = Matrix(f, n, k, [span_vectors[j][i] for i in range(n) for j in range(k)])
-    return solve_linear(mat, list(target))
+def _primitive_idempotents(a: FinDimAlgebra, rows):
+    """Primitive idempotents of the commutative semisimple subalgebra S of `a`
+    spanned by `rows` (S holds the unit), as vectors of `a`; no table for S
+    is built.
 
+    Over GF(p) the rows are first replaced by a basis of the Frobenius-fixed
+    part {z in S : z^p = z}, the kernel of z -> z^p - z, which is linear in
+    characteristic p.  It holds every idempotent of S, and the minimal
+    polynomial of each of its elements divides t^p - t, so it is split.
 
-def _poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (g, s, t) monic g with s*a + t*b = g."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.constant(f, f.one()), Poly(f, [])
-    t0, t1 = Poly(f, []), Poly.constant(f, f.one())
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    inv = f.inv(lc)
-    scale = Poly.constant(f, inv)
-    return r0.monic(), s0 * scale, t0 * scale
+    Starting from {1}, each row z refines every idempotent e into the nonzero
+    e P_lam, one per root lam of the minimal polynomial of z, where
+    P_lam = prod_{nu != lam} (z - nu) / (lam - nu) is the Lagrange projection:
+    the P_lam are orthogonal idempotents summing to 1 with z P_lam = lam P_lam.
 
-
-def _evaluate_poly_at(a: FinDimAlgebra, poly: Poly, vec):
-    f = a.field
-    acc = [f.zero()] * a.dim
-    for c in reversed(poly.coeffs):
-        acc = a.multiply(acc, list(vec))
-        acc = [f.add(x, f.mul(c, u)) for x, u in zip(acc, a.unit)]
-    return acc
-
-
-def _orthogonal_idempotents_from_minpoly(a: FinDimAlgebra, vec, factors):
-    """CRT idempotents for an element whose min poly is the squarefree
-    product of the given irreducible factors."""
-    f = a.field
-    mu = Poly.constant(f, f.one())
-    for g in factors:
-        mu = mu * g
-    idems = []
-    for g in factors:
-        cof = mu // g
-        _, s, _ = _poly_xgcd(cof % g, g)
-        h = (cof * s) % mu
-        idems.append(_evaluate_poly_at(a, h, vec))
-    return idems
-
-
-def _corner_algebra(a: FinDimAlgebra, idem):
-    """The unital algebra e*a*e = e*a for a central idempotent e."""
-    f = a.field
-    rows = echelon_rows(f, [a.multiply(list(idem), _basis_vec(f, a.dim, i)) for i in range(a.dim)])
-    return _subalgebra_on_rows(a, rows, list(idem))
-
-
-def _split_commutative_semisimple(a: FinDimAlgebra):
-    """Primitive idempotents of a commutative semisimple algebra.
-
-    Over GF(p) the Frobenius-fixed subalgebra is split (its elements satisfy
-    z^p = z, so minimal polynomials split into distinct linear factors); over
-    Q basis minimal polynomials must split linearly or NotSplitError is raised.
+    Only two checks depend on the input: a minimal polynomial that is not a
+    product of linear factors raises NotSplitError (S is not split over Q),
+    and a repeated factor raises InvalidInputError (S is not semisimple).
+    Once every row has passed both, no case is left in which the splitting
+    fails, so there is no fallback: the final idempotents are orthogonal and
+    sum to 1, and z e is a multiple of e for every row z, so each corner S e
+    is k e.  Every e is then primitive, and any idempotent of S is the sum of
+    the e it does not kill.
     """
     f = a.field
     if isinstance(f, PrimeField):
-        frob_cols = []
-        for i in range(a.dim):
-            frob_cols.append(a.power(_basis_vec(f, a.dim, i), f.p))
-        ident = Matrix.identity(f, a.dim)
-        frob = Matrix(f, a.dim, a.dim,
-                      [frob_cols[j][i] for i in range(a.dim) for j in range(a.dim)]) - ident
-        ker = rref_kernel(frob).kernel
-        rows = echelon_rows(f, [[ker.get(i, c) for i in range(a.dim)] for c in range(ker.cols)])
-        fixed, embed = _subalgebra_on_rows(a, rows, list(a.unit))
-        idems = _split_etale(fixed)
-        return [embed.apply(e) for e in idems]
-    return _split_etale(a)
-
-
-def _split_etale(a: FinDimAlgebra):
-    """Split a commutative algebra whose elements have squarefree minimal
-    polynomials by factoring basis minimal polynomials; returns primitive
-    idempotents as dense vectors."""
-    f = a.field
-    if a.dim == 1:
-        return [list(a.unit)]
-    for i in range(a.dim):
-        vec = _basis_vec(f, a.dim, i)
-        mu = minimal_polynomial(a, vec)
+        frob = Matrix.from_rows(f, [f.canonical(map(operator.sub, a.power(z, f.p), z)) for z in rows])
+        ker = rref_kernel(frob.transpose()).kernel
+        rows = (ker.transpose() @ Matrix.from_rows(f, rows)).row_lists()
+    idems = [list(a.unit)]
+    for z in rows:
+        if len(idems) == len(rows):
+            break  # the idempotents span S, which is then k x ... x k
+        mu = minimal_polynomial(a, z)
         fac = factor_over_field(mu)
-        if not fac.complete:
+        if not fac.complete or any(g.degree() > 1 for g, _ in fac.factors):
             raise NotSplitError(f"minimal polynomial does not split: {mu!r}")
         if any(m > 1 for _, m in fac.factors):
             raise InvalidInputError("algebra is not semisimple (non-squarefree min poly)")
-        if len(fac.factors) >= 2:
-            idems = _orthogonal_idempotents_from_minpoly(a, vec, [g for g, _ in fac.factors])
-            out = []
-            for e in idems:
-                corner, embed = _corner_algebra(a, e)
-                out.extend(embed.apply(x) for x in _split_etale(corner))
-            return out
-    # every basis element has an irreducible minimal polynomial; the algebra
-    # is a field exactly when some element generates it
-    for i in range(a.dim):
-        mu = minimal_polynomial(a, _basis_vec(f, a.dim, i))
-        if mu.degree() == a.dim:
-            return [list(a.unit)]
-    if isinstance(f, Rationals):
-        raise NotSplitError("cannot certify a splitting over Q")
-    # Frobenius preprocessing makes this unreachable over GF(p)
-    raise InvalidInputError("failed to split commutative semisimple algebra")
+        roots = [f.neg(g.coeffs[0]) for g, _ in fac.factors]
+        shifted = {nu: f.canonical(x - nu * u for x, u in zip(z, a.unit)) for nu in roots}
+        projections = []
+        for lam in roots:
+            proj, denom = list(a.unit), f.one()
+            for nu in roots:
+                if nu != lam:
+                    proj = a.multiply(proj, shifted[nu])
+                    denom = f.mul(denom, f.sub(lam, nu))
+            inv = f.inv(denom)
+            projections.append(f.canonical(inv * x for x in proj))
+        idems = [v for e in idems for pr in projections if any(v := a.multiply(e, pr))]
+    return idems
 
 
 def one_dim_characters(a: FinDimAlgebra):
@@ -731,12 +653,8 @@ def one_dim_characters(a: FinDimAlgebra):
     f = a.field
     rad = _radical_trace_form(a)
     semi, proj1 = quotient_algebra(a, rad) if rad.dim else (a, _identity_hom(a))
-    comms = []
-    for i in range(semi.dim):
-        for j in range(i + 1, semi.dim):
-            prod_ij = semi.basis_product(i, j)
-            prod_ji = semi.basis_product(j, i)
-            comms.append([f.sub(x, y) for x, y in zip(prod_ij, prod_ji)])
+    comms = [f.canonical(map(operator.sub, semi.basis_product(i, j), semi.basis_product(j, i)))
+             for i in range(semi.dim) for j in range(i + 1, semi.dim)]
     comm_ideal = ideal_closure(semi, comms)
     if comm_ideal.contains(semi.unit):
         return []
@@ -744,25 +662,17 @@ def one_dim_characters(a: FinDimAlgebra):
         ab, proj2 = quotient_algebra(semi, comm_ideal)
     else:
         ab, proj2 = semi, _identity_hom(semi)
-    idems = _split_commutative_semisimple(ab)
-    chars = []
-    for e in idems:
-        le = ab.left_mult_matrix(e)
-        if le.rank() != 1:
-            continue
-        pivot = next(k for k, x in enumerate(e) if x != f.zero())
-        inv = f.inv(e[pivot])
-        values = []
-        for j in range(ab.dim):
-            prod = ab.multiply(_basis_vec(f, ab.dim, j), e)
-            values.append(f.mul(prod[pivot], inv))
-        chars.append(values)
+    basis = [_basis_vec(f, ab.dim, i) for i in range(ab.dim)]
     composed = []
-    for values in chars:
-        row = Matrix(f, 1, ab.dim, values)
-        full = row @ proj2.matrix @ proj1.matrix
-        composed.append(Character(a, full.entries))
-    composed.sort(key=lambda ch: tuple(f.sort_key(v) for v in ch.values))
+    for e in _primitive_idempotents(ab, basis):
+        if ab.left_mult_matrix(e).rank() == 1:
+            # b e = chi(b) e, read at the first nonzero coordinate of e
+            pivot = next(k for k, x in enumerate(e) if x)
+            inv = f.inv(e[pivot])
+            values = [f.mul(ab.multiply(b, e)[pivot], inv) for b in basis]
+            full = Matrix(f, 1, ab.dim, values) @ proj2.matrix @ proj1.matrix
+            composed.append(Character(a, full.entries))
+    composed.sort(key=lambda ch: ch.values)
     for ch in composed:
         if not ch.is_valid():
             raise InvalidInputError("internal error: produced an invalid character")
@@ -782,15 +692,11 @@ def semisimple_profile(a: FinDimAlgebra) -> SemisimpleProfile:
 
 
 def _semisimple_factors(semi: FinDimAlgebra):
+    """The factor of a primitive central idempotent e is semi e, of dimension
+    rank L_e, and its center is Z e, spanned by the z e for z a center row."""
     f = semi.field
-    z = center(semi)
-    zalg, zembed = _subalgebra_on_rows(semi, [list(r) for r in z.rows], list(semi.unit))
-    idems_z = _split_commutative_semisimple(zalg)
-    factors = []
-    for ez in idems_z:
-        e = zembed.apply(ez)
-        factor_dim = semi.left_mult_matrix(e).rank()
-        center_dim = zalg.left_mult_matrix(ez).rank()
-        factors.append((factor_dim, center_dim))
-    factors.sort()
-    return tuple(factors)
+    rows = center(semi).rows
+    return tuple(sorted(
+        (semi.left_mult_matrix(e).rank(), len(echelon_rows(f, [semi.multiply(z, e) for z in rows])))
+        for e in _primitive_idempotents(semi, rows)
+    ))

@@ -274,7 +274,7 @@ def grouplikes_bruteforce(c: FinDimCoalgebra, max_dim: int = 4):
         tensor = [f.mul(a, b) for a in vec for b in vec]
         if delta == tensor:
             out.append(tuple(vec))
-    out.sort(key=lambda v: tuple(f.sort_key(x) for x in v))
+    out.sort()
     return out
 
 
@@ -418,7 +418,7 @@ def line_dist_coalgebra(field: Field, points) -> FinDimCoalgebra:
     if not items:
         raise BadParamsError("need at least one point")
     items = [(field.of(pt), int(mult)) for pt, mult in items]
-    items.sort(key=lambda pm: field.sort_key(pm[0]))
+    items.sort(key=lambda pm: pm[0])
     seen = set()
     labels = []
     blocks = []
@@ -516,14 +516,13 @@ class DualTower:
 
     __slots__ = ("levels", "inclusions")
 
-    def __init__(self, levels, inclusions, validated: bool = False):
+    def __init__(self, levels, inclusions):
         self.levels = tuple(levels)
         self.inclusions = tuple(inclusions)
         if len(self.inclusions) != max(len(self.levels) - 1, 0):
             raise BadParamsError("need one inclusion per consecutive pair")
-        if not validated:
-            for k, inc in enumerate(self.inclusions):
-                _check_tower_step(self.levels[k], self.levels[k + 1], inc)
+        for k, inc in enumerate(self.inclusions):
+            _check_tower_step(self.levels[k], self.levels[k + 1], inc)
 
     @property
     def top(self) -> FinDimCoalgebra:
@@ -563,5 +562,5 @@ def canonical_inclusion(small: FinDimCoalgebra, big: FinDimCoalgebra) -> Coalgeb
 
 
 def tower_extend(tower: DualTower, nxt: FinDimCoalgebra, inclusion: CoalgebraHom) -> DualTower:
-    _check_tower_step(tower.top, nxt, inclusion)
-    return DualTower(tower.levels + (nxt,), tower.inclusions + (inclusion,), validated=True)
+    """The tower with one more level; every step is checked again."""
+    return DualTower(tower.levels + (nxt,), tower.inclusions + (inclusion,))

@@ -6,6 +6,7 @@ from .fields import (
     Field,
     PrimeField,
     Rationals,
+    check_root_order,
     field_from_json,
     field_to_json,
     is_prime,
@@ -35,6 +36,7 @@ __all__ = [
     "PrimeField",
     "Rationals",
     "RrefKernel",
+    "check_root_order",
     "coordinates_in_row_span",
     "echelon_rows",
     "factor_over_field",

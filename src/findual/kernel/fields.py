@@ -102,10 +102,6 @@ class Field:
             n >>= 1
         return acc
 
-    def sort_key(self, x):
-        """Total order on scalars used for all deterministic outputs."""
-        raise NotImplementedError
-
     def characteristic(self) -> int:
         raise NotImplementedError
 
@@ -150,9 +146,6 @@ class Rationals(Field):
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(x)
-
-    def sort_key(self, x):
-        return x
 
     def characteristic(self) -> int:
         return 0
@@ -222,14 +215,8 @@ class PrimeField(Field):
             return pow(self.inv(x), -n, self.p)
         return pow(x, n, self.p)
 
-    def sort_key(self, x):
-        return x
-
     def characteristic(self) -> int:
         return self.p
-
-    def elements(self):
-        return range(self.p)
 
     def scalar_to_json(self, x):
         return int(x)
@@ -273,15 +260,76 @@ def field_from_json(doc) -> Field:
 
 
 def prime_factors(n: int):
-    """The distinct primes dividing n >= 1, by trial division up to sqrt(n)."""
-    primes, d = [], 2
-    while d * d <= n:
+    """The distinct primes dividing n, ascending, for 1 <= n < _PRIME_BOUND.
+
+    Trial division by d < _TRIAL_BOUND stops once d^2 exceeds the cofactor.
+    What is left is 1, a prime (`is_prime` is exact below the bound) or a
+    composite whose prime factors all exceed the trial bound; Pollard-Brent
+    rho splits the composites until every piece is prime.
+    """
+    primes = set()
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
         if n % d == 0:
-            primes.append(d)
+            primes.add(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return primes + [n] * (n > 1)
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            primes.add(m)
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return sorted(primes)
+
+
+_TRIAL_BOUND = 1 << 10
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below
+    _TRIAL_BOUND: Pollard's rho with Brent's cycle search, the differences
+    multiplied in batches of 128 before each gcd.  A run whose gcd is n
+    repeats with the next constant c in x -> x^2 + c."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def check_root_order(field: Field, n: int) -> None:
+    """Raise unless the field has an element of multiplicative order n."""
+    if n < 1:
+        raise BadParamsError(f"order must be positive, got {n}")
+    if isinstance(field, Rationals):
+        if n > 2:
+            raise OrderUnavailableError(f"no primitive {n}th root of unity in Q")
+    elif (field.p - 1) % n != 0:
+        raise OrderUnavailableError(f"{n} does not divide {field.p} - 1")
 
 
 def primitive_root_of_unity(field: Field, n: int):
@@ -294,17 +342,10 @@ def primitive_root_of_unity(field: Field, n: int):
     otherwise the first z = x^((p-1)/n) of order n gives them all as the z^k
     with gcd(k, n) = 1, and their min takes n steps.
     """
-    if n < 1:
-        raise BadParamsError(f"order must be positive, got {n}")
+    check_root_order(field, n)
     if isinstance(field, Rationals):
-        if n == 1:
-            return field.one()
-        if n == 2:
-            return field.of(-1)
-        raise OrderUnavailableError(f"no primitive {n}th root of unity in Q")
+        return field.one() if n == 1 else field.of(-1)
     p = field.p
-    if (p - 1) % n != 0:
-        raise OrderUnavailableError(f"{n} does not divide {p} - 1")
     primes = prime_factors(n)
     phi = n
     for ell in primes:

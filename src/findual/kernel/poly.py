@@ -153,8 +153,7 @@ class Poly:
         return acc
 
     def sort_key(self):
-        f = self.field
-        return (self.degree(), tuple(f.sort_key(c) for c in self.coeffs))
+        return (self.degree(), self.coeffs)
 
     def __repr__(self):
         if self.is_zero():

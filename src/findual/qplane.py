@@ -44,7 +44,7 @@ from .errors import (
     InvalidInputError,
     NotAzumayaError,
 )
-from .kernel import GF, Matrix, primitive_root_of_unity
+from .kernel import GF, Matrix, check_root_order, primitive_root_of_unity
 from .twist import TwistingMap, check_twisting_map, tensor_swap
 
 
@@ -300,7 +300,10 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     it isomorphic to its representative, and the profile and character count
     carry over.  The census costs O(p^2 + (n + 1)^2 rep).
     """
-    field, _ = _require_root(n, p)
+    # only the cheap order checks come before p <= n^2 is refused: the
+    # representatives (`oq_truncation`) search for the root of unity itself
+    field = GF(p)
+    check_root_order(field, n)
     if p <= n * n:
         raise CharacteristicTooSmallError(f"census needs p > n^2; got p = {p}, n = {n}")
     _certify_grading(_exponent_table(n, n), n)

@@ -432,6 +432,25 @@ def small_scalars(draw, field, nonzero=False):
 
 
 @st.composite
+def basis_changes(draw, f, n):
+    """An invertible P = L U with unit-triangular L and U."""
+    lower = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i > j else f.zero()
+                                  for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i < j else f.zero()
+                                  for j in range(n)] for i in range(n)])
+    return lower @ upper
+
+
+def rebased_table(base, p):
+    """Dense structure constants and unit of `base` on the basis formed by
+    the columns of p."""
+    n = base.dim
+    cols = [list(p.col(j)) for j in range(n)]
+    mul = [[solve_linear(p, base.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return mul, solve_linear(p, list(base.unit))
+
+
+@st.composite
 def algebras(draw, perturbed=False, field=None):
     """A matrix, triangular or cyclic group algebra under a random change of
     basis (P = L U with unit-triangular L, U); optionally one structure
@@ -445,14 +464,7 @@ def algebras(draw, perturbed=False, field=None):
     else:
         base = cyclic_group_algebra(f, draw(st.integers(1, 4)))
     n = base.dim
-    lower = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i > j else f.zero()
-                                  for j in range(n)] for i in range(n)])
-    upper = Matrix.from_rows(f, [[f.one() if i == j else draw(small_scalars(f)) if i < j else f.zero()
-                                  for j in range(n)] for i in range(n)])
-    p = lower @ upper
-    cols = [list(p.col(j)) for j in range(n)]
-    mul = [[solve_linear(p, base.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    unit = solve_linear(p, list(base.unit))
+    mul, unit = rebased_table(base, draw(basis_changes(f, n)))
     if perturbed:
         i, j, r = (draw(st.integers(0, n - 1)) for _ in range(3))
         mul[i][j][r] = f.add(mul[i][j][r], draw(small_scalars(f, nonzero=True)))
@@ -510,3 +522,144 @@ class TestKernelsAgainstOracles:
         inside = all(x == f.zero() for x in residual)
         assert space.contains(vec) == inside
         assert coordinates_in_row_span(space.rows, vec, f) == (coords if inside else None)
+
+
+# ---------------------------------------------------------------------------
+# Hom and character checks against the per-scalar loops they replaced.
+
+
+def oracle_hom_is_valid(hom):
+    src, tgt = hom.source, hom.target
+    if hom.apply(src.unit) != list(tgt.unit):
+        return False
+    images = [hom.apply(basis_vec(src.field, src.dim, i)) for i in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = hom.apply(src.basis_product(i, j))
+            rhs = tgt.multiply(images[i], images[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def oracle_character_is_valid(ch):
+    a = ch.algebra
+    if ch.evaluate(a.unit) != a.field.one():
+        return False
+    for i in range(a.dim):
+        for j in range(a.dim):
+            prod = ch.evaluate(a.basis_product(i, j))
+            if prod != a.field.mul(ch.values[i], ch.values[j]):
+                return False
+    return True
+
+
+class TestHomChecksAgainstOracles:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_hom_validity_matches_per_scalar_check(self, data):
+        src = data.draw(algebras())
+        tgt = data.draw(st.sampled_from([src, data.draw(algebras(perturbed=True, field=src.field))]))
+        f = src.field
+        ent = [f.one() if i == j else f.zero() for i in range(tgt.dim) for j in range(src.dim)]
+        if data.draw(st.booleans()):
+            ent[data.draw(st.integers(0, len(ent) - 1))] = data.draw(small_scalars(f))
+        hom = AlgebraHom(src, tgt, Matrix(f, tgt.dim, src.dim, ent))
+        assert hom.is_valid() == oracle_hom_is_valid(hom)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_character_validity_matches_per_scalar_check(self, data):
+        # p > dim, as one_dim_characters needs
+        a = data.draw(algebras(field=data.draw(st.sampled_from([GF(7), GF(11)]))))
+        f = a.field
+        chars = one_dim_characters(a)
+        if chars and data.draw(st.booleans()):
+            values = list(data.draw(st.sampled_from(chars)).values)
+        else:
+            values = data.draw(st.lists(small_scalars(f), min_size=a.dim, max_size=a.dim))
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, a.dim - 1))] = data.draw(small_scalars(f))
+        ch = Character(a, values)
+        assert ch.is_valid() == oracle_character_is_valid(ch)
+
+
+# ---------------------------------------------------------------------------
+# Semisimple profiles known by construction.
+
+
+def block_sum(blocks):
+    """Block-diagonal product of algebras over one field."""
+    f = blocks[0].field
+    dim = sum(b.dim for b in blocks)
+    mul = [[() for _ in range(dim)] for _ in range(dim)]
+    unit = []
+    for b in blocks:
+        off = len(unit)
+        for i in range(b.dim):
+            for j in range(b.dim):
+                mul[off + i][off + j] = tuple((off + r, c) for r, c in b.mul[i][j])
+        unit += b.unit
+    return FinDimAlgebra(f, [f"b{k}" for k in range(dim)], mul, unit)
+
+
+def field_block(f, k):
+    """k[t]/(g) for the least monic g of degree 2 or 3 with no root in k,
+    found by brute force over GF(p); over Q, t^k - 2."""
+    if isinstance(f, Rationals):
+        return monogenic_algebra(f, Poly.from_ints(f, [-2] + [0] * (k - 1) + [1]))
+    for code in range(f.p ** k):
+        g = Poly.from_ints(f, [code // f.p ** i % f.p for i in range(k)] + [1])
+        if all(g.evaluate(x) for x in range(f.p)):
+            return monogenic_algebra(f, g)
+
+
+@st.composite
+def known_profiles(draw):
+    """(algebra, profile, characters): a block-diagonal product of matrix
+    algebras M_d, field extensions of degree 2 or 3 and dual numbers
+    k[t]/(t^2), under a random change of basis.  By construction M_d gives
+    the factor (d^2, 1), a degree-k extension (k, k) and k[t]/(t^2) one
+    radical dimension and (1, 1); the characters are one per M_1 and per
+    k[t]/(t^2).  Over Q an extension block is not split, and the profile is
+    None."""
+    f = draw(st.sampled_from([GF(7), GF(11), GF(13), QQ]))
+    budget = 8 if isinstance(f, Rationals) else f.p - 1  # p > dim for the radical
+    blocks, factors, radical_dim, characters = [], [], 0, 0
+    for kind, size in draw(st.lists(st.tuples(st.sampled_from(["matrix", "field", "dual"]),
+                                              st.integers(1, 3)), min_size=1, max_size=4)):
+        if kind == "matrix":
+            d = min(size, 2)
+            block, factor, rad, chars = matrix_algebra(f, d), (d * d, 1), 0, int(d == 1)
+        elif kind == "field":
+            k = min(size + 1, 3)
+            block, factor, rad, chars = field_block(f, k), (k, k), 0, 0
+        else:
+            block, factor, rad, chars = truncated_polynomial_algebra(f, 2), (1, 1), 1, 1
+        # the first block always fits
+        if sum(b.dim for b in blocks) + block.dim <= budget:
+            blocks.append(block)
+            factors.append(factor)
+            radical_dim += rad
+            characters += chars
+    base = block_sum(blocks)
+    mul, unit = rebased_table(base, draw(basis_changes(f, base.dim)))
+    a = FinDimAlgebra(f, base.labels, mul, unit)
+    split = not (isinstance(f, Rationals) and any(c > 1 for _, c in factors))
+    profile = (radical_dim, tuple(sorted(factors))) if split else None
+    return a, profile, characters
+
+
+class TestProfileAgainstConstruction:
+    @settings(max_examples=80)
+    @given(known_profiles())
+    def test_profile_and_character_count(self, case):
+        a, profile, characters = case
+        if profile is None:
+            with pytest.raises(NotSplitError):
+                semisimple_profile(a)
+            with pytest.raises(NotSplitError):
+                one_dim_characters(a)
+        else:
+            assert semisimple_profile(a) == profile
+            assert len(one_dim_characters(a)) == characters

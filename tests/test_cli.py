@@ -218,6 +218,23 @@ class TestCensusCommands:
         code, _ = run(["qplane-census", "--n", "3", "--p", "5"])
         assert code == 3
 
+    @pytest.mark.parametrize("n,p", [
+        # n = (p - 1) / 2 is prime: factoring n by trial division would not return
+        (1000000000000000841, 2000000000000001683),
+        # n prime with p = k n + 1, k about n / 4: the elements of order n are
+        # about one in k, so a search for the root of unity would not return
+        (2000000011, 1000000129500000683),
+    ])
+    def test_census_refuses_p_at_most_n_squared_promptly(self, n, p):
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "findual.cli", "qplane-census", "--n", str(n), "--p", str(p)],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == f"error: census needs p > n^2; got p = {p}, n = {n}\n"
+
     def test_point(self):
         code, out = run(["qplane-point", "--n", "2", "--p", "5", "--c", "1", "--d", "1"])
         assert code == 0

@@ -141,6 +141,12 @@ class TestGrouplikes:
             rows = echelon_rows(f, [list(g) for g in gl])
             assert len(rows) == len(gl)
 
+    @settings(max_examples=60)
+    @given(st.sampled_from([GF(5), GF(7)]).flatmap(lambda f: algebras(field=f)).filter(lambda a: a.dim <= 4))
+    def test_dual_of_random_algebra_agrees_with_bruteforce(self, a):
+        c = dualize_algebra(a)
+        assert grouplikes(c) == grouplikes_bruteforce(c)
+
     def test_bijection_with_characters(self):
         for alg in [cyclic_group_algebra(F5, 4), triangular_algebra(F5, 2), diagonal_algebra(F5, 3)]:
             chars = one_dim_characters(alg)
@@ -315,6 +321,16 @@ class TestTowers:
         ent[2 * 2 + 1] = F5.one()  # eps1 -> eps2
         with pytest.raises(NotACoalgebraMapError):
             tower_extend(tower, big, CoalgebraHom(small, big, Matrix(F5, 3, 2, ent)))
+
+    def test_every_tower_is_checked(self):
+        small = divided_power_coalgebra(F5, 2)
+        big = divided_power_coalgebra(F5, 3)
+        ent = [F5.zero()] * (3 * 2)
+        ent[0] = F5.one()
+        with pytest.raises(TypeError):
+            DualTower([small, big], [canonical_inclusion(small, big)], validated=True)
+        with pytest.raises(NotInjectiveError):
+            DualTower([small, big], [CoalgebraHom(small, big, Matrix(F5, 3, 2, ent))])
 
     def test_levels_over_different_fields_rejected(self):
         small = divided_power_coalgebra(F5, 1)

@@ -27,6 +27,7 @@ from findual.kernel import (
     row_pivots,
     rref_kernel,
 )
+from findual.kernel.fields import prime_factors
 
 
 def trial_division_is_prime(n):
@@ -55,6 +56,17 @@ class TestIsPrime:
             GF(3317044064679887385961981)
         with pytest.raises(BadParamsError):
             GF(10**30 + 57)
+
+
+def run_snippet(code, timeout):
+    """stdout of `code` run in a fresh interpreter on this source tree."""
+    src = os.path.dirname(os.path.dirname(findual.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.stdout
 
 
 class TestPrimitiveRoots:
@@ -119,6 +131,67 @@ class TestPrimitiveRoots:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.stdout == "3\n"
+
+    def test_huge_prime_order_returns_promptly(self):
+        # n = (p - 1) / 2 is prime, so the elements of order n are the squares
+        # other than 1; 2 is a non-square mod p (p = 3 mod 8) and 3 a square
+        out = run_snippet("from findual.kernel import GF, primitive_root_of_unity\n"
+                          "print(primitive_root_of_unity(GF(2000000000000001683), 1000000000000000841))",
+                          timeout=5)
+        assert out == "3\n"
+
+    def test_order_with_two_40_bit_prime_factors_returns_promptly(self):
+        # n = 549755813911 * 824633721803 and p = 2n + 1 is prime: 2^n = -1, and
+        # 3^n = 1 with 3^(n/l) != 1 for both prime factors l, so 3 is the answer
+        out = run_snippet("from findual.kernel import GF, primitive_root_of_unity\n"
+                          "print(primitive_root_of_unity(GF(906694365816530822803067), "
+                          "549755813911 * 824633721803))", timeout=5)
+        assert out == "3\n"
+
+
+def oracle_prime_factors(n):
+    return [d for d in range(2, n + 1) if n % d == 0 and trial_division_is_prime(d)]
+
+
+# primes on both sides of the trial-division bound, so products of them reach
+# the rho stage with repeated, squared and cubed factors
+SMALL_PRIMES = [n for n in range(2, 3000) if trial_division_is_prime(n)]
+
+
+class TestPrimeFactors:
+    def test_matches_brute_force_below_3000(self):
+        assert all(prime_factors(n) == oracle_prime_factors(n) for n in range(1, 3000))
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 10**5 - 1))
+    def test_matches_brute_force_below_1e5(self, n):
+        assert prime_factors(n) == oracle_prime_factors(n)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6))
+    def test_known_factorizations(self, primes):
+        n = 1
+        for q in primes:
+            n *= q
+        assert prime_factors(n) == sorted(set(primes))
+
+    @pytest.mark.parametrize("n,primes", [
+        (1031 ** 2, [1031]), (1031 ** 3, [1031]), (1031 ** 2 * 1033, [1031, 1033]),
+        (2 ** 5 * 1031 * 2999, [2, 1031, 2999]),
+    ])
+    def test_prime_powers_above_the_trial_bound(self, n, primes):
+        assert prime_factors(n) == primes
+
+    def test_huge_prime_returns_promptly(self):
+        # 10^18 + 841 is prime: trial division up to its square root would not return
+        out = run_snippet("from findual.kernel.fields import prime_factors\n"
+                          "print(prime_factors(1000000000000000841))", timeout=5)
+        assert out == "[1000000000000000841]\n"
+
+    def test_two_40_bit_primes_return_promptly(self):
+        out = run_snippet("from findual.kernel.fields import prime_factors\n"
+                          "print(prime_factors(549755813911 * 824633721803))", timeout=5)
+        assert out == "[549755813911, 824633721803]\n"
 
 
 class TestFactor:
