@@ -175,6 +175,15 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
 
 
+def _annihilator(ambient, rows) -> Subspace:
+    """The vectors x of `ambient` with row . x = 0 for every row: the kernel of
+    the matrix of rows, which is the whole space when there are no rows."""
+    rows = list(rows)
+    flat = (x for row in rows for x in row)
+    ker = rref_kernel(Matrix(ambient.field, len(rows), ambient.dim, flat)).kernel
+    return Subspace(ambient, ker.transpose().row_lists())
+
+
 class AlgebraHom:
     """Linear map between algebras; columns of `matrix` are images of basis."""
 
@@ -183,6 +192,8 @@ class AlgebraHom:
     def __init__(self, source: FinDimAlgebra, target: FinDimAlgebra, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise BadParamsError("hom matrix shape mismatch")
+        if not source.field == target.field == matrix.field:
+            raise BadParamsError("hom source, target and matrix must share a field")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -574,9 +585,7 @@ def center(a: FinDimAlgebra) -> Subspace:
             row = tuple(f.canonical(row))
             if any(row):
                 rows[row] = None
-    m = Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, dim)
-    ker = rref_kernel(m).kernel
-    return Subspace(a, [[ker.get(i, c) for i in range(dim)] for c in range(ker.cols)])
+    return _annihilator(a, rows)
 
 
 def minimal_polynomial(a: FinDimAlgebra, vec) -> Poly:

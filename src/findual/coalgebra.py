@@ -14,11 +14,12 @@ from .algebra import (
     AlgebraHom,
     FinDimAlgebra,
     Subspace,
-    _basis_vec,
+    _annihilator,
+    _check_radical_precondition,
     _first_failure,
     _radical_trace_form,
-    _check_radical_precondition,
     one_dim_characters,
+    subspace_product,
     validate_algebra,
 )
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     NotACoalgebraMapError,
     NotInjectiveError,
 )
-from .kernel import Matrix, PrimeField, echelon_rows, reduce_against, row_pivots, rref_kernel
+from .kernel import Matrix, PrimeField
 from .kernel.fields import Field
 
 
@@ -283,48 +284,28 @@ def coradical(c: FinDimCoalgebra) -> Subspace:
     annihilator of the radical of the dual algebra."""
     dual = dualize_coalgebra(c)
     _check_radical_precondition(dual)
-    rad = _radical_trace_form(dual)
-    if rad.dim == 0:
-        return Subspace(c, [_basis_vec(c.field, c.dim, i) for i in range(c.dim)])
-    mat = Matrix.from_rows(c.field, [list(r) for r in rad.rows])
-    ker = rref_kernel(mat).kernel
-    return Subspace(c, [[ker.get(i, j) for i in range(c.dim)] for j in range(ker.cols)])
+    return _annihilator(c, _radical_trace_form(dual).rows)
 
 
 def coradical_filtration(c: FinDimCoalgebra):
-    """C_0 <= C_1 <= ... terminating at c, via Delta-preimages."""
-    f = c.field
-    levels = [coradical(c)]
-    c0_rows = levels[0].rows
-    n2 = c.dim * c.dim
-    while levels[-1].dim < c.dim:
-        prev = levels[-1]
-        wedge_rows = []
-        for i in range(c.dim):
-            ei = _basis_vec(f, c.dim, i)
-            for v in prev.rows:
-                wedge_rows.append(_tensor_vec(f, ei, list(v)))
-        for g in c0_rows:
-            for j in range(c.dim):
-                wedge_rows.append(_tensor_vec(f, list(g), _basis_vec(f, c.dim, j)))
-        wedge = echelon_rows(f, wedge_rows)
-        wedge_pivots = row_pivots(wedge)
-        residual_cols = []
-        for r in range(c.dim):
-            delta = c.delta_of_vector(_basis_vec(f, c.dim, r))
-            residual_cols.append(reduce_against(wedge, wedge_pivots, delta, f)[0])
-        mat = Matrix(f, n2, c.dim,
-                     [residual_cols[r][k] for k in range(n2) for r in range(c.dim)])
-        ker = rref_kernel(mat).kernel
-        nxt = Subspace(c, [[ker.get(i, j) for i in range(c.dim)] for j in range(ker.cols)])
-        if nxt.dim <= prev.dim:
+    """C_0 <= C_1 <= ... terminating at c: C_k is the annihilator of J^(k+1),
+    J the radical of the dual algebra.
+
+    The wedge C_0 ^ C_(k-1) = Delta^-1(C_0 (x) C + C (x) C_(k-1)) is the
+    annihilator of J J^k (Sweedler, Hopf Algebras, ch. IX), so the levels
+    are read off the powers of J, up to the first zero power; dim C_k is
+    dim c - dim J^(k+1).
+    """
+    dual = dualize_coalgebra(c)
+    _check_radical_precondition(dual)
+    rad = _radical_trace_form(dual)
+    powers = [rad]
+    while powers[-1].dim:
+        nxt = subspace_product(dual, rad, powers[-1])
+        if nxt.dim >= powers[-1].dim:
             raise InvalidInputError("coradical filtration failed to grow")
-        levels.append(nxt)
-    return levels
-
-
-def _tensor_vec(f: Field, u, v):
-    return [f.mul(a, b) for a in u for b in v]
+        powers.append(nxt)
+    return [_annihilator(c, power.rows) for power in powers]
 
 
 class CoradicalReport(NamedTuple):

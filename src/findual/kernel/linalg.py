@@ -14,6 +14,7 @@ reduction, `_row_reduce` (behind `rref_kernel`, `echelon_rows` and
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .fields import Field, PrimeField
@@ -92,22 +93,16 @@ class Matrix:
         return all(x == z for x in self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [f.add(x, y) for x, y in zip(self.entries, other.entries)],
-        )
+        entries = map(operator.add, self.entries, other.entries)
+        return Matrix(self.field, self.rows, self.cols, self.field.canonical(entries))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [f.sub(x, y) for x, y in zip(self.entries, other.entries)],
-        )
+        entries = map(operator.sub, self.entries, other.entries)
+        return Matrix(self.field, self.rows, self.cols, self.field.canonical(entries))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.mul(c, x) for x in self.entries])
+        entries = (c * x for x in self.entries)
+        return Matrix(self.field, self.rows, self.cols, self.field.canonical(entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -139,14 +134,12 @@ class Matrix:
         for ia in range(ra):
             for ja in range(ca):
                 a = self.get(ia, ja)
-                if a == f.zero():
+                if not a:
                     continue
                 for ib in range(rb):
                     base = (ia * rb + ib) * ncols + ja * cb
-                    brow = other.row(ib)
-                    for jb in range(cb):
-                        out[base + jb] = f.mul(a, brow[jb])
-        return Matrix(f, ra * rb, ca * cb, out)
+                    out[base:base + cb] = [a * x for x in other.row(ib)]
+        return Matrix(f, ra * rb, ca * cb, f.canonical(out))
 
     def rank(self) -> int:
         return rref_kernel(self).rank

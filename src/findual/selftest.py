@@ -8,6 +8,8 @@ intertwiner search over GL_2(GF(5)), and a direct matrix-jet construction.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from typing import NamedTuple
 
 from .algebra import (
@@ -281,11 +283,19 @@ def _gl2_gf5():
     return mats
 
 
-def _intertwined(r1, r2, gl):
-    for t in gl:
-        if t @ r1.x_matrix == r2.x_matrix @ t and t @ r1.y_matrix == r2.y_matrix @ t:
-            return True
-    return False
+def _products(r, gl):
+    """(t X, t Y) and (X t, Y t) for each t in gl: the eight entries of each
+    pair, residues mod 5, packed into one 8-byte word of an array (as tuples,
+    the products of all representations would hold about 1.8 MB)."""
+    x, y = r.x_matrix, r.y_matrix
+    return (array("Q", bytes(e for t in gl for e in (t @ x).entries + (t @ y).entries)),
+            array("Q", bytes(e for t in gl for e in (x @ t).entries + (y @ t).entries)))
+
+
+def _intertwined(prods1, prods2):
+    """Whether some t has t X1 = X2 t and t Y1 = Y2 t, given the `_products`
+    of both representations with the same matrices t."""
+    return any(map(operator.eq, prods1[0], prods2[1]))
 
 
 def criterion_6_irreps() -> CriterionResult:
@@ -311,6 +321,7 @@ def criterion_6_irreps() -> CriterionResult:
     gl = _gl2_gf5()
     if len(gl) != 480:
         failures.append(f"gl2-size={len(gl)}")
+    prods = {pt: _products(r, gl) for pt, r in reps.items()}
     pairs = 0
     for k1, pt1 in enumerate(points):
         for pt2 in points[k1:]:
@@ -319,7 +330,7 @@ def criterion_6_irreps() -> CriterionResult:
                 field.pow(pt1[0], n) == field.pow(pt2[0], n)
                 and field.pow(pt1[1], n) == field.pow(pt2[1], n)
             )
-            found = _intertwined(reps[pt1], reps[pt2], gl)
+            found = _intertwined(prods[pt1], prods[pt2])
             if found != same_class:
                 failures.append(f"intertwiner{pt1}{pt2}")
     classes = irrep_classify(n, p)

@@ -729,14 +729,14 @@ def solve_cotwist(c: FinDimCoalgebra, d: FinDimCoalgebra, target: FinDimCoalgebr
             coeff_maps = {}
             for i1, i2, cf1 in c.comul[r]:
                 for j1, j2, cf2 in d.comul[s]:
-                    cc = f.mul(cf1, cf2)
+                    cc = cf1 * cf2
                     col = i2 * dd + j1
                     for flat in range(n):
                         y, x = divmod(flat, dc)
                         key = (i1 * dd + y, x * dd + j2)
                         unk = flat * n + col
                         m = coeff_maps.setdefault(key, {})
-                        m[unk] = f.add(m.get(unk, zero), cc)
+                        m[unk] = m.get(unk, zero) + cc
             want = {}
             for i, j, cf in target.comul[r * dd + s]:
                 want[(i, j)] = cf
@@ -744,7 +744,7 @@ def solve_cotwist(c: FinDimCoalgebra, d: FinDimCoalgebra, target: FinDimCoalgebr
                 row = [zero] * unknowns
                 for unk, cf in coeff_maps.get(key, {}).items():
                     row[unk] = cf
-                rows.append(row)
+                rows.append(f.canonical(row))
                 rhs.append(want.get(key, zero))
     mat = Matrix.from_rows(f, rows)
     sol = solve_linear(mat, rhs)

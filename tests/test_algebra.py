@@ -27,6 +27,7 @@ from findual.algebra import (
     validate_algebra,
 )
 from findual.errors import (
+    BadParamsError,
     CharacteristicTooSmallError,
     ImproperIdealError,
     NotAnIdealError,
@@ -261,6 +262,15 @@ class TestHoms:
         assert to_k.is_valid()
         comp = to_k.compose(proj)
         assert comp.is_valid()
+
+    @pytest.mark.parametrize("other", [GF(7), QQ], ids=["gf7", "rationals"])
+    def test_hom_matrix_over_other_field_rejected(self, other):
+        a = diagonal_algebra(F5, 2)
+        identity = Matrix(other, 2, 2, [1, 0, 0, 1])
+        with pytest.raises(BadParamsError, match="share a field"):
+            AlgebraHom(a, a, identity)
+        with pytest.raises(BadParamsError, match="share a field"):
+            AlgebraHom(a, diagonal_algebra(other, 2), identity)
 
     def test_minimal_polynomial(self):
         a = cyclic_group_algebra(F5, 4, var="g")

@@ -5,6 +5,7 @@ from test_algebra import algebras, small_scalars
 
 from findual.algebra import (
     AlgebraHom,
+    Subspace,
     cyclic_group_algebra,
     diagonal_algebra,
     matrix_algebra,
@@ -36,11 +37,25 @@ from findual.coalgebra import (
 )
 from findual.errors import (
     BadParamsError,
+    CharacteristicTooSmallError,
     CyclicQuiverError,
+    FindualError,
+    InvalidInputError,
     NotACoalgebraMapError,
     NotInjectiveError,
 )
-from findual.kernel import GF, QQ, Matrix, echelon_rows, in_row_span
+from findual.kernel import (
+    GF,
+    QQ,
+    Matrix,
+    echelon_rows,
+    in_row_span,
+    reduce_against,
+    row_pivots,
+    rref_kernel,
+)
+from findual.qplane import oq_truncation
+from findual.twist import check_twisting_map, twist_corpus, twisted_product
 
 F5 = GF(5)
 
@@ -495,3 +510,110 @@ class TestLawChecksAgainstOracles:
     def test_dualization_is_an_involution(self, c):
         assert validate_coalgebra(c).ok
         assert dualize_algebra(dualize_coalgebra(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# the wedge recursion that the radical powers replaced, kept as an oracle
+
+
+def oracle_coradical_filtration(c):
+    """C_0 = coradical(c) and C_k = Delta^-1(C (x) C_(k-1) + C_0 (x) C), the
+    preimage of a dense wedge on the tensor square, until C_k = c."""
+    f = c.field
+    n2 = c.dim * c.dim
+    basis = [[f.one() if i == j else f.zero() for j in range(c.dim)] for i in range(c.dim)]
+
+    def tensor(u, v):
+        return [f.mul(a, b) for a in u for b in v]
+
+    levels = [coradical(c)]
+    while levels[-1].dim < c.dim:
+        prev = levels[-1]
+        wedge = echelon_rows(f, [tensor(e, v) for e in basis for v in prev.rows]
+                             + [tensor(g, e) for g in levels[0].rows for e in basis])
+        pivots = row_pivots(wedge)
+        residuals = [reduce_against(wedge, pivots, c.delta_of_vector(e), f)[0] for e in basis]
+        mat = Matrix(f, n2, c.dim, [residuals[r][k] for k in range(n2) for r in range(c.dim)])
+        nxt = Subspace(c, rref_kernel(mat).kernel.transpose().row_lists())
+        if nxt.dim <= prev.dim:
+            raise InvalidInputError("coradical filtration failed to grow")
+        levels.append(nxt)
+    return levels
+
+
+def filtration_rows(fn, c):
+    """The rows of every level, or the class of the error raised."""
+    try:
+        return [lv.rows for lv in fn(c)]
+    except FindualError as exc:
+        return type(exc)
+
+
+def named_coalgebras(field):
+    """Named constructors and duals whose dimension stays below 31."""
+    out = [triangular_coalgebra(field, n) for n in range(1, 6)]
+    out += [divided_power_coalgebra(field, m) for m in range(1, 12)]
+    out += [
+        line_dist_coalgebra(field, {0: 3, 1: 2, 2: 1}),
+        comatrix_coalgebra(field, 2),
+        comatrix_coalgebra(field, 3),
+        grouplike_coalgebra(field, 3),
+        path_coalgebra(field, Quiver(3, [(1, 0), (2, 1)])),
+        path_coalgebra(field, Quiver(5, [(1, 0), (2, 1), (3, 2), (4, 3)])),
+        path_coalgebra(field, Quiver(4, [(0, 1), (0, 2), (3, 0)])),
+        path_coalgebra(field, Quiver(2, [(1, 0), (1, 0)])),
+    ]
+    out += [dualize_algebra(triangular_algebra(field, n)) for n in range(2, 5)]
+    out += [dualize_algebra(twisted_product(rho))
+            for rho in twist_corpus(field, 3, 25) if check_twisting_map(rho).ok]
+    return out
+
+
+QPLANE_DUALS = [
+    dualize_algebra(oq_truncation(n, p, kind, params).algebra)
+    for n, p, kind, params in [
+        (2, 5, "box", (2, 2)),
+        (2, 5, "central_fiber", (1, 0)),
+        (3, 13, "box", (2, 3)),
+        (3, 13, "central_fiber", (1, 1)),
+        (3, 13, "central_fiber", (0, 0)),
+    ]
+]
+
+
+class TestFiltrationAgainstWedgeOracle:
+    @pytest.mark.parametrize("field", [GF(31), QQ], ids=["gf31", "rationals"])
+    def test_named_coalgebras(self, field):
+        corpus = named_coalgebras(field)
+        for c in corpus:
+            want = oracle_coradical_filtration(c)
+            assert filtration_rows(coradical_filtration, c) == [lv.rows for lv in want]
+        assert len(corpus) > 25
+
+    def test_quantum_plane_duals(self):
+        for c in QPLANE_DUALS:
+            assert filtration_rows(coradical_filtration, c) == [
+                lv.rows for lv in oracle_coradical_filtration(c)]
+
+    @pytest.mark.parametrize("c", [
+        triangular_coalgebra(GF(5), 3),
+        divided_power_coalgebra(GF(3), 4),
+        comatrix_coalgebra(GF(3), 2),
+        line_dist_coalgebra(GF(5), {0: 3, 1: 2}),
+        path_coalgebra(GF(2), Quiver(2, [(1, 0)])),
+    ], ids=["triangular3-gf5", "divided4-gf3", "comatrix2-gf3", "linedist-gf5", "a2-gf2"])
+    def test_small_characteristic_refused_on_both_sides(self, c):
+        assert c.dim >= c.field.p
+        assert filtration_rows(coradical_filtration, c) is CharacteristicTooSmallError
+        assert filtration_rows(oracle_coradical_filtration, c) is CharacteristicTooSmallError
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_random_coalgebras(self, data):
+        perturbed = data.draw(st.booleans())
+        c = data.draw(coalgebras(perturbed=perturbed))
+        got = filtration_rows(coradical_filtration, c)
+        assert got == filtration_rows(oracle_coradical_filtration, c)
+        # a perturbation may leave the table valid (it can redraw the old value)
+        if perturbed and not validate_coalgebra(c).ok:
+            assert got is InvalidInputError
