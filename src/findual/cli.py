@@ -173,19 +173,22 @@ def _cmd_construct(args, argv, stdout) -> int:
 
 def _cmd_dualize(args, argv, stdout) -> int:
     with open(args.infile) as fh:
-        value = loads(fh.read())
+        text = fh.read()
+    # the input document is freed before the dual is serialized
+    _emit(to_canonical_json(_dual(loads(text))), args.out, stdout)
+    return 0
+
+
+def _dual(value):
     if isinstance(value, FinDimAlgebra):
-        dual = dualize_algebra(value)
-    elif isinstance(value, FinDimCoalgebra):
-        dual = dualize_coalgebra(value)
-    elif isinstance(value, Bialgebra):
+        return dualize_algebra(value)
+    if isinstance(value, FinDimCoalgebra):
+        return dualize_coalgebra(value)
+    if isinstance(value, Bialgebra):
         from .twist import dual_bialgebra
 
-        dual = dual_bialgebra(value)
-    else:
-        raise SchemaMismatchError("dualize expects an algebra, coalgebra, or bialgebra")
-    _emit(to_canonical_json(dual), args.out, stdout)
-    return 0
+        return dual_bialgebra(value)
+    raise SchemaMismatchError("dualize expects an algebra, coalgebra, or bialgebra")
 
 
 def _cmd_twist_check(args, argv, stdout) -> int:

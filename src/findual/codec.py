@@ -302,10 +302,33 @@ def _decode_matrix(doc) -> Matrix:
     return Matrix(field, rows, cols, ent)
 
 
+_JSON_BLOCK = 512
+
+
 def to_canonical_json(value) -> str:
-    """Byte-deterministic serialization (sorted keys, fixed separators)."""
+    """Byte-deterministic serialization (sorted keys, fixed separators).
+
+    The bytes are those of one ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` call on a document with string keys, but each
+    top-level list is serialized `_JSON_BLOCK` items at a time: json.dumps
+    holds a string object for every token until it joins them, about 20
+    bytes per output byte (1.8 MB at once for the 83 kB dual of the
+    quantum-plane box(12, 12), dim 144).
+    """
     doc = value if isinstance(value, dict) else encode(value)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    parts = []
+    for key in sorted(doc):
+        val = doc[key]
+        if isinstance(val, list):
+            blocks = (_dumps(val[k:k + _JSON_BLOCK])[1:-1] for k in range(0, len(val), _JSON_BLOCK))
+            parts.append(f"{_dumps(key)}:[{','.join(blocks)}]")
+        else:
+            parts.append(f"{_dumps(key)}:{_dumps(val)}")
+    return "{" + ",".join(parts) + "}\n"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def loads(text: str):

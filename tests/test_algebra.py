@@ -1,13 +1,17 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from findual import algebra as algebra_module
 from findual.algebra import (
     AlgebraHom,
     Character,
     FinDimAlgebra,
     Subspace,
     _basis_translates,
+    _light_generators,
     _radical_trace_form,
     center,
     cyclic_group_algebra,
@@ -44,6 +48,7 @@ from findual.kernel import (
     rref_kernel,
     solve_linear,
 )
+from findual.qplane import oq_truncation
 
 F5 = GF(5)
 
@@ -487,6 +492,12 @@ class TestKernelsAgainstOracles:
     def test_validate_verdict_and_witness(self, a):
         assert tuple(validate_algebra(a)) == oracle_validate(a)
 
+    @settings(max_examples=150)
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_validate_verdict_and_witness_by_light_test(self, a):
+        with light_cut(0):
+            assert tuple(validate_algebra(a)) == oracle_validate(a)
+
     @given(algebras())
     def test_basis_change_keeps_algebra_valid(self, a):
         assert validate_algebra(a).ok
@@ -532,6 +543,113 @@ class TestKernelsAgainstOracles:
         inside = all(x == f.zero() for x in residual)
         assert space.contains(vec) == inside
         assert coordinates_in_row_span(space.rows, vec, f) == (coords if inside else None)
+
+
+# ---------------------------------------------------------------------------
+# Light's test: the reports of validations past the size cut against the
+# per-triple oracle.
+
+
+def light_cut(dim):
+    """Light's test tried from dim on, inside a with block."""
+    return mock.patch.object(algebra_module, "_LIGHT_MIN_DIM", dim)
+
+
+def sparse_rebased_table(base, sigma, x, y, c):
+    """Dense structure constants and unit of `base` on the basis
+    c_k = b_sigma(k), except c_x = b_sigma(x) + c b_sigma(y) (x != y).  The
+    table stays sparse, so tables of dim 40 stay cheap to scan."""
+    f = base.field
+    n = base.dim
+    cols = [basis_vec(f, n, sigma[k]) for k in range(n)]
+    cols[x][sigma[y]] = c
+
+    def coords(w):
+        v = [w[sigma[k]] for k in range(n)]
+        v[y] = f.sub(v[y], f.mul(c, v[x]))
+        return v
+
+    mul = [[coords(base.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return mul, coords(list(base.unit))
+
+
+@st.composite
+def large_algebras(draw):
+    """Algebras of dim 16 to 40, past the size cut of Light's test: box
+    truncations of the quantum plane, M_4 and M_5, triangular(6) (no small
+    generating set, so the full scan runs) and k[t]/(t^n) for n in 16..40.
+    Each is drawn under a sparse change of basis, or with one structure
+    constant, one constant of the square of the unit's first basis element,
+    or one unit entry moved by a nonzero amount, or both."""
+    # weighted towards the kinds that have a small generating set
+    kind = draw(st.sampled_from(["box", "truncated", "matrix", "box", "truncated", "triangular"]))
+    if kind == "box":
+        n, p = draw(st.sampled_from([(2, 5), (3, 13), (4, 17)]))
+        rows = draw(st.integers(3, 6))
+        base = oq_truncation(n, p, "box", (rows, draw(st.integers(-(-16 // rows), 6)))).algebra
+    else:
+        f = draw(st.sampled_from(PROPERTY_FIELDS))
+        if kind == "matrix":
+            base = matrix_algebra(f, draw(st.integers(4, 5)))
+        elif kind == "triangular":
+            base = triangular_algebra(f, 6)
+        else:
+            base = truncated_polynomial_algebra(f, draw(st.integers(16, 40)))
+    f, n = base.field, base.dim
+    where = draw(st.sampled_from(["nowhere", "entry", "unit square", "entry", "unit"]))
+    if where == "nowhere" or draw(st.booleans()):
+        sigma = draw(st.permutations(range(n)))
+        x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        mul, unit = sparse_rebased_table(base, sigma, x, y, draw(small_scalars(f)))
+    else:
+        mul = [[base.basis_product(i, j) for j in range(n)] for i in range(n)]
+        unit = list(base.unit)
+    bump = draw(small_scalars(f, nonzero=True))
+    r = draw(st.integers(0, n - 1))
+    if where == "entry":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mul[i][j][r] = f.add(mul[i][j][r], bump)
+    elif where == "unit square":
+        u = next(k for k, x in enumerate(unit) if x)
+        mul[u][u][r] = f.add(mul[u][u][r], bump)
+    elif where == "unit":
+        unit[r] = f.add(unit[r], bump)
+    return FinDimAlgebra(f, base.labels, mul, unit)
+
+
+def table(a):
+    return a.field, a.mul, a.unit
+
+
+class TestLightTest:
+    @settings(max_examples=80)
+    @given(large_algebras())
+    def test_reports_match_full_scan(self, a):
+        assert tuple(validate_algebra(a)) == oracle_validate(a)
+
+    def test_generating_sets(self):
+        f = GF(31)
+        assert _light_generators(*table(matrix_algebra(f, 6))) == [0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30]
+        assert _light_generators(*table(oq_truncation(4, 17, "box", (8, 8)).algebra)) == [1, 8]
+        assert _light_generators(*table(truncated_polynomial_algebra(QQ, 40))) == [1]
+        # more than dim // 3 generators: the full scan runs
+        for a in [matrix_algebra(f, 4), matrix_algebra(f, 5), triangular_algebra(f, 6)]:
+            assert _light_generators(*table(a)) is None
+        # below the size cut
+        assert _light_generators(*table(truncated_polynomial_algebra(f, 15))) is None
+
+    def test_unit_law_is_checked_first(self):
+        """k[t]/(t^16) with b_0 b_0 = 0: t lies in the middle nucleus and the
+        words b_0 t^k span the space, but b_0 is no unit, and the table fails
+        associativity at (b_0 b_0) b_1 != b_0 (b_0 b_1)."""
+        base = truncated_polynomial_algebra(F5, 16)
+        mul = [list(row) for row in base.mul]
+        mul[0][0] = ()
+        a = FinDimAlgebra(F5, base.labels, mul, base.unit)
+        rep = validate_algebra(a)
+        assert (rep.associative, rep.unital) == (False, False)
+        assert tuple(rep) == oracle_validate(a)
+        assert rep.witnesses[0] == ("associativity", (0, 0, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_algebra import algebras, small_scalars
+from test_algebra import algebras, large_algebras, light_cut, small_scalars
 
+from findual import coalgebra as coalgebra_module
 from findual.algebra import (
     AlgebraHom,
     Subspace,
@@ -15,6 +16,7 @@ from findual.algebra import (
 )
 from findual.coalgebra import (
     CoalgebraHom,
+    CoradicalReport,
     DualTower,
     FinDimCoalgebra,
     Quiver,
@@ -306,6 +308,52 @@ class TestCoradicalPreserved:
             assert hom.is_valid()
             assert coradical_preserved(hom).preserved
 
+    def test_each_algebra_validated_once(self, monkeypatch):
+        calls = {"validate_algebra": 0, "validate_coalgebra": 0}
+        for name in calls:
+            def spy(x, name=name, real=getattr(coalgebra_module, name)):
+                calls[name] += 1
+                return real(x)
+            monkeypatch.setattr(coalgebra_module, name, spy)
+        src = truncated_polynomial_algebra(F5, 3)
+        tgt = matrix_algebra(F5, 2)
+        cols = [list(tgt.unit), [0, 1, 0, 0], [0, 0, 0, 0]]
+        mat = Matrix(F5, 4, 3, [cols[j][i] for i in range(4) for j in range(3)])
+        coradical_preserved(AlgebraHom(src, tgt, mat))
+        assert calls == {"validate_algebra": 2, "validate_coalgebra": 0}
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_coradicals_of_the_duals(self, data):
+        src = data.draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+        tgt = data.draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad, field=src.field)))
+        f = src.field
+        ent = data.draw(st.lists(small_scalars(f), min_size=tgt.dim * src.dim, max_size=tgt.dim * src.dim))
+        hom = AlgebraHom(src, tgt, Matrix(f, tgt.dim, src.dim, ent))
+        assert report_or_error(coradical_preserved, hom) == report_or_error(oracle_coradical_preserved, hom)
+
+
+def oracle_coradical_preserved(hom):
+    """The composition that validated each algebra twice: the coradical of
+    each dual, taken by dualizing it back."""
+    src_dual = dualize_algebra(hom.source)
+    tgt_dual = dualize_algebra(hom.target)
+    corad_src = coradical(src_dual)
+    corad_tgt = coradical(tgt_dual)
+    transpose = hom.matrix.transpose()
+    for v in corad_tgt.rows:
+        image = transpose.apply(list(v))
+        if not corad_src.contains(image):
+            return CoradicalReport(False, tuple(image))
+    return CoradicalReport(True, None)
+
+
+def report_or_error(fn, hom):
+    try:
+        return fn(hom)
+    except FindualError as exc:
+        return type(exc)
+
 
 class TestTowers:
     def test_divided_power_chain(self):
@@ -464,15 +512,17 @@ def oracle_hom_is_valid(hom):
 @st.composite
 def coalgebras(draw, perturbed=False, field=None):
     """The dual of a random algebra under a random change of basis (see
-    test_algebra.algebras); optionally one comul entry set to a new nonzero
-    value and, now and then, one counit entry changed."""
+    test_algebra.algebras); optionally one comul entry moved by a nonzero
+    amount, so the table always changes, and, now and then, one counit entry
+    changed."""
     c = dualize_algebra(draw(algebras(field=field)))
     if not perturbed:
         return c
     f = c.field
     r, i, j = (draw(st.integers(0, c.dim - 1)) for _ in range(3))
+    old = next((cf for x, y, cf in c.comul[r] if (x, y) == (i, j)), f.zero())
     comul = [[t for t in c.comul[k] if k != r or t[:2] != (i, j)] for k in range(c.dim)]
-    comul[r].append((i, j, draw(small_scalars(f, nonzero=True))))
+    comul[r].append((i, j, f.add(old, draw(small_scalars(f, nonzero=True)))))
     counit = list(c.counit)
     if draw(st.integers(0, 4)) == 0:
         counit[draw(st.integers(0, c.dim - 1))] = draw(small_scalars(f))
@@ -483,6 +533,25 @@ class TestLawChecksAgainstOracles:
     @settings(max_examples=200)
     @given(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
     def test_validate_verdict_and_witness(self, c):
+        assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
+
+    @settings(max_examples=200)
+    @given(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
+    def test_validate_verdict_and_witness_by_light_test(self, c):
+        with light_cut(0):
+            assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
+
+    @settings(max_examples=80)
+    @given(large_algebras())
+    def test_large_transposed_tables_match_full_scan(self, a):
+        """The coalgebra whose comul is the transposed table of a drawn
+        algebra, valid or not, and whose counit is its unit."""
+        comul = [[] for _ in range(a.dim)]
+        for i, row in enumerate(a.mul):
+            for j, cell in enumerate(row):
+                for r, cf in cell:
+                    comul[r].append((i, j, cf))
+        c = FinDimCoalgebra(a.field, a.labels, comul, a.unit)
         assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
 
     @given(st.data())
@@ -614,6 +683,6 @@ class TestFiltrationAgainstWedgeOracle:
         c = data.draw(coalgebras(perturbed=perturbed))
         got = filtration_rows(coradical_filtration, c)
         assert got == filtration_rows(oracle_coradical_filtration, c)
-        # a perturbation may leave the table valid (it can redraw the old value)
+        # a perturbation moves one comul entry, which need not break a law
         if perturbed and not validate_coalgebra(c).ok:
             assert got is InvalidInputError

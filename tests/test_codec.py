@@ -19,7 +19,7 @@ from findual.coalgebra import (
 from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
 from findual.errors import SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
-from findual.qplane import azumaya_census
+from findual.qplane import azumaya_census, oq_truncation
 from findual.selftest import sweedler_crossed_instance
 from findual.twist import cotensor_swap, grouplike_bialgebra, tensor_swap
 
@@ -71,6 +71,23 @@ def test_canonical_bytes_stable():
     text2 = to_canonical_json(codec_roundtrip(a))
     assert text1 == text2
     assert text1.endswith("\n")
+
+
+def one_dumps_call(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 1024, 1300])
+def test_blockwise_bytes_equal_one_dumps_call(length):
+    doc = {"z": [[k, "a\u00e9", {"y": k, "x": [k]}] for k in range(length)],
+           "a": {"b": [1, 2], "a": None}, "m": "text", "k": length, "e": []}
+    assert to_canonical_json(doc) == one_dumps_call(doc)
+
+
+def test_large_document_bytes_equal_one_dumps_call():
+    a = oq_truncation(4, 13, "box", (12, 12)).algebra
+    for value in (a, dualize_algebra(a)):
+        assert to_canonical_json(value) == one_dumps_call(encode(value))
 
 
 def test_rational_scalar_form():
@@ -185,3 +202,9 @@ def test_round_trip_property(value):
     text = to_canonical_json(value)
     assert decode(json.loads(text)) == value
     assert to_canonical_json(loads(text)) == text
+
+
+@settings(max_examples=50)
+@given(documents())
+def test_blockwise_bytes_equal_one_dumps_call_on_documents(value):
+    assert to_canonical_json(value) == one_dumps_call(encode(value))

@@ -1,9 +1,11 @@
-"""sympy as an independent oracle for `factor_over_field`.
+"""sympy as an independent oracle for `factor_over_field` and `rref_kernel`.
 
 Over GF(p) the monic irreducible factors and their multiplicities must equal
 those of ``sympy.factor_list(f, modulus=p)``; over Q, where only a split into
 linear factors is certified, `complete` must hold exactly when every sympy
-factor is linear, and the linear factors must agree.
+factor is linear, and the linear factors must agree.  Over Q the rank, pivots
+and RREF of `rref_kernel` must equal ``sympy.Matrix.rref()``, and its kernel
+must have the dimension of ``sympy.Matrix.nullspace()``.
 """
 
 import warnings
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from findual.kernel import GF, QQ, Poly, factor_over_field
+from findual.kernel import GF, QQ, Matrix, Poly, factor_over_field, rref_kernel
 
 sympy = pytest.importorskip("sympy")
 from sympy.utilities.exceptions import SymPyDeprecationWarning  # noqa: E402
@@ -81,3 +83,34 @@ class TestFactorAgainstSympy:
         want = sorted(((Fraction(int(c[0]), int(c[1])), 1), m) for c, m in theirs if len(c) == 2)
         got = sorted((g.coeffs, m) for g, m in fac.factors if g.degree() == 1)
         assert got == want
+
+
+@st.composite
+def rational_matrices(draw):
+    """A 1..6 x 1..6 matrix over Q whose rows are small combinations of at
+    most three random rows, so rank deficiency is common."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    scalars = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    base = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    out = []
+    for _ in range(rows):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        out.append([sum((w * row[k] for w, row in zip(weights, base)), Fraction(0)) for k in range(cols)])
+    return Matrix.from_rows(QQ, out)
+
+
+def to_sympy(m: Matrix):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+class TestRrefAgainstSympy:
+    @settings(max_examples=200)
+    @given(rational_matrices())
+    def test_rank_rref_and_kernel_dimension(self, m):
+        ours = rref_kernel(m)
+        theirs, pivots = to_sympy(m).rref()
+        assert ours.rank == len(pivots)
+        assert ours.pivots == tuple(pivots)
+        assert ours.rref.entries == tuple(Fraction(int(x.p), int(x.q)) for x in theirs)
+        assert ours.kernel.cols == len(to_sympy(m).nullspace())
+        assert (to_sympy(m) * to_sympy(ours.kernel)).is_zero_matrix
