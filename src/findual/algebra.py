@@ -15,7 +15,7 @@ so equal subspaces have equal representations.
 from __future__ import annotations
 
 import operator
-from itertools import islice, product
+from itertools import combinations, islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -41,7 +41,7 @@ from .kernel.fields import Field
 
 
 class FinDimAlgebra:
-    __slots__ = ("field", "dim", "labels", "mul", "unit")
+    __slots__ = ("field", "dim", "labels", "mul", "unit", "_gens")
 
     def __init__(self, field: Field, labels, mul, unit):
         """mul may be given densely (mul[i][j][r] scalar) or sparsely
@@ -54,6 +54,10 @@ class FinDimAlgebra:
         if len(unit) != self.dim:
             raise BadParamsError("unit vector has wrong length")
         self.unit = unit
+        # None until the table is certified associative and unital (only
+        # `validate_algebra` and `quotient_algebra` do that); then True, or
+        # the generating set once it is known (see `_generators`)
+        self._gens = None
 
     def basis_product(self, i: int, j: int):
         out = [self.field.zero()] * self.dim
@@ -108,25 +112,44 @@ class FinDimAlgebra:
 
 def _normalize_mul(field: Field, dim: int, mul):
     """One (r, coeff) pair per r with coeff != 0, sorted by r; the coefficients
-    of repeated pairs (i, j, r) are summed."""
+    of repeated pairs (i, j, r) are summed.  A cell already in that form is
+    kept as it is."""
     zero = field.zero()
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
             cell = mul[i][j]
-            if cell and isinstance(cell[0], tuple):
-                pairs = cell
-                if len(cell) > 1:
-                    merged = {}
-                    for r, c in cell:
-                        merged[r] = field.add(merged[r], c) if r in merged else c
-                    pairs = merged.items()
-            else:
-                pairs = enumerate(cell)
-            row.append(tuple(sorted((r, c) for r, c in pairs if c != zero)))
+            if not _normal_cell(cell, zero):
+                if cell and isinstance(cell[0], tuple):
+                    pairs = cell
+                    if len(cell) > 1:
+                        merged = {}
+                        for r, c in cell:
+                            merged[r] = field.add(merged[r], c) if r in merged else c
+                        pairs = merged.items()
+                else:
+                    pairs = enumerate(cell)
+                cell = tuple(sorted((r, c) for r, c in pairs if c != zero))
+            row.append(cell)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _normal_cell(cell, zero) -> bool:
+    """Whether `cell` is a tuple of (r, coeff) pairs, r ints strictly
+    increasing and every coeff != 0: the form `_normalize_mul` stores."""
+    if type(cell) is not tuple:
+        return False
+    prev = -1
+    for pair in cell:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        r, c = pair
+        if type(r) is not int or r <= prev or c == zero:
+            return False
+        prev = r
+    return True
 
 
 def _basis_vec(field: Field, dim: int, i: int):
@@ -388,7 +411,8 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
     The unit law is checked first: from dim `_LIGHT_MIN_DIM` on, a unital
     algebra is certified associative by Light's test (see
     `_least_non_associative_triple`); the report is the full scan's either
-    way.
+    way.  An algebra that passes is marked certified, and keeps the
+    generating set the test looked for (the whole basis if it found none).
     """
     f = a.field
     unit_failure = None
@@ -399,18 +423,23 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
         if left != target or right != target:
             unit_failure = ("unit", (j,))
             break
-    triple = _least_non_associative_triple(f, a.mul, a.unit, unital=unit_failure is None)
+    gens = _light_generators(f, a.mul, a.unit) if unit_failure is None else None
+    triple = _least_non_associative_triple(f, a.mul, gens)
     witnesses = []
     if triple is not None:
         witnesses.append(("associativity", (*triple, _associativity_witness(a, *triple))))
     if unit_failure is not None:
         witnesses.append(unit_failure)
-    return ValidationReport(triple is None, unit_failure is None, tuple(witnesses))
+    report = ValidationReport(triple is None, unit_failure is None, tuple(witnesses))
+    if report.ok:
+        a._gens = True if a.dim < _LIGHT_MIN_DIM else tuple(range(a.dim) if gens is None else gens)
+    return report
 
 
-def _least_non_associative_triple(field: Field, mul, unit, unital: bool):
+def _least_non_associative_triple(field: Field, mul, gens):
     """Least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k) in the table `mul`,
-    or None; `unital` says that `unit` is a two-sided unit of the table.
+    or None; `gens` is None or a generating set of the unital table from
+    `_light_generators`.
 
     Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
     1.2).  Write [x, y, z] = (x y) z - x (y z) and let M be the set of m with
@@ -420,16 +449,14 @@ def _least_non_associative_triple(field: Field, mul, unit, unital: bool):
         [x m, m', y] - [x, m m', y] + [x, m, m' y] = x [m, m', y] + [x, m, m'] y,
     leaves [x, m m', y] = 0.  By the unit law it holds 1.  So if the basis
     indices S lie in M (the pairs (i, j) with j in S pass) and the
-    left-normed words 1 s_1 ... s_k span the algebra (`_light_generators`),
-    then M is everything and the table is associative.  A failure among
-    those pairs at (i0, j0) is the least failing pair with j in S, so a scan
-    of the pairs before (i0, j0), with every middle index, finds the least
-    failing triple.  Non-unital tables, and those for which no S is chosen,
-    get the full scan.
+    left-normed words 1 s_1 ... s_k span the algebra, then M is everything
+    and the table is associative.  A failure among those pairs at (i0, j0)
+    is the least failing pair with j in S, so a scan of the pairs before
+    (i0, j0), with every middle index, finds the least failing triple.
+    Without a generating set the full scan runs.
     """
     dim = len(mul)
     pairs = product(range(dim), repeat=2)
-    gens = _light_generators(field, mul, unit) if unital else None
     if gens is None:
         return _first_non_associative_triple(field, mul, pairs)
     triple = _first_non_associative_triple(field, mul, product(range(dim), gens))
@@ -468,10 +495,16 @@ def _first_non_associative_triple(field: Field, mul, pairs):
 
 
 def _light_generators(field: Field, mul, unit):
+    """The generating set Light's test uses in a validation: None below dim
+    `_LIGHT_MIN_DIM`, where the full scan is cheaper, else
+    `_generating_set`."""
+    return None if len(mul) < _LIGHT_MIN_DIM else _generating_set(field, mul, unit)
+
+
+def _generating_set(field: Field, mul, unit):
     """Basis indices S, picked greedily in order, whose left-normed words
-    1 s_1 ... s_k span the space of the table `mul`; None below dim
-    `_LIGHT_MIN_DIM`, or once S would hold more than dim // `_LIGHT_MAX_SHARE`
-    indices.
+    1 s_1 ... s_k span the space of the table `mul`; None once S would hold
+    more than dim // `_LIGHT_MAX_SHARE` indices.
 
     V, the span of the words, is kept as a sparse echelon basis: each row a
     dict keyed by column, 1 at its least column (its pivot), at most one row
@@ -480,8 +513,6 @@ def _light_generators(field: Field, mul, unit):
     picked when its basis vector is not in V; S is done when rank V = dim.
     """
     dim = len(mul)
-    if dim < _LIGHT_MIN_DIM:
-        return None
     one = field.one()
     rows = {}
     gens = []
@@ -532,6 +563,24 @@ def _light_generators(field: Field, mul, unit):
     return gens if len(rows) == dim else None
 
 
+def _generators(a: FinDimAlgebra):
+    """Basis indices whose products generate `a`: for a certified algebra a
+    generating set S, chosen on first use and kept (the whole basis if
+    `_generating_set` finds none); for any other, the whole basis.
+
+    In an associative unital algebra the words in S span, so a subspace I
+    is a two-sided ideal once s I and I s lie in I for every s in S, and z
+    is central once it commutes with every s in S.
+    """
+    gens = a._gens
+    if gens is None:
+        return range(a.dim)
+    if gens is True:
+        gens = _generating_set(a.field, a.mul, a.unit)
+        a._gens = gens = tuple(range(a.dim) if gens is None else gens)
+    return gens
+
+
 def _sparse(field: Field, vec: dict) -> dict:
     """vec with its values reduced (see `Field.canonical`) and zeros dropped."""
     return {k: x for k, x in zip(vec, field.canonical(vec.values())) if x}
@@ -557,12 +606,13 @@ def _associativity_witness(a: FinDimAlgebra, i: int, j: int, k: int):
 # ideals and quotients
 
 
-def _basis_translates(a: FinDimAlgebra, v):
-    """(b_i v, v b_i) for each basis index i in order, read off the table and
-    not yet reduced (see `Field.canonical`)."""
+def _basis_translates(a: FinDimAlgebra, v, indices=None):
+    """(b_i v, v b_i) for each basis index i in `indices` (default all), in
+    order, read off the table and not yet reduced (see `Field.canonical`)."""
     f = a.field
     terms = [(j, x) for j, x in enumerate(v) if x]
-    for i, row_i in enumerate(a.mul):
+    for i in range(a.dim) if indices is None else indices:
+        row_i = a.mul[i]
         left = [f.zero()] * a.dim
         right = [f.zero()] * a.dim
         for j, x in terms:
@@ -574,13 +624,15 @@ def _basis_translates(a: FinDimAlgebra, v):
 
 
 def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
-    """Two-sided ideal generated by the given coordinate vectors (saturation)."""
+    """Two-sided ideal generated by the given coordinate vectors (saturation
+    under multiplication by `_generators` on each side)."""
     f = a.field
+    gens = _generators(a)
     rows = echelon_rows(f, [list(g) for g in generators])
     while True:
         new_rows = [list(r) for r in rows]
         for v in rows:
-            for left, right in _basis_translates(a, v):
+            for left, right in _basis_translates(a, v, gens):
                 new_rows += [f.canonical(left), f.canonical(right)]
         next_rows = echelon_rows(f, new_rows)
         if len(next_rows) == len(rows):
@@ -589,15 +641,17 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
 
 
 def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
+    gens = _generators(a)
     return all(
         space.contains(left) and space.contains(right)
         for v in space.rows
-        for left, right in _basis_translates(a, v)
+        for left, right in _basis_translates(a, v, gens)
     )
 
 
 def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
-    """Quotient by a proper two-sided ideal, with the projection hom."""
+    """Quotient by a proper two-sided ideal, with the projection hom.  The
+    quotient of a certified algebra is certified: the ideal was checked."""
     f = a.field
     if not is_ideal(a, ideal):
         raise NotAnIdealError("subspace is not closure-stable")
@@ -617,6 +671,8 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
             mul[x][y] = reduce_coords(a.basis_product(j1, j2))
     labels = [a.labels[j] for j in non_pivots]
     quot = FinDimAlgebra(f, labels, mul, reduce_coords(a.unit))
+    if a._gens is not None:
+        quot._gens = True
     cols = [reduce_coords(_basis_vec(f, a.dim, i)) for i in range(a.dim)]
     proj_matrix = Matrix(f, m, a.dim, [cols[i][r] for r in range(m) for i in range(a.dim)])
     return quot, AlgebraHom(a, quot, proj_matrix)
@@ -684,9 +740,9 @@ def radical(a: FinDimAlgebra) -> Subspace:
 
 
 def center(a: FinDimAlgebra) -> Subspace:
-    """Subspace of elements commuting with every basis element.
+    """Subspace of elements commuting with every j in `_generators`.
 
-    z = sum z_i b_i is central iff sum_i z_i (b_i b_j - b_j b_i) = 0 for all j:
+    z = sum z_i b_i commutes with b_j iff sum_i z_i (b_i b_j - b_j b_i) = 0:
     one row per (j, r) with entries [b_i b_j - b_j b_i]_r, read straight off
     the table.  Zero and repeated rows are dropped before the RREF; the row
     space, and so the kernel, is unchanged.
@@ -695,7 +751,7 @@ def center(a: FinDimAlgebra) -> Subspace:
     dim = a.dim
     zero = f.zero()
     rows = {}
-    for j in range(dim):
+    for j in _generators(a):
         by_r = {}
         for i in range(dim):
             for r, c in a.mul[i][j]:
@@ -783,8 +839,10 @@ def one_dim_characters(a: FinDimAlgebra):
     f = a.field
     rad = _radical_trace_form(a)
     semi, proj1 = quotient_algebra(a, rad) if rad.dim else (a, _identity_hom(a))
+    # the ideal generated by the [s, t] holds every commutator: modulo it the
+    # generators commute, so the algebra they generate is commutative
     comms = [f.canonical(map(operator.sub, semi.basis_product(i, j), semi.basis_product(j, i)))
-             for i in range(semi.dim) for j in range(i + 1, semi.dim)]
+             for i, j in combinations(_generators(semi), 2)]
     comm_ideal = ideal_closure(semi, comms)
     if comm_ideal.contains(semi.unit):
         return []

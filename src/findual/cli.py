@@ -2,14 +2,16 @@
 
 Exit codes: 0 success / all checks pass; 1 a verification returned false
 (report still emitted); 2 usage error or malformed input; 3 a documented
-precondition was violated.  All output bytes are deterministic for fixed
-(argv, seed).
+precondition was violated; 4 an unexpected internal error (one line on
+stdout, the traceback on stderr).  All output bytes are deterministic for
+fixed (argv, seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .algebra import (
     FinDimAlgebra,
@@ -287,6 +289,11 @@ def cli_run(argv, stdout=None) -> int:
     except PreconditionError as exc:
         stdout.write(f"error: {exc}\n")
         return 3
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        stdout.write(f"error: internal: {type(exc).__name__}: {message}\n")
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -180,9 +180,10 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
     The counit laws are checked first.  c is coassociative exactly when its
     dual algebra is associative, and the counit laws are the dual's unit law,
     so from dim 16 on a counital c is certified by Light's test on the dual
-    table (see `algebra._least_non_associative_triple`); when the certificate
-    fails or finds no generating set, the per-r scan gives the verdict and
-    the witness.
+    table (see `algebra._least_non_associative_triple`) where that is the
+    cheaper scan (see `_light_certified`); elsewhere, and when the
+    certificate fails or finds no generating set, the per-r scan gives the
+    verdict and the witness.
     """
     f = c.field
 
@@ -220,11 +221,23 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
 
 def _light_certified(c: FinDimCoalgebra) -> bool:
     """Whether Light's test proves the dual algebra of the counital c
-    associative: a small generating set is found and every pair (i, j) with
-    j in it passes."""
+    associative: a small generating set S is found and every pair (i, j) with
+    j in S passes.
+
+    The test is tried only where it can be the cheaper scan.  The per-r scan
+    takes one step per term of Delta(b_i) or Delta(b_j) for each term
+    b_i (x) b_j of each Delta(b_r); the restricted scan walks the dim cells of
+    a row for each of its dim * |S| pairs.  So S is looked for only when the
+    per-r scan has more than dim^2 steps (|S| >= 1), and used only when it has
+    more than dim^2 |S|.
+    """
+    sizes = [len(terms) for terms in c.comul]
+    steps = sum(sizes[i] + sizes[j] for terms in c.comul for i, j, _ in terms)
+    if steps <= c.dim * c.dim:
+        return False
     mul = _dual_table(c)
     gens = _light_generators(c.field, mul, c.counit)
-    if gens is None:
+    if gens is None or steps <= c.dim * c.dim * len(gens):
         return False
     return _first_non_associative_triple(c.field, mul, product(range(c.dim), gens)) is None
 

@@ -11,6 +11,7 @@ from findual.algebra import (
     FinDimAlgebra,
     Subspace,
     _basis_translates,
+    _generators,
     _light_generators,
     _radical_trace_form,
     center,
@@ -34,6 +35,7 @@ from findual.errors import (
     BadParamsError,
     CharacteristicTooSmallError,
     ImproperIdealError,
+    InvalidInputError,
     NotAnIdealError,
     NotSplitError,
 )
@@ -791,3 +793,241 @@ class TestProfileAgainstConstruction:
         else:
             assert semisimple_profile(a) == profile
             assert len(one_dim_characters(a)) == characters
+
+
+# ---------------------------------------------------------------------------
+# Certified algebras: center, ideals, quotients and characters run over a
+# generating set, and must match the per-scalar oracles and the full-basis
+# path on an uncertified copy of the same table.
+
+
+def uncertified_copy(a):
+    return FinDimAlgebra(a.field, a.labels, a.mul, a.unit)
+
+
+def generating_set_spy():
+    """Counts the searches for a generating set inside a with block."""
+    return mock.patch.object(algebra_module, "_generating_set", wraps=algebra_module._generating_set)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the precondition error it raises."""
+    try:
+        return fn(*args)
+    except (CharacteristicTooSmallError, NotSplitError, InvalidInputError) as exc:
+        return type(exc)
+
+
+def check_against_oracles(a, vectors):
+    """center, ideal_closure, is_ideal and quotient_algebra of `a` against
+    the oracles and the uncertified copy; returns the quotient, or None."""
+    assert center(a).rows == oracle_center(a).rows
+    closure = ideal_closure(a, vectors)
+    assert closure.rows == oracle_ideal_closure(a, vectors).rows
+    space = Subspace(a, vectors)
+    assert is_ideal(a, space) == oracle_is_ideal(a, space)
+    assert is_ideal(a, closure)
+    if closure.contains(a.unit):
+        return None
+    plain = uncertified_copy(a)
+    quot, proj = quotient_algebra(a, closure)
+    want, want_proj = quotient_algebra(plain, Subspace(plain, closure.rows))
+    assert (quot, proj.matrix) == (want, want_proj.matrix)
+    assert center(quot).rows == oracle_center(quot).rows
+    return quot
+
+
+class TestCertifiedAlgebras:
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_certified_algebras_match_oracles(self, data):
+        a = data.draw(algebras())
+        assert validate_algebra(a).ok
+        vectors = st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim)
+        quot = check_against_oracles(a, data.draw(st.lists(vectors, max_size=2)))
+        assert a._gens is not None and (quot is None or quot._gens is not None)
+        assert outcome(one_dim_characters, a) == outcome(one_dim_characters, uncertified_copy(a))
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_perturbed_tables_are_never_certified(self, data):
+        a = data.draw(algebras(perturbed=True))
+        vectors = st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim)
+        gens = data.draw(st.lists(vectors, max_size=2))
+        certified = validate_algebra(a).ok
+        with generating_set_spy() as spy:
+            quot = check_against_oracles(a, gens)
+        if not certified:
+            assert spy.call_count == 0
+            assert a._gens is None and (quot is None or quot._gens is None)
+
+    @settings(max_examples=12)
+    @given(st.data())
+    def test_large_algebras_match_oracles(self, data):
+        """The per-scalar oracles on a, the full-basis path on the quotient."""
+        a = data.draw(large_algebras())
+        certified = validate_algebra(a).ok
+        vec = data.draw(st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim))
+        gen = basis_vec(a.field, a.dim, data.draw(st.integers(1, a.dim - 1)))
+        plain = uncertified_copy(a)
+        with generating_set_spy() as spy:
+            assert center(a).rows == oracle_center(a).rows
+            closure = ideal_closure(a, [gen])
+            assert closure.rows == oracle_ideal_closure(a, [gen]).rows
+            space = Subspace(a, [gen, vec])
+            assert is_ideal(a, space) == oracle_is_ideal(a, space)
+            if not closure.contains(a.unit):
+                quot, proj = quotient_algebra(a, closure)
+                want, want_proj = quotient_algebra(plain, Subspace(plain, closure.rows))
+                assert (quot, proj.matrix) == (want, want_proj.matrix)
+                assert center(quot).rows == center(want).rows
+            assert outcome(one_dim_characters, a) == outcome(one_dim_characters, plain)
+        # the validation's generating set is kept; the quotient's is searched
+        assert all(call.args[1] is not a.mul for call in spy.call_args_list)
+        if not certified:
+            assert spy.call_count == 0 and a._gens is None
+
+    @settings(max_examples=60)
+    @given(known_profiles())
+    def test_certified_profile_and_character_count(self, case):
+        a, profile, characters = case
+        assert validate_algebra(a).ok
+        if profile is not None:
+            assert semisimple_profile(a) == profile
+            assert len(one_dim_characters(a)) == characters
+
+    def test_generating_sets_of_certified_algebras(self):
+        f = GF(31)
+        fiber = oq_truncation(3, 13, "central_fiber", (0, 0)).algebra  # dim 9, validated
+        assert _generators(fiber) == (1, 3)  # y and x
+        m6 = matrix_algebra(f, 6)
+        assert _generators(m6) == range(36)
+        with generating_set_spy() as spy:
+            assert validate_algebra(m6).ok
+            assert _generators(m6) == (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30)
+            center(m6)
+        assert spy.call_count == 1  # validation's search, not repeated
+        # M_4 has no generating set of at most 5 indices: the whole basis
+        m4 = matrix_algebra(f, 4)
+        assert validate_algebra(m4).ok and _generators(m4) == tuple(range(16))
+
+    def test_left_ideal_of_certified_algebra_is_not_an_ideal(self):
+        """The first column of M_6 is a left ideal, not a right one: s I in I
+        for every generator s, but E_11 E_12 = E_12 is outside."""
+        a = matrix_algebra(GF(31), 6)
+        assert validate_algebra(a).ok
+        first_column = Subspace(a, [basis_vec(a.field, 36, 6 * i) for i in range(6)])
+        assert all(first_column.contains(a.multiply(basis_vec(a.field, 36, k), v))
+                   for k in range(36) for v in first_column.rows)
+        assert not is_ideal(a, first_column)
+        with pytest.raises(NotAnIdealError):
+            quotient_algebra(a, first_column)
+
+    def test_quotient_of_uncertified_algebra_is_uncertified(self):
+        a = truncated_polynomial_algebra(F5, 8)
+        t4 = ideal_closure(a, [basis_vec(F5, 8, 4)])
+        assert _generators(quotient_algebra(a, t4)[0]) == range(4)
+        assert validate_algebra(a).ok
+        assert _generators(quotient_algebra(a, t4)[0]) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Table normalization: a cell already in normal form is kept, and every
+# stored table equals the full normalization's, byte for byte.
+
+
+def oracle_normalize_mul(field, dim, mul):
+    """The normalization that merges, filters and sorts every cell."""
+    zero = field.zero()
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            cell = mul[i][j]
+            if cell and isinstance(cell[0], tuple):
+                pairs = cell
+                if len(cell) > 1:
+                    merged = {}
+                    for r, c in cell:
+                        merged[r] = field.add(merged[r], c) if r in merged else c
+                    pairs = merged.items()
+            else:
+                pairs = enumerate(cell)
+            row.append(tuple(sorted((r, c) for r, c in pairs if c != zero)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def checked_normalization():
+    """Inside a with block, every table FinDimAlgebra normalizes is compared
+    with `oracle_normalize_mul`: equal, and equal in repr (so in type)."""
+    real = algebra_module._normalize_mul
+
+    def check(field, dim, mul):
+        got = real(field, dim, mul)
+        want = oracle_normalize_mul(field, dim, mul)
+        assert got == want and repr(got) == repr(want)
+        check.calls += 1
+        return got
+
+    check.calls = 0
+    return mock.patch.object(algebra_module, "_normalize_mul", side_effect=check), check
+
+
+@st.composite
+def raw_cells(draw, a):
+    """The table of `a` with each cell in a random input form: normal, in
+    reverse order, with a zero pair, with one coefficient split in two, as a
+    list of pairs, or dense."""
+    f = a.field
+    table = []
+    for i in range(a.dim):
+        row = []
+        for j in range(a.dim):
+            cell = a.mul[i][j]
+            form = draw(st.sampled_from(["normal", "reversed", "zero", "split", "list", "dense"]))
+            if form == "reversed":
+                cell = cell[::-1]
+            elif form == "zero":
+                cell = cell + ((draw(st.integers(0, a.dim - 1)), f.zero()),)
+            elif form == "split" and cell:
+                (r, c), rest = cell[0], cell[1:]
+                x = draw(small_scalars(f))
+                cell = ((r, f.sub(c, x)),) + rest + ((r, x),)
+            elif form == "list":
+                cell = list(cell)
+            elif form == "dense":
+                cell = a.basis_product(i, j)
+            row.append(cell)
+        table.append(row)
+    return table
+
+
+class TestNormalization:
+    def test_named_constructors(self):
+        from findual.coalgebra import comatrix_coalgebra, dualize_algebra, dualize_coalgebra
+        from findual.codec import loads, to_canonical_json
+        from findual.qplane import regular_point_jet_algebra
+
+        patch, check = checked_normalization()
+        with patch:
+            built = [
+                matrix_algebra(F5, 3), triangular_algebra(QQ, 3), truncated_polynomial_algebra(GF(7), 5),
+                cyclic_group_algebra(QQ, 4), diagonal_algebra(F5, 3),
+                oq_truncation(3, 13, "box", (4, 5)).algebra, oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
+                regular_point_jet_algebra(3, 13, 2, 5), dualize_coalgebra(comatrix_coalgebra(F5, 3)),
+                dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),
+            ]
+            built.append(loads(to_canonical_json(built[-1])))
+        assert check.calls >= len(built)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_algebra_stream(self, data):
+        a = data.draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+        raw = data.draw(raw_cells(a))
+        patch, check = checked_normalization()
+        with patch:
+            b = FinDimAlgebra(a.field, a.labels, raw, a.unit)
+            FinDimAlgebra(a.field, a.labels, a.mul, a.unit)
+        assert check.calls == 2 and b == a

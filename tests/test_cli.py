@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import findual
+from findual import cli as cli_module
 from findual.cli import cli_run
 from findual.codec import loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
@@ -329,6 +331,19 @@ class TestTwistCheckBytes:
         assert got == TWIST_CHECK_DIGESTS
 
 
+class TestUnexpectedErrors:
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def broken(args, argv, stdout):
+            raise RuntimeError("two\nlines")
+
+        monkeypatch.setitem(cli_module._HANDLERS, "verify", broken)
+        code, out = run(["verify", "--suite", "duality"])
+        assert code == 4
+        assert out == "error: internal: RuntimeError: two lines\n"
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: two" in err
+
+
 class TestHostileDocuments:
     def test_repeated_comul_triple_exits_2(self, tmp_path):
         doc = json.loads(to_canonical_json(comatrix_coalgebra(F5, 2)))
@@ -353,3 +368,80 @@ class TestHostileDocuments:
         )
         assert proc.returncode == 2
         assert proc.stdout.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzz: hostile variants of every document type the CLI reads must
+# exit 0-3 with a report or a one-line error, never 4 and never raise.
+
+
+def _fuzz_documents():
+    from findual.algebra import cyclic_group_algebra
+    from findual.qplane import box_dual_tower
+    from findual.twist import cotensor_swap
+
+    a, b = truncated_polynomial_algebra(F5, 2), cyclic_group_algebra(F5, 2)
+    return [
+        a,
+        matrix_algebra(QQ, 2),
+        comatrix_coalgebra(F5, 2),
+        dualize_algebra(truncated_polynomial_algebra(QQ, 3)),
+        tensor_swap(a, b),
+        cotensor_swap(dualize_algebra(a), dualize_algebra(b)),
+        box_dual_tower(2, 5, [1, 2]),
+    ]
+
+
+# a scalar, index, label, field spec or list may become any of these
+_HOSTILE = [None, True, False, 0, 1, -1, 7, 2**70, 1.5, "", "x", "1/0", "3/2", "-0/5",
+            [], [0], [[]], {}, {"kind": "prime-field", "p": 4}, {"kind": "rationals"}]
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for k in sorted(doc):
+            yield from _nodes(doc[k], path + (k,))
+    elif isinstance(doc, list):
+        for k, v in enumerate(doc):
+            yield from _nodes(v, path + (k,))
+
+
+def _mutant(rng, doc):
+    """doc with one to three random nodes replaced, deleted or duplicated."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        path, value = rng.choice(list(_nodes(doc))[1:])
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        key = path[-1]
+        how = rng.randrange(4)
+        if how == 0 and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(value)))  # duplicate
+        elif how == 1:
+            del parent[key]
+        elif how == 2 and isinstance(value, list) and value:
+            value[rng.randrange(len(value))] = rng.choice(_HOSTILE)
+        else:
+            parent[key] = rng.choice(_HOSTILE)
+    return doc
+
+
+class TestMutationFuzz:
+    def test_mutants_exit_0_to_3(self, tmp_path):
+        rng = random.Random(20261018)
+        path = tmp_path / "doc.json"
+        seen = set()
+        for value in _fuzz_documents():
+            base = json.loads(to_canonical_json(value))
+            command = "twist-check" if base["type"].endswith("twisting-map") else "dualize"
+            for _ in range(80):
+                doc = _mutant(rng, base)
+                path.write_text(json.dumps(doc))
+                code, out = run([command, "--in", str(path)])
+                assert code in (0, 1, 2, 3), (command, doc, out)
+                assert code in (0, 1) or (out.startswith("error: ") and out.count("\n") == 1)
+                seen.add(code)
+        assert seen == {0, 1, 2, 3}

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from test_algebra import algebras, large_algebras, light_cut, small_scalars
 from findual import coalgebra as coalgebra_module
 from findual.algebra import (
     AlgebraHom,
+    _first_failure,
     Subspace,
     cyclic_group_algebra,
     diagonal_algebra,
@@ -553,6 +556,22 @@ class TestLawChecksAgainstOracles:
                     comul[r].append((i, j, cf))
         c = FinDimCoalgebra(a.field, a.labels, comul, a.unit)
         assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
+
+    @pytest.mark.parametrize("c,light", [
+        # 2,592 per-r steps against 36^2 * 11 cells: the per-r scan
+        (comatrix_coalgebra(GF(31), 6), False),
+        # 660 per-r steps, under 36^2: no generating set is looked for
+        (triangular_coalgebra(GF(31), 8), False),
+        # 28,800 per-r steps against 64^2 * 2 cells: Light's test
+        (dualize_algebra(oq_truncation(4, 17, "box", (8, 8)).algebra), True),
+    ], ids=["comatrix-6", "triangular-8", "box-8x8-dual"])
+    def test_cheaper_scan_is_chosen(self, c, light):
+        real = coalgebra_module._first_non_associative_triple
+        with mock.patch.object(coalgebra_module, "_first_non_associative_triple", wraps=real) as scan, \
+                mock.patch.object(coalgebra_module, "_first_failure", wraps=_first_failure) as laws:
+            assert validate_coalgebra(c).ok
+        # counit laws, then the per-r scan unless Light's test certified
+        assert (scan.call_count, laws.call_count) == ((1, 1) if light else (0, 2))
 
     @given(st.data())
     def test_delta_of_vector_matches_per_scalar_sum(self, data):

@@ -1,11 +1,15 @@
-"""sympy as an independent oracle for `factor_over_field` and `rref_kernel`.
+"""sympy as an independent oracle for `factor_over_field`, `rref_kernel`
+and `minimal_polynomial`.
 
 Over GF(p) the monic irreducible factors and their multiplicities must equal
 those of ``sympy.factor_list(f, modulus=p)``; over Q, where only a split into
 linear factors is certified, `complete` must hold exactly when every sympy
 factor is linear, and the linear factors must agree.  Over Q the rank, pivots
 and RREF of `rref_kernel` must equal ``sympy.Matrix.rref()``, and its kernel
-must have the dimension of ``sympy.Matrix.nullspace()``.
+must have the dimension of ``sympy.Matrix.nullspace()``.  The minimal
+polynomial of an element v of a valid algebra must be that of the matrix of
+left multiplication by v, found with sympy's own linear algebra over GF(p)
+and Q.
 """
 
 import warnings
@@ -15,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from findual.kernel import GF, QQ, Matrix, Poly, factor_over_field, rref_kernel
+from test_algebra import algebras, small_scalars
+
+from findual.algebra import minimal_polynomial
+from findual.kernel import GF, QQ, Matrix, Poly, PrimeField, factor_over_field, rref_kernel
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.utilities.exceptions import SymPyDeprecationWarning  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -114,3 +122,37 @@ class TestRrefAgainstSympy:
         assert ours.rref.entries == tuple(Fraction(int(x.p), int(x.q)) for x in theirs)
         assert ours.kernel.cols == len(to_sympy(m).nullspace())
         assert (to_sympy(m) * to_sympy(ours.kernel)).is_zero_matrix
+
+
+def sympy_minimal_polynomial(m: Matrix):
+    """Coefficients, lowest first, of the monic minimal polynomial of m: the
+    first power M^k whose entries are a combination of those of the lower
+    powers, by sympy's nullspace over GF(p) or Q."""
+    f, n = m.field, m.rows
+    if isinstance(f, PrimeField):
+        domain = sympy.GF(f.p)
+        to_ours = lambda x: int(x) % f.p  # noqa: E731
+    else:
+        domain = sympy.QQ
+        to_ours = lambda x: Fraction(int(domain.numer(x)), int(domain.denom(x)))  # noqa: E731
+    entries = [domain(x.numerator) / domain(x.denominator) for x in map(Fraction, m.entries)]
+    mat = DomainMatrix([entries[r * n:(r + 1) * n] for r in range(n)], (n, n), domain)
+    powers = [DomainMatrix.eye(n, domain)]
+    while True:
+        powers.append(powers[-1] * mat)
+        flat = [power.to_list_flat() for power in powers]
+        krylov = DomainMatrix([list(col) for col in zip(*flat)], (n * n, len(powers)), domain)
+        null = krylov.nullspace().to_list()
+        if null:
+            (vec,) = null
+            return [to_ours(x / vec[-1]) for x in vec]
+
+
+class TestMinimalPolynomialAgainstSympy:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_left_multiplication_matrix(self, data):
+        a = data.draw(algebras())
+        vec = data.draw(st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim))
+        ours = minimal_polynomial(a, vec)
+        assert list(ours.coeffs) == sympy_minimal_polynomial(a.left_mult_matrix(vec))
