@@ -651,12 +651,15 @@ def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
 
 def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
     """Quotient by a proper two-sided ideal, with the projection hom.  The
-    quotient of a certified algebra is certified: the ideal was checked."""
+    quotient of a certified algebra is certified: the ideal was checked.
+    The quotient by the zero ideal is `a` itself, with the identity hom."""
     f = a.field
     if not is_ideal(a, ideal):
         raise NotAnIdealError("subspace is not closure-stable")
     if ideal.contains(a.unit):
         raise ImproperIdealError("ideal contains the unit")
+    if not ideal.dim:
+        return a, AlgebraHom(a, a, Matrix.identity(f, a.dim))
     pivots = set(ideal.pivots)
     non_pivots = [j for j in range(a.dim) if j not in pivots]
 
@@ -687,14 +690,6 @@ def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:
 # radical and semisimple structure
 
 
-def _check_radical_precondition(a: FinDimAlgebra):
-    char = a.field.characteristic()
-    if char != 0 and char <= a.dim:
-        raise CharacteristicTooSmallError(
-            f"radical needs char 0 or p > dim; got p = {char}, dim = {a.dim}"
-        )
-
-
 def _trace_vector(a: FinDimAlgebra):
     """tau[s] = trace of left multiplication by b_s: the diagonal of the table."""
     tau = []
@@ -709,12 +704,16 @@ def _trace_vector(a: FinDimAlgebra):
 
 
 def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
-    """Iterated kernel of (x, y) -> trace(L_x L_y); valid when the simple
-    constituents' multiplicities avoid the characteristic (callers gate).
+    """Kernel of the trace form (x, y) -> trace(L_x L_y), read off the table
+    once as T[i][j] = tau(b_i b_j).
 
-    T[i][j] = tau(b_i b_j) is read off the table once.  The first pass is the
-    kernel of T itself; on the RREF basis B of each later subspace the Gram
-    matrix is B T B^T.
+    One kernel suffices on any table: for B a basis of ker T, T B^T = 0, so
+    B T B^T = 0 and no further pass could shrink ker T.  ker T is the
+    Jacobson radical J under the callers' gates (p > dim, or p coprime to 3n
+    for the jet algebras): L_x L_y is nilpotent for x in J, and on A/J the
+    form is sum m_i tr_(V_i)(x y) over the simple modules V_i, each
+    multiplicity m_i nonzero mod p, so it is nondegenerate there (Q and
+    GF(p) are perfect fields).
     """
     f = a.field
     tau = _trace_vector(a)
@@ -723,19 +722,16 @@ def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
         f.canonical([sum((c * tau[r] for r, c in cell), zero) for cell in row])
         for row in a.mul
     ])
-    rows = echelon_rows(f, rref_kernel(trace_table).kernel.transpose().row_lists())
-    while rows:
-        basis = Matrix.from_rows(f, rows)
-        ker = rref_kernel(basis @ trace_table @ basis.transpose()).kernel
-        if ker.cols == len(rows):
-            break
-        rows = echelon_rows(f, (ker.transpose() @ basis).row_lists())
-    return Subspace(a, rows)
+    return Subspace(a, rref_kernel(trace_table).kernel.transpose().row_lists())
 
 
 def radical(a: FinDimAlgebra) -> Subspace:
-    """Jacobson radical via the trace bilinear form."""
-    _check_radical_precondition(a)
+    """Jacobson radical via the trace bilinear form; needs char 0 or p > dim."""
+    char = a.field.characteristic()
+    if char != 0 and char <= a.dim:
+        raise CharacteristicTooSmallError(
+            f"radical needs char 0 or p > dim; got p = {char}, dim = {a.dim}"
+        )
     return _radical_trace_form(a)
 
 
@@ -835,10 +831,8 @@ def _primitive_idempotents(a: FinDimAlgebra, rows):
 
 def one_dim_characters(a: FinDimAlgebra):
     """All algebra maps a -> k, in deterministic order."""
-    _check_radical_precondition(a)
     f = a.field
-    rad = _radical_trace_form(a)
-    semi, proj1 = quotient_algebra(a, rad) if rad.dim else (a, _identity_hom(a))
+    semi, proj1 = quotient_algebra(a, radical(a))
     # the ideal generated by the [s, t] holds every commutator: modulo it the
     # generators commute, so the algebra they generate is commutative
     comms = [f.canonical(map(operator.sub, semi.basis_product(i, j), semi.basis_product(j, i)))
@@ -846,10 +840,7 @@ def one_dim_characters(a: FinDimAlgebra):
     comm_ideal = ideal_closure(semi, comms)
     if comm_ideal.contains(semi.unit):
         return []
-    if comm_ideal.dim:
-        ab, proj2 = quotient_algebra(semi, comm_ideal)
-    else:
-        ab, proj2 = semi, _identity_hom(semi)
+    ab, proj2 = quotient_algebra(semi, comm_ideal)
     basis = [_basis_vec(f, ab.dim, i) for i in range(ab.dim)]
     composed = []
     for e in _primitive_idempotents(ab, basis):
@@ -867,15 +858,10 @@ def one_dim_characters(a: FinDimAlgebra):
     return composed
 
 
-def _identity_hom(a: FinDimAlgebra) -> AlgebraHom:
-    return AlgebraHom(a, a, Matrix.identity(a.field, a.dim))
-
-
 def semisimple_profile(a: FinDimAlgebra) -> SemisimpleProfile:
     """Radical dimension plus (dim, center-dim) of each simple factor."""
-    _check_radical_precondition(a)
-    rad = _radical_trace_form(a)
-    semi = quotient_algebra(a, rad)[0] if rad.dim else a
+    rad = radical(a)
+    semi = quotient_algebra(a, rad)[0]
     return SemisimpleProfile(rad.dim, _semisimple_factors(semi))
 
 

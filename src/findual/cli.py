@@ -24,7 +24,7 @@ from .coalgebra import FinDimCoalgebra, construct_coalgebra, dualize_algebra, du
 from .codec import SCHEMA_VERSION, census_to_csv, loads, to_canonical_json
 from .errors import PreconditionError, SchemaMismatchError, UsageError
 from .kernel import GF, QQ
-from .qplane import azumaya_census, azumaya_point_invariants, oq_truncation
+from .qplane import _MAX_JET_DIM, azumaya_census, azumaya_point_invariants, oq_truncation
 from .selftest import ALL_KEYS, SUITES, run_suite
 from .twist import Bialgebra, CotwistingMap, TwistingMap, check_cotwisting_map, check_twisting_map
 
@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qc.add_argument("--out")
 
     qp = sub.add_parser("qplane-point", help="jet invariants at an Azumaya point")
-    qp.add_argument("--n", type=int, required=True)
+    qp.add_argument("--n", type=int, required=True,
+                    help=f"root-of-unity order; the jet algebra's dim 3n^2 must be at most {_MAX_JET_DIM}")
     qp.add_argument("--p", type=int, required=True)
     qp.add_argument("--c", type=int, required=True)
     qp.add_argument("--d", type=int, required=True)

@@ -16,12 +16,11 @@ from .algebra import (
     FinDimAlgebra,
     Subspace,
     _annihilator,
-    _check_radical_precondition,
     _first_failure,
     _first_non_associative_triple,
     _light_generators,
-    _radical_trace_form,
     one_dim_characters,
+    radical,
     subspace_product,
     validate_algebra,
 )
@@ -327,9 +326,7 @@ def grouplikes_bruteforce(c: FinDimCoalgebra, max_dim: int = 4):
 def coradical(c: FinDimCoalgebra) -> Subspace:
     """Largest cosemisimple subcoalgebra, realized inside c as the
     annihilator of the radical of the dual algebra."""
-    dual = dualize_coalgebra(c)
-    _check_radical_precondition(dual)
-    return _annihilator(c, _radical_trace_form(dual).rows)
+    return _annihilator(c, radical(dualize_coalgebra(c)).rows)
 
 
 def coradical_filtration(c: FinDimCoalgebra):
@@ -342,8 +339,7 @@ def coradical_filtration(c: FinDimCoalgebra):
     dim c - dim J^(k+1).
     """
     dual = dualize_coalgebra(c)
-    _check_radical_precondition(dual)
-    rad = _radical_trace_form(dual)
+    rad = radical(dual)
     powers = [rad]
     while powers[-1].dim:
         nxt = subspace_product(dual, rad, powers[-1])
@@ -367,11 +363,8 @@ def coradical_preserved(hom: AlgebraHom) -> CoradicalReport:
     """
     src_dual = dualize_algebra(hom.source)
     tgt_dual = dualize_algebra(hom.target)
-    corads = []
-    for a, dual in ((hom.source, src_dual), (hom.target, tgt_dual)):
-        _check_radical_precondition(a)
-        corads.append(_annihilator(dual, _radical_trace_form(a).rows))
-    corad_src, corad_tgt = corads
+    corad_src = _annihilator(src_dual, radical(hom.source).rows)
+    corad_tgt = _annihilator(tgt_dual, radical(hom.target).rows)
     transpose = hom.matrix.transpose()
     for v in corad_tgt.rows:
         image = transpose.apply(list(v))

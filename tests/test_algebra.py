@@ -143,6 +143,22 @@ class TestQuotient:
         with pytest.raises(NotAnIdealError):
             quotient_algebra(m2, Subspace(m2, [basis_vec(F5, 4, 1)]))
 
+    @pytest.mark.parametrize("certified", [False, True], ids=["uncertified", "certified"])
+    def test_zero_ideal_returns_the_algebra(self, certified):
+        a = triangular_algebra(F5, 3)
+        if certified:
+            assert validate_algebra(a).ok
+        q, proj = quotient_algebra(a, Subspace(a, []))
+        assert q is a and proj.source is a and proj.target is a
+        assert proj.matrix == Matrix.identity(F5, a.dim)
+        assert (a._gens is not None) == certified
+
+    def test_zero_ideal_holding_the_unit_is_improper(self):
+        # a zero unit lies in the zero ideal: refused before the shortcut
+        a = FinDimAlgebra(F5, ["e"], [[[(0, 1)]]], [0])
+        with pytest.raises(ImproperIdealError):
+            quotient_algebra(a, Subspace(a, []))
+
 
 class TestRadical:
     def test_m2_simple(self):
@@ -511,6 +527,12 @@ class TestKernelsAgainstOracles:
     @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
     def test_trace_form_radical_matches_gram_oracle(self, a):
         assert _radical_trace_form(a).rows == oracle_radical_trace_form(a).rows
+
+    @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    def test_trace_form_radical_is_one_kernel(self, a):
+        with mock.patch.object(algebra_module, "rref_kernel", wraps=algebra_module.rref_kernel) as spy:
+            _radical_trace_form(a)
+        assert spy.call_count == 1
 
     @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
     def test_products_match_per_scalar_products(self, a):

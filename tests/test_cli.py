@@ -248,6 +248,19 @@ class TestCensusCommands:
         code, _ = run(["qplane-point", "--n", "2", "--p", "5", "--c", "1", "--d", "0"])
         assert code == 3
 
+    def test_point_refuses_large_jet_algebra_promptly(self):
+        # n near sqrt(p): the search for the root of unity alone would not return
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        argv = ["qplane-point", "--n", "2000000011", "--p", "1000000129500000683", "--c", "1", "--d", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "findual.cli", *argv],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout.startswith("error: jet algebra dim 3n^2 must be at most 432")
+        assert proc.stdout.count("\n") == 1
+
 
 class TestVerify:
     def test_duality_suite(self):

@@ -14,6 +14,8 @@ from findual.algebra import (
     diagonal_algebra,
     matrix_algebra,
     one_dim_characters,
+    radical,
+    semisimple_profile,
     triangular_algebra,
     truncated_polynomial_algebra,
 )
@@ -356,6 +358,28 @@ def report_or_error(fn, hom):
         return fn(hom)
     except FindualError as exc:
         return type(exc)
+
+
+GATED_ALGEBRA = triangular_algebra(GF(3), 3)  # dim 6 over GF(3): p <= dim
+GATED_ARGS = {
+    "algebra": GATED_ALGEBRA,
+    "dual": dualize_algebra(GATED_ALGEBRA),
+    "identity": AlgebraHom(GATED_ALGEBRA, GATED_ALGEBRA, Matrix.identity(GF(3), 6)),
+}
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (radical, "algebra"),
+    (semisimple_profile, "algebra"),
+    (one_dim_characters, "algebra"),
+    (coradical, "dual"),
+    (coradical_filtration, "dual"),
+    (grouplikes, "dual"),
+    (coradical_preserved, "identity"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_radical_gate_on_every_public_caller(fn, arg):
+    with pytest.raises(CharacteristicTooSmallError):
+        fn(GATED_ARGS[arg])
 
 
 class TestTowers:
