@@ -15,7 +15,7 @@ so equal subspaces have equal representations.
 from __future__ import annotations
 
 import operator
-from itertools import combinations, islice, product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -652,11 +652,12 @@ def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
 def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
     """Quotient by a proper two-sided ideal, with the projection hom.  The
     quotient of a certified algebra is certified: the ideal was checked.
-    The quotient by the zero ideal is `a` itself, with the identity hom."""
+    The quotient by the zero ideal is `a` itself, with the identity hom; so
+    is the zero ring's, whose one ideal holds its unit 0."""
     f = a.field
     if not is_ideal(a, ideal):
         raise NotAnIdealError("subspace is not closure-stable")
-    if ideal.contains(a.unit):
+    if a.dim and ideal.contains(a.unit):
         raise ImproperIdealError("ideal contains the unit")
     if not ideal.dim:
         return a, AlgebraHom(a, a, Matrix.identity(f, a.dim))
@@ -800,6 +801,8 @@ def _primitive_idempotents(a: FinDimAlgebra, rows):
     the e it does not kill.
     """
     f = a.field
+    if not any(a.unit):
+        return []  # the zero ring: a zero unit gives no idempotent
     if isinstance(f, PrimeField):
         frob = Matrix.from_rows(f, [f.canonical(map(operator.sub, a.power(z, f.p), z)) for z in rows])
         ker = rref_kernel(frob.transpose()).kernel
@@ -830,27 +833,19 @@ def _primitive_idempotents(a: FinDimAlgebra, rows):
 
 
 def one_dim_characters(a: FinDimAlgebra):
-    """All algebra maps a -> k, in deterministic order."""
+    """All algebra maps a -> k, in deterministic order: by Wedderburn-Artin,
+    one per simple factor k e of a/J of dimension 1, with b e = chi(b) e."""
     f = a.field
-    semi, proj1 = quotient_algebra(a, radical(a))
-    # the ideal generated by the [s, t] holds every commutator: modulo it the
-    # generators commute, so the algebra they generate is commutative
-    comms = [f.canonical(map(operator.sub, semi.basis_product(i, j), semi.basis_product(j, i)))
-             for i, j in combinations(_generators(semi), 2)]
-    comm_ideal = ideal_closure(semi, comms)
-    if comm_ideal.contains(semi.unit):
-        return []
-    ab, proj2 = quotient_algebra(semi, comm_ideal)
-    basis = [_basis_vec(f, ab.dim, i) for i in range(ab.dim)]
+    semi, proj = quotient_algebra(a, radical(a))
+    basis = [_basis_vec(f, semi.dim, i) for i in range(semi.dim)]
     composed = []
-    for e in _primitive_idempotents(ab, basis):
-        if ab.left_mult_matrix(e).rank() == 1:
+    for e, dim, _ in _simple_factors(semi):
+        if dim == 1:
             # b e = chi(b) e, read at the first nonzero coordinate of e
             pivot = next(k for k, x in enumerate(e) if x)
             inv = f.inv(e[pivot])
-            values = [f.mul(ab.multiply(b, e)[pivot], inv) for b in basis]
-            full = Matrix(f, 1, ab.dim, values) @ proj2.matrix @ proj1.matrix
-            composed.append(Character(a, full.entries))
+            values = [f.mul(semi.multiply(b, e)[pivot], inv) for b in basis]
+            composed.append(Character(a, (Matrix(f, 1, semi.dim, values) @ proj.matrix).entries))
     composed.sort(key=lambda ch: ch.values)
     for ch in composed:
         if not ch.is_valid():
@@ -862,15 +857,16 @@ def semisimple_profile(a: FinDimAlgebra) -> SemisimpleProfile:
     """Radical dimension plus (dim, center-dim) of each simple factor."""
     rad = radical(a)
     semi = quotient_algebra(a, rad)[0]
-    return SemisimpleProfile(rad.dim, _semisimple_factors(semi))
+    return SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in _simple_factors(semi))))
 
 
-def _semisimple_factors(semi: FinDimAlgebra):
-    """The factor of a primitive central idempotent e is semi e, of dimension
-    rank L_e, and its center is Z e, spanned by the z e for z a center row."""
+def _simple_factors(semi: FinDimAlgebra):
+    """(e, dim semi e, dim Z e) for each primitive central idempotent e of a
+    semisimple algebra: the simple factor semi e has dimension rank L_e, and
+    its center Z e is spanned by the z e for z a center row."""
     f = semi.field
     rows = center(semi).rows
-    return tuple(sorted(
-        (semi.left_mult_matrix(e).rank(), len(echelon_rows(f, [semi.multiply(z, e) for z in rows])))
+    return [
+        (e, semi.left_mult_matrix(e).rank(), len(echelon_rows(f, [semi.multiply(z, e) for z in rows])))
         for e in _primitive_idempotents(semi, rows)
-    ))
+    ]

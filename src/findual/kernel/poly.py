@@ -9,10 +9,13 @@ returned with ``complete=False`` so callers can refuse to guess.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from ..errors import ZeroPolynomialError
-from .fields import Field, PrimeField, Rationals
+from .fields import Field, PrimeField, Rationals, is_prime
 from .linalg import Matrix, rref_kernel
 
 
@@ -275,60 +278,57 @@ def _rational_linear_split(f: Poly):
     field = f.field
     factors = {}
     rest = f.monic()
-    # candidate roots of the monic polynomial: divisors of the constant term
-    # over a common denominator; recompute candidates after each extraction.
-    while rest.degree() >= 1:
-        root = _find_rational_root(rest)
-        if root is None:
-            break
+    for root in _rational_roots(rest):
         lin = Poly(field, [field.neg(root), field.one()])
-        factors[lin] = factors.get(lin, 0) + 1
-        rest = (rest // lin).monic()
+        while rest.evaluate(root) == 0:
+            factors[lin] = factors.get(lin, 0) + 1
+            rest = (rest // lin).monic()
     return factors, rest
 
 
-def _find_rational_root(f: Poly):
-    from fractions import Fraction
+def _rational_roots(f: Poly):
+    """The distinct rational roots of f over Q (degree >= 1), by Hensel lifting.
 
-    # clear denominators to integer coefficients
-    dens = [c.denominator for c in f.coeffs]
-    lcm = 1
-    for d in dens:
-        g = _gcd_int(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(c * lcm) for c in f.coeffs]
-    a0 = ints[0]
-    an = ints[-1]
-    if a0 == 0:
-        return Fraction(0)
-    cands = []
-    for num in _divisors_int(abs(a0)):
-        for den in _divisors_int(abs(an)):
-            cands.append(Fraction(num, den))
-            cands.append(Fraction(-num, den))
-    cands = sorted(set(cands))
-    for r in cands:
-        if f.evaluate(r) == 0:
-            return r
-    return None
+    Scale g, the squarefree part of f over any factor t, to integer
+    coefficients b_0, ..., b_m.  A root u/v of g in lowest terms has u | b_0
+    and v | b_m, so b_m u/v is an integer of size at most |b_0 b_m|.  Modulo
+    a prime p not dividing b_m at which every root of g is simple, Newton's
+    iteration lifts each root to the one root modulo p^(2^k) > 2 |b_0 b_m|
+    above it, and for one of them b_m u/v is the balanced residue of b_m x.
+    Each candidate is checked exactly.  Only the primes dividing b_m or the
+    discriminant of g fail, so the search for p ends; no integer is factored.
+    """
+    zero = f.field.zero()
+    roots = [zero] if f.coeffs[0] == zero else []
+    # g is squarefree, so t divides it at most once: exactly when 0 is a root
+    coeffs = (f // f.gcd(f.derivative())).coeffs[len(roots):]
+    if len(coeffs) < 2:
+        return roots
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    slopes = [i * c for i, c in enumerate(ints)][1:]
+    lead, bound = ints[-1], 2 * abs(ints[0] * ints[-1])
 
+    def value(cs, x, m):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % m
+        return acc
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors_int(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    for p in filter(is_prime, count(2)):
+        residues = [x for x in range(p) if not value(ints, x, p)]
+        if lead % p and all(value(slopes, x, p) for x in residues):
+            break
+    for x in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            x = (x - value(ints, x, m) * pow(value(slopes, x, m), -1, m)) % m
+        y = lead * x % m
+        root = Fraction(y - m if 2 * y > m else y, lead)
+        if f.evaluate(root) == zero:
+            roots.append(root)
+    return roots
 
 
 def factor_over_field(f: Poly) -> Factorization:

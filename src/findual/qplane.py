@@ -27,9 +27,8 @@ from .algebra import (
     FinDimAlgebra,
     SemisimpleProfile,
     _radical_trace_form,
-    _semisimple_factors,
+    _simple_factors,
     center,
-    one_dim_characters,
     quotient_algebra,
     semisimple_profile,
     subspace_product,
@@ -249,7 +248,8 @@ def _orbit_class(n: int, p: int, c: int, d: int) -> _OrbitClass:
     alg = oq_truncation(n, p, "central_fiber", (c, d)).algebra
     prof = semisimple_profile(alg)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
-    characters = len(one_dim_characters(alg)) if c * d % p == 0 else 0
+    # over GF(p) a simple factor of dimension 1 is k: one character each
+    characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % p == 0 else 0
     return _OrbitClass(c, d, azumaya, prof, characters)
 
 
@@ -420,7 +420,7 @@ def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
         total_dim=alg.dim,
         radical_dim=rad.dim,
         radical_square_zero=rad_sq.dim == 0,
-        top_profile=_semisimple_factors(top),
+        top_profile=tuple(sorted(factor[1:] for factor in _simple_factors(top))),
         center_dim=center(alg).dim,
     )
 

@@ -1,3 +1,5 @@
+import operator
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -11,8 +13,10 @@ from findual.algebra import (
     FinDimAlgebra,
     Subspace,
     _basis_translates,
+    _basis_vec,
     _generators,
     _light_generators,
+    _primitive_idempotents,
     _radical_trace_form,
     center,
     cyclic_group_algebra,
@@ -51,6 +55,7 @@ from findual.kernel import (
     solve_linear,
 )
 from findual.qplane import oq_truncation
+from findual.twist import tensor_swap, twisted_product
 
 F5 = GF(5)
 
@@ -159,6 +164,12 @@ class TestQuotient:
         with pytest.raises(ImproperIdealError):
             quotient_algebra(a, Subspace(a, []))
 
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_zero_ring_is_its_own_quotient(self, field):
+        a = FinDimAlgebra(field, [], [], [])
+        q, proj = quotient_algebra(a, Subspace(a, []))
+        assert q is a and proj.is_valid()
+
 
 class TestRadical:
     def test_m2_simple(self):
@@ -225,6 +236,21 @@ class TestCharacters:
         chars = one_dim_characters(a)
         assert sorted(c.values[1] for c in chars) == [1, 2]
 
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_zero_ring(self, field):
+        assert one_dim_characters(FinDimAlgebra(field, [], [], [])) == []
+
+    def test_nonsplit_center_over_q_raises(self):
+        """Q x M_2(Q(sqrt 2)) has one character, but the center of its
+        semisimple part does not split over Q: both readings of the one
+        split refuse it, where the abelianization Q alone would not."""
+        a = q_times_m2_over_quadratic_field()
+        with pytest.raises(NotSplitError):
+            semisimple_profile(a)
+        with pytest.raises(NotSplitError):
+            one_dim_characters(a)
+        assert [ch.values for ch in oracle_one_dim_characters(a)] == [(1,) + (0,) * 8]
+
     def test_characters_kill_radical_and_commutators(self):
         for alg in [triangular_algebra(F5, 2), triangular_algebra(GF(7), 3)]:
             f = alg.field
@@ -271,6 +297,10 @@ class TestProfile:
 
     def test_m3(self):
         assert semisimple_profile(matrix_algebra(GF(11), 3)) == (0, ((9, 1),))
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_zero_ring(self, field):
+        assert semisimple_profile(FinDimAlgebra(field, [], [], [])) == (0, ())
 
 
 class TestHoms:
@@ -815,6 +845,83 @@ class TestProfileAgainstConstruction:
         else:
             assert semisimple_profile(a) == profile
             assert len(one_dim_characters(a)) == characters
+
+
+# ---------------------------------------------------------------------------
+# Characters against the commutator-ideal algorithm they replaced: a second
+# quotient of a/J by the ideal its commutators generate, and a split of the
+# whole basis of that abelianization.
+
+
+def oracle_one_dim_characters(a):
+    """The algebra maps a -> k as the characters of the abelianization of
+    a/J, each read off a primitive idempotent e with rank L_e = 1."""
+    f = a.field
+    semi, proj1 = quotient_algebra(a, radical(a))
+    comms = [f.canonical(map(operator.sub, semi.basis_product(i, j), semi.basis_product(j, i)))
+             for i, j in combinations(range(semi.dim), 2)]
+    comm_ideal = ideal_closure(semi, comms)
+    if comm_ideal.contains(semi.unit):
+        return []
+    ab, proj2 = quotient_algebra(semi, comm_ideal)
+    basis = [_basis_vec(f, ab.dim, i) for i in range(ab.dim)]
+    composed = []
+    for e in _primitive_idempotents(ab, basis):
+        if ab.left_mult_matrix(e).rank() == 1:
+            pivot = next(k for k, x in enumerate(e) if x)
+            inv = f.inv(e[pivot])
+            values = [f.mul(ab.multiply(b, e)[pivot], inv) for b in basis]
+            full = Matrix(f, 1, ab.dim, values) @ proj2.matrix @ proj1.matrix
+            composed.append(Character(a, full.entries))
+    composed.sort(key=lambda ch: ch.values)
+    assert all(ch.is_valid() for ch in composed)
+    return composed
+
+
+def character_values(fn, a):
+    """The values of each character fn(a), or the class of the precondition
+    error fn raises."""
+    try:
+        return [ch.values for ch in fn(a)]
+    except (CharacteristicTooSmallError, NotSplitError, InvalidInputError) as exc:
+        return type(exc)
+
+
+def q_times_m2_over_quadratic_field():
+    """Q x M_2(Q(sqrt 2)), dim 9: M_2(Q) (x) Q[t]/(t^2 - 2) under the swap."""
+    quadratic = monogenic_algebra(QQ, Poly.from_ints(QQ, [-2, 0, 1]))
+    return block_sum([diagonal_algebra(QQ, 1), twisted_product(tensor_swap(matrix_algebra(QQ, 2), quadratic))])
+
+
+CHARACTER_ALGEBRAS = {
+    "m2-gf5": matrix_algebra(F5, 2),
+    "z2-gf5": cyclic_group_algebra(F5, 2, var="t"),
+    "z4-gf5": cyclic_group_algebra(F5, 4),
+    "dual-numbers-gf5": truncated_polynomial_algebra(F5, 2),
+    "diagonal3-gf5": diagonal_algebra(F5, 3),
+    "gf25": monogenic_algebra(F5, Poly.from_ints(F5, [-2, 0, 1])),
+    "sqrt2-q": monogenic_algebra(QQ, Poly.from_ints(QQ, [-2, 0, 1])),
+    "split-q": monogenic_algebra(QQ, Poly.from_ints(QQ, [2, -3, 1])),
+    "triangular2-gf5": triangular_algebra(F5, 2),
+    "triangular3-gf7": triangular_algebra(GF(7), 3),
+    "triangular2-gf3": triangular_algebra(GF(3), 2),
+    "zero-gf5": FinDimAlgebra(F5, [], [], []),
+    "zero-q": FinDimAlgebra(QQ, [], [], []),
+}
+
+
+class TestCharactersAgainstOracle:
+    @pytest.mark.parametrize("a", CHARACTER_ALGEBRAS.values(), ids=CHARACTER_ALGEBRAS.keys())
+    def test_named_algebras(self, a):
+        assert character_values(one_dim_characters, a) == character_values(oracle_one_dim_characters, a)
+
+    @settings(max_examples=40)
+    @given(known_profiles())
+    def test_known_profiles(self, case):
+        a, profile, characters = case
+        want = character_values(oracle_one_dim_characters, a)
+        assert character_values(one_dim_characters, a) == want
+        assert want is NotSplitError if profile is None else len(want) == characters
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_algebra import algebras, large_algebras, light_cut, small_scalars
+from test_algebra import (
+    algebras,
+    character_values,
+    large_algebras,
+    light_cut,
+    oracle_one_dim_characters,
+    small_scalars,
+)
 
 from findual import coalgebra as coalgebra_module
 from findual.algebra import (
@@ -50,6 +57,7 @@ from findual.errors import (
     InvalidInputError,
     NotACoalgebraMapError,
     NotInjectiveError,
+    NotSplitError,
 )
 from findual.kernel import (
     GF,
@@ -168,6 +176,14 @@ class TestGrouplikes:
     def test_dual_of_random_algebra_agrees_with_bruteforce(self, a):
         c = dualize_algebra(a)
         assert grouplikes(c) == grouplikes_bruteforce(c)
+
+    @pytest.mark.parametrize("field", [GF(31), QQ], ids=["gf31", "rationals"])
+    def test_named_coalgebras_match_commutator_ideal_oracle(self, field):
+        for c in named_coalgebras(field):
+            dual = dualize_coalgebra(c)
+            want = character_values(oracle_one_dim_characters, dual)
+            assert character_values(one_dim_characters, dual) == want
+            assert want is NotSplitError or grouplikes(c) == want
 
     def test_bijection_with_characters(self):
         for alg in [cyclic_group_algebra(F5, 4), triangular_algebra(F5, 2), diagonal_algebra(F5, 3)]:

@@ -1,0 +1,45 @@
+"""Every name that a module under src/findual imports is used in that module.
+
+The package ``__init__.py`` files import names to re-export them, so they are
+left out.  A name counts as used when it appears as an identifier anywhere in
+the module, or as a string in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import findual
+
+SRC = Path(findual.__file__).parent
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """(line, name) of each imported name the module never mentions."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for line, name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_reports_unused_names():
+    source = ("from itertools import combinations, islice\n"
+              "import os.path\n"
+              "from .algebra import _semisimple_factors as factors, center\n"
+              "print(islice, center)\n")
+    assert unused_imports(source) == [(1, "combinations"), (2, "os"), (3, "factors")]

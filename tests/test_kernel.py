@@ -272,6 +272,18 @@ class TestFactor:
         assert fac.factors[0][1] == 2
         assert fac.product(QQ) == g * g
 
+    def test_rational_roots_beside_a_large_semiprime_return_promptly(self):
+        # (3t - 1)(5t - 7)(t^2 - N), N a product of two 40-bit primes: the
+        # roots 1/3 and 7/5 are found without factoring 7N
+        out = run_snippet(
+            "from findual.kernel import QQ, Poly, factor_over_field\n"
+            "n = 549755813911 * 824633721803\n"
+            "f = Poly.from_ints(QQ, [-1, 3]) * Poly.from_ints(QQ, [-7, 5]) * Poly.from_ints(QQ, [-n, 0, 1])\n"
+            "fac = factor_over_field(f)\n"
+            "print(fac.complete, [g.coeffs for g, _ in fac.factors])", timeout=5)
+        assert out == ("False [(Fraction(-7, 5), Fraction(1, 1)), (Fraction(-1, 3), Fraction(1, 1)), "
+                       "(Fraction(-453347182908265411401533, 1), Fraction(0, 1), Fraction(1, 1))]\n")
+
     def test_refinement_property(self):
         # factors of f*g refine the concatenated factors of f and g
         rng = random.Random(11)

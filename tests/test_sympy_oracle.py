@@ -70,6 +70,24 @@ def rational_polys(draw):
     return draw(products(QQ, scalars))
 
 
+@st.composite
+def large_rational_polys(draw):
+    # 30-bit numerators and denominators: trial division of the constant
+    # term would not finish, and few primes are bad for the lifting
+    scalars = st.builds(Fraction, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 30))
+    return draw(products(QQ, scalars))
+
+
+def check_rational_linear_split(f):
+    fac = factor_over_field(f)
+    theirs = sympy_factors(f)
+    assert fac.complete == all(len(coeffs) == 2 for coeffs, _ in theirs)
+    # sympy's linear factor b + a x over Z is the monic x + b/a
+    want = sorted(((Fraction(int(c[0]), int(c[1])), 1), m) for c, m in theirs if len(c) == 2)
+    got = sorted((g.coeffs, m) for g, m in fac.factors if g.degree() == 1)
+    assert got == want
+
+
 class TestFactorAgainstSympy:
     @settings(max_examples=200)
     @given(prime_field_polys())
@@ -84,13 +102,12 @@ class TestFactorAgainstSympy:
     @settings(max_examples=200)
     @given(rational_polys())
     def test_rational_linear_split(self, f):
-        fac = factor_over_field(f)
-        theirs = sympy_factors(f)
-        assert fac.complete == all(len(coeffs) == 2 for coeffs, _ in theirs)
-        # sympy's linear factor b + a x over Z is the monic x + b/a
-        want = sorted(((Fraction(int(c[0]), int(c[1])), 1), m) for c, m in theirs if len(c) == 2)
-        got = sorted((g.coeffs, m) for g, m in fac.factors if g.degree() == 1)
-        assert got == want
+        check_rational_linear_split(f)
+
+    @settings(max_examples=60)
+    @given(large_rational_polys())
+    def test_rational_linear_split_with_large_coefficients(self, f):
+        check_rational_linear_split(f)
 
 
 @st.composite
