@@ -55,8 +55,9 @@ class FinDimAlgebra:
             raise BadParamsError("unit vector has wrong length")
         self.unit = unit
         # None until the table is certified associative and unital (only
-        # `validate_algebra` and `quotient_algebra` do that); then True, or
-        # the generating set once it is known (see `_generators`)
+        # `validate_algebra`, `quotient_algebra` and the census, whose
+        # integer certificate covers its fibers, do that); then True, or the
+        # generating set once it is known (see `_generators`)
         self._gens = None
 
     def basis_product(self, i: int, j: int):
@@ -683,7 +684,26 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
 
 
 def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    products = [a.multiply(list(x), list(y)) for x in u.rows for y in v.rows]
+    """The span of the products x y, x a row of u and y a row of v.  Each
+    product is summed over the nonzero entries of its two rows, and only the
+    nonzero products reach the RREF."""
+    f = a.field
+    v_terms = [[(j, y) for j, y in enumerate(row) if y] for row in v.rows]
+    products = []
+    for x in u.rows:
+        x_terms = [(i, a.mul[i], xi) for i, xi in enumerate(x) if xi]
+        for y_terms in v_terms:
+            acc = {}
+            for i, row_i, xi in x_terms:
+                for j, yj in y_terms:
+                    c = xi * yj
+                    for r, coeff in row_i[j]:
+                        acc[r] = acc.get(r, 0) + c * coeff
+            if acc and any(residue := f.canonical(acc.values())):
+                dense = [f.zero()] * a.dim
+                for r, coeff in zip(acc, residue):
+                    dense[r] = coeff
+                products.append(dense)
     return Subspace(a, products)
 
 
@@ -718,12 +738,14 @@ def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
     """
     f = a.field
     tau = _trace_vector(a)
-    zero = f.zero()
-    trace_table = Matrix.from_rows(f, [
-        f.canonical([sum((c * tau[r] for r, c in cell), zero) for cell in row])
-        for row in a.mul
-    ])
-    return Subspace(a, rref_kernel(trace_table).kernel.transpose().row_lists())
+    rows = []
+    for row in a.mul:
+        out = [f.zero()] * a.dim
+        for j, cell in enumerate(row):
+            for r, c in cell:
+                out[j] += c * tau[r]
+        rows.append(f.canonical(out))
+    return Subspace(a, rref_kernel(Matrix.from_rows(f, rows)).kernel.transpose().row_lists())
 
 
 def radical(a: FinDimAlgebra) -> Subspace:

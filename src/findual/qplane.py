@@ -14,9 +14,14 @@ for the box, the central fiber, the jet algebra R/(R m^2) at an Azumaya point
 The census uses the torus action: x -> lam x, y -> mu y carries
 fiber(lam^n c, mu^n d) isomorphically onto fiber(c, d), so the p^2 fibers fall
 into (n + 1)^2 classes (a coordinate's class is 0 or its coset in
-GF(p)* / (GF(p)*)^n).  The exponent table is certified Z^2-graded once; the
-first fiber of each class in c-major order is validated and profiled, and
-every other fiber needs only the exact field check lam^n c0 = c, mu^n d0 = d.
+GF(p)* / (GF(p)*)^n).  One exponent table serves the whole census, and three
+certificates run on it once, in O(n^4) integer operations: it is Z^2-graded;
+every fiber it instantiates is associative and unital, generated by x and y;
+and x^i y^j -> x^j y^i maps fiber(d, c) onto the opposite algebra of
+fiber(c, d).  So no fiber is validated, the class (beta, alpha) takes the
+profile of its mirror (alpha, beta), and (n + 1)(n + 2)/2 representatives are
+built from the table and profiled; every other fiber needs only the exact
+field check lam^n c0 = c, mu^n d0 = d.
 """
 
 from __future__ import annotations
@@ -88,12 +93,18 @@ def oq_truncation(n: int, p: int, kind: str, params) -> QPlaneTrunc:
         c, d = params
     else:
         raise BadParamsError(f"unknown truncation kind {kind!r}")
-    labels = [f"x^{i}y^{j}" for i in range(xmax) for j in range(ymax)]
-    unit = [field.one()] + [field.zero()] * (xmax * ymax - 1)
-    alg = FinDimAlgebra(field, labels, _fiber_table(field, q, xmax, ymax, c, d), unit)
+    table = _fiber_table(field, q, _exponent_table(xmax, ymax), c, d)
+    alg = _monomial_algebra(field, xmax, ymax, table)
     if not validate_algebra(alg).ok:
         raise InvalidInputError("quantum plane truncation failed validation")
     return QPlaneTrunc(n, p, q, kind, params, alg)
+
+
+def _monomial_algebra(field, xmax: int, ymax: int, table) -> FinDimAlgebra:
+    """The algebra of `table` on the labels x^i y^j, with unit x^0 y^0."""
+    labels = [f"x^{i}y^{j}" for i in range(xmax) for j in range(ymax)]
+    unit = [field.one()] + [field.zero()] * (xmax * ymax - 1)
+    return FinDimAlgebra(field, labels, table, unit)
 
 
 def _exponent_table(xmax: int, ymax: int):
@@ -108,20 +119,21 @@ def _exponent_table(xmax: int, ymax: int):
     )
 
 
-def _fiber_table(field, q, xmax: int, ymax: int, c, d):
+def _fiber_table(field, q, table, c, d):
     """Sparse structure constants of y x = q x y on x^i y^j with x^xmax -> c
-    and y^ymax -> d: `_exponent_table` instantiated at (q, c, d); box(a, b)
-    is c = d = 0.
+    and y^ymax -> d: the exponent table `table` of `_exponent_table(xmax,
+    ymax)` instantiated at (q, c, d); box(a, b) is c = d = 0.
 
     Every cell is () or a single (index, nonzero coefficient) pair, which is
     already the normalized form FinDimAlgebra stores.
     """
-    qpow = [field.pow(q, e) for e in range((xmax - 1) * (ymax - 1) + 1)]
+    top = max(e for row in table for _, e, _, _ in row)
+    qpow = [field.pow(q, e) for e in range(top + 1)]
     overflow = ((1, d), (c, c * d))  # overflow[a][b] = c^a d^b
     return tuple(
         tuple(((r, k),) if (k := qpow[e] * overflow[a][b] % field.p) else ()
               for r, e, a, b in row)
-        for row in _exponent_table(xmax, ymax)
+        for row in table
     )
 
 
@@ -244,12 +256,23 @@ class _OrbitClass(NamedTuple):
     characters: int  # one-dimensional characters; counted on axis classes only
 
 
-def _orbit_class(n: int, p: int, c: int, d: int) -> _OrbitClass:
-    alg = oq_truncation(n, p, "central_fiber", (c, d)).algebra
+def _xy(n: int):
+    """Basis indices of y and x in a central fiber, which generate it; at
+    n = 1 the fiber is k and needs none."""
+    return (1, n) if n > 1 else ()
+
+
+def _orbit_class(field, q, table, n: int, c: int, d: int) -> _OrbitClass:
+    """Build and profile fiber(c, d) straight from the certified exponent
+    table: `_certify_associative` proved it associative and unital with
+    generators x and y, so it is marked certified with S = {x, y} and is not
+    validated again."""
+    alg = _monomial_algebra(field, n, n, _fiber_table(field, q, table, c, d))
+    alg._gens = _xy(n)
     prof = semisimple_profile(alg)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     # over GF(p) a simple factor of dimension 1 is k: one character each
-    characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % p == 0 else 0
+    characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % field.p == 0 else 0
     return _OrbitClass(c, d, azumaya, prof, characters)
 
 
@@ -273,6 +296,65 @@ def _certify_grading(table, n: int) -> None:
                                         f"is not Z^2-graded")
 
 
+def _certify_associative(table, n: int) -> None:
+    """Raise InvalidInputError unless every fiber(c, d) of the graded
+    exponent table is associative with unit x^0 y^0, over every field and
+    every q with q^n = 1.
+
+    A cell (r, e, a, b) is the monomial q^e c^a d^b b_r, so both bracketings
+    of b_s b_t b_u are monomials, equal in every fiber once they agree on the
+    target, on e mod n and on a and b.  Unit first: cells (0, t) and (t, 0)
+    must be (t, 0, 0, 0).  Then the left-normed words 1 x^i y^j must reach
+    every b_r with a = b = 0, so with the coefficient q^e != 0 even where c
+    or d is 0: x and y generate every fiber.  Light's test (see
+    `algebra._least_non_associative_triple`) then needs only the triples
+    whose middle factor is x or y: 2 n^4 of them, not n^6.
+    """
+    dim = n * n
+    for t in range(dim):
+        if table[0][t] != (t, 0, 0, 0) or table[t][0] != (t, 0, 0, 0):
+            raise InvalidInputError(f"exponent cells (0, {t}) and ({t}, 0) break the unit law")
+    for r in range(1, dim):
+        # x^i y^j is x^i y^(j-1) times y, and x^i is x^(i-1) times x
+        word, s = (r - 1, 1) if r % n else (r - n, n)
+        target, _, a, b = table[word][s]
+        if (target, a, b) != (r, 0, 0):
+            raise InvalidInputError(f"exponent cell ({word}, {s}) = {table[word][s]} "
+                                    f"does not reach basis index {r}")
+    for s, row in enumerate(table):
+        for t in _xy(n):
+            r1, e1, a1, b1 = row[t]
+            for u, (r3, e3, a3, b3) in enumerate(table[t]):
+                r2, e2, a2, b2 = table[r1][u]
+                r4, e4, a4, b4 = row[r3]
+                if (r2, (e1 + e2 - e3 - e4) % n, a1 + a2, b1 + b2) != (r4, 0, a3 + a4, b3 + b4):
+                    raise InvalidInputError(f"exponent table is not associative at "
+                                            f"triple ({s}, {t}, {u})")
+
+
+def _certify_mirror(table, n: int) -> None:
+    """Raise InvalidInputError unless sigma(x^i y^j) = x^j y^i maps
+    fiber(d, c) isomorphically onto the opposite algebra of fiber(c, d).
+
+    In fiber(d, c), cell (s, t) = (r, e, a, b) gives b_s b_t = q^e d^a c^b b_r;
+    in the opposite of fiber(c, d), b_(sigma s) o b_(sigma t) is the fiber(c,
+    d) product b_(sigma t) b_(sigma s), cell (sigma t, sigma s).  The two agree
+    when that cell is (sigma r, e mod n, b, a): sigma fixes the unit, and the
+    overflow flags swap with the coordinates.  A ~ B^op keeps the radical
+    dimension, the (dim, center dim) of each simple factor (M_k(D)^op is
+    M_k(D^op)) and the one-dimensional characters.
+    """
+    def sigma(k):
+        return k % n * n + k // n
+
+    for s, row in enumerate(table):
+        for t, (r, e, a, b) in enumerate(row):
+            r2, e2, a2, b2 = table[sigma(t)][sigma(s)]
+            if (sigma(r2), (e - e2) % n, b2, a2) != (r, 0, a, b):
+                raise InvalidInputError(f"exponent cell ({s}, {t}) = {(r, e, a, b)} is not "
+                                        f"the mirror of cell ({sigma(t)}, {sigma(s)})")
+
+
 def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_root):
     """Raise InvalidInputError unless lam^n c0 = c and mu^n d0 = d: on the
     graded exponent table that makes fiber(c, d) isomorphic to fiber(c0, d0)."""
@@ -290,23 +372,34 @@ def azumaya_census(n: int, p: int) -> CensusReport:
 
     Sending x -> lam x, y -> mu y is an isomorphism from fiber(lam^n c, mu^n d)
     onto fiber(c, d), so a coordinate's class is 0 or its coset in
-    GF(p)* / (GF(p)*)^n, and the p^2 fibers fall into (n + 1)^2 classes.  The
-    exponent table that every fiber instantiates is certified Z^2-graded once
-    (`_certify_grading`, O(n^4) integer operations).  The first fiber of each
-    class in c-major order is its representative: it is built and validated
-    by `oq_truncation`, profiled, and on the axes cd = 0 its one-dimensional
-    characters are counted.  Every other fiber builds no table: the exact
-    field check lam^n c0 = c, mu^n d0 = d (`_certify_torus_image`) certifies
-    it isomorphic to its representative, and the profile and character count
-    carry over.  The census costs O(p^2 + (n + 1)^2 rep).
+    GF(p)* / (GF(p)*)^n, and the p^2 fibers fall into (n + 1)^2 classes.  One
+    exponent table, which every fiber instantiates, is certified once, in
+    O(n^4) integer operations: Z^2-graded (`_certify_grading`), associative
+    and unital with generators x and y in every fiber (`_certify_associative`),
+    and mirror-symmetric, so that fiber(d, c) is the opposite algebra of
+    fiber(c, d) (`_certify_mirror`).  The first fiber of each class in c-major
+    order stands for it.  If the mirror class (beta, alpha) of its class
+    (alpha, beta) has no representative yet, the fiber is the class's
+    representative: built from the table, not validated, profiled, and on the
+    axes cd = 0 its one-dimensional characters are counted.  Otherwise the
+    class takes the mirror class's profile and character count, which an
+    algebra shares with its opposite, once the exact field check
+    `_certify_torus_image` puts fiber(d, c) in the mirror class.  Every other
+    fiber builds no table: the check lam^n c0 = c, mu^n d0 = d certifies it
+    isomorphic to its class's first fiber.  So (n + 1)(n + 2) / 2 fibers are
+    built, and the census costs O(p^2 + (n + 1)(n + 2) / 2 rep).
     """
-    # only the cheap order checks come before p <= n^2 is refused: the
-    # representatives (`oq_truncation`) search for the root of unity itself
+    # only the cheap order checks come before p <= n^2 is refused: the search
+    # for the root of unity may not return when n is near sqrt(p)
     field = GF(p)
     check_root_order(field, n)
     if p <= n * n:
         raise CharacteristicTooSmallError(f"census needs p > n^2; got p = {p}, n = {n}")
-    _certify_grading(_exponent_table(n, n), n)
+    q = primitive_root_of_unity(field, n)
+    table = _exponent_table(n, n)
+    _certify_grading(table, n)
+    _certify_associative(table, n)
+    _certify_mirror(table, n)
     # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
     coset = [field.pow(z, (p - 1) // n) for z in range(p)]
     nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do
@@ -318,10 +411,13 @@ def azumaya_census(n: int, p: int) -> CensusReport:
         for d in range(p):
             key = (coset[c], coset[d])
             rep = classes.get(key)
-            if rep is None:
-                rep = classes[key] = _orbit_class(n, p, c, d)
-            else:
+            if rep is not None:
                 _certify_torus_image(field, n, c, d, rep, nth_root)
+            elif (mirror := classes.get(key[::-1])) is not None:
+                _certify_torus_image(field, n, d, c, mirror, nth_root)
+                rep = classes[key] = mirror._replace(c=c, d=d)
+            else:
+                rep = classes[key] = _orbit_class(field, q, table, n, c, d)
             fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
             if field.mul(c, d) == field.zero():
                 rational_axis_points += rep.characters
@@ -361,8 +457,9 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
         raise NotAzumayaError("point lies on a coordinate axis (cd = 0)")
     c_inv, d_inv = field.inv(c), field.inv(d)
     labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
+    table = _exponent_table(n, n)
     mul = []
-    for row, flags in zip(_fiber_table(field, q, n, n, c, d), _exponent_table(n, n)):
+    for row, flags in zip(_fiber_table(field, q, table, c, d), table):
         for e1 in range(3):
             jet_row = []
             for ((r, k0),), (_, _, a, b) in zip(row, flags):
@@ -387,13 +484,16 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
 
 
 # The jet algebra has dim 3n^2 and its invariants cost O(n^6): n = 12 (dim
-# 432) takes about 11 s on a 2-core x86-64 machine with CPython 3.11.7.
+# 432) takes about 3.6 s on a 2-core x86-64 machine with CPython 3.11.7.
 _MAX_JET_DIM = 432
 
 
 def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     """Structure invariants of R/(R m^2) at an Azumaya point: they match the
     matrix-jet model M_n(k[u, v]/(u, v)^2)."""
+    # the field and the order of q first, so that a bad modulus or order is
+    # named as such; neither check searches for the root of unity
+    check_root_order(GF(p), n)
     if (3 * n) % p == 0:
         raise CharacteristicTooSmallError(
             f"trace form needs p coprime to 3n; got p = {p}, n = {n}"
@@ -443,7 +543,7 @@ def box_dual_tower(n: int, p: int, steps) -> DualTower:
         # x-major index t = i*side + j, listed in shells (max(i, j), i, j)
         order = sorted(range(side * side), key=lambda t: (max(divmod(t, side)), t))
         shell = {t: s for s, t in enumerate(order)}
-        table = _fiber_table(field, q, side, side, 0, 0)
+        table = _fiber_table(field, q, _exponent_table(side, side), 0, 0)
         labels = [f"x^{t // side}y^{t % side}" for t in order]
         mul = [[tuple((shell[r], k0) for r, k0 in table[a][b]) for b in order] for a in order]
         unit = [field.zero()] * len(order)

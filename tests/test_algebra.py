@@ -203,6 +203,50 @@ class TestRadical:
                 assert radical(q).dim == 0
 
 
+def oracle_subspace_product(a, u, v):
+    """The span of the dense products of every pair of rows."""
+    return Subspace(a, [a.multiply(list(x), list(y)) for x in u.rows for y in v.rows])
+
+
+SUBSPACE_PRODUCT_ALGEBRAS = {
+    f"{name}-{label}": build(f)
+    for f, label in ((GF(31), "gf31"), (QQ, "q"))
+    for name, build in (
+        ("m3", lambda f: matrix_algebra(f, 3)),
+        ("triangular4", lambda f: triangular_algebra(f, 4)),
+        ("truncated5", lambda f: truncated_polynomial_algebra(f, 5)),
+        ("z4", lambda f: cyclic_group_algebra(f, 4)),
+        ("diagonal3", lambda f: diagonal_algebra(f, 3)),
+    )
+}
+SUBSPACE_PRODUCT_ALGEBRAS["box33-gf31"] = oq_truncation(3, 31, "box", (3, 3)).algebra
+
+
+class TestSubspaceProductAgainstOracle:
+    @pytest.mark.parametrize("a", SUBSPACE_PRODUCT_ALGEBRAS.values(), ids=SUBSPACE_PRODUCT_ALGEBRAS.keys())
+    def test_named_algebras(self, a):
+        f = a.field
+        dense = [[f.of(1 + (3 * i + 5 * k) % 7) for i in range(a.dim)] for k in range(2)]
+        spaces = [
+            Subspace(a, []), radical(a), Subspace(a, dense), Subspace(a, [a.unit]),
+            Subspace(a, [basis_vec(f, a.dim, i) for i in range(a.dim)]),
+            ideal_closure(a, [basis_vec(f, a.dim, a.dim - 1)]),
+        ]
+        for u in spaces:
+            for v in spaces:
+                assert subspace_product(a, u, v) == oracle_subspace_product(a, u, v)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_known_profiles(self, data):
+        a = data.draw(known_profiles())[0]
+        vectors = st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim)
+        spaces = [radical(a)] + [Subspace(a, data.draw(st.lists(vectors, max_size=3))) for _ in range(2)]
+        for u in spaces:
+            for v in spaces:
+                assert subspace_product(a, u, v) == oracle_subspace_product(a, u, v)
+
+
 class TestCharacters:
     def test_m2_has_none(self):
         assert one_dim_characters(matrix_algebra(F5, 2)) == []

@@ -248,6 +248,15 @@ class TestCensusCommands:
         code, _ = run(["qplane-point", "--n", "2", "--p", "5", "--c", "1", "--d", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("n,p,message", [
+        ("0", "7", "order must be positive, got 0"),
+        ("4", "12", "modulus 12 is not prime"),
+        ("2000000011", "1000000129500000683", "jet algebra dim 3n^2 must be at most 432; got n = 2000000011"),
+    ])
+    def test_point_names_the_failed_precondition(self, n, p, message):
+        code, out = run(["qplane-point", "--n", n, "--p", p, "--c", "1", "--d", "1"])
+        assert (code, out) == (3, f"error: {message}\n")
+
     def test_point_refuses_large_jet_algebra_promptly(self):
         # n near sqrt(p): the search for the root of unity alone would not return
         src = os.path.dirname(os.path.dirname(findual.__file__))

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from test_algebra import oracle_one_dim_characters
 
-from findual import qplane
+from findual import algebra as algebra_module, qplane
 from findual.algebra import (
     ideal_closure,
     monogenic_algebra,
@@ -237,7 +237,7 @@ def exhaustive_census(n, p):
 
 
 class TestOrbitCensus:
-    @pytest.mark.parametrize("n,p", [(2, 5), (2, 13), (3, 13)])
+    @pytest.mark.parametrize("n,p", [(2, 5), (2, 13), (3, 13), (3, 19), (4, 17)])
     def test_bytes_match_exhaustive(self, n, p):
         orbit = azumaya_census(n, p)
         oracle = exhaustive_census(n, p)
@@ -254,29 +254,45 @@ class TestOrbitCensus:
 
         monkeypatch.setattr(qplane, "semisimple_profile", spy)
         azumaya_census(n, p)
-        assert len(calls) == (n + 1) ** 2
+        # one per pair of mirror classes (alpha, beta), (beta, alpha)
+        assert len(calls) == (n + 1) * (n + 2) // 2
 
     @pytest.mark.parametrize("n,p", [(1, 3), (2, 5), (3, 13)])
     def test_one_table_per_class(self, n, p, monkeypatch):
         calls = []
 
         def spy(*args):
-            calls.append(args[2:])
+            calls.append(args[3:])
             return fiber_table(*args)
 
         monkeypatch.setattr(qplane, "_fiber_table", spy)
         azumaya_census(n, p)
-        assert len(calls) == (n + 1) ** 2
+        assert len(calls) == (n + 1) * (n + 2) // 2
+
+    @pytest.mark.parametrize("n,p", [(1, 3), (2, 5), (3, 13), (4, 17)])
+    def test_census_validates_nothing(self, n, p, monkeypatch):
+        calls = []
+
+        def spy(alg):
+            calls.append(alg.dim)
+            return validate_algebra(alg)
+
+        monkeypatch.setattr(qplane, "validate_algebra", spy)
+        monkeypatch.setattr(algebra_module, "validate_algebra", spy)
+        azumaya_census(n, p)
+        assert calls == []
 
     def test_certificate_rejects_perturbed_fiber(self, monkeypatch):
         # On (n, p) = (2, 5) the exponent cell (x, y) = (2, 1) is (3, 0, 0, 0),
         # x * y = q^0 xy, and (y, y) = (1, 1) is (0, 0, 0, 1), y * y = d.  A
         # wrong target or overflow flag breaks the grading certificate; a wrong
-        # q exponent keeps the grading and fails the representatives' validation.
+        # q exponent keeps the grading and breaks the associativity proof, and
+        # a wrong exponent on the unit's row breaks the unit law.
         cases = [
             ((2, 1), (2, 0, 0, 0), r"cell \(2, 1\) = \(2, 0, 0, 0\) is not Z\^2-graded"),
             ((1, 1), (0, 0, 1, 1), r"cell \(1, 1\) = \(0, 0, 1, 1\) is not Z\^2-graded"),
-            ((2, 1), (3, 1, 0, 0), "quantum plane truncation failed validation"),
+            ((2, 1), (3, 1, 0, 0), r"exponent table is not associative at triple"),
+            ((0, 3), (3, 1, 0, 0), r"cells \(0, 3\) and \(3, 0\) break the unit law"),
         ]
         for (s, t), cell, message in cases:
             def perturbed(xmax, ymax, s=s, t=t, cell=cell):
@@ -287,6 +303,48 @@ class TestOrbitCensus:
             monkeypatch.setattr(qplane, "_exponent_table", perturbed)
             with pytest.raises(InvalidInputError, match=message):
                 azumaya_census(2, 5)
+
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 13), (4, 17)])
+    def test_mirror_certificate_rejects_asymmetric_table(self, n, p, monkeypatch):
+        # q^(j1 i2 + i1 i2): the exponent is still bilinear, so the table stays
+        # graded, unital and associative, but x x = q x^2 while y y = y^2, and
+        # fiber(d, c) is no longer the opposite of fiber(c, d)
+        def asymmetric(xmax, ymax):
+            return tuple(
+                tuple((r, e + (s // ymax) * (t // ymax), a, b) for t, (r, e, a, b) in enumerate(row))
+                for s, row in enumerate(exponent_table(xmax, ymax))
+            )
+
+        table = asymmetric(n, n)
+        qplane._certify_grading(table, n)
+        qplane._certify_associative(table, n)
+        monkeypatch.setattr(qplane, "_exponent_table", asymmetric)
+        with pytest.raises(InvalidInputError, match="is not the mirror of cell"):
+            azumaya_census(n, p)
+
+    def test_associativity_certificate_needs_spanning_words(self):
+        # an ungraded table on which x x = x: the words in x and y miss x^2
+        n = 3
+        rows = [list(row) for row in exponent_table(n, n)]
+        rows[n][n] = (n, 0, 0, 0)
+        with pytest.raises(InvalidInputError, match=r"cell \(3, 3\) = \(3, 0, 0, 0\) does not reach"):
+            qplane._certify_associative(tuple(tuple(row) for row in rows), n)
+
+    @pytest.mark.parametrize("n,p", [(3, 13), (4, 17)])
+    def test_mirror_classes_share_profiles(self, n, p):
+        """For the first fiber (c, d) of each class, fiber(c, d) and fiber(d, c)
+        built and validated by `oq_truncation` have the same profile."""
+        field = GF(p)
+        coset = [field.pow(z, (p - 1) // n) for z in range(p)]
+        firsts = {}
+        for c in range(p):
+            for d in range(p):
+                firsts.setdefault((coset[c], coset[d]), (c, d))
+        assert len(firsts) == (n + 1) ** 2
+        for c, d in firsts.values():
+            fiber, mirror = (oq_truncation(n, p, "central_fiber", point).algebra
+                             for point in ((c, d), (d, c)))
+            assert semisimple_profile(fiber) == semisimple_profile(mirror)
 
     def test_aggregate_4_17(self):
         # Computed with the exhaustive census (every fiber profiled).
