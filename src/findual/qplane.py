@@ -355,12 +355,16 @@ def _certify_mirror(table, n: int) -> None:
                                         f"the mirror of cell ({sigma(t)}, {sigma(s)})")
 
 
-def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_root):
-    """Raise InvalidInputError unless lam^n c0 = c and mu^n d0 = d: on the
-    graded exponent table that makes fiber(c, d) isomorphic to fiber(c0, d0)."""
-    lam = nth_root[field.div(c, rep.c)] if c else field.one()
-    mu = nth_root[field.div(d, rep.d)] if d else field.one()
-    if (field.mul(field.pow(lam, n), rep.c) != c
+def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_root, inverse):
+    """Raise InvalidInputError unless lam^n c0 = c and mu^n d0 = d for some
+    lam, mu != 0: on the graded exponent table that makes fiber(c, d)
+    isomorphic to fiber(c0, d0).  lam is an n-th root of c / c0, read from
+    the tables `nth_root` and `inverse` (where inverse[0] = 0, which has no
+    n-th root), so a fiber checks without a modular inversion."""
+    lam = nth_root.get(field.mul(c, inverse[rep.c])) if c else field.one()
+    mu = nth_root.get(field.mul(d, inverse[rep.d])) if d else field.one()
+    if (lam is None or mu is None
+            or field.mul(field.pow(lam, n), rep.c) != c
             or field.mul(field.pow(mu, n), rep.d) != d):
         raise InvalidInputError(f"fiber ({c}, {d}) is not the torus image of fiber "
                                 f"({rep.c}, {rep.d}) under lam = {lam}, mu = {mu}")
@@ -403,6 +407,10 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
     coset = [field.pow(z, (p - 1) // n) for z in range(p)]
     nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do
+    # inverse[z] = 1/z by p = (p // z) z + p % z; inverse[0] = 0
+    inverse = [0, 1]
+    for z in range(2, p):
+        inverse.append(-(p // z) * inverse[p % z] % p)
     classes = {}
     fibers = []
     rational_axis_points = 0
@@ -412,9 +420,9 @@ def azumaya_census(n: int, p: int) -> CensusReport:
             key = (coset[c], coset[d])
             rep = classes.get(key)
             if rep is not None:
-                _certify_torus_image(field, n, c, d, rep, nth_root)
+                _certify_torus_image(field, n, c, d, rep, nth_root, inverse)
             elif (mirror := classes.get(key[::-1])) is not None:
-                _certify_torus_image(field, n, d, c, mirror, nth_root)
+                _certify_torus_image(field, n, d, c, mirror, nth_root, inverse)
                 rep = classes[key] = mirror._replace(c=c, d=d)
             else:
                 rep = classes[key] = _orbit_class(field, q, table, n, c, d)

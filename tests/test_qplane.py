@@ -322,6 +322,27 @@ class TestOrbitCensus:
         with pytest.raises(InvalidInputError, match="is not the mirror of cell"):
             azumaya_census(n, p)
 
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 13)])
+    @pytest.mark.parametrize("moved", ["zero-to-unit", "to-other-coset", "unit-to-zero"])
+    def test_torus_certificate_rejects_wrong_representative(self, n, p, moved, monkeypatch):
+        # A representative that names a fiber of another class: the next fiber
+        # of its class is no torus image of it.  2 is not an n-th power mod p.
+        def perturbed(field, *args):
+            cls = orbit_class(field, *args)
+            c, d = cls.c, cls.d
+            if moved == "zero-to-unit" and c == 0 and d:
+                return cls._replace(c=1)
+            if moved == "to-other-coset" and c and d:
+                return cls._replace(c=field.mul(2, c))
+            if moved == "unit-to-zero" and c and d:
+                return cls._replace(c=0)
+            return cls
+
+        orbit_class = qplane._orbit_class
+        monkeypatch.setattr(qplane, "_orbit_class", perturbed)
+        with pytest.raises(InvalidInputError, match="is not the torus image"):
+            azumaya_census(n, p)
+
     def test_associativity_certificate_needs_spanning_words(self):
         # an ungraded table on which x x = x: the words in x and y miss x^2
         n = 3
