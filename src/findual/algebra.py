@@ -32,8 +32,6 @@ from .kernel import (
     Poly,
     echelon_rows,
     factor_over_field,
-    reduce_against,
-    row_pivots,
     rref_kernel,
     solve_linear,
 )
@@ -174,21 +172,51 @@ def _first_failure(field: Field, laws):
 
 
 class Subspace:
-    """Subspace of an algebra's coordinate space, rows in canonical RREF."""
+    """Subspace of an algebra's coordinate space, rows in canonical RREF.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    `_tails` maps each pivot column, in row order, to its row's nonzero
+    entries off the pivot, as (column, coeff) pairs: the sparse form
+    `residue` reduces with.
+    """
+
+    __slots__ = ("ambient", "rows", "_tails")
 
     def __init__(self, ambient: FinDimAlgebra, rows):
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in echelon_rows(ambient.field, rows))
-        self.pivots = row_pivots(self.rows)
+        # an RREF row's first nonzero entry is its pivot
+        terms = [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
+        self._tails = {t[0][0]: t[1:] for t in terms}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self._tails)
+
+    def residue(self, vec: dict) -> dict:
+        """vec, a dict of coordinates not yet reduced (see `Field.canonical`),
+        minus its component in the span: reduced, zeros dropped, and empty
+        exactly when vec lies in the span.
+
+        One pass is exact: each RREF row is 1 at its own pivot and 0 at every
+        other, so subtracting c times the row of each pivot vec touches, c
+        the pivot's coefficient in vec, clears that pivot and no other.
+        """
+        tails = self._tails
+        out = dict(vec)
+        for pc, c in vec.items():
+            tail = tails.get(pc)
+            if tail is not None:
+                del out[pc]
+                for j, x in tail:
+                    out[j] = out.get(j, 0) - c * x
+        return _sparse(self.ambient.field, out)
+
     def contains(self, vec) -> bool:
-        return not any(reduce_against(self.rows, self.pivots, vec, self.ambient.field)[0])
+        return not self.residue({j: x for j, x in enumerate(vec) if x})
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -416,14 +444,7 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
     generating set the test looked for (the whole basis if it found none).
     """
     f = a.field
-    unit_failure = None
-    for j in range(a.dim):
-        left = a.multiply(list(a.unit), _basis_vec(f, a.dim, j))
-        right = a.multiply(_basis_vec(f, a.dim, j), list(a.unit))
-        target = _basis_vec(f, a.dim, j)
-        if left != target or right != target:
-            unit_failure = ("unit", (j,))
-            break
+    unit_failure = _first_failure(f, _unit_laws(a))
     gens = _light_generators(f, a.mul, a.unit) if unit_failure is None else None
     triple = _least_non_associative_triple(f, a.mul, gens)
     witnesses = []
@@ -435,6 +456,21 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
     if report.ok:
         a._gens = True if a.dim < _LIGHT_MIN_DIM else tuple(range(a.dim) if gens is None else gens)
     return report
+
+
+def _unit_laws(a: FinDimAlgebra):
+    """("unit", (j,), diff) for each basis index j, lazily, diff holding
+    1 b_j - b_j and b_j 1 - b_j keyed (side, r): sums of u_i mul[i][j] and
+    u_i mul[j][i] over the nonzero unit entries u_i."""
+    unit_terms = [(i, u) for i, u in enumerate(a.unit) if u]
+    for j in range(a.dim):
+        diff = {(0, j): -1, (1, j): -1}
+        for i, u in unit_terms:
+            for r, c in a.mul[i][j]:
+                diff[0, r] = diff.get((0, r), 0) + u * c
+            for r, c in a.mul[j][i]:
+                diff[1, r] = diff.get((1, r), 0) + u * c
+        yield "unit", (j,), diff
 
 
 def _least_non_associative_triple(field: Field, mul, gens):
@@ -609,18 +645,18 @@ def _associativity_witness(a: FinDimAlgebra, i: int, j: int, k: int):
 
 def _basis_translates(a: FinDimAlgebra, v, indices=None):
     """(b_i v, v b_i) for each basis index i in `indices` (default all), in
-    order, read off the table and not yet reduced (see `Field.canonical`)."""
-    f = a.field
+    order, as dicts read off the table and not yet reduced (see
+    `Field.canonical`)."""
     terms = [(j, x) for j, x in enumerate(v) if x]
     for i in range(a.dim) if indices is None else indices:
         row_i = a.mul[i]
-        left = [f.zero()] * a.dim
-        right = [f.zero()] * a.dim
+        left = {}
+        right = {}
         for j, x in terms:
             for r, c in row_i[j]:
-                left[r] += c * x
+                left[r] = left.get(r, 0) + c * x
             for r, c in a.mul[j][i]:
-                right[r] += x * c
+                right[r] = right.get(r, 0) + x * c
         yield left, right
 
 
@@ -628,13 +664,14 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
     """Two-sided ideal generated by the given coordinate vectors (saturation
     under multiplication by `_generators` on each side)."""
     f = a.field
+    zero = f.zero()
     gens = _generators(a)
     rows = echelon_rows(f, [list(g) for g in generators])
     while True:
         new_rows = [list(r) for r in rows]
         for v in rows:
-            for left, right in _basis_translates(a, v, gens):
-                new_rows += [f.canonical(left), f.canonical(right)]
+            for pair in _basis_translates(a, v, gens):
+                new_rows += [f.canonical(w.get(r, zero) for r in range(a.dim)) for w in pair]
         next_rows = echelon_rows(f, new_rows)
         if len(next_rows) == len(rows):
             return Subspace(a, rows)
@@ -644,7 +681,7 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
 def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
     gens = _generators(a)
     return all(
-        space.contains(left) and space.contains(right)
+        not space.residue(left) and not space.residue(right)
         for v in space.rows
         for left, right in _basis_translates(a, v, gens)
     )
@@ -654,7 +691,12 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
     """Quotient by a proper two-sided ideal, with the projection hom.  The
     quotient of a certified algebra is certified: the ideal was checked.
     The quotient by the zero ideal is `a` itself, with the identity hom; so
-    is the zero ring's, whose one ideal holds its unit 0."""
+    is the zero ring's, whose one ideal holds its unit 0.
+
+    The quotient has the non-pivot columns of the ideal as basis; each table
+    cell, the unit and each basis vector of `a` is reduced sparsely (see
+    `Subspace.residue`) and emitted as sorted (index, coeff) pairs.
+    """
     f = a.field
     if not is_ideal(a, ideal):
         raise NotAnIdealError("subspace is not closure-stable")
@@ -662,25 +704,27 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
         raise ImproperIdealError("ideal contains the unit")
     if not ideal.dim:
         return a, AlgebraHom(a, a, Matrix.identity(f, a.dim))
-    pivots = set(ideal.pivots)
-    non_pivots = [j for j in range(a.dim) if j not in pivots]
+    non_pivots = [j for j in range(a.dim) if j not in ideal._tails]
+    position = {j: x for x, j in enumerate(non_pivots)}
 
-    def reduce_coords(vec):
-        residual = reduce_against(ideal.rows, ideal.pivots, vec, f)[0]
-        return [residual[j] for j in non_pivots]
+    def reduce_coords(vec: dict):
+        return tuple(sorted((position[j], c) for j, c in ideal.residue(vec).items()))
 
     m = len(non_pivots)
-    mul = [[None] * m for _ in range(m)]
-    for x, j1 in enumerate(non_pivots):
-        for y, j2 in enumerate(non_pivots):
-            mul[x][y] = reduce_coords(a.basis_product(j1, j2))
+    mul = [[reduce_coords(dict(a.mul[j1][j2])) for j2 in non_pivots] for j1 in non_pivots]
+    unit = [f.zero()] * m
+    for x, c in reduce_coords(dict(enumerate(a.unit))):
+        unit[x] = c
     labels = [a.labels[j] for j in non_pivots]
-    quot = FinDimAlgebra(f, labels, mul, reduce_coords(a.unit))
+    quot = FinDimAlgebra(f, labels, mul, unit)
     if a._gens is not None:
         quot._gens = True
-    cols = [reduce_coords(_basis_vec(f, a.dim, i)) for i in range(a.dim)]
-    proj_matrix = Matrix(f, m, a.dim, [cols[i][r] for r in range(m) for i in range(a.dim)])
-    return quot, AlgebraHom(a, quot, proj_matrix)
+    one = f.one()
+    entries = [f.zero()] * (m * a.dim)
+    for i in range(a.dim):
+        for x, c in reduce_coords({i: one}):
+            entries[x * a.dim + i] = c
+    return quot, AlgebraHom(a, quot, Matrix(f, m, a.dim, entries))
 
 
 def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:

@@ -9,7 +9,9 @@ Reduction is lazy over GF(p): the kernels compute on plain ints with the
 ``+ - *`` operators and take ``% p`` once per output entry; over Q the same
 operators act on Fractions, which are always canonical.  There is one row
 reduction, `_row_reduce` (behind `rref_kernel`, `echelon_rows` and
-`solve_linear`), and one membership reduction, `reduce_against`.
+`solve_linear`).  Membership in a row span is reduced sparsely in the algebra
+layer, by `algebra.Subspace.residue`; the dense `reduce_against` remains
+behind `in_row_span` and `coordinates_in_row_span`.
 """
 
 from __future__ import annotations

@@ -265,6 +265,11 @@ def dual_cotwist(rho: TwistingMap) -> CotwistingMap:
     """Transpose of rho on the dual bases, as a cotwisting map A* (x) B* -> B* (x) A*."""
     if not check_twisting_map(rho).ok:
         raise InvalidTwistError("map is not normal and multiplicative")
+    return _transposed_cotwist(rho)
+
+
+def _transposed_cotwist(rho: TwistingMap) -> CotwistingMap:
+    """`dual_cotwist` without its gate, for a rho already checked."""
     return CotwistingMap(
         dualize_algebra(rho.a), dualize_algebra(rho.b), rho.matrix.transpose()
     )
@@ -369,9 +374,12 @@ class DualityReport(NamedTuple):
 
 
 def verify_twisted_duality(rho: TwistingMap) -> DualityReport:
-    """Entrywise comparison of (A #_rho B)* with A* #^(rho*) B*."""
-    product_dual = dualize_algebra(twisted_product(rho))
-    crossed = crossed_coalgebra(dual_cotwist(rho))
+    """Entrywise comparison of (A #_rho B)* with A* #^(rho*) B*; rho is
+    checked once, for both the product and the transposed cotwist."""
+    if not check_twisting_map(rho).ok:
+        raise InvalidTwistError("map is not normal and multiplicative")
+    product_dual = dualize_algebra(raw_twisted_algebra(rho))
+    crossed = crossed_coalgebra(_transposed_cotwist(rho))
     if product_dual == crossed:
         return DualityReport(True, None)
     for r in range(product_dual.dim):

@@ -1,4 +1,5 @@
 import operator
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -38,6 +39,7 @@ from findual.algebra import (
 from findual.errors import (
     BadParamsError,
     CharacteristicTooSmallError,
+    FindualError,
     ImproperIdealError,
     InvalidInputError,
     NotAnIdealError,
@@ -51,10 +53,13 @@ from findual.kernel import (
     Rationals,
     coordinates_in_row_span,
     echelon_rows,
+    reduce_against,
+    row_pivots,
     rref_kernel,
     solve_linear,
 )
-from findual.qplane import oq_truncation
+from findual import qplane
+from findual.qplane import azumaya_census, azumaya_point_invariants, oq_truncation, regular_point_jet_algebra
 from findual.twist import tensor_swap, twisted_product
 
 F5 = GF(5)
@@ -614,7 +619,8 @@ class TestKernelsAgainstOracles:
         u = [f.of(i * i + 1) for i in range(a.dim)]
         v = [f.of(3 - 2 * i) for i in range(a.dim)]
         assert a.multiply(u, v) == oracle_multiply(a, u, v)
-        assert [f.canonical(w) for pair in _basis_translates(a, v) for w in pair] == list(oracle_translates(a, v))
+        dense = [f.canonical(w.get(r, f.zero()) for r in range(a.dim)) for pair in _basis_translates(a, v) for w in pair]
+        assert dense == list(oracle_translates(a, v))
 
     @given(st.data())
     def test_ideals_match_per_scalar_products(self, data):
@@ -1204,3 +1210,222 @@ class TestNormalization:
             b = FinDimAlgebra(a.field, a.labels, raw, a.unit)
             FinDimAlgebra(a.field, a.labels, a.mul, a.unit)
         assert check.calls == 2 and b == a
+
+
+# ---------------------------------------------------------------------------
+# Sparse reduction against the RREF rows: quotients, ideal checks and
+# membership against the dense reduction they replaced, which densifies each
+# table cell and reduces it against every row.
+
+
+def dense_contains(space, vec):
+    f = space.ambient.field
+    return not any(reduce_against(space.rows, row_pivots(space.rows), list(vec), f)[0])
+
+
+def dense_translates(a, v, indices):
+    """(b_i v, v b_i) as dense reduced vectors, for each i in `indices`."""
+    f = a.field
+    terms = [(j, x) for j, x in enumerate(v) if x]
+    for i in indices:
+        left = [f.zero()] * a.dim
+        right = [f.zero()] * a.dim
+        for j, x in terms:
+            for r, c in a.mul[i][j]:
+                left[r] += c * x
+            for r, c in a.mul[j][i]:
+                right[r] += x * c
+        yield f.canonical(left), f.canonical(right)
+
+
+def dense_is_ideal(a, space):
+    return all(dense_contains(space, left) and dense_contains(space, right)
+               for v in space.rows for left, right in dense_translates(a, v, _generators(a)))
+
+
+def dense_quotient(a, ideal):
+    """(labels, table, unit, projection matrix) of a / ideal, each basis
+    product densified and reduced against every row of the ideal."""
+    f = a.field
+    if not dense_is_ideal(a, ideal):
+        raise NotAnIdealError("subspace is not closure-stable")
+    if a.dim and dense_contains(ideal, a.unit):
+        raise ImproperIdealError("ideal contains the unit")
+    if not ideal.dim:
+        return a.labels, a.mul, a.unit, Matrix.identity(f, a.dim)
+    pivots = row_pivots(ideal.rows)
+    non_pivots = [j for j in range(a.dim) if j not in pivots]
+
+    def reduce_coords(vec):
+        residual = reduce_against(ideal.rows, pivots, list(vec), f)[0]
+        return [residual[j] for j in non_pivots]
+
+    m = len(non_pivots)
+    mul = [[reduce_coords(a.basis_product(j1, j2)) for j2 in non_pivots] for j1 in non_pivots]
+    quot = FinDimAlgebra(f, [a.labels[j] for j in non_pivots], mul, reduce_coords(a.unit))
+    cols = [reduce_coords(_basis_vec(f, a.dim, i)) for i in range(a.dim)]
+    proj = Matrix(f, m, a.dim, [cols[i][r] for r in range(m) for i in range(a.dim)])
+    return quot.labels, quot.mul, quot.unit, proj
+
+
+def sparse_quotient(a, ideal):
+    quot, proj = quotient_algebra(a, ideal)
+    return quot.labels, quot.mul, quot.unit, proj.matrix
+
+
+def caught(fn, *args):
+    """fn(*args), or the class of the findual error it raises."""
+    try:
+        return fn(*args)
+    except FindualError as exc:
+        return type(exc)
+
+
+def check_sparse_against_dense(a, spaces, vectors):
+    """quotient_algebra, is_ideal and contains on every space against the
+    dense reduction: equal results, or the same error class."""
+    for space in spaces:
+        assert is_ideal(a, space) == dense_is_ideal(a, space)
+        got, want = caught(sparse_quotient, a, space), caught(dense_quotient, a, space)
+        assert got == want and repr(got) == repr(want)
+        for vec in vectors:
+            assert space.contains(vec) == dense_contains(space, vec)
+
+
+def dense_spaces(a, rng, count):
+    """`count` subspaces spanned by 1 to 3 random dense vectors: mostly not
+    ideals."""
+    f = a.field
+    return [Subspace(a, [[f.of(rng.randrange(-3, 4)) for _ in range(a.dim)] for _ in range(rng.randint(1, 3))])
+            for _ in range(count)]
+
+
+def probe_vectors(a, spaces, rng):
+    """The unit, the rows of every space, sums of two rows and random
+    vectors: members and non-members of each space."""
+    f = a.field
+    rows = [list(r) for s in spaces for r in s.rows]
+    sums = [f.canonical(map(operator.add, x, y)) for x, y in zip(rows, rows[1:])]
+    noise = [[f.of(rng.randrange(-2, 3)) for _ in range(a.dim)] for _ in range(3)]
+    return [list(a.unit)] + rows + sums + noise
+
+
+def census_representatives(n, p):
+    """The algebras `azumaya_census(n, p)` profiles, certified as it left them."""
+    built = []
+    real = qplane._monomial_algebra
+
+    def record(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(qplane, "_monomial_algebra", side_effect=record):
+        azumaya_census(n, p)
+    return built
+
+
+class TestSparseReductionAgainstDense:
+    @pytest.mark.parametrize("a", SUBSPACE_PRODUCT_ALGEBRAS.values(), ids=SUBSPACE_PRODUCT_ALGEBRAS.keys())
+    def test_named_algebras(self, a):
+        rng = random.Random(a.dim)
+        spaces = [Subspace(a, []), radical(a), Subspace(a, [a.unit]),
+                  ideal_closure(a, [basis_vec(a.field, a.dim, a.dim - 1)])] + dense_spaces(a, rng, 2)
+        check_sparse_against_dense(a, spaces, probe_vectors(a, spaces, rng))
+
+    @pytest.mark.parametrize("point", [(2, 5, 1, 1), (3, 13, 2, 3), (4, 17, 9, 12)], ids=str)
+    def test_jet_algebras(self, point):
+        a = regular_point_jet_algebra(*point)
+        rng = random.Random(point[1])
+        rad = _radical_trace_form(a)
+        spaces = [rad, subspace_product(a, rad, rad), Subspace(a, [a.unit])] + dense_spaces(a, rng, 2)
+        check_sparse_against_dense(a, spaces, probe_vectors(a, spaces, rng))
+
+    def test_census_representatives(self):
+        reps = census_representatives(3, 13)
+        assert len(reps) == 10 and all(a._gens is not None for a in reps)
+        rng = random.Random(13)
+        for a in reps:
+            spaces = [radical(a), Subspace(a, [a.unit])] + dense_spaces(a, rng, 1)
+            check_sparse_against_dense(a, spaces, probe_vectors(a, spaces, rng))
+
+    @settings(max_examples=40)
+    @given(known_profiles(), st.randoms(use_true_random=False))
+    def test_known_profiles(self, case, rng):
+        a = case[0]
+        spaces = [radical(a), Subspace(a, [a.unit])] + dense_spaces(a, rng, 2)
+        check_sparse_against_dense(a, spaces, probe_vectors(a, spaces, rng))
+
+    def test_residue_of_a_sparse_vector(self):
+        """Rows (1, 2, 0, 3) and (0, 0, 1, 4) over GF(5): a vector touching
+        both pivots loses both, and its off-pivot entries take the rest."""
+        a = diagonal_algebra(F5, 4)
+        space = Subspace(a, [[1, 2, 0, 3], [0, 0, 1, 4]])
+        assert space.residue({0: 1, 2: 1}) == {1: 3, 3: 3}
+        assert space.residue({0: 6, 1: 12, 3: 18}) == {}
+        assert space.residue({1: 5}) == {}
+        assert Subspace(a, []).residue({3: 7, 0: 0}) == {3: 2}
+
+
+class TestNoDensification:
+    """The census and the point invariants reduce table cells sparsely:
+    no basis product is ever densified."""
+
+    @pytest.mark.parametrize("run", [lambda: azumaya_census(4, 17),
+                                     lambda: azumaya_point_invariants(5, 31, 26, 23)],
+                             ids=["census-4-17", "point-5-31"])
+    def test_no_basis_product(self, run):
+        with mock.patch.object(FinDimAlgebra, "basis_product", autospec=True,
+                               side_effect=FinDimAlgebra.basis_product) as spy:
+            run()
+        assert spy.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# The unit law against the dense loop it replaced: 2 dim products of basis
+# vectors, compared with the basis vector.
+
+
+def dense_unit_failure(a):
+    f = a.field
+    for j in range(a.dim):
+        target = basis_vec(f, a.dim, j)
+        if (a.multiply(list(a.unit), target) != target
+                or a.multiply(target, list(a.unit)) != target):
+            return "unit", (j,)
+    return None
+
+
+@st.composite
+def perturbed_units(draw):
+    """An algebra over GF(5) or Q, with its unit or one table entry moved
+    by a nonzero amount, or neither."""
+    a = draw(algebras(field=draw(st.sampled_from([F5, QQ]))))
+    f = a.field
+    unit = list(a.unit)
+    mul = [[list(cell) for cell in row] for row in a.mul]
+    move = draw(st.sampled_from(["none", "unit", "table"]))
+    if move == "unit":
+        k = draw(st.integers(0, a.dim - 1))
+        unit[k] = f.add(unit[k], draw(small_scalars(f, nonzero=True)))
+    elif move == "table":
+        i, j, r = (draw(st.integers(0, a.dim - 1)) for _ in range(3))
+        mul[i][j].append((r, draw(small_scalars(f, nonzero=True))))
+    return FinDimAlgebra(f, a.labels, mul, unit)
+
+
+class TestUnitLawAgainstDenseLoop:
+    @settings(max_examples=50)
+    @given(perturbed_units())
+    def test_first_failure_and_report(self, a):
+        failure = dense_unit_failure(a)
+        report = validate_algebra(a)
+        assert report.unital == (failure is None)
+        assert (failure in report.witnesses) == (failure is not None)
+        assert tuple(report) == oracle_validate(a)
+
+    def test_unit_law_builds_no_dense_product(self):
+        a = regular_point_jet_algebra(5, 31, 26, 23)
+        with mock.patch.object(FinDimAlgebra, "multiply", autospec=True,
+                               side_effect=FinDimAlgebra.multiply) as spy:
+            assert validate_algebra(FinDimAlgebra(a.field, a.labels, a.mul, a.unit)).ok
+        assert spy.call_count == 0

@@ -1,4 +1,5 @@
 import inspect
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,13 @@ from findual.errors import (
     NotAModuleAlgebraError,
     NotAnAutomorphismError,
 )
+from findual import twist as twist_module
 from findual.kernel import GF, QQ, Matrix, Poly
+from findual.qplane import qtwist_decomposition
 from findual.twist import (
     Bialgebra,
     CotwistingMap,
+    DualityReport,
     TwistingMap,
     check_cotwisting_map,
     check_twisting_map,
@@ -178,6 +182,53 @@ class TestTwistedDuality:
         assert passing, "corpus should contain passing twists"
         for rho in passing:
             assert verify_twisted_duality(rho).equal
+
+
+def two_check_duality(rho):
+    """The duality comparison that checks rho twice: once for the product
+    and once for the transposed cotwist."""
+    product_dual = dualize_algebra(twisted_product(rho))
+    crossed = crossed_coalgebra(dual_cotwist(rho))
+    if product_dual == crossed:
+        return DualityReport(True, None)
+    for r in range(product_dual.dim):
+        if product_dual.comul[r] != crossed.comul[r]:
+            return DualityReport(False, ("comul", r))
+    return DualityReport(False, ("counit",))
+
+
+def duality_outcome(fn, rho):
+    try:
+        return fn(rho)
+    except InvalidTwistError as exc:
+        return type(exc)
+
+
+def duality_cases():
+    """The swaps of the seed-5 corpus, every candidate of a short corpus
+    (some are not twisting maps), and rho_q on box(2, 2) and box(4, 4)."""
+    swaps = [tensor_swap(rho.a, rho.b) for rho in twist_corpus(F5, seed=5, trials=100)]
+    return swaps + twist_corpus(F5, seed=5, trials=20) + [
+        qtwist_decomposition(2, 5, a, b).rho_q for a, b in ((2, 2), (4, 4))
+    ]
+
+
+class TestOneTwistCheckPerDuality:
+    def test_reports_match_two_checks(self):
+        for rho in duality_cases():
+            assert duality_outcome(verify_twisted_duality, rho) == duality_outcome(two_check_duality, rho)
+
+    def test_one_check_per_call(self):
+        rho = qtwist_decomposition(2, 5, 4, 4).rho_q
+        with mock.patch.object(twist_module, "check_twisting_map", wraps=check_twisting_map) as spy:
+            assert verify_twisted_duality(rho).equal
+        assert spy.call_count == 1
+
+    def test_cotwist_is_still_checked(self):
+        rho = sweedler_ore_twist()
+        with mock.patch.object(twist_module, "check_cotwisting_map", wraps=check_cotwisting_map) as spy:
+            assert verify_twisted_duality(rho).equal
+        assert spy.call_count == 1
 
 
 class TestOreTwist:
