@@ -44,19 +44,24 @@ class FinDimAlgebra:
     def __init__(self, field: Field, labels, mul, unit):
         """mul may be given densely (mul[i][j][r] scalar) or sparsely
         (mul[i][j] an iterable of (r, coeff) pairs)."""
+        labels = tuple(labels)
+        self._store(field, labels, _normalize_mul(field, len(labels), mul), unit, None)
+
+    def _store(self, field: Field, labels: tuple, mul: tuple, unit, gens):
         self.field = field
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.mul = _normalize_mul(field, self.dim, mul)
+        self.labels = labels
+        self.dim = len(labels)
+        self.mul = mul
         unit = tuple(unit)
         if len(unit) != self.dim:
             raise BadParamsError("unit vector has wrong length")
         self.unit = unit
         # None until the table is certified associative and unital (only
-        # `validate_algebra`, `quotient_algebra` and the census, whose
-        # integer certificate covers its fibers, do that); then True, or the
-        # generating set once it is known (see `_generators`)
-        self._gens = None
+        # `validate_algebra`, `quotient_algebra`, and the census and the jet
+        # algebra, whose integer certificate covers every base change of the
+        # fiber table, do that); then True, or the generating set once it is
+        # known (see `_generators`)
+        self._gens = gens
 
     def basis_product(self, i: int, j: int):
         out = [self.field.zero()] * self.dim
@@ -133,6 +138,20 @@ def _normalize_mul(field: Field, dim: int, mul):
             row.append(cell)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
+    """The algebra of a table its builder emits in the normal form
+    `_normalize_mul` stores (each cell a tuple of (r, coeff) pairs, r
+    strictly increasing, no coeff zero), without walking it again; `gens` is
+    the `_gens` to start from (None, True or a generating set).
+
+    Only builders whose cells are normal by construction call this: public
+    input and codec documents go through `FinDimAlgebra`, which normalizes.
+    """
+    alg = object.__new__(FinDimAlgebra)
+    alg._store(field, tuple(labels), tuple(map(tuple, mul)), unit, gens)
+    return alg
 
 
 def _normal_cell(cell, zero) -> bool:
@@ -695,7 +714,9 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
 
     The quotient has the non-pivot columns of the ideal as basis; each table
     cell, the unit and each basis vector of `a` is reduced sparsely (see
-    `Subspace.residue`) and emitted as sorted (index, coeff) pairs.
+    `Subspace.residue`) and emitted as sorted (index, coeff) pairs.  Those
+    cells are normal as they stand: the residue drops its zeros and
+    `position` is increasing, so the table is not normalized again.
     """
     f = a.field
     if not is_ideal(a, ideal):
@@ -716,9 +737,7 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
     for x, c in reduce_coords(dict(enumerate(a.unit))):
         unit[x] = c
     labels = [a.labels[j] for j in non_pivots]
-    quot = FinDimAlgebra(f, labels, mul, unit)
-    if a._gens is not None:
-        quot._gens = True
+    quot = _from_normal_table(f, labels, mul, unit, None if a._gens is None else True)
     one = f.one()
     entries = [f.zero()] * (m * a.dim)
     for i in range(a.dim):
@@ -929,10 +948,15 @@ def semisimple_profile(a: FinDimAlgebra) -> SemisimpleProfile:
 def _simple_factors(semi: FinDimAlgebra):
     """(e, dim semi e, dim Z e) for each primitive central idempotent e of a
     semisimple algebra: the simple factor semi e has dimension rank L_e, and
-    its center Z e is spanned by the z e for z a center row."""
+    its center Z e is spanned by the z e for z a center row.  The e sum to
+    1, so a lone e is 1: then semi e = semi and Z e = Z, and no rank is
+    taken."""
     f = semi.field
     rows = center(semi).rows
+    idems = _primitive_idempotents(semi, rows)
+    if len(idems) == 1:
+        return [(idems[0], semi.dim, len(rows))]
     return [
         (e, semi.left_mult_matrix(e).rank(), len(echelon_rows(f, [semi.multiply(z, e) for z in rows])))
-        for e in _primitive_idempotents(semi, rows)
+        for e in idems
     ]

@@ -19,6 +19,7 @@ from findual.algebra import (
     _light_generators,
     _primitive_idempotents,
     _radical_trace_form,
+    _simple_factors,
     center,
     cyclic_group_algebra,
     diagonal_algebra,
@@ -1139,7 +1140,8 @@ def oracle_normalize_mul(field, dim, mul):
 
 def checked_normalization():
     """Inside a with block, every table FinDimAlgebra normalizes is compared
-    with `oracle_normalize_mul`: equal, and equal in repr (so in type)."""
+    with `oracle_normalize_mul`: equal, and equal in repr (so in type).
+    `check.tables` keeps each normalized table, in call order."""
     real = algebra_module._normalize_mul
 
     def check(field, dim, mul):
@@ -1147,10 +1149,19 @@ def checked_normalization():
         want = oracle_normalize_mul(field, dim, mul)
         assert got == want and repr(got) == repr(want)
         check.calls += 1
+        check.tables.append(got)
         return got
 
     check.calls = 0
+    check.tables = []
     return mock.patch.object(algebra_module, "_normalize_mul", side_effect=check), check
+
+
+def assert_normal_table(a):
+    """The stored table of `a` is its own full normalization: equal, and
+    equal in repr (so in type)."""
+    want = oracle_normalize_mul(a.field, a.dim, a.mul)
+    assert a.mul == want and repr(a.mul) == repr(want)
 
 
 @st.composite
@@ -1184,21 +1195,36 @@ def raw_cells(draw, a):
 
 class TestNormalization:
     def test_named_constructors(self):
+        """The public constructors and the codec store the table their own
+        checked normalization returned.  The builders that emit normal
+        tables skip the normalization, and their tables are compared with
+        the oracle directly."""
         from findual.coalgebra import comatrix_coalgebra, dualize_algebra, dualize_coalgebra
         from findual.codec import loads, to_canonical_json
-        from findual.qplane import regular_point_jet_algebra
 
+        public = [
+            lambda: matrix_algebra(F5, 3), lambda: triangular_algebra(QQ, 3),
+            lambda: truncated_polynomial_algebra(GF(7), 5), lambda: cyclic_group_algebra(QQ, 4),
+            lambda: diagonal_algebra(F5, 3), lambda: dualize_coalgebra(comatrix_coalgebra(F5, 3)),
+            lambda: dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),
+            lambda: loads(to_canonical_json(dualize_coalgebra(comatrix_coalgebra(QQ, 2)))),
+        ]
+        triangular = triangular_algebra(GF(7), 3)
+        private = [
+            lambda: oq_truncation(3, 13, "box", (4, 5)).algebra,
+            lambda: oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
+            lambda: regular_point_jet_algebra(3, 13, 2, 5),
+            lambda: quotient_algebra(triangular, radical(triangular))[0],
+        ]
         patch, check = checked_normalization()
         with patch:
-            built = [
-                matrix_algebra(F5, 3), triangular_algebra(QQ, 3), truncated_polynomial_algebra(GF(7), 5),
-                cyclic_group_algebra(QQ, 4), diagonal_algebra(F5, 3),
-                oq_truncation(3, 13, "box", (4, 5)).algebra, oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
-                regular_point_jet_algebra(3, 13, 2, 5), dualize_coalgebra(comatrix_coalgebra(F5, 3)),
-                dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),
-            ]
-            built.append(loads(to_canonical_json(built[-1])))
-        assert check.calls >= len(built)
+            for build in public:
+                a = build()
+                assert check.tables and a.mul is check.tables[-1]
+            calls = check.calls
+            for build in private:
+                assert_normal_table(build())
+        assert check.calls == calls
 
     @settings(max_examples=100)
     @given(st.data())
@@ -1288,6 +1314,8 @@ def check_sparse_against_dense(a, spaces, vectors):
         assert is_ideal(a, space) == dense_is_ideal(a, space)
         got, want = caught(sparse_quotient, a, space), caught(dense_quotient, a, space)
         assert got == want and repr(got) == repr(want)
+        if isinstance(got, tuple):
+            assert_normal_table(quotient_algebra(a, space)[0])
         for vec in vectors:
             assert space.contains(vec) == dense_contains(space, vec)
 
@@ -1429,3 +1457,58 @@ class TestUnitLawAgainstDenseLoop:
                                side_effect=FinDimAlgebra.multiply) as spy:
             assert validate_algebra(FinDimAlgebra(a.field, a.labels, a.mul, a.unit)).ok
         assert spy.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# Simple factors against the rank path: with one primitive central idempotent
+# e = 1 the factor is read off the dimension and the center; every other
+# algebra still takes rank L_e for each e.
+
+
+def rank_simple_factors(semi):
+    """`_simple_factors` with rank L_e and the span of the z e taken for
+    every e."""
+    f = semi.field
+    rows = center(semi).rows
+    return [(e, semi.left_mult_matrix(e).rank(), len(echelon_rows(f, [semi.multiply(z, e) for z in rows])))
+            for e in _primitive_idempotents(semi, rows)]
+
+
+def check_simple_factors(semi):
+    """`_simple_factors` equals the rank path, and takes no rank exactly
+    when there is one factor; returns the number of factors."""
+    with mock.patch.object(FinDimAlgebra, "left_mult_matrix", autospec=True,
+                           side_effect=FinDimAlgebra.left_mult_matrix) as spy:
+        got = _simple_factors(semi)
+    assert got == rank_simple_factors(semi)
+    assert (spy.call_count == 0) == (len(got) == 1)
+    return len(got)
+
+
+def semisimple_top(a):
+    return quotient_algebra(a, _radical_trace_form(a))[0]
+
+
+class TestSimpleFactorsAgainstRank:
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["q", "gf5"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matrix_algebras(self, field, d):
+        assert check_simple_factors(matrix_algebra(field, d)) == 1
+
+    def test_census_representatives(self):
+        counts = [check_simple_factors(semisimple_top(a)) for a in census_representatives(3, 13)]
+        assert len(counts) == 10 and 1 in counts and max(counts) > 1
+
+    @pytest.mark.parametrize("point", [(2, 5, 1, 1), (4, 17, 9, 12)], ids=str)
+    def test_jet_tops(self, point):
+        assert check_simple_factors(semisimple_top(regular_point_jet_algebra(*point))) == 1
+
+    def test_multi_factor_algebras_take_the_rank_path(self):
+        f = GF(7)
+        algebras = [
+            diagonal_algebra(F5, 3), cyclic_group_algebra(F5, 4),
+            block_sum([matrix_algebra(f, 2), matrix_algebra(f, 1)]),
+            block_sum([field_block(f, 2), matrix_algebra(f, 2)]),
+        ]
+        assert [check_simple_factors(a) for a in algebras] == [3, 4, 2, 2]
+        assert check_simple_factors(field_block(f, 3)) == 1

@@ -1,13 +1,22 @@
 import hashlib
+import random
+import sys
 
 import pytest
-from test_algebra import oracle_one_dim_characters
+from test_algebra import assert_normal_table, oracle_one_dim_characters, uncertified_copy
 
 from findual import algebra as algebra_module, qplane
 from findual.algebra import (
+    FinDimAlgebra,
+    Subspace,
+    _generators,
+    _radical_trace_form,
+    center,
     ideal_closure,
+    is_ideal,
     monogenic_algebra,
     semisimple_profile,
+    subspace_product,
     validate_algebra,
 )
 from findual.codec import census_to_csv, to_canonical_json
@@ -18,7 +27,7 @@ from findual.errors import (
     NotAzumayaError,
     OrderUnavailableError,
 )
-from findual.kernel import GF, Matrix, Poly
+from findual.kernel import GF, Matrix, Poly, primitive_root_of_unity
 from findual.qplane import (
     CensusReport,
     FiberRecord,
@@ -499,3 +508,156 @@ def test_census_bytes_pinned(n, p):
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                     for text in (to_canonical_json(report), census_to_csv(report)))
     assert digests == CENSUS_DIGESTS[n, p]
+
+
+class TestFiberTableExponentBound:
+    """`_fiber_table` reads the largest q exponent off the last cell."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 5), (5, 4)] + [(n, n) for n in range(1, 7)], ids=str)
+    def test_last_cell_holds_the_largest_exponent(self, shape):
+        table = exponent_table(*shape)
+        assert table[-1][-1][1] == max(e for row in table for _, e, _, _ in row)
+
+
+# ---------------------------------------------------------------------------
+# Certified builder tables: the builders that emit normal tables construct
+# through `_from_normal_table`, and the jet algebra rests on the exponent-table
+# certificate instead of a validation.
+
+JET_POINTS = [(1, 5, 2, 3), (2, 5, 1, 1), (3, 13, 2, 5), (4, 17, 9, 12)]
+
+
+def private_builds(monkeypatch):
+    """(builder, algebra) for each algebra built through `_from_normal_table`
+    from here on, the builder named by the calling function."""
+    built = []
+    real = algebra_module._from_normal_table
+
+    def spy(*args):
+        built.append((sys._getframe(1).f_code.co_name, real(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(algebra_module, "_from_normal_table", spy)
+    monkeypatch.setattr(qplane, "_from_normal_table", spy)
+    return built
+
+
+def oracle_jet_table(n, p, c, d):
+    """R/(R m^2) from first principles: x^i1 y^j1 w1 * x^i2 y^j2 w2 is
+    q^(j1 i2) x^(i1+i2) y^(j1+j2) w1 w2, with x^n = c + u, y^n = d + v and
+    (u, v)^2 = 0, as coefficients of (1, u, v) at each monomial."""
+    q = primitive_root_of_unity(GF(p), n)
+    basis = [(i, j, w) for i in range(n) for j in range(n) for w in range(3)]
+    table = []
+    for i1, j1, w1 in basis:
+        row = []
+        for i2, j2, w2 in basis:
+            jets, i, j = [0, 0, 0], i1 + i2, j1 + j2
+            if not (w1 and w2):
+                jets[w1 or w2] = pow(q, j1 * i2, p)
+            if i >= n:
+                jets, i = [c * jets[0], c * jets[1] + jets[0], c * jets[2]], i - n
+            if j >= n:
+                jets, j = [d * jets[0], d * jets[1], d * jets[2] + jets[0]], j - n
+            row.append(tuple((3 * (i * n + j) + w, x % p) for w, x in enumerate(jets) if x % p))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def perturbed_jet(jet, n, c, d, both_only):
+    """The jet table with k0 / c in place of k0 / d on v: in every cell
+    whose product overflows y^n, or only where it overflows x^n as well."""
+    p = jet.field.p
+    mul = [list(row) for row in jet.mul]
+    for s, row in enumerate(exponent_table(n, n)):
+        for t, (r, _, a, b) in enumerate(row):
+            if b and (a or not both_only):
+                mul[3 * s][3 * t] = tuple((k, x * d * pow(c, -1, p) % p if k == 3 * r + 2 else x)
+                                          for k, x in mul[3 * s][3 * t])
+    return FinDimAlgebra(jet.field, jet.labels, mul, jet.unit)
+
+
+class TestCertifiedBuilders:
+    def test_census_tables_are_normal(self, monkeypatch):
+        built = private_builds(monkeypatch)
+        azumaya_census(3, 13)
+        assert [name for name, _ in built].count("_monomial_algebra") == 10
+        assert {name for name, _ in built} == {"_monomial_algebra", "quotient_algebra"}
+        for _, alg in built:
+            assert_normal_table(alg)
+
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_jet_tables_are_normal(self, point, monkeypatch):
+        built = private_builds(monkeypatch)
+        azumaya_point_invariants(*point)
+        assert [name for name, _ in built] == ["regular_point_jet_algebra", "quotient_algebra"]
+        for _, alg in built:
+            assert_normal_table(alg)
+
+    def test_box_tower_tables_are_normal(self, monkeypatch):
+        built = private_builds(monkeypatch)
+        box_dual_tower(2, 5, [1, 2, 3])
+        assert [(name, alg.dim) for name, alg in built] == [("box_dual_tower", 4), ("box_dual_tower", 16),
+                                                            ("box_dual_tower", 36)]
+        for _, alg in built:
+            assert_normal_table(alg)
+
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_jet_is_the_base_change_and_validates(self, point):
+        jet = regular_point_jet_algebra(*point)
+        assert jet.mul == oracle_jet_table(*point)
+        assert validate_algebra(uncertified_copy(jet)).ok
+
+    def test_point_invariants_validate_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(alg):
+            calls.append(alg.dim)
+            return validate_algebra(alg)
+
+        monkeypatch.setattr(qplane, "validate_algebra", spy)
+        monkeypatch.setattr(algebra_module, "validate_algebra", spy)
+        for point in JET_POINTS:
+            azumaya_point_invariants(*point)
+        assert calls == []
+
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_certified_generators_match_full_basis(self, point):
+        """center and is_ideal over S = {x, y} equal the full-basis path,
+        on the radical, its square, the unit, the lines through the first
+        12 basis vectors and random subspaces (mostly not ideals)."""
+        jet = regular_point_jet_algebra(*point)
+        plain = uncertified_copy(jet)
+        assert _generators(plain) == range(jet.dim)
+        assert center(jet).rows == center(plain).rows
+        rad = _radical_trace_form(jet)
+        rng = random.Random(point[1])
+        rows = [rad.rows, subspace_product(jet, rad, rad).rows, [jet.unit]]
+        rows += [[[int(k == t) for k in range(jet.dim)]] for t in range(min(jet.dim, 12))]
+        rows += [[[rng.randrange(3) for _ in range(jet.dim)] for _ in range(rng.randint(1, 3))] for _ in range(4)]
+        verdicts = [is_ideal(jet, Subspace(jet, r)) for r in rows]
+        assert verdicts == [is_ideal(plain, Subspace(plain, r)) for r in rows]
+        assert verdicts[:2] == [True, True] and False in verdicts
+
+    def test_generators_at_n_1(self):
+        """At n = 1 the jet algebra is k[u, v]/(u, v)^2: S = {u, v}, and
+        span(1 + u) is no ideal, since u (1 + u) = u."""
+        jet = regular_point_jet_algebra(1, 5, 2, 3)
+        assert jet.labels == ("x^0y^0", "x^0y^0u", "x^0y^0v")
+        assert _generators(jet) == (1, 2)
+        assert not is_ideal(jet, Subspace(jet, [[1, 1, 0]]))
+        assert is_ideal(jet, Subspace(jet, [[0, 1, 0], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("point", [(2, 5, 1, 2), (3, 13, 2, 5), (4, 17, 9, 12)], ids=str)
+    def test_perturbed_lift_is_caught(self, point):
+        """k0 / c on v in every cell only rescales v by d / c, an
+        isomorphic algebra: the base-change oracle and the pinned bytes catch
+        it.  k0 / c on v only where x^n overflows as well breaks
+        associativity, and validation catches it."""
+        n, p, c, d = point
+        jet = regular_point_jet_algebra(*point)
+        everywhere = perturbed_jet(jet, n, c, d, both_only=False)
+        assert everywhere.mul != oracle_jet_table(*point)
+        assert hashlib.sha256(to_canonical_json(everywhere).encode()).hexdigest() != JET_DIGESTS.get(point)
+        assert validate_algebra(everywhere).ok
+        assert not validate_algebra(perturbed_jet(jet, n, c, d, both_only=True)).ok
