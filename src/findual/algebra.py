@@ -924,7 +924,7 @@ def one_dim_characters(a: FinDimAlgebra):
     semi, proj = quotient_algebra(a, radical(a))
     basis = [_basis_vec(f, semi.dim, i) for i in range(semi.dim)]
     composed = []
-    for e, dim, _ in _simple_factors(semi):
+    for e, dim, _ in _simple_factors(semi, center(semi).rows):
         if dim == 1:
             # b e = chi(b) e, read at the first nonzero coordinate of e
             pivot = next(k for k, x in enumerate(e) if x)
@@ -942,17 +942,20 @@ def semisimple_profile(a: FinDimAlgebra) -> SemisimpleProfile:
     """Radical dimension plus (dim, center-dim) of each simple factor."""
     rad = radical(a)
     semi = quotient_algebra(a, rad)[0]
-    return SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in _simple_factors(semi))))
+    factors = _simple_factors(semi, center(semi).rows)
+    return SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in factors)))
 
 
-def _simple_factors(semi: FinDimAlgebra):
+def _simple_factors(semi: FinDimAlgebra, rows):
     """(e, dim semi e, dim Z e) for each primitive central idempotent e of a
-    semisimple algebra: the simple factor semi e has dimension rank L_e, and
-    its center Z e is spanned by the z e for z a center row.  The e sum to
-    1, so a lone e is 1: then semi e = semi and Z e = Z, and no rank is
-    taken."""
+    semisimple algebra whose center Z is spanned by `rows`: the simple factor
+    semi e has dimension rank L_e, and Z e is spanned by the z e for z a
+    row.  The e sum to 1, so a lone e is 1: then semi e = semi and Z e = Z,
+    and no rank is taken.  Z is the product of the factors' centers, so a
+    single row means semi is central simple, and no idempotent is sought."""
     f = semi.field
-    rows = center(semi).rows
+    if len(rows) == 1:
+        return [(list(semi.unit), semi.dim, 1)]
     idems = _primitive_idempotents(semi, rows)
     if len(idems) == 1:
         return [(idems[0], semi.dim, len(rows))]

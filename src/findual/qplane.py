@@ -30,6 +30,18 @@ they cover every commutative base ring.  It is marked certified with
 generators x and y, and not validated.  The fiber tables, the jet table and
 the box tower's levels are emitted in the normal form `FinDimAlgebra`
 stores, so they are not normalized again (`algebra._from_normal_table`).
+
+The grading certificate also makes the profiles cheap.  Basis index t of a
+fiber has degree (i, j) = divmod(t, n) in Z/n x Z/n, and jet index 3r + e
+the degree of r.  L_b shifts degree for b homogeneous of nonzero degree, so
+the trace form pairs degree g only with -g, and commutation with x or y
+moves each degree by a fixed step: the radical (`_graded_radical`) and the
+center (`_graded_center`) are one small kernel per component, 1 x 1 on a
+fiber and 3 x 3 on the jet, where the generic kernels take an RREF of the
+whole dim x dim table.  The radical is the trace-form kernel under the same
+gates as the generic path: p > n^2 for the census, and p coprime to 3n for
+the jet.  `semisimple_profile` and `measure_point_invariants` keep the
+generic kernels and serve as the oracle.
 """
 
 from __future__ import annotations
@@ -39,12 +51,12 @@ from typing import NamedTuple
 from .algebra import (
     FinDimAlgebra,
     SemisimpleProfile,
+    Subspace,
     _from_normal_table,
     _radical_trace_form,
     _simple_factors,
     center,
     quotient_algebra,
-    semisimple_profile,
     subspace_product,
     truncated_polynomial_algebra,
     validate_algebra,
@@ -57,7 +69,7 @@ from .errors import (
     InvalidInputError,
     NotAzumayaError,
 )
-from .kernel import GF, Matrix, check_root_order, primitive_root_of_unity
+from .kernel import GF, Matrix, check_root_order, echelon_rows, primitive_root_of_unity
 from .twist import TwistingMap, check_twisting_map, tensor_swap
 
 
@@ -140,11 +152,12 @@ def _fiber_table(field, q, table, c, d):
     # e = j1 i2 is largest where j1 = ymax - 1 and i2 = xmax - 1, which holds
     # at s = t = the last index, x^(xmax-1) y^(ymax-1)
     top = table[-1][-1][1]
+    p = field.p
     qpow = [field.pow(q, e) for e in range(top + 1)]
-    overflow = ((1, d), (c, c * d))  # overflow[a][b] = c^a d^b
+    # coef[a][b][e] = q^e c^a d^b, so that each cell is one lookup
+    coef = [[[k * cd % p for k in qpow] for cd in row] for row in ((1, d), (c, c * d))]
     return tuple(
-        tuple(((r, k),) if (k := qpow[e] * overflow[a][b] % field.p) else ()
-              for r, e, a, b in row)
+        tuple(((r, k),) if (k := coef[a][b][e]) else () for r, e, a, b in row)
         for row in table
     )
 
@@ -278,9 +291,12 @@ def _orbit_class(field, q, table, n: int, c: int, d: int) -> _OrbitClass:
     """Build and profile fiber(c, d) straight from the certified exponent
     table: `_certify_associative` proved it associative and unital with
     generators x and y, so it is marked certified with S = {x, y} and is not
-    validated again."""
+    validated again.  `_certify_grading` proved basis index t homogeneous of
+    degree divmod(t, n), so the profile reads J and the center of A/J off
+    the graded kernels (`_graded_top`)."""
     alg = _monomial_algebra(field, n, n, _fiber_table(field, q, table, c, d), _xy(n))
-    prof = semisimple_profile(alg)
+    rad, factors = _graded_top(alg, n, range(n * n), _xy(n))
+    prof = SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in factors)))
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     # over GF(p) a simple factor of dimension 1 is k: one character each
     characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % field.p == 0 else 0
@@ -394,6 +410,119 @@ def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_ro
             or field.mul(field.pow(mu, n), rep.d) != d):
         raise InvalidInputError(f"fiber ({c}, {d}) is not the torus image of fiber "
                                 f"({rep.c}, {rep.d}) under lam = {lam}, mu = {mu}")
+
+
+def _dual_degree(r: int, n: int) -> int:
+    """The fiber index of the degree -deg b_r: x^i y^j -> x^(-i) y^(-j), the
+    exponents mod n."""
+    return -(r // n) % n * n + -r % n
+
+
+def _components(degree):
+    """Basis indices grouped by degree, each group in index order."""
+    comps = {}
+    for t, g in enumerate(degree):
+        comps.setdefault(g, []).append(t)
+    return comps
+
+
+def _block_kernel(field, block, cols, dim: int):
+    """A basis of the kernel of the small matrix `block` (canonical rows,
+    possibly none), whose columns stand for the basis indices `cols`, as
+    vectors of length `dim`."""
+    if len(cols) == 1:  # as on every fiber: the kernel is all or nothing
+        rows = [(field.one(),)] if any(row[0] for row in block) else []
+    else:
+        rows = echelon_rows(field, block)
+    pivots = {next(k for k, x in enumerate(row) if x): row for row in rows}
+    out = []
+    for fc, t in enumerate(cols):
+        if fc not in pivots:
+            vec = [field.zero()] * dim
+            vec[t] = field.one()
+            for pc, row in pivots.items():
+                vec[cols[pc]] = field.neg(row[fc])
+            out.append(vec)
+    return out
+
+
+def _graded_radical(alg: FinDimAlgebra, n: int, degree) -> Subspace:
+    """The trace-form kernel of an algebra graded by Z/n x Z/n, one block
+    per component: `degree[t]` is the fiber index i n + j of the certified
+    degree (i, j) of basis index t (t itself on a fiber, r for the jet index
+    3r + e), and degree 0 holds the unit.
+
+    For b homogeneous of nonzero degree, L_b shifts degree, so tau(b) = 0:
+    tau is read off the table's diagonal on the degree-0 component only,
+    {1} on a fiber and {1, u, v} on the jet.  Then T[s][t] = tau(b_s b_t)
+    is nonzero only where deg s + deg t = 0, so ker T is the direct sum over
+    the components g of the kernel of the block with rows in degree -g and
+    columns in degree g: 1 x 1 on a fiber, where J is spanned by the b_t
+    whose cell (t*, t) is empty, t* the index of degree -deg t, and 3 x 3
+    on the jet.
+
+    ker T is the radical J under the same gates as `_radical_trace_form`:
+    the census's p > n^2 = dim, and p coprime to 3n for the jet.
+    """
+    f = alg.field
+    mul = alg.mul
+    comps = _components(degree)
+    zero = comps[0]
+    diagonal = (sum(c for t, cell in enumerate(mul[r]) for rr, c in cell if rr == t) for r in zero)
+    tau = dict(zip(zero, f.canonical(diagonal)))
+    rows = []
+    for g, cols in comps.items():
+        block = [f.canonical(sum(c * tau[r] for r, c in mul[s][t]) for t in cols)
+                 for s in comps.get(_dual_degree(g, n), ())]
+        rows += _block_kernel(f, block, cols, alg.dim)
+    return Subspace(alg, rows)
+
+
+def _graded_center(alg: FinDimAlgebra, n: int, degree, gens) -> Subspace:
+    """The center of an algebra graded by Z/n x Z/n (`degree` as in
+    `_graded_radical`) and generated by the homogeneous basis elements
+    `gens`, one block per component.
+
+    z commutes with b_s for s in `gens` exactly when each homogeneous part
+    z_g does, since [z_g, b_s] lies in degree g + deg s; so the center is
+    the direct sum over g of the kernel of the commutators of the degree-g
+    basis elements with the generators.
+    """
+    f = alg.field
+    mul = alg.mul
+    rows = []
+    for cols in _components(degree).values():
+        block = []
+        for s in gens:
+            comm = {}
+            for x, t in enumerate(cols):
+                for r, c in mul[t][s]:
+                    comm.setdefault(r, [f.zero()] * len(cols))[x] += c
+                for r, c in mul[s][t]:
+                    comm.setdefault(r, [f.zero()] * len(cols))[x] -= c
+            block += (f.canonical(row) for row in comm.values())
+        rows += _block_kernel(f, block, cols, alg.dim)
+    return Subspace(alg, rows)
+
+
+def _graded_top(alg: FinDimAlgebra, n: int, degree, gens):
+    """(J, the simple factors of A/J) of a graded algebra generated by
+    the homogeneous basis elements `gens`, from `_graded_radical` and
+    `_graded_center`.
+
+    J is spanned by basis vectors on a fiber (each component is one basis
+    element) and on the jet at an Azumaya point (J = (u, v)).  So A/J,
+    built by `quotient_algebra`, has as basis the images of the b_t with t
+    no pivot of J, each of degree degree[t], and the generators that lie
+    outside J generate it.
+    """
+    rad = _graded_radical(alg, n, degree)
+    top = quotient_algebra(alg, rad)[0]
+    pivots = set(rad.pivots)
+    position = {t: x for x, t in enumerate(t for t in range(alg.dim) if t not in pivots)}
+    rows = _graded_center(top, n, [degree[t] for t in position],
+                          [position[s] for s in gens if s in position]).rows
+    return rad, _simple_factors(top, rows)
 
 
 def azumaya_census(n: int, p: int) -> CensusReport:
@@ -519,18 +648,30 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
                     jet_row.append(cell)
             mul.append(jet_row)
     unit = [field.one()] + [field.zero()] * (len(labels) - 1)
-    return _from_normal_table(field, labels, mul, unit, (3, 3 * n) if n > 1 else (1, 2))
+    return _from_normal_table(field, labels, mul, unit, _jet_xy(n))
 
 
-# The jet algebra has dim 3n^2 and its invariants cost O(n^6): n = 12 (dim
-# 432) takes 0.37-0.55 s in process, 0.56 s as a CLI run, on a 2-core x86-64
-# machine with CPython 3.11.7.
+def _jet_xy(n: int):
+    """Jet indices of y and x, which generate the jet algebra; at n = 1,
+    where x = c + u is no basis element, those of u and v."""
+    return (3, 3 * n) if n > 1 else (1, 2)
+
+
+# The jet algebra has dim 3n^2 and its invariants cost O(n^4), the cells of
+# its table: n = 12 (dim 432) takes 0.22-0.36 s in process, 0.37 s as a CLI
+# run, on a 2-core x86-64 machine with CPython 3.11.7.
 _MAX_JET_DIM = 432
 
 
 def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     """Structure invariants of R/(R m^2) at an Azumaya point: they match the
-    matrix-jet model M_n(k[u, v]/(u, v)^2)."""
+    matrix-jet model M_n(k[u, v]/(u, v)^2).
+
+    The jet index 3r + e has the certified degree of the fiber index r, so
+    the radical, the center and the center of the top are the graded kernels
+    (`_graded_top`, `_graded_center`), under the gate p coprime to 3n;
+    `measure_point_invariants` is the generic path.
+    """
     # the field and the order of q first, so that a bad modulus or order is
     # named as such; neither check searches for the root of unity
     check_root_order(GF(p), n)
@@ -544,7 +685,10 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
         raise BadParamsError(
             f"jet algebra dim 3n^2 must be at most {_MAX_JET_DIM}; got n = {n}"
         )
-    return measure_point_invariants(regular_point_jet_algebra(n, p, c, d))
+    jet = regular_point_jet_algebra(n, p, c, d)
+    degree, gens = [r for r in range(n * n) for _ in range(3)], _jet_xy(n)
+    rad, factors = _graded_top(jet, n, degree, gens)
+    return _point_invariants(jet, rad, factors, _graded_center(jet, n, degree, gens))
 
 
 def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
@@ -554,14 +698,19 @@ def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
     callers guarantee that each simple module's multiplicity is nonzero mod p
     (3n for the jet algebra, whose dim 3n^2 may exceed p)."""
     rad = _radical_trace_form(alg)
-    rad_sq = subspace_product(alg, rad, rad)
     top = quotient_algebra(alg, rad)[0]
+    return _point_invariants(alg, rad, _simple_factors(top, center(top).rows), center(alg))
+
+
+def _point_invariants(alg: FinDimAlgebra, rad: Subspace, factors, cen: Subspace) -> PointInvariants:
+    """The invariants of `alg` from its radical, the simple factors of its
+    top and its center."""
     return PointInvariants(
         total_dim=alg.dim,
         radical_dim=rad.dim,
-        radical_square_zero=rad_sq.dim == 0,
-        top_profile=tuple(sorted(factor[1:] for factor in _simple_factors(top))),
-        center_dim=center(alg).dim,
+        radical_square_zero=subspace_product(alg, rad, rad).dim == 0,
+        top_profile=tuple(sorted(factor[1:] for factor in factors)),
+        center_dim=cen.dim,
     )
 
 

@@ -1462,7 +1462,8 @@ class TestUnitLawAgainstDenseLoop:
 # ---------------------------------------------------------------------------
 # Simple factors against the rank path: with one primitive central idempotent
 # e = 1 the factor is read off the dimension and the center; every other
-# algebra still takes rank L_e for each e.
+# algebra still takes rank L_e for each e.  A one-dimensional center means a
+# central simple algebra, and then no idempotent is sought at all.
 
 
 def rank_simple_factors(semi):
@@ -1475,13 +1476,18 @@ def rank_simple_factors(semi):
 
 
 def check_simple_factors(semi):
-    """`_simple_factors` equals the rank path, and takes no rank exactly
-    when there is one factor; returns the number of factors."""
+    """`_simple_factors` equals the rank path, takes no rank exactly when
+    there is one factor, and seeks no idempotent exactly when the center is
+    one-dimensional; returns the number of factors."""
+    rows = center(semi).rows
     with mock.patch.object(FinDimAlgebra, "left_mult_matrix", autospec=True,
-                           side_effect=FinDimAlgebra.left_mult_matrix) as spy:
-        got = _simple_factors(semi)
+                           side_effect=FinDimAlgebra.left_mult_matrix) as spy, \
+            mock.patch.object(algebra_module, "_primitive_idempotents",
+                              side_effect=_primitive_idempotents) as idempotents:
+        got = _simple_factors(semi, rows)
     assert got == rank_simple_factors(semi)
     assert (spy.call_count == 0) == (len(got) == 1)
+    assert (idempotents.call_count == 0) == (len(rows) == 1)
     return len(got)
 
 
@@ -1496,8 +1502,11 @@ class TestSimpleFactorsAgainstRank:
         assert check_simple_factors(matrix_algebra(field, d)) == 1
 
     def test_census_representatives(self):
-        counts = [check_simple_factors(semisimple_top(a)) for a in census_representatives(3, 13)]
+        tops = [semisimple_top(a) for a in census_representatives(3, 13)]
+        counts = [check_simple_factors(top) for top in tops]
         assert len(counts) == 10 and 1 in counts and max(counts) > 1
+        # the six off-axis classes (M_3) and fiber(0, 0) (k) are central simple
+        assert sum(center(top).dim == 1 for top in tops) == 7
 
     @pytest.mark.parametrize("point", [(2, 5, 1, 1), (4, 17, 9, 12)], ids=str)
     def test_jet_tops(self, point):

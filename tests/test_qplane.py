@@ -3,7 +3,12 @@ import random
 import sys
 
 import pytest
-from test_algebra import assert_normal_table, oracle_one_dim_characters, uncertified_copy
+from test_algebra import (
+    assert_normal_table,
+    census_representatives,
+    oracle_one_dim_characters,
+    uncertified_copy,
+)
 
 from findual import algebra as algebra_module, qplane
 from findual.algebra import (
@@ -14,9 +19,12 @@ from findual.algebra import (
     center,
     ideal_closure,
     is_ideal,
+    matrix_algebra,
     monogenic_algebra,
+    radical,
     semisimple_profile,
     subspace_product,
+    triangular_algebra,
     validate_algebra,
 )
 from findual.codec import census_to_csv, to_canonical_json
@@ -31,6 +39,7 @@ from findual.kernel import GF, Matrix, Poly, primitive_root_of_unity
 from findual.qplane import (
     CensusReport,
     FiberRecord,
+    PointInvariants,
     _exponent_table as exponent_table,
     _fiber_table as fiber_table,
     azumaya_census,
@@ -256,12 +265,13 @@ class TestOrbitCensus:
     @pytest.mark.parametrize("n,p", [(1, 3), (2, 5), (3, 13)])
     def test_one_profile_per_class(self, n, p, monkeypatch):
         calls = []
+        graded_top = qplane._graded_top
 
-        def spy(alg):
+        def spy(alg, *args):
             calls.append(alg.dim)
-            return semisimple_profile(alg)
+            return graded_top(alg, *args)
 
-        monkeypatch.setattr(qplane, "semisimple_profile", spy)
+        monkeypatch.setattr(qplane, "_graded_top", spy)
         azumaya_census(n, p)
         # one per pair of mirror classes (alpha, beta), (beta, alpha)
         assert len(calls) == (n + 1) * (n + 2) // 2
@@ -661,3 +671,87 @@ class TestCertifiedBuilders:
         assert hashlib.sha256(to_canonical_json(everywhere).encode()).hexdigest() != JET_DIGESTS.get(point)
         assert validate_algebra(everywhere).ok
         assert not validate_algebra(perturbed_jet(jet, n, c, d, both_only=True)).ok
+
+
+# ---------------------------------------------------------------------------
+# Graded kernels: the radical and the centers read off the Z/n x Z/n grading,
+# one block per component, against the generic kernels.
+
+
+def recorded_center_rows(monkeypatch):
+    """The (algebra, center rows) pairs qplane hands `_simple_factors`."""
+    seen = []
+    real = qplane._simple_factors
+
+    def spy(semi, rows):
+        seen.append((semi, rows))
+        return real(semi, rows)
+
+    monkeypatch.setattr(qplane, "_simple_factors", spy)
+    return seen
+
+
+class TestGradedKernels:
+    @pytest.mark.parametrize("n,p", [(3, 13), (4, 17), (5, 31)])
+    def test_census_representatives(self, n, p, monkeypatch):
+        reps = census_representatives(n, p)
+        seen = recorded_center_rows(monkeypatch)
+        degree, gens = range(n * n), qplane._xy(n)
+        profiles = []
+        for alg in reps:
+            rad, factors = qplane._graded_top(alg, n, degree, gens)
+            assert rad == radical(alg)
+            (top, rows), = seen
+            seen.clear()
+            assert top.dim == alg.dim - rad.dim and Subspace(top, rows) == center(top)
+            assert qplane._graded_center(alg, n, degree, gens) == center(alg)
+            profiles.append(semisimple_profile(alg))
+            assert (rad.dim, tuple(sorted(factor[1:] for factor in factors))) == profiles[-1]
+        # on the axes and off them, with several factors on some axis
+        assert len(reps) == (n + 1) * (n + 2) // 2
+        assert {prof.radical_dim == 0 for prof in profiles} == {True, False}
+        assert max(len(prof.factors) for prof in profiles) > 1
+
+    @pytest.mark.parametrize("point", JET_POINTS + [(5, 31, 26, 23)], ids=str)
+    def test_jets(self, point, monkeypatch):
+        n = point[0]
+        jet = regular_point_jet_algebra(*point)
+        degree, gens = [r for r in range(n * n) for _ in range(3)], qplane._jet_xy(n)
+        seen = recorded_center_rows(monkeypatch)
+        rad, _ = qplane._graded_top(jet, n, degree, gens)
+        assert rad == _radical_trace_form(jet)
+        (top, rows), = seen
+        assert Subspace(top, rows) == center(top)
+        assert qplane._graded_center(jet, n, degree, gens) == center(jet)
+        assert azumaya_point_invariants(*point) == qplane.measure_point_invariants(jet)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matrix_gradings(self, d):
+        """E_ij in degree (i - j mod d, 0) grades M_d and the upper-triangular
+        matrices by Z/d x Z/d.  Their degree-0 parts hold the E_ii, whose
+        traces are not 0, and a degree-0 block is d x d."""
+        f = GF(31)
+        full = [(i, j) for i in range(d) for j in range(d)]
+        for alg, cells in [(matrix_algebra(f, d), full), (triangular_algebra(f, d), [(i, j) for i, j in full if i <= j])]:
+            degree = [(i - j) % d * d for i, j in cells]
+            assert qplane._graded_radical(alg, d, degree) == radical(alg)
+            assert qplane._graded_center(alg, d, degree, range(alg.dim)) == center(alg)
+
+
+class TestGradedPathIsTaken:
+    def test_no_generic_kernel(self, monkeypatch):
+        """The census and the point invariants call no generic radical,
+        center or profile, and still return their pinned results."""
+        def refuse(*args):
+            raise AssertionError("generic kernel called")
+
+        for module in (algebra_module, qplane):
+            for name in ("radical", "center", "semisimple_profile", "_radical_trace_form"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        report = azumaya_census(4, 17)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (to_canonical_json(report), census_to_csv(report)))
+        assert digests == ("e54be5f6ddc594e6d0494edd991f6ac967a717ee6170ee0be0faa72ac17a9335",
+                           "3e690a0c7db84688b8b39a42664f48e62d940a34decf02653a0963e07a1577c5")
+        assert azumaya_point_invariants(4, 17, 9, 12) == PointInvariants(48, 32, True, ((16, 1),), 3)
