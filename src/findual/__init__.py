@@ -61,7 +61,6 @@ from .kernel import (
     Matrix,
     Poly,
     factor_over_field,
-    kron,
     primitive_root_of_unity,
     rref_kernel,
 )

@@ -250,10 +250,7 @@ class Subspace:
 def _annihilator(ambient, rows) -> Subspace:
     """The vectors x of `ambient` with row . x = 0 for every row: the kernel of
     the matrix of rows, which is the whole space when there are no rows."""
-    rows = list(rows)
-    flat = (x for row in rows for x in row)
-    ker = rref_kernel(Matrix(ambient.field, len(rows), ambient.dim, flat)).kernel
-    return Subspace(ambient, ker.transpose().row_lists())
+    return Subspace(ambient, _block_kernel(ambient.field, rows, range(ambient.dim), ambient.dim))
 
 
 class AlgebraHom:
@@ -774,22 +771,80 @@ def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:
 # radical and semisimple structure
 
 
-def _trace_vector(a: FinDimAlgebra):
-    """tau[s] = trace of left multiplication by b_s: the diagonal of the table."""
-    tau = []
-    for row in a.mul:
-        acc = a.field.zero()
-        for r, cell in enumerate(row):
-            for rr, c in cell:
-                if rr == r:
-                    acc += c
-        tau.append(acc)
-    return a.field.canonical(tau)
+def _dual_degree(r: int, n: int) -> int:
+    """The fiber index of the degree -deg b_r: x^i y^j -> x^(-i) y^(-j), the
+    exponents mod n."""
+    return -(r // n) % n * n + -r % n
+
+
+def _components(degree):
+    """Basis indices grouped by degree, each group in index order."""
+    comps = {}
+    for t, g in enumerate(degree):
+        comps.setdefault(g, []).append(t)
+    return comps
+
+
+def _block_kernel(field, block, cols, dim: int):
+    """A basis of the kernel of the matrix `block` (canonical rows, possibly
+    none), whose columns stand for the basis indices `cols`, as vectors of
+    length `dim`: a small block per graded component, or all of a matrix."""
+    if len(cols) == 1:  # as on every fiber: the kernel is all or nothing
+        rows = [(field.one(),)] if any(row[0] for row in block) else []
+    else:
+        rows = echelon_rows(field, block)
+    pivots = {next(k for k, x in enumerate(row) if x): row for row in rows}
+    out = []
+    for fc, t in enumerate(cols):
+        if fc not in pivots:
+            vec = [field.zero()] * dim
+            vec[t] = field.one()
+            for pc, row in pivots.items():
+                vec[cols[pc]] = field.neg(row[fc])
+            out.append(vec)
+    return out
+
+
+def _graded_radical(alg: FinDimAlgebra, n: int, degree) -> Subspace:
+    """The trace-form kernel of an algebra graded by Z/n x Z/n, one block
+    per component: `degree[t]` is the fiber index i n + j of the degree
+    (i, j) of basis index t (t itself on a quantum-plane fiber, r for the
+    jet index 3r + e), and degree 0 holds the unit; at n = 1 one block is T.
+
+    For b homogeneous of nonzero degree, L_b shifts degree, so tau(b) = 0:
+    tau is read off the table's diagonal on the degree-0 component only,
+    {1} on a fiber and {1, u, v} on the jet.  Then T[s][t] = tau(b_s b_t)
+    is nonzero only where deg s + deg t = 0, so ker T is the direct sum over
+    the components g of the kernel of the block with rows in degree -g and
+    columns in degree g: 1 x 1 on a fiber, where J is spanned by the b_t
+    whose cell (t*, t) is empty, t* the index of degree -deg t, and 3 x 3
+    on the jet.
+
+    ker T is the radical J under the gates `_radical_trace_form` names:
+    the census's p > n^2 = dim, and p coprime to 3n for the jet.
+    """
+    f = alg.field
+    mul = alg.mul
+    comps = _components(degree)
+    zero = comps.get(0, ())  # the zero ring has no component
+    diagonal = (sum(c for t, cell in enumerate(mul[r]) for rr, c in cell if rr == t) for r in zero)
+    tau = dict(zip(zero, f.canonical(diagonal)))
+    rows = []
+    for g, cols in comps.items():
+        block = []
+        for s in comps.get(_dual_degree(g, n), ()):
+            out = [f.zero()] * len(cols)
+            for x, t in enumerate(cols):
+                for r, c in mul[s][t]:
+                    out[x] += c * tau[r]
+            block.append(f.canonical(out))
+        rows += _block_kernel(f, block, cols, alg.dim)
+    return Subspace(alg, rows)
 
 
 def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
     """Kernel of the trace form (x, y) -> trace(L_x L_y), read off the table
-    once as T[i][j] = tau(b_i b_j).
+    once as T[i][j] = tau(b_i b_j): `_graded_radical` at the trivial grading.
 
     One kernel suffices on any table: for B a basis of ker T, T B^T = 0, so
     B T B^T = 0 and no further pass could shrink ker T.  ker T is the
@@ -799,16 +854,7 @@ def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
     multiplicity m_i nonzero mod p, so it is nondegenerate there (Q and
     GF(p) are perfect fields).
     """
-    f = a.field
-    tau = _trace_vector(a)
-    rows = []
-    for row in a.mul:
-        out = [f.zero()] * a.dim
-        for j, cell in enumerate(row):
-            for r, c in cell:
-                out[j] += c * tau[r]
-        rows.append(f.canonical(out))
-    return Subspace(a, rref_kernel(Matrix.from_rows(f, rows)).kernel.transpose().row_lists())
+    return _graded_radical(a, 1, [0] * a.dim)
 
 
 def radical(a: FinDimAlgebra) -> Subspace:
@@ -821,30 +867,42 @@ def radical(a: FinDimAlgebra) -> Subspace:
     return _radical_trace_form(a)
 
 
-def center(a: FinDimAlgebra) -> Subspace:
-    """Subspace of elements commuting with every j in `_generators`.
+def _graded_center(alg: FinDimAlgebra, n: int, degree, gens) -> Subspace:
+    """The center of an algebra graded by Z/n x Z/n (`degree` as in
+    `_graded_radical`) and generated by the homogeneous basis elements
+    `gens`, one block per component.
 
-    z = sum z_i b_i commutes with b_j iff sum_i z_i (b_i b_j - b_j b_i) = 0:
-    one row per (j, r) with entries [b_i b_j - b_j b_i]_r, read straight off
-    the table.  Zero and repeated rows are dropped before the RREF; the row
-    space, and so the kernel, is unchanged.
+    z commutes with b_s for s in `gens` exactly when each homogeneous part
+    z_g does, since [z_g, b_s] lies in degree g + deg s; so the center is
+    the direct sum over g of the kernel of the commutators of the degree-g
+    basis elements with the generators.  Zero and repeated rows are dropped
+    before the RREF; the row space, and so the kernel, is unchanged.
     """
-    f = a.field
-    dim = a.dim
-    zero = f.zero()
-    rows = {}
-    for j in _generators(a):
-        by_r = {}
-        for i in range(dim):
-            for r, c in a.mul[i][j]:
-                by_r.setdefault(r, [zero] * dim)[i] += c
-            for r, c in a.mul[j][i]:
-                by_r.setdefault(r, [zero] * dim)[i] -= c
-        for row in by_r.values():
-            row = tuple(f.canonical(row))
-            if any(row):
-                rows[row] = None
-    return _annihilator(a, rows)
+    f = alg.field
+    mul = alg.mul
+    zero = f.zero()  # one object, so equal rows over Q compare by identity
+    rows = []
+    for cols in _components(degree).values():
+        block = {}
+        for s in gens:
+            comm = {}
+            for x, t in enumerate(cols):
+                for r, c in mul[t][s]:
+                    comm.setdefault(r, [zero] * len(cols))[x] += c
+                for r, c in mul[s][t]:
+                    comm.setdefault(r, [zero] * len(cols))[x] -= c
+            for row in comm.values():
+                row = tuple(f.canonical(row))
+                if any(row):
+                    block[row] = None
+        rows += _block_kernel(f, block, cols, alg.dim)
+    return Subspace(alg, rows)
+
+
+def center(a: FinDimAlgebra) -> Subspace:
+    """Subspace of elements commuting with every j in `_generators`: the one
+    block of `_graded_center` at the trivial grading."""
+    return _graded_center(a, 1, [0] * a.dim, _generators(a))
 
 
 def minimal_polynomial(a: FinDimAlgebra, vec) -> Poly:

@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ])
     c.add_argument("--p", type=int, help="prime modulus; omit for the rationals")
     c.add_argument("--n", type=int, help="size parameter (dimension, order, ...)")
-    c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds")
+    c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds; exit 3 when "
+                   "its smallest root needs over 10^7 search steps (an order near sqrt(p))")
     c.add_argument("--a", type=int, help="x-truncation for qplane-box")
     c.add_argument("--b", type=int, help="y-truncation for qplane-box")
     c.add_argument("--c", type=int, help="x^n value for qplane-fiber")

@@ -18,7 +18,6 @@ from .linalg import (
     coordinates_in_row_span,
     echelon_rows,
     in_row_span,
-    kron,
     reduce_against,
     row_pivots,
     rref_kernel,
@@ -44,7 +43,6 @@ __all__ = [
     "field_to_json",
     "in_row_span",
     "is_prime",
-    "kron",
     "primitive_root_of_unity",
     "reduce_against",
     "row_pivots",

@@ -332,6 +332,11 @@ def check_root_order(field: Field, n: int) -> None:
         raise OrderUnavailableError(f"{n} does not divide {field.p} - 1")
 
 
+# The most steps `primitive_root_of_unity` starts on.  A step is a modular
+# power or two, 7-9 us at p near 10^18 (2-core x86-64, CPython 3.11.7).
+_ROOT_SEARCH_BOUND = 10 ** 7
+
+
 def primitive_root_of_unity(field: Field, n: int):
     """Smallest scalar of multiplicative order exactly n, by canonical order.
 
@@ -340,7 +345,8 @@ def primitive_root_of_unity(field: Field, n: int):
     of x = 1, 2, ... meets one of the phi(n) elements of order n about every
     (p - 1) / phi(n) steps: when n phi(n) > p - 1 the first such x is taken;
     otherwise the first z = x^((p-1)/n) of order n gives them all as the z^k
-    with gcd(k, n) = 1, and their min takes n steps.
+    with gcd(k, n) = 1, and their min takes n steps.  Both are about sqrt(p)
+    when n is: above `_ROOT_SEARCH_BOUND` steps, BadParamsError is raised.
     """
     check_root_order(field, n)
     if isinstance(field, Rationals):
@@ -351,6 +357,10 @@ def primitive_root_of_unity(field: Field, n: int):
     for ell in primes:
         phi -= phi // ell
     dense = n * phi > p - 1
+    steps = (p - 1) // phi if dense else n
+    if steps > _ROOT_SEARCH_BOUND:
+        raise BadParamsError(f"finding the smallest element of order {n} in GF({p}) would take "
+                             f"about {steps} steps, more than {_ROOT_SEARCH_BOUND}")
     for x in range(1, p):
         z = x if dense else pow(x, (p - 1) // n, p)
         if pow(z, n, p) == 1 and all(pow(z, n // ell, p) != 1 for ell in primes):

@@ -1,4 +1,4 @@
-"""Dense exact matrices: reduced row echelon form, kernels, Kronecker products.
+"""Dense exact matrices: reduced row echelon form and kernels.
 
 Entries are scalars of an attached Field, stored row-major.  The composite
 tensor index is row-major everywhere: the pair (i, j) on factors of dimensions
@@ -127,22 +127,6 @@ class Matrix:
             [x for j in range(self.cols) for x in ent[j :: self.cols]],
         )
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product under the fixed composite-index convention."""
-        f = self.field
-        ra, ca, rb, cb = self.rows, self.cols, other.rows, other.cols
-        out = [f.zero()] * (ra * rb * ca * cb)
-        ncols = ca * cb
-        for ia in range(ra):
-            for ja in range(ca):
-                a = self.get(ia, ja)
-                if not a:
-                    continue
-                for ib in range(rb):
-                    base = (ia * rb + ib) * ncols + ja * cb
-                    out[base:base + cb] = [a * x for x in other.row(ib)]
-        return Matrix(f, ra * rb, ca * cb, f.canonical(out))
-
     def rank(self) -> int:
         return rref_kernel(self).rank
 
@@ -216,10 +200,6 @@ def rref_kernel(m: Matrix) -> RrefKernel:
         cols.append(vec)
     kernel = Matrix(f, m.cols, len(cols), [cols[j][i] for i in range(m.cols) for j in range(len(cols))])
     return RrefKernel(rref, tuple(pivots), rank, kernel)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
 
 
 def echelon_rows(field: Field, rows):

@@ -37,11 +37,11 @@ the degree of r.  L_b shifts degree for b homogeneous of nonzero degree, so
 the trace form pairs degree g only with -g, and commutation with x or y
 moves each degree by a fixed step: the radical (`_graded_radical`) and the
 center (`_graded_center`) are one small kernel per component, 1 x 1 on a
-fiber and 3 x 3 on the jet, where the generic kernels take an RREF of the
-whole dim x dim table.  The radical is the trace-form kernel under the same
-gates as the generic path: p > n^2 for the census, and p coprime to 3n for
-the jet.  `semisimple_profile` and `measure_point_invariants` keep the
-generic kernels and serve as the oracle.
+fiber and 3 x 3 on the jet.  They live in `algebra`: the generic `radical`
+and `center` are the same kernels at the trivial grading, one component
+holding the whole table, not a separate oracle.  The radical is the
+trace-form kernel under the gates p > n^2 for the census and p coprime to
+3n for the jet.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from .algebra import (
     SemisimpleProfile,
     Subspace,
     _from_normal_table,
+    _graded_center,
+    _graded_radical,
     _radical_trace_form,
     _simple_factors,
     center,
@@ -69,7 +71,7 @@ from .errors import (
     InvalidInputError,
     NotAzumayaError,
 )
-from .kernel import GF, Matrix, check_root_order, echelon_rows, primitive_root_of_unity
+from .kernel import GF, Matrix, check_root_order, primitive_root_of_unity
 from .twist import TwistingMap, check_twisting_map, tensor_swap
 
 
@@ -412,99 +414,6 @@ def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_ro
                                 f"({rep.c}, {rep.d}) under lam = {lam}, mu = {mu}")
 
 
-def _dual_degree(r: int, n: int) -> int:
-    """The fiber index of the degree -deg b_r: x^i y^j -> x^(-i) y^(-j), the
-    exponents mod n."""
-    return -(r // n) % n * n + -r % n
-
-
-def _components(degree):
-    """Basis indices grouped by degree, each group in index order."""
-    comps = {}
-    for t, g in enumerate(degree):
-        comps.setdefault(g, []).append(t)
-    return comps
-
-
-def _block_kernel(field, block, cols, dim: int):
-    """A basis of the kernel of the small matrix `block` (canonical rows,
-    possibly none), whose columns stand for the basis indices `cols`, as
-    vectors of length `dim`."""
-    if len(cols) == 1:  # as on every fiber: the kernel is all or nothing
-        rows = [(field.one(),)] if any(row[0] for row in block) else []
-    else:
-        rows = echelon_rows(field, block)
-    pivots = {next(k for k, x in enumerate(row) if x): row for row in rows}
-    out = []
-    for fc, t in enumerate(cols):
-        if fc not in pivots:
-            vec = [field.zero()] * dim
-            vec[t] = field.one()
-            for pc, row in pivots.items():
-                vec[cols[pc]] = field.neg(row[fc])
-            out.append(vec)
-    return out
-
-
-def _graded_radical(alg: FinDimAlgebra, n: int, degree) -> Subspace:
-    """The trace-form kernel of an algebra graded by Z/n x Z/n, one block
-    per component: `degree[t]` is the fiber index i n + j of the certified
-    degree (i, j) of basis index t (t itself on a fiber, r for the jet index
-    3r + e), and degree 0 holds the unit.
-
-    For b homogeneous of nonzero degree, L_b shifts degree, so tau(b) = 0:
-    tau is read off the table's diagonal on the degree-0 component only,
-    {1} on a fiber and {1, u, v} on the jet.  Then T[s][t] = tau(b_s b_t)
-    is nonzero only where deg s + deg t = 0, so ker T is the direct sum over
-    the components g of the kernel of the block with rows in degree -g and
-    columns in degree g: 1 x 1 on a fiber, where J is spanned by the b_t
-    whose cell (t*, t) is empty, t* the index of degree -deg t, and 3 x 3
-    on the jet.
-
-    ker T is the radical J under the same gates as `_radical_trace_form`:
-    the census's p > n^2 = dim, and p coprime to 3n for the jet.
-    """
-    f = alg.field
-    mul = alg.mul
-    comps = _components(degree)
-    zero = comps[0]
-    diagonal = (sum(c for t, cell in enumerate(mul[r]) for rr, c in cell if rr == t) for r in zero)
-    tau = dict(zip(zero, f.canonical(diagonal)))
-    rows = []
-    for g, cols in comps.items():
-        block = [f.canonical(sum(c * tau[r] for r, c in mul[s][t]) for t in cols)
-                 for s in comps.get(_dual_degree(g, n), ())]
-        rows += _block_kernel(f, block, cols, alg.dim)
-    return Subspace(alg, rows)
-
-
-def _graded_center(alg: FinDimAlgebra, n: int, degree, gens) -> Subspace:
-    """The center of an algebra graded by Z/n x Z/n (`degree` as in
-    `_graded_radical`) and generated by the homogeneous basis elements
-    `gens`, one block per component.
-
-    z commutes with b_s for s in `gens` exactly when each homogeneous part
-    z_g does, since [z_g, b_s] lies in degree g + deg s; so the center is
-    the direct sum over g of the kernel of the commutators of the degree-g
-    basis elements with the generators.
-    """
-    f = alg.field
-    mul = alg.mul
-    rows = []
-    for cols in _components(degree).values():
-        block = []
-        for s in gens:
-            comm = {}
-            for x, t in enumerate(cols):
-                for r, c in mul[t][s]:
-                    comm.setdefault(r, [f.zero()] * len(cols))[x] += c
-                for r, c in mul[s][t]:
-                    comm.setdefault(r, [f.zero()] * len(cols))[x] -= c
-            block += (f.canonical(row) for row in comm.values())
-        rows += _block_kernel(f, block, cols, alg.dim)
-    return Subspace(alg, rows)
-
-
 def _graded_top(alg: FinDimAlgebra, n: int, degree, gens):
     """(J, the simple factors of A/J) of a graded algebra generated by
     the homogeneous basis elements `gens`, from `_graded_radical` and
@@ -548,8 +457,8 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     isomorphic to its class's first fiber.  So (n + 1)(n + 2) / 2 fibers are
     built, and the census costs O(p^2 + (n + 1)(n + 2) / 2 rep).
     """
-    # only the cheap order checks come before p <= n^2 is refused: the search
-    # for the root of unity may not return when n is near sqrt(p)
+    # only the cheap order checks come before p <= n^2 is refused: when n is
+    # near sqrt(p), the search for the root of unity is refused for its length
     field = GF(p)
     check_root_order(field, n)
     if p <= n * n:
@@ -670,7 +579,7 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     The jet index 3r + e has the certified degree of the fiber index r, so
     the radical, the center and the center of the top are the graded kernels
     (`_graded_top`, `_graded_center`), under the gate p coprime to 3n;
-    `measure_point_invariants` is the generic path.
+    `measure_point_invariants` takes them at the trivial grading.
     """
     # the field and the order of q first, so that a bad modulus or order is
     # named as such; neither check searches for the root of unity
@@ -679,8 +588,8 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
         raise CharacteristicTooSmallError(
             f"trace form needs p coprime to 3n; got p = {p}, n = {n}"
         )
-    # refused before the search for the root of unity, which alone may not
-    # return when n is near sqrt(p)
+    # refused before the search for the root of unity, which is refused for
+    # its length when n is near sqrt(p)
     if 3 * n * n > _MAX_JET_DIM:
         raise BadParamsError(
             f"jet algebra dim 3n^2 must be at most {_MAX_JET_DIM}; got n = {n}"

@@ -610,7 +610,8 @@ class TestKernelsAgainstOracles:
 
     @given(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
     def test_trace_form_radical_is_one_kernel(self, a):
-        with mock.patch.object(algebra_module, "rref_kernel", wraps=algebra_module.rref_kernel) as spy:
+        """The trivial grading has one component: one block, all of T."""
+        with mock.patch.object(algebra_module, "_block_kernel", wraps=algebra_module._block_kernel) as spy:
             _radical_trace_form(a)
         assert spy.call_count == 1
 

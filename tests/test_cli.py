@@ -45,6 +45,22 @@ class TestConstruct:
         assert code == 0
         assert json.loads(out)["dim"] == 4
 
+    def test_qplane_root_search_refused_promptly(self):
+        # q-order near sqrt(p): the scan for the smallest root of that order
+        # would take about (p - 1) / phi(n) = 5 * 10^8 steps
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        argv = ["construct", "--kind", "qplane-box", "--q-order", "2000000011",
+                "--p", "1000000129500000683", "--a", "1", "--b", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "findual.cli", *argv],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ("error: finding the smallest element of order 2000000011 in "
+                               "GF(1000000129500000683) would take about 500000062 steps, "
+                               "more than 10000000\n")
+
     def test_path(self):
         code, out = run(["construct", "--kind", "path", "--p", "5",
                          "--vertices", "2", "--arrows", "1-0"])

@@ -1,4 +1,5 @@
-"""Every name that a module under src/findual imports is used in that module.
+"""Every name that a module under src/findual imports is used in that module,
+and only the kernel and the algebra layer take row reductions.
 
 The package ``__init__.py`` files import names to re-export them, so they are
 left out.  A name counts as used when it appears as an identifier anywhere in
@@ -43,3 +44,34 @@ def test_guard_reports_unused_names():
               "from .algebra import _semisimple_factors as factors, center\n"
               "print(islice, center)\n")
     assert unused_imports(source) == [(1, "combinations"), (2, "os"), (3, "factors")]
+
+
+# The radical and the center of every algebra, graded or not, are one kernel
+# construction in algebra.py; a module that takes its own RREF would be a
+# second one.
+ROW_REDUCTIONS = {"echelon_rows", "rref_kernel"}
+REDUCING_MODULES = [p for p in MODULES if p.parent.name != "kernel" and p.name != "algebra.py"]
+
+
+def row_reduction_uses(source: str):
+    """(line, name) of each row reduction the module imports or reads as an
+    attribute."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            uses += [(node.lineno, alias.name) for alias in node.names if alias.name in ROW_REDUCTIONS]
+        elif isinstance(node, ast.Attribute) and node.attr in ROW_REDUCTIONS:
+            uses.append((node.lineno, node.attr))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", REDUCING_MODULES, ids=[str(p.relative_to(SRC)) for p in REDUCING_MODULES])
+def test_no_row_reduction_outside_kernel_and_algebra(path):
+    assert row_reduction_uses(path.read_text()) == []
+
+
+def test_row_reduction_guard_reports_imports_and_attributes():
+    source = ("from .kernel import Matrix, echelon_rows as rows\n"
+              "from . import kernel\n"
+              "kernel.rref_kernel(Matrix.zeros(None, 0, 0))\n")
+    assert row_reduction_uses(source) == [(1, "echelon_rows"), (3, "rref_kernel")]

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,12 @@ from findual.kernel import (
     factor_over_field,
     in_row_span,
     is_prime,
-    kron,
     primitive_root_of_unity,
     reduce_against,
     row_pivots,
     rref_kernel,
 )
+from findual.kernel import fields as fields_module
 from findual.kernel.fields import prime_factors
 
 
@@ -105,6 +106,28 @@ class TestPrimitiveRoots:
             for n in divisors:
                 want = min(x for x in range(1, p) if order[x] == n)
                 assert primitive_root_of_unity(GF(p), n) == want, (p, n)
+
+    @pytest.mark.parametrize("bound", [None, 20])
+    def test_search_refused_exactly_above_its_estimate(self, bound, monkeypatch):
+        """Below the bound the root is the brute-force smallest element of
+        order n; above it the search is refused.  The real bound refuses no
+        (n, p) with p < 500, and the bound 20 splits them."""
+        if bound is not None:
+            monkeypatch.setattr(fields_module, "_ROOT_SEARCH_BOUND", bound)
+        refused = 0
+        for p in filter(is_prime, range(500)):
+            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+            order = {x: next(d for d in divisors if pow(x, d, p) == 1) for x in range(1, p)}
+            for n in divisors:
+                phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+                steps = (p - 1) // phi if n * phi > p - 1 else n
+                if bound is not None and steps > bound:
+                    refused += 1
+                    with pytest.raises(BadParamsError, match=f"about {steps} steps"):
+                        primitive_root_of_unity(GF(p), n)
+                else:
+                    assert primitive_root_of_unity(GF(p), n) == min(x for x in order if order[x] == n), (p, n)
+        assert (refused > 0) == (bound is not None)
 
     def test_large_prime_order_2_returns_promptly(self):
         # the smallest element of order 2 is p - 1: a scan of [1, p) would not return
@@ -349,44 +372,6 @@ class TestMatrixSlices:
         t = m.transpose()
         assert (t.rows, t.cols) == (4, 3)
         assert all(t.get(j, i) == m.get(i, j) for i in range(3) for j in range(4))
-
-
-class TestKron:
-    def test_identity(self):
-        i2 = Matrix.identity(GF(5), 2)
-        assert kron(i2, i2) == Matrix.identity(GF(5), 4)
-
-    def test_shape(self):
-        a = Matrix.zeros(QQ, 2, 3)
-        b = Matrix.zeros(QQ, 4, 5)
-        k = kron(a, b)
-        assert (k.rows, k.cols) == (8, 15)
-
-    def test_unit_entry(self):
-        f = GF(5)
-        e11 = Matrix.from_int_rows(f, [[1, 0], [0, 0]])
-        k = kron(e11, e11)
-        assert k.get(0, 0) == 1
-        assert sum(1 for x in k.entries if x != 0) == 1
-
-    def test_associativity(self):
-        rng = random.Random(9)
-        f = GF(5)
-        for _ in range(10):
-            a = Matrix(f, 2, 2, [rng.randrange(5) for _ in range(4)])
-            b = Matrix(f, 2, 3, [rng.randrange(5) for _ in range(6)])
-            c = Matrix(f, 3, 2, [rng.randrange(5) for _ in range(6)])
-            assert kron(kron(a, b), c) == kron(a, kron(b, c))
-
-    def test_mixed_product(self):
-        rng = random.Random(10)
-        f = GF(7)
-        for _ in range(10):
-            a = Matrix(f, 2, 2, [rng.randrange(7) for _ in range(4)])
-            b = Matrix(f, 3, 3, [rng.randrange(7) for _ in range(9)])
-            c = Matrix(f, 2, 2, [rng.randrange(7) for _ in range(4)])
-            d = Matrix(f, 3, 3, [rng.randrange(7) for _ in range(9)])
-            assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from test_algebra import (
     assert_normal_table,
     census_representatives,
+    oracle_center,
     oracle_one_dim_characters,
+    oracle_radical_trace_form,
     uncertified_copy,
 )
 
@@ -724,6 +726,25 @@ class TestGradedKernels:
         assert Subspace(top, rows) == center(top)
         assert qplane._graded_center(jet, n, degree, gens) == center(jet)
         assert azumaya_point_invariants(*point) == qplane.measure_point_invariants(jet)
+
+    @pytest.mark.parametrize("case", ["census (3, 13)", "jet (2, 5, 1, 1)"])
+    def test_per_scalar_oracles(self, case, monkeypatch):
+        """The graded radical and centers against the Gram and dense
+        commutator oracles, which share no code with any grading."""
+        if case.startswith("census"):
+            n, algs = 3, census_representatives(3, 13)
+            degree, gens = range(n * n), qplane._xy(n)
+        else:
+            n, algs = 2, [regular_point_jet_algebra(2, 5, 1, 1)]
+            degree, gens = [r for r in range(n * n) for _ in range(3)], qplane._jet_xy(n)
+        seen = recorded_center_rows(monkeypatch)
+        for alg in algs:
+            rad, _ = qplane._graded_top(alg, n, degree, gens)
+            assert rad == oracle_radical_trace_form(alg)
+            (top, rows), = seen
+            seen.clear()
+            assert Subspace(top, rows) == oracle_center(top)
+            assert algebra_module._graded_center(alg, n, degree, gens) == oracle_center(alg)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matrix_gradings(self, d):
