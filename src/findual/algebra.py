@@ -45,7 +45,7 @@ class FinDimAlgebra:
         """mul may be given densely (mul[i][j][r] scalar) or sparsely
         (mul[i][j] an iterable of (r, coeff) pairs)."""
         labels = tuple(labels)
-        self._store(field, labels, _normalize_mul(field, len(labels), mul), unit, None)
+        self._store(field, labels, _normalize_mul(field, len(labels), mul), field.canonical(unit), None)
 
     def _store(self, field: Field, labels: tuple, mul: tuple, unit, gens):
         self.field = field
@@ -57,10 +57,11 @@ class FinDimAlgebra:
             raise BadParamsError("unit vector has wrong length")
         self.unit = unit
         # None until the table is certified associative and unital (only
-        # `validate_algebra`, `quotient_algebra`, and the census and the jet
-        # algebra, whose integer certificate covers every base change of the
-        # fiber table, do that); then True, or the generating set once it is
-        # known (see `_generators`)
+        # `validate_algebra`, `quotient_algebra`, the dual of a validated
+        # coalgebra (`coalgebra.dualize_coalgebra`), and the census and the
+        # jet algebra, whose integer certificate covers every base change of
+        # the fiber table, do that); then True, or the generating set once
+        # it is known (see `_generators`)
         self._gens = gens
 
     def basis_product(self, i: int, j: int):
@@ -115,26 +116,26 @@ class FinDimAlgebra:
 
 
 def _normalize_mul(field: Field, dim: int, mul):
-    """One (r, coeff) pair per r with coeff != 0, sorted by r; the coefficients
-    of repeated pairs (i, j, r) are summed.  A cell already in that form is
-    kept as it is."""
-    zero = field.zero()
+    """One (r, coeff) pair per r with coeff canonical (see `Field.canonical`)
+    and nonzero, sorted by r; the coefficients of repeated pairs (i, j, r)
+    are summed.  A cell already in that form (as a tuple or a list, such as
+    a decoded document's) is kept as it is."""
+    p = field.characteristic()
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
             cell = mul[i][j]
-            if not _normal_cell(cell, zero):
+            if _normal_cell(cell, p):
+                cell = tuple(cell)
+            else:
                 if cell and isinstance(cell[0], tuple):
-                    pairs = cell
-                    if len(cell) > 1:
-                        merged = {}
-                        for r, c in cell:
-                            merged[r] = field.add(merged[r], c) if r in merged else c
-                        pairs = merged.items()
+                    merged = {}
+                    for r, c in cell:
+                        merged[r] = merged.get(r, 0) + c
                 else:
-                    pairs = enumerate(cell)
-                cell = tuple(sorted((r, c) for r, c in pairs if c != zero))
+                    merged = dict(enumerate(cell))
+                cell = tuple(sorted((r, c) for r, c in zip(merged, field.canonical(merged.values())) if c))
             row.append(cell)
         out.append(tuple(row))
     return tuple(out)
@@ -143,28 +144,34 @@ def _normalize_mul(field: Field, dim: int, mul):
 def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     """The algebra of a table its builder emits in the normal form
     `_normalize_mul` stores (each cell a tuple of (r, coeff) pairs, r
-    strictly increasing, no coeff zero), without walking it again; `gens` is
-    the `_gens` to start from (None, True or a generating set).
+    strictly increasing, every coeff canonical and nonzero) with a canonical
+    unit, without walking it again; `gens` is the `_gens` to start from
+    (None, True or a generating set).
 
-    Only builders whose cells are normal by construction call this: public
-    input and codec documents go through `FinDimAlgebra`, which normalizes.
+    Only builders whose cells are normal by construction call this: the
+    quotient by an ideal, the census and jet tables and the box tower's
+    levels (`qplane`), the twisted product's table
+    (`twist.raw_twisted_algebra`), and the transpose of a normalized
+    comultiplication (`coalgebra.dualize_coalgebra`).  Public input and codec
+    documents go through `FinDimAlgebra`, which normalizes.
     """
     alg = object.__new__(FinDimAlgebra)
     alg._store(field, tuple(labels), tuple(map(tuple, mul)), unit, gens)
     return alg
 
 
-def _normal_cell(cell, zero) -> bool:
-    """Whether `cell` is a tuple of (r, coeff) pairs, r ints strictly
-    increasing and every coeff != 0: the form `_normalize_mul` stores."""
-    if type(cell) is not tuple:
+def _normal_cell(cell, p: int) -> bool:
+    """Whether `cell` is a tuple or list of (r, coeff) pairs, r ints strictly
+    increasing and every coeff canonical and nonzero (over GF(p), p > 0, an
+    int in [1, p)): the form `_normalize_mul` stores, as a tuple."""
+    if type(cell) is not tuple and type(cell) is not list:
         return False
     prev = -1
     for pair in cell:
         if type(pair) is not tuple or len(pair) != 2:
             return False
         r, c = pair
-        if type(r) is not int or r <= prev or c == zero:
+        if type(r) is not int or r <= prev or not (type(c) is int and 0 < c < p if p else c):
             return False
         prev = r
     return True

@@ -8,7 +8,7 @@ round trip is the identity entrywise.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .algebra import (
@@ -17,6 +17,7 @@ from .algebra import (
     Subspace,
     _annihilator,
     _first_failure,
+    _from_normal_table,
     _first_non_associative_triple,
     _light_generators,
     one_dim_characters,
@@ -40,19 +41,26 @@ class FinDimCoalgebra:
 
     def __init__(self, field: Field, labels, comul, counit):
         """comul[r] is an iterable of (i, j, coeff) triples; the coefficients
-        of repeated (i, j) are summed and zero sums dropped."""
-        self.field = field
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
+        of repeated (i, j) are summed and zero sums dropped, and the
+        coefficients and the counit are stored canonical (see
+        `Field.canonical`)."""
+        labels = tuple(labels)
         merged = {}
-        for r in range(self.dim):
+        for r in range(len(labels)):
             for i, j, c in comul[r]:
                 merged[r, i, j] = merged.get((r, i, j), 0) + c
-        norm = [[] for _ in range(self.dim)]
+        norm = [[] for _ in labels]
         for (r, i, j), c in zip(merged, field.canonical(merged.values())):
             if c:
                 norm[r].append((i, j, c))
-        self.comul = tuple(tuple(sorted(triples)) for triples in norm)
+        self._store(field, labels, tuple(tuple(sorted(triples)) for triples in norm),
+                    field.canonical(counit))
+
+    def _store(self, field: Field, labels: tuple, comul: tuple, counit):
+        self.field = field
+        self.labels = labels
+        self.dim = len(labels)
+        self.comul = comul
         counit = tuple(counit)
         if len(counit) != self.dim:
             raise BadParamsError("counit vector has wrong length")
@@ -184,6 +192,13 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
     certificate fails or finds no generating set, the per-r scan gives the
     verdict and the witness.
     """
+    return _validate_coalgebra(c)[0]
+
+
+def _validate_coalgebra(c: FinDimCoalgebra):
+    """(report, mul, gens): `validate_coalgebra`'s report, with the dual
+    table and the generating set of `_light_certified` (each None where it
+    was not built), so a dualization builds neither twice."""
     f = c.field
 
     def coassociative():
@@ -208,20 +223,21 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
             yield "counit", (r,), diff
 
     counit = _first_failure(f, counital())
-    if counit is None and _light_certified(c):
-        coassoc = None
-    else:
-        coassoc = _first_failure(f, coassociative())
+    certified, mul, gens = (False, None, None) if counit else _light_certified(c)
+    coassoc = None if certified else _first_failure(f, coassociative())
     if coassoc:
         coassoc = ("coassociativity", coassoc[1] + _coassociativity_witness(c, *coassoc[1]))
     failures = (coassoc, counit)
-    return CoalgebraValidation(*(w is None for w in failures), tuple(w for w in failures if w))
+    report = CoalgebraValidation(*(w is None for w in failures), tuple(w for w in failures if w))
+    return report, mul, gens
 
 
-def _light_certified(c: FinDimCoalgebra) -> bool:
-    """Whether Light's test proves the dual algebra of the counital c
-    associative: a small generating set S is found and every pair (i, j) with
-    j in S passes.
+def _light_certified(c: FinDimCoalgebra):
+    """(certified, mul, gens): whether Light's test proves the dual algebra
+    of the counital c associative (a small generating set S is found and
+    every pair (i, j) with j in S passes), with the dual table and S where
+    they were built, else None.  Once c is coassociative, S generates the
+    dual algebra whether or not the test was run on it.
 
     The test is tried only where it can be the cheaper scan.  The per-r scan
     takes one step per term of Delta(b_i) or Delta(b_j) for each term
@@ -233,12 +249,12 @@ def _light_certified(c: FinDimCoalgebra) -> bool:
     sizes = [len(terms) for terms in c.comul]
     steps = sum(sizes[i] + sizes[j] for terms in c.comul for i, j, _ in terms)
     if steps <= c.dim * c.dim:
-        return False
+        return False, None, None
     mul = _dual_table(c)
     gens = _light_generators(c.field, mul, c.counit)
     if gens is None or steps <= c.dim * c.dim * len(gens):
-        return False
-    return _first_non_associative_triple(c.field, mul, product(range(c.dim), gens)) is None
+        return False, mul, gens
+    return _first_non_associative_triple(c.field, mul, product(range(c.dim), gens)) is None, mul, gens
 
 
 def _coassociativity_witness(c: FinDimCoalgebra, r: int):
@@ -261,27 +277,53 @@ def _coassociativity_witness(c: FinDimCoalgebra, r: int):
 
 
 def dualize_algebra(a: FinDimAlgebra) -> FinDimCoalgebra:
-    """Coalgebra on the dual basis: Delta(b^r) = sum c_ij^r b^i (x) b^j."""
-    if not validate_algebra(a).ok:
+    """Coalgebra on the dual basis: Delta(b^r) = sum c_ij^r b^i (x) b^j.
+
+    An algebra is validated first unless it is already certified (`_gens`
+    set: by a validation, by the integer exponent-table certificate of the
+    census and jet tables, or as the quotient of a certified algebra by a
+    checked ideal); the coassociativity and counit laws of the dual are its
+    associativity and unit laws.  The comultiplication is the transpose of
+    the normal table, cells visited in order (i, j): each Delta(b^r) comes
+    out sorted, with one canonical nonzero coefficient per (i, j), which is
+    the form `FinDimCoalgebra` stores, so it is not normalized again.
+    """
+    if a._gens is None and not validate_algebra(a).ok:
         raise InvalidInputError("algebra fails validation")
     comul = [[] for _ in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for r, c in a.mul[i][j]:
+    for i, row in enumerate(a.mul):
+        for j, cell in enumerate(row):
+            for r, c in cell:
                 comul[r].append((i, j, c))
-    return FinDimCoalgebra(a.field, a.labels, comul, a.unit)
+    dual = object.__new__(FinDimCoalgebra)
+    dual._store(a.field, a.labels, tuple(map(tuple, comul)), a.unit)
+    return dual
 
 
 def dualize_coalgebra(c: FinDimCoalgebra) -> FinDimAlgebra:
-    """Convolution algebra on the dual basis: c_ij^r = D_r^ij, unit = counit."""
-    if not validate_coalgebra(c).ok:
+    """Convolution algebra on the dual basis: c_ij^r = D_r^ij, unit = counit.
+
+    The dual carries the certificate of the validation that just passed (its
+    associativity and unit laws are the coassociativity and counit laws of
+    c): `_gens` is the generating set Light's test found on the dual table,
+    or True.  The table is built once, shared with the validation where
+    Light's test built it; as the transpose of a normalized comultiplication
+    it is normal (see `_dual_table`), so it is not normalized again.
+    """
+    report, mul, gens = _validate_coalgebra(c)
+    if not report.ok:
         raise InvalidInputError("coalgebra fails validation")
-    return FinDimAlgebra(c.field, c.labels, _dual_table(c), c.counit)
+    if mul is None:
+        mul = _dual_table(c)
+    return _from_normal_table(c.field, c.labels, mul, c.counit, True if gens is None else tuple(gens))
 
 
 def _dual_table(c: FinDimCoalgebra):
     """Multiplication table of the dual algebra: mul[i][j] holds (r, coeff)
-    for each (i, j, coeff) in comul[r], sorted by r as `FinDimAlgebra.mul`."""
+    for each (i, j, coeff) in comul[r].  Visiting r in order keeps each cell
+    sorted by r, and a normalized comul holds each (i, j) once per r with a
+    canonical nonzero coefficient, so the table is in the normal form of
+    `FinDimAlgebra.mul`."""
     mul = [[()] * c.dim for _ in range(c.dim)]
     for r in range(c.dim):
         for i, j, cf in c.comul[r]:
@@ -300,25 +342,33 @@ def grouplikes(c: FinDimCoalgebra):
 
 
 def grouplikes_bruteforce(c: FinDimCoalgebra, max_dim: int = 4):
-    """Exhaustive solution set of Delta(x) = x (x) x over a small prime field."""
+    """Exhaustive solution set of Delta(x) = x (x) x over a small prime field.
+
+    Every nonzero x in GF(p)^dim is tried.  The equation is compared one
+    coordinate b_i (x) b_j at a time, sum_r x_r D_r^ij against x_i x_j, from
+    a list of the (r, D_r^ij) of each (i, j) built once, the coordinates
+    (i, i) first; a vector is dropped at its first unequal coordinate.
+    """
     f = c.field
     if not isinstance(f, PrimeField):
         raise BadParamsError("brute-force enumeration needs a prime field")
     if c.dim > max_dim:
         raise BadParamsError(f"dimension {c.dim} too large for brute force")
+    p, dim = f.p, c.dim
+    terms = {}
+    for r, triples in enumerate(c.comul):
+        for i, j, cf in triples:
+            terms.setdefault((i, j), []).append((r, cf))
+    # the diagonal first: on the named coalgebras it drops most vectors soonest
+    pairs = [(i, i) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    coords = [(i, j, terms.get((i, j), ())) for i, j in pairs]
     out = []
-    p = f.p
-    total = p ** c.dim
-    for code in range(1, total):
-        vec = []
-        x = code
-        for _ in range(c.dim):
-            vec.append(x % p)
-            x //= p
-        delta = c.delta_of_vector(vec)
-        tensor = [f.mul(a, b) for a in vec for b in vec]
-        if delta == tensor:
-            out.append(tuple(vec))
+    for vec in islice(product(range(p), repeat=dim), 1, None):
+        for i, j, ts in coords:
+            if (sum(vec[r] * cf for r, cf in ts) - vec[i] * vec[j]) % p:
+                break
+        else:
+            out.append(vec)
     out.sort()
     return out
 

@@ -10,6 +10,12 @@ Conventions (load-bearing, shared with the JSON codec):
 Dualization is matrix transposition on the fixed dual bases, which makes the
 finite-level crossed-product duality an entrywise equality.
 
+The twisted product's table is built in the normal form `FinDimAlgebra`
+stores (each cell sorted by output index, canonical coefficients, zero sums
+dropped) and stored as it stands; the product is never taken as certified,
+so dualizing it validates it.  A map's sparse columns are slices of its
+matrix's row-major entries.
+
 Law checks: every axiom is a stream of laws, each an unreduced sparse
 lhs - rhs built with the plain ``+ - *`` operators and reduced once
 (`algebra._first_failure`).  The first law that fails, in loop order, is the
@@ -26,6 +32,7 @@ from .algebra import (
     AlgebraHom,
     FinDimAlgebra,
     _first_failure,
+    _from_normal_table,
     cyclic_group_algebra,
     monogenic_algebra,
     triangular_algebra,
@@ -111,12 +118,11 @@ class CotwistingMap:
 
 
 def _sparse_cols(matrix: Matrix):
-    zero = matrix.field.zero()
-    cols = []
-    for j in range(matrix.cols):
-        col = [(i, matrix.get(i, j)) for i in range(matrix.rows) if matrix.get(i, j) != zero]
-        cols.append(tuple(col))
-    return cols
+    """Each column's nonzero entries as ((row, entry), ...), read off a slice
+    of the row-major entries.  Each tuple is made from a list, which sizes
+    it exactly; one made from a generator is over-allocated, then shrunk,
+    which raised the selftest corpus's peak memory."""
+    return [tuple([(i, x) for i, x in enumerate(matrix.col(j)) if x]) for j in range(matrix.cols)]
 
 
 def tensor_swap(a: FinDimAlgebra, b: FinDimAlgebra) -> TwistingMap:
@@ -212,7 +218,9 @@ def check_twisting_map(rho: TwistingMap) -> TwistReport:
 
 
 def _twisted_mul_table(rho: TwistingMap):
-    """Structure constants of m_rho on the A(x)B basis, no validity gate."""
+    """Structure constants of m_rho on the A(x)B basis, no validity gate, in
+    the normal form `FinDimAlgebra` stores: each cell sorted by output index,
+    canonical coefficients, zero sums dropped."""
     a, b = rho.a, rho.b
     da, db = a.dim, b.dim
     n = da * db
@@ -231,8 +239,9 @@ def _twisted_mul_table(rho: TwistingMap):
                                 acc[key] = acc.get(key, 0) + cc * c3
     mul = [[[] for _ in range(n)] for _ in range(n)]
     for (left, right, out), v in zip(acc, a.field.canonical(acc.values())):
-        mul[left][right].append((out, v))
-    return mul
+        if v:
+            mul[left][right].append((out, v))
+    return [[tuple(sorted(cell)) for cell in row] for row in mul]
 
 
 def _tensor_unit(a: FinDimAlgebra, b: FinDimAlgebra):
@@ -245,12 +254,15 @@ def _tensor_labels(la, lb):
 
 def raw_twisted_algebra(rho: TwistingMap) -> FinDimAlgebra:
     """The candidate algebra (A (x) B, m_rho) without any twisting-map gate;
-    its laws may fail, which validate_algebra will report."""
-    return FinDimAlgebra(
+    its laws may fail, which validate_algebra will report.  The table is
+    normal as built and is not normalized again; the product is not
+    certified (`_gens` is None), whatever rho is."""
+    return _from_normal_table(
         rho.a.field,
         _tensor_labels(rho.a.labels, rho.b.labels),
         _twisted_mul_table(rho),
         _tensor_unit(rho.a, rho.b),
+        None,
     )
 
 

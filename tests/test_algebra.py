@@ -61,7 +61,7 @@ from findual.kernel import (
 )
 from findual import qplane
 from findual.qplane import azumaya_census, azumaya_point_invariants, oq_truncation, regular_point_jet_algebra
-from findual.twist import tensor_swap, twisted_product
+from findual.twist import raw_twisted_algebra, tensor_swap, twisted_product
 
 F5 = GF(5)
 
@@ -1118,7 +1118,7 @@ class TestCertifiedAlgebras:
 
 
 def oracle_normalize_mul(field, dim, mul):
-    """The normalization that merges, filters and sorts every cell."""
+    """The normalization that merges, reduces, filters and sorts every cell."""
     zero = field.zero()
     out = []
     for i in range(dim):
@@ -1134,6 +1134,7 @@ def oracle_normalize_mul(field, dim, mul):
                     pairs = merged.items()
             else:
                 pairs = enumerate(cell)
+            pairs = [(r, field.canonical([c])[0]) for r, c in pairs]
             row.append(tuple(sorted((r, c) for r, c in pairs if c != zero)))
         out.append(tuple(row))
     return tuple(out)
@@ -1206,16 +1207,19 @@ class TestNormalization:
         public = [
             lambda: matrix_algebra(F5, 3), lambda: triangular_algebra(QQ, 3),
             lambda: truncated_polynomial_algebra(GF(7), 5), lambda: cyclic_group_algebra(QQ, 4),
-            lambda: diagonal_algebra(F5, 3), lambda: dualize_coalgebra(comatrix_coalgebra(F5, 3)),
-            lambda: dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),
+            lambda: diagonal_algebra(F5, 3),
             lambda: loads(to_canonical_json(dualize_coalgebra(comatrix_coalgebra(QQ, 2)))),
         ]
         triangular = triangular_algebra(GF(7), 3)
+        swap = tensor_swap(matrix_algebra(F5, 2), triangular_algebra(F5, 2))
         private = [
             lambda: oq_truncation(3, 13, "box", (4, 5)).algebra,
             lambda: oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
             lambda: regular_point_jet_algebra(3, 13, 2, 5),
             lambda: quotient_algebra(triangular, radical(triangular))[0],
+            lambda: dualize_coalgebra(comatrix_coalgebra(F5, 3)),
+            lambda: dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),
+            lambda: raw_twisted_algebra(swap),
         ]
         patch, check = checked_normalization()
         with patch:
@@ -1226,6 +1230,43 @@ class TestNormalization:
             for build in private:
                 assert_normal_table(build())
         assert check.calls == calls
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_unreduced_scalars_stream(self, data):
+        """Each GF(p) coefficient c of a table, a unit, a comultiplication
+        and a counit written as c + k p, k drawn per entry, with the cells in
+        random input forms: the constructors store the reduced objects, so
+        they equal them, dualize as they do and encode to the same bytes."""
+        from findual.codec import to_canonical_json
+        from findual.coalgebra import FinDimCoalgebra, dualize_algebra, dualize_coalgebra
+
+        f = data.draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7)]))
+        a = data.draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad, field=f)))
+
+        def lift(c):
+            return c + f.p * data.draw(st.integers(0, 3))
+
+        # a tuple cell stays a tuple, so it reaches the normal-form check
+        table = [[type(cell)((r, lift(c)) for r, c in cell) if cell and isinstance(cell[0], tuple)
+                  else [lift(c) for c in cell] for cell in row] for row in data.draw(raw_cells(a))]
+        b = FinDimAlgebra(f, a.labels, table, [lift(u) for u in a.unit])
+        assert b == a and repr((b.mul, b.unit)) == repr((a.mul, a.unit))
+        assert to_canonical_json(b) == to_canonical_json(a)
+        if validate_algebra(a).ok:
+            assert dualize_coalgebra(dualize_algebra(b)) == a
+        comul = [[] for _ in range(a.dim)]
+        for i, row in enumerate(a.mul):
+            for j, cell in enumerate(row):
+                for r, c in cell:
+                    comul[r].append((i, j, c))
+        c = FinDimCoalgebra(f, a.labels, comul, a.unit)
+        lifted = [[(i, j, lift(x)) for i, j, x in triples] for triples in comul]
+        if a.dim:
+            lifted[0].append((0, 0, f.p * data.draw(st.integers(1, 3))))
+        d = FinDimCoalgebra(f, a.labels, lifted, [lift(u) for u in a.unit])
+        assert d == c and repr((d.comul, d.counit)) == repr((c.comul, c.counit))
+        assert to_canonical_json(d) == to_canonical_json(c)
 
     @settings(max_examples=100)
     @given(st.data())

@@ -357,6 +357,22 @@ TWIST_CHECK_DIGESTS = {
 }
 
 
+# sha256 of the stdout of the two acceptance reports, both exit 0: every
+# criterion's verdict and details must reproduce these bytes exactly
+ACCEPTANCE_DIGESTS = {
+    ("selftest", "--seed", "5"): "c3f1d8ffe14c0b08ed2086c5537d0075f7e5a6b6c86f3ef70b50a0658e4e956c",
+    ("verify", "--suite", "all", "--seed", "11"):
+        "b3def9d0a69f01511fa7a97af671add0313fab38e9fced11222d65692adc2486",
+}
+
+
+class TestAcceptanceReportBytes:
+    @pytest.mark.parametrize("argv", list(ACCEPTANCE_DIGESTS), ids=["selftest-seed5", "verify-all-seed11"])
+    def test_report_is_byte_identical(self, argv):
+        code, out = run(list(argv))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, ACCEPTANCE_DIGESTS[argv])
+
+
 class TestTwistCheckBytes:
     def test_reports_are_byte_identical(self, tmp_path, monkeypatch):
         # the report echoes argv, so the --in path is a fixed relative one

@@ -19,12 +19,15 @@ from findual.algebra import (
     Subspace,
     cyclic_group_algebra,
     diagonal_algebra,
+    FinDimAlgebra,
     matrix_algebra,
     one_dim_characters,
+    quotient_algebra,
     radical,
     semisimple_profile,
     triangular_algebra,
     truncated_polynomial_algebra,
+    validate_algebra,
 )
 from findual.coalgebra import (
     CoalgebraHom,
@@ -745,3 +748,134 @@ class TestFiltrationAgainstWedgeOracle:
         # a perturbation moves one comul entry, which need not break a law
         if perturbed and not validate_coalgebra(c).ok:
             assert got is InvalidInputError
+
+
+# ---------------------------------------------------------------------------
+# The brute-force grouplike search that compares Delta(x) and x (x) x one
+# coordinate at a time, against the body it replaced, which built both dense
+# dim^2 vectors for every x.
+
+
+def oracle_grouplikes_bruteforce(c):
+    f = c.field
+    p = f.p
+    out = []
+    for code in range(1, p ** c.dim):
+        vec = []
+        x = code
+        for _ in range(c.dim):
+            vec.append(x % p)
+            x //= p
+        delta = c.delta_of_vector(vec)
+        tensor = [f.mul(a, b) for a in vec for b in vec]
+        if delta == tensor:
+            out.append(tuple(vec))
+    out.sort()
+    return out
+
+
+def small_named_coalgebras(field):
+    """The named constructors and duals of dim <= 4 over `field`."""
+    out = [c for c in named_coalgebras(field) if c.dim <= 4]
+    out += [grouplike_coalgebra(field, n) for n in range(1, 5)]
+    out += [line_dist_coalgebra(field, {0: 2, 1: 1}), path_coalgebra(field, Quiver(2, [(1, 0)]))]
+    out += [dualize_algebra(a) for a in (cyclic_group_algebra(field, 4), diagonal_algebra(field, 3),
+                                         matrix_algebra(field, 2), truncated_polynomial_algebra(field, 4))]
+    out.append(dualize_algebra(oq_truncation(2, 5, "box", (2, 2)).algebra) if field.p == 5
+               else comatrix_coalgebra(field, 2))
+    return out
+
+
+class TestGrouplikesBruteforce:
+    @pytest.mark.parametrize("field", [GF(3), GF(5)], ids=["gf3", "gf5"])
+    def test_named_coalgebras(self, field):
+        corpus = small_named_coalgebras(field)
+        assert len(corpus) > 20
+        for c in corpus:
+            assert grouplikes_bruteforce(c) == oracle_grouplikes_bruteforce(c)
+
+    @settings(max_examples=80)
+    @given(st.sampled_from([GF(3), GF(5)]).flatmap(
+        lambda f: coalgebras(perturbed=True, field=f).filter(lambda c: c.dim <= 4)))
+    def test_perturbed_comultiplications(self, c):
+        assert grouplikes_bruteforce(c) == oracle_grouplikes_bruteforce(c)
+
+
+# ---------------------------------------------------------------------------
+# Dualization stores the transposed table as it stands: both duals equal the
+# ones the normalizing constructors build from the same transposition, and a
+# certified algebra is not validated again.
+
+
+def normalized_dual_coalgebra(a):
+    comul = [[] for _ in range(a.dim)]
+    for i, row in enumerate(a.mul):
+        for j, cell in enumerate(row):
+            for r, c in cell:
+                comul[r].append((i, j, c))
+    return FinDimCoalgebra(a.field, a.labels, comul, a.unit)
+
+
+def normalized_dual_algebra(c):
+    mul = [[[] for _ in range(c.dim)] for _ in range(c.dim)]
+    for r, triples in enumerate(c.comul):
+        for i, j, cf in triples:
+            mul[i][j].append((r, cf))
+    return FinDimAlgebra(c.field, c.labels, mul, c.counit)
+
+
+def algebra_zoo(field):
+    out = [matrix_algebra(field, d) for d in (1, 2, 3)]
+    out += [triangular_algebra(field, n) for n in (2, 3, 4)]
+    out += [truncated_polynomial_algebra(field, n) for n in (1, 3, 5)]
+    out += [cyclic_group_algebra(field, m) for m in (2, 3, 4)]
+    out += [diagonal_algebra(field, 3)]
+    out += [twisted_product(rho) for rho in twist_corpus(field, 3, 25) if check_twisting_map(rho).ok]
+    if field.characteristic():
+        out += [oq_truncation(2, 5, "box", (3, 3)).algebra, oq_truncation(2, 5, "central_fiber", (2, 3)).algebra]
+    return out
+
+
+class TestNormalDuals:
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_duals_match_normalizing_constructors(self, field):
+        for a in algebra_zoo(field):
+            got = dualize_algebra(a)
+            want = normalized_dual_coalgebra(a)
+            assert got == want and repr((got.comul, got.counit)) == repr((want.comul, want.counit))
+        for c in named_coalgebras(field) + [dualize_algebra(a) for a in algebra_zoo(field)]:
+            got = dualize_coalgebra(c)
+            want = normalized_dual_algebra(c)
+            assert got == want and repr((got.mul, got.unit)) == repr((want.mul, want.unit))
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_dual_algebra_carries_the_validation_certificate(self, field):
+        """The dual of a validated coalgebra is a valid algebra, certified
+        with the generating set a validation of it would keep."""
+        corpus = named_coalgebras(field) + [comatrix_coalgebra(field, 6), triangular_coalgebra(field, 8)]
+        if field.characteristic():
+            corpus.append(dualize_algebra(oq_truncation(4, 17, "box", (8, 8)).algebra))
+        for c in corpus:
+            dual = dualize_coalgebra(c)
+            fresh = normalized_dual_algebra(c)
+            assert validate_algebra(fresh).ok
+            assert dual._gens is True or dual._gens == fresh._gens
+
+    def test_certified_algebras_are_not_validated_again(self):
+        validated = triangular_algebra(GF(7), 3)
+        assert validate_algebra(validated).ok
+        t3 = triangular_algebra(F5, 3)
+        certified = [
+            validated,
+            quotient_algebra(validated, radical(validated))[0],
+            oq_truncation(3, 13, "box", (4, 5)).algebra,
+            dualize_coalgebra(comatrix_coalgebra(F5, 3)),
+        ]
+        with mock.patch.object(coalgebra_module, "validate_algebra", wraps=validate_algebra) as spy:
+            for a in certified:
+                assert a._gens is not None
+                assert dualize_algebra(a) == normalized_dual_coalgebra(a)
+            assert spy.call_count == 0
+            dualize_algebra(t3)
+            assert spy.call_count == 1
+        assert t3._gens is not None

@@ -1,6 +1,9 @@
 """`algebra._from_normal_table` stores a table without normalizing it, so
 only the builders whose tables are normal by construction may call it:
 public input and codec documents stay on the normalizing `FinDimAlgebra`.
+The same holds for `_store`, which both classes' constructors end in and
+which `coalgebra.dualize_algebra` calls to store the transpose of a normal
+table as a comultiplication.
 
 A mention counts wherever the name appears in a module under src/findual:
 as a name, an attribute, a string (say, for getattr) or an import under
@@ -23,24 +26,32 @@ BUILDERS = {
     ("qplane.py", "_monomial_algebra"),
     ("qplane.py", "regular_point_jet_algebra"),
     ("qplane.py", "box_dual_tower"),
+    ("twist.py", "raw_twisted_algebra"),
+    ("coalgebra.py", "dualize_coalgebra"),
+}
+STORE_CALLERS = {
+    ("algebra.py", "FinDimAlgebra"),
+    ("algebra.py", "_from_normal_table"),
+    ("coalgebra.py", "FinDimCoalgebra"),
+    ("coalgebra.py", "dualize_algebra"),
 }
 
 
-def mentions(source: str):
-    """(line, top-level owner) of each mention of NAME in `source`; the owner
-    is "<module>" outside every function and class."""
+def mentions(source: str, name: str = NAME):
+    """(line, top-level owner) of each mention of `name` in `source`; the
+    owner is "<module>" outside every function and class."""
     found = []
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
-        if owner == NAME:
+        if owner == name:
             continue
         for node in ast.walk(top):
             if isinstance(node, ast.ImportFrom):
                 found += [(node.lineno, f"import as {alias.asname}") for alias in node.names
-                          if alias.name == NAME and alias.asname not in (None, NAME)]
-            elif (isinstance(node, ast.Name) and node.id == NAME
-                  or isinstance(node, ast.Attribute) and node.attr == NAME
-                  or isinstance(node, ast.Constant) and node.value == NAME):
+                          if alias.name == name and alias.asname not in (None, name)]
+            elif (isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, ast.Constant) and node.value == name):
                 found.append((node.lineno, owner))
     return found
 
@@ -53,6 +64,11 @@ def test_only_builders_skip_normalization(path):
 def test_every_builder_uses_the_private_constructor():
     used = {(path.name, owner) for path in MODULES for _, owner in mentions(path.read_text())}
     assert used == BUILDERS
+
+
+def test_only_builders_store_unnormalized_tables():
+    used = {(path.name, owner) for path in MODULES for _, owner in mentions(path.read_text(), "_store")}
+    assert used == STORE_CALLERS
 
 
 def test_guard_flags_stray_uses():

@@ -22,6 +22,7 @@ from findual.coalgebra import (
 )
 from findual.errors import (
     BadParamsError,
+    InvalidInputError,
     InvalidTwistError,
     NotAModuleAlgebraError,
     NotAnAutomorphismError,
@@ -492,6 +493,75 @@ class TestCorpusEquivalence:
             crep = check_cotwisting_map(phi)
             assert trep.normal == crep.conormal
             assert trep.multiplicative == crep.comultiplicative
+
+
+# ---------------------------------------------------------------------------
+# The twisted product emits its table in normal form and stores it as it
+# stands; the table builder it replaced, which left each cell in insertion
+# order with its zero sums, is kept as the oracle and normalized by the
+# public constructor.
+
+
+def oracle_unsorted_twisted_mul_table(rho):
+    a, b = rho.a, rho.b
+    da, db = a.dim, b.dim
+    n = da * db
+    acc = {}
+    for i1 in range(da):
+        for j1 in range(db):
+            left = i1 * db + j1
+            for i2 in range(da):
+                for flat, c in rho.image_of(j1, i2):
+                    x, y = divmod(flat, db)
+                    for w, c2 in a.mul[i1][x]:
+                        cc = c * c2
+                        for j2 in range(db):
+                            for z, c3 in b.mul[y][j2]:
+                                key = (left, i2 * db + j2, w * db + z)
+                                acc[key] = acc.get(key, 0) + cc * c3
+    mul = [[[] for _ in range(n)] for _ in range(n)]
+    for (left, right, out), v in zip(acc, a.field.canonical(acc.values())):
+        mul[left][right].append((out, v))
+    return mul
+
+
+NORMAL_TABLE_CORPORA = [(F5, 5, 500), (QQ, 5, 200)]
+
+
+class TestNormalTwistedTable:
+    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=["gf5", "rationals"])
+    def test_table_matches_normalizing_constructor(self, field, seed, trials):
+        for rho in twist_corpus(field, seed, trials):
+            raw = raw_twisted_algebra(rho)
+            want = FinDimAlgebra(field, raw.labels, oracle_unsorted_twisted_mul_table(rho), raw.unit)
+            assert raw == want and repr((raw.mul, raw.unit)) == repr((want.mul, want.unit))
+            assert raw._gens is None
+
+    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=["gf5", "rationals"])
+    def test_failing_maps_give_undualizable_products(self, field, seed, trials):
+        """The raw product is never taken as certified: where rho fails its
+        check, dualizing the product still validates it and refuses it."""
+        fails = 0
+        for rho in twist_corpus(field, seed, trials):
+            if not check_twisting_map(rho).ok:
+                fails += 1
+                with pytest.raises(InvalidInputError):
+                    dualize_algebra(raw_twisted_algebra(rho))
+        assert fails > trials // 10
+
+    def test_sparse_columns_read_every_entry(self):
+        for rho in twist_corpus(F5, 7, 60) + twist_corpus(QQ, 7, 20):
+            m = rho.matrix
+            for col in range(m.cols):
+                j, i = divmod(col, rho.a.dim)
+                want = tuple((r, m.get(r, col)) for r in range(m.rows) if m.get(r, col) != m.field.zero())
+                assert rho.image_of(j, i) == want
+            phi = CotwistingMap(dualize_algebra(rho.a), dualize_algebra(rho.b), m.transpose())
+            t = phi.matrix
+            for col in range(t.cols):
+                i, j = divmod(col, phi.d.dim)
+                want = tuple((r, t.get(r, col)) for r in range(t.rows) if t.get(r, col) != t.field.zero())
+                assert phi.image_of(i, j) == want
 
 
 # ---------------------------------------------------------------------------
