@@ -37,7 +37,6 @@ from .coalgebra import (
     Quiver,
     canonical_inclusion,
     comatrix_coalgebra,
-    construct_coalgebra,
     coradical,
     coradical_filtration,
     coradical_preserved,

@@ -20,13 +20,64 @@ from .algebra import (
     triangular_algebra,
     truncated_polynomial_algebra,
 )
-from .coalgebra import FinDimCoalgebra, construct_coalgebra, dualize_algebra, dualize_coalgebra
+from .coalgebra import (
+    FinDimCoalgebra,
+    Quiver,
+    comatrix_coalgebra,
+    divided_power_coalgebra,
+    dualize_algebra,
+    dualize_coalgebra,
+    grouplike_coalgebra,
+    line_dist_coalgebra,
+    path_coalgebra,
+    triangular_coalgebra,
+)
 from .codec import SCHEMA_VERSION, census_to_csv, loads, to_canonical_json
 from .errors import PreconditionError, SchemaMismatchError, UsageError
 from .kernel import GF, QQ
 from .qplane import _MAX_JET_DIM, azumaya_census, azumaya_point_invariants, oq_truncation
 from .selftest import ALL_KEYS, SUITES, run_suite
-from .twist import Bialgebra, CotwistingMap, TwistingMap, check_cotwisting_map, check_twisting_map
+from .twist import (
+    Bialgebra,
+    CotwistingMap,
+    TwistingMap,
+    check_cotwisting_map,
+    check_twisting_map,
+    dual_bialgebra,
+)
+
+
+def _line_dist(field, points: str):
+    pairs = (chunk.partition(":") for chunk in points.split(","))
+    return line_dist_coalgebra(field, [(int(pt), int(mult or "1")) for pt, _, mult in pairs])
+
+
+def _path(field, vertices: int, arrows: str):
+    pairs = (chunk.partition("-") for chunk in arrows.split(","))
+    return path_coalgebra(field, Quiver(vertices, [(int(s), int(t)) for s, _, t in pairs]))
+
+
+def _qplane(kind: str):
+    return lambda q_order, p, *params: oq_truncation(q_order, p, kind, params).algebra
+
+
+# --kind -> (constructor, the flags it takes after the field, the text naming
+# them when one is missing); the qplane constructors take --q-order and --p
+# in place of a field
+_KINDS = {
+    "comatrix": (comatrix_coalgebra, ("n",), "--n"),
+    "triangular": (triangular_coalgebra, ("n",), "--n"),
+    "grouplike": (grouplike_coalgebra, ("n",), "--n"),
+    "divided-power": (divided_power_coalgebra, ("n",), "--n"),
+    "line-dist": (_line_dist, ("points",), "--points 'pt:mult,...'"),
+    "path": (_path, ("vertices", "arrows"), "--vertices and --arrows"),
+    "matrix-algebra": (matrix_algebra, ("n",), "--n"),
+    "triangular-algebra": (triangular_algebra, ("n",), "--n"),
+    "poly-algebra": (truncated_polynomial_algebra, ("n",), "--n"),
+    "group-algebra": (cyclic_group_algebra, ("n",), "--n"),
+    "qplane-box": (_qplane("box"), ("a", "b"), "--a and --b"),
+    "qplane-fiber": (_qplane("central_fiber"), ("c", "d"), "--c and --d"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,11 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="emit a named algebra or coalgebra as JSON")
-    c.add_argument("--kind", required=True, choices=[
-        "comatrix", "triangular", "grouplike", "divided-power", "line-dist", "path",
-        "matrix-algebra", "triangular-algebra", "poly-algebra", "group-algebra",
-        "qplane-box", "qplane-fiber",
-    ])
+    c.add_argument("--kind", required=True, choices=list(_KINDS))
     c.add_argument("--p", type=int, help="prime modulus; omit for the rationals")
     c.add_argument("--n", type=int, help="size parameter (dimension, order, ...)")
     c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds; exit 3 when "
@@ -106,72 +153,19 @@ def _emit(text: str, out_path, stdout) -> None:
         stdout.write(text)
 
 
-def _field_from_args(args):
-    if args.p is not None:
-        return GF(args.p)
-    return QQ
-
-
 def _cmd_construct(args, argv, stdout) -> int:
-    kind = args.kind
-    if kind in ("qplane-box", "qplane-fiber"):
+    build, flags, names = _KINDS[args.kind]
+    if args.kind.startswith("qplane-"):
         if args.p is None or args.q_order is None:
             raise UsageError("qplane kinds need --p and --q-order")
-        if kind == "qplane-box":
-            if args.a is None or args.b is None:
-                raise UsageError("qplane-box needs --a and --b")
-            value = oq_truncation(args.q_order, args.p, "box", (args.a, args.b)).algebra
-        else:
-            if args.c is None or args.d is None:
-                raise UsageError("qplane-fiber needs --c and --d")
-            value = oq_truncation(
-                args.q_order, args.p, "central_fiber", (args.c, args.d)
-            ).algebra
-    elif kind in ("matrix-algebra", "triangular-algebra", "poly-algebra", "group-algebra"):
-        field = _field_from_args(args)
-        if args.n is None:
-            raise UsageError(f"{kind} needs --n")
-        builder = {
-            "matrix-algebra": matrix_algebra,
-            "triangular-algebra": triangular_algebra,
-            "poly-algebra": truncated_polynomial_algebra,
-            "group-algebra": cyclic_group_algebra,
-        }[kind]
-        value = builder(field, args.n)
+        head = (args.q_order, args.p)
     else:
-        field = _field_from_args(args)
-        params = {}
-        if kind in ("comatrix",):
-            if args.n is None:
-                raise UsageError("comatrix needs --n")
-            params["d"] = args.n
-        elif kind in ("triangular", "divided-power"):
-            if args.n is None:
-                raise UsageError(f"{kind} needs --n")
-            params["n" if kind == "triangular" else "m"] = args.n
-        elif kind == "grouplike":
-            if args.n is None:
-                raise UsageError("grouplike needs --n")
-            params["points"] = args.n
-        elif kind == "line-dist":
-            if not args.points:
-                raise UsageError("line-dist needs --points 'pt:mult,...'")
-            pts = []
-            for chunk in args.points.split(","):
-                pt, _, mult = chunk.partition(":")
-                pts.append((int(pt), int(mult or "1")))
-            params["points"] = pts
-        elif kind == "path":
-            if args.vertices is None or not args.arrows:
-                raise UsageError("path needs --vertices and --arrows")
-            arrows = []
-            for chunk in args.arrows.split(","):
-                s, _, t = chunk.partition("-")
-                arrows.append((int(s), int(t)))
-            params["vertices"] = args.vertices
-            params["arrows"] = arrows
-        value = construct_coalgebra(kind, params, field)
-    _emit(to_canonical_json(value), args.out, stdout)
+        head = (GF(args.p) if args.p is not None else QQ,)
+    values = [getattr(args, flag) for flag in flags]
+    # an empty --points or --arrows counts as missing
+    if any(value in (None, "") for value in values):
+        raise UsageError(f"{args.kind} needs {names}")
+    _emit(to_canonical_json(build(*head, *values)), args.out, stdout)
     return 0
 
 
@@ -189,46 +183,29 @@ def _dual(value):
     if isinstance(value, FinDimCoalgebra):
         return dualize_coalgebra(value)
     if isinstance(value, Bialgebra):
-        from .twist import dual_bialgebra
-
         return dual_bialgebra(value)
     raise SchemaMismatchError("dualize expects an algebra, coalgebra, or bialgebra")
+
+
+_TWIST_CHECKS = {TwistingMap: check_twisting_map, CotwistingMap: check_cotwisting_map}
 
 
 def _cmd_twist_check(args, argv, stdout) -> int:
     with open(args.infile) as fh:
         value = loads(fh.read())
-    if isinstance(value, TwistingMap):
-        rep = check_twisting_map(value)
-        results = {"normal": rep.normal, "multiplicative": rep.multiplicative,
-                   "witnesses": [list(w) for w in _flatten_witnesses(rep.witnesses)]}
-        ok = rep.ok
-    elif isinstance(value, CotwistingMap):
-        rep = check_cotwisting_map(value)
-        results = {"conormal": rep.conormal, "comultiplicative": rep.comultiplicative,
-                   "witnesses": [list(w) for w in _flatten_witnesses(rep.witnesses)]}
-        ok = rep.ok
-    else:
+    check = _TWIST_CHECKS.get(type(value))
+    if check is None:
         raise SchemaMismatchError("twist-check expects a twisting or cotwisting map")
-    _emit(to_canonical_json(_report(argv, results, ok)), args.out, stdout)
-    return 0 if ok else 1
-
-
-def _flatten_witnesses(witnesses):
-    return [(name, *idx) for name, idx in witnesses]
-
-
-def _results_doc(results):
-    return [
-        {"key": r.key, "name": r.name, "passed": r.passed, "details": r.details}
-        for r in results
-    ]
+    rep = check(value)
+    results = {**rep._asdict(), "witnesses": [(name, *idx) for name, idx in rep.witnesses]}
+    _emit(to_canonical_json(_report(argv, results, rep.ok)), args.out, stdout)
+    return 0 if rep.ok else 1
 
 
 def _cmd_verify(args, argv, stdout) -> int:
     results = run_suite(args.suite, seed=args.seed)
     ok = all(r.passed for r in results)
-    _emit(to_canonical_json(_report(argv, _results_doc(results), ok)), args.out, stdout)
+    _emit(to_canonical_json(_report(argv, [r._asdict() for r in results], ok)), args.out, stdout)
     return 0 if ok else 1
 
 
@@ -243,14 +220,7 @@ def _cmd_census(args, argv, stdout) -> int:
 
 def _cmd_point(args, argv, stdout) -> int:
     inv = azumaya_point_invariants(args.n, args.p, args.c, args.d)
-    results = {
-        "total_dim": inv.total_dim,
-        "radical_dim": inv.radical_dim,
-        "radical_square_zero": inv.radical_square_zero,
-        "top_profile": [list(pair) for pair in inv.top_profile],
-        "center_dim": inv.center_dim,
-    }
-    _emit(to_canonical_json(_report(argv, results, True)), args.out, stdout)
+    _emit(to_canonical_json(_report(argv, inv._asdict(), True)), args.out, stdout)
     return 0
 
 
@@ -259,7 +229,7 @@ def _cmd_selftest(args, argv, stdout) -> int:
     ok = all(r.passed for r in results)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.key}: {r.name}" for r in results]
     matrix = "\n".join(lines) + "\n"
-    doc = to_canonical_json(_report(argv, _results_doc(results), ok))
+    doc = to_canonical_json(_report(argv, [r._asdict() for r in results], ok))
     _emit(matrix + doc, args.out, stdout)
     return 0 if ok else 1
 

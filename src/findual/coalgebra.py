@@ -565,24 +565,6 @@ def path_coalgebra(field: Field, quiver: Quiver) -> FinDimCoalgebra:
     return FinDimCoalgebra(field, [label(p) for p in paths], comul, counit)
 
 
-def construct_coalgebra(kind: str, params: dict, field: Field) -> FinDimCoalgebra:
-    """Dispatcher used by the CLI; see the named constructors."""
-    if kind == "comatrix":
-        return comatrix_coalgebra(field, int(params["d"]))
-    if kind == "triangular":
-        return triangular_coalgebra(field, int(params["n"]))
-    if kind == "grouplike":
-        return grouplike_coalgebra(field, params["points"])
-    if kind == "divided-power":
-        return divided_power_coalgebra(field, int(params["m"]))
-    if kind == "line-dist":
-        return line_dist_coalgebra(field, params["points"])
-    if kind == "path":
-        q = Quiver(int(params["vertices"]), params["arrows"])
-        return path_coalgebra(field, q)
-    raise BadParamsError(f"unknown coalgebra kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # dual towers
 

@@ -2,9 +2,10 @@
 
 Coefficients are stored lowest degree first with a nonzero leading
 coefficient (the zero polynomial is the empty list).  Factorization over
-GF(p) is complete (squarefree split + Berlekamp); over Q only detection of a
-full split into linear factors is attempted, and the unfactored remainder is
-returned with ``complete=False`` so callers can refuse to guess.
+GF(p) is complete (squarefree split + Berlekamp, O(log p) products per
+split); over Q only detection of a full split into linear factors is
+attempted, and the unfactored remainder is returned with
+``complete=False`` so callers can refuse to guess.
 """
 
 from __future__ import annotations
@@ -223,7 +224,14 @@ def _squarefree_decomposition_gf(f: Poly, p: int):
 
 
 def _berlekamp_split(f: Poly, p: int):
-    """Split a squarefree monic f over GF(p) into monic irreducible factors."""
+    """Split a squarefree monic f over GF(p) into monic irreducible factors.
+
+    The kernel of Q - I, with Q the matrix of Frobenius modulo f, is the
+    Berlekamp algebra: each v in it is congruent to a constant a_i modulo
+    each irreducible factor f_i, and for f_i != f_j some basis vector has
+    a_i != a_j.  `_split_by` separates the factors on which v differs in
+    O(log p) polynomial products each, never by trying all p constants.
+    """
     field = f.field
     n = f.degree()
     if n <= 1:
@@ -241,36 +249,36 @@ def _berlekamp_split(f: Poly, p: int):
     for i in range(n):
         rows[i][i] = field.sub(rows[i][i], field.one())
     ker = rref_kernel(Matrix.from_rows(field, rows).transpose()).kernel
-    kernel = [ker.col(c) for c in range(ker.cols)]
-    if len(kernel) == 1:
-        return [f]
     factors = [f]
-    for vec in kernel[1:]:
-        v = Poly(field, vec)
-        if v.degree() < 1:
-            continue
-        next_factors = []
-        for g in factors:
-            if g.degree() <= 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            rest = g
-            for c in range(p):
-                if rest.degree() < 1:
-                    break
-                d = rest.gcd(v - Poly.constant(field, field.of(c)))
-                if 1 <= d.degree() < rest.degree():
-                    pieces.append(d)
-                    rest = (rest // d).monic()
-                elif d.degree() == rest.degree():
-                    break
-            pieces.append(rest)
-            next_factors.extend(q for q in pieces if q.degree() >= 1)
-        factors = next_factors
-        if len(factors) == len(kernel):
+    for c in range(ker.cols):
+        if len(factors) == ker.cols:
             break
+        v = Poly(field, ker.col(c))
+        factors = [piece for g in factors for piece in _split_by(g, v, p)]
     return factors
+
+
+def _split_by(g: Poly, v: Poly, p: int):
+    """The factors of g grouped by the constant v takes modulo each.
+
+    Over GF(2), gcd(g, v) collects the factors where v is 0.  For odd p,
+    gcd(g, (v + d)^((p-1)/2) - 1) collects those where v + d is a nonzero
+    square; two distinct constants a, b are separated by about half of all
+    d (the character sum of (a + d)(b + d) over d is -1), so the expected
+    number of trials is about two and one below p always exists.
+    """
+    field = g.field
+    r = v % g
+    if r.degree() < 1:  # one constant modulo every factor of g
+        return [g]
+    if p == 2:
+        h = g.gcd(r)
+    else:
+        one = Poly.constant(field, field.one())
+        shifted = (r + Poly.constant(field, field.of(d)) for d in count())
+        halves = (g.gcd(w.pow_mod((p - 1) // 2, g) - one) for w in shifted)
+        h = next(h for h in halves if 1 <= h.degree() < g.degree())
+    return _split_by(h, v, p) + _split_by((g // h).monic(), v, p)
 
 
 def _rational_linear_split(f: Poly):
@@ -334,7 +342,9 @@ def _rational_roots(f: Poly):
 def factor_over_field(f: Poly) -> Factorization:
     """Factor f into monic factors with multiplicities and a unit.
 
-    Over GF(p) the factorization is complete and every factor irreducible.
+    Over GF(p) the factorization is complete and every factor irreducible;
+    the Berlekamp split costs O(log p) polynomial products per factor found,
+    so a modulus of any size factors promptly.
     Over Q only a full split into linear factors is certified; otherwise the
     linear part is extracted and the remainder returned as a single factor
     with ``complete=False``.

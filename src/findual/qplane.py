@@ -63,7 +63,7 @@ from .algebra import (
     truncated_polynomial_algebra,
     validate_algebra,
 )
-from .coalgebra import DualTower, canonical_inclusion, dualize_algebra, tower_extend
+from .coalgebra import DualTower, canonical_inclusion, dualize_algebra
 from .errors import (
     BadParamsError,
     CharacteristicTooSmallError,
@@ -648,7 +648,5 @@ def box_dual_tower(n: int, p: int, steps) -> DualTower:
         unit = [field.zero()] * len(order)
         unit[shell[0]] = field.one()
         levels.append(dualize_algebra(_from_normal_table(field, labels, mul, unit, None)))
-    tower = DualTower(levels[:1], [])
-    for small, big in zip(levels, levels[1:]):
-        tower = tower_extend(tower, big, canonical_inclusion(small, big))
-    return tower
+    # DualTower checks each step once
+    return DualTower(levels, [canonical_inclusion(small, big) for small, big in zip(levels, levels[1:])])

@@ -18,6 +18,7 @@ from .algebra import (
     cyclic_group_algebra,
     diagonal_algebra,
     matrix_algebra,
+    monogenic_algebra,
     one_dim_characters,
     quotient_algebra,
     radical,
@@ -40,7 +41,7 @@ from .coalgebra import (
     path_coalgebra,
     triangular_coalgebra,
 )
-from .kernel import GF, Matrix
+from .kernel import GF, Matrix, Poly
 from .qplane import (
     azumaya_census,
     azumaya_point_invariants,
@@ -156,9 +157,6 @@ def criterion_2_twist_equivalence(seed: int = 5, trials: int = 500) -> Criterion
 
 
 def _sweedler_ore():
-    from .algebra import monogenic_algebra
-    from .kernel import Poly
-
     a = monogenic_algebra(F5, Poly.from_ints(F5, [-1, 0, 1]), var="x")
     return ore_twist(a, scaling_automorphism(a, F5.of(-1)), 2)
 

@@ -41,6 +41,7 @@ from .algebra import (
 )
 from .coalgebra import (
     FinDimCoalgebra,
+    divided_power_coalgebra,
     dualize_algebra,
     dualize_coalgebra,
     validate_coalgebra,
@@ -611,8 +612,6 @@ def primitive_bialgebra_components(field: Field, order: int = 2, var: str = "x")
 
     Not a bialgebra in general (Delta(x^2) = 2 x(x)x != 0 unless char 2);
     used as raw components for crossed products."""
-    from .coalgebra import divided_power_coalgebra
-
     alg = truncated_polynomial_algebra(field, order, var=var)
     coalg = divided_power_coalgebra(field, order)
     coalg = FinDimCoalgebra(field, alg.labels, [list(t) for t in coalg.comul], coalg.counit)
@@ -797,6 +796,9 @@ def twist_corpus(field: Field, seed: int, trials: int):
     rows/columns so multiplicativity is the discriminating axiom)."""
     rng = random.Random(seed)
     pool = _corpus_pool(field)
+    # at most 3 * (p - 1) * 2 distinct Ore twists exist, and no caller mutates
+    # a map, so repeated draws share one object
+    ore = {}
     out = []
     for _ in range(trials):
         a = rng.choice(pool)
@@ -811,9 +813,12 @@ def twist_corpus(field: Field, seed: int, trials: int):
                 scale = rng.randrange(1, field.characteristic())
             else:
                 scale = rng.choice([1, -1])
-            base = rng.choice(pool[:3])  # scaling acts on the t^m truncations
-            theta = scaling_automorphism(base, field.of(scale))
-            out.append(ore_twist(base, theta, order))
+            base = rng.choice(range(3))  # scaling acts on the t^m truncations pool[:3]
+            key = (base, scale, order)
+            if key not in ore:
+                theta = scaling_automorphism(pool[base], field.of(scale))
+                ore[key] = ore_twist(pool[base], theta, order)
+            out.append(ore[key])
             continue
         rho = tensor_swap(a, b)
         n = a.dim * b.dim

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from findual.codec import loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
 from findual.algebra import matrix_algebra
 from findual.kernel import GF, QQ, Matrix
-from findual.twist import tensor_swap
+from findual.twist import cotensor_swap, tensor_swap
 from findual.algebra import truncated_polynomial_algebra
 
 F5 = GF(5)
@@ -340,6 +341,9 @@ def _twist_check_documents():
     n = rho.matrix.rows
     yield "cotwist", CotwistingMap(dualize_algebra(rho.a), dualize_algebra(rho.b),
                                    Matrix(f, n, n, ent))
+    a2 = truncated_polynomial_algebra(F5, 2)
+    yield "cotwist-swap", cotensor_swap(dualize_algebra(a2), dualize_algebra(a2))
+    yield "not-a-map", a2
 
 
 _PASS = "26d4bf2ecacd806b56386f5f763e4903fb9dac4e46f19f34274d18461bb3335a"
@@ -354,6 +358,8 @@ TWIST_CHECK_DIGESTS = {
     "corpus-3": (0, _PASS),
     "corpus-4": (1, "b0cd6a755ad08c4ebb37eac0ccb2476697e5741f23bc264032fc2434cfbc722d"),
     "cotwist": (1, "d8f2a377d1eef443eb5db56951ed0d8830a3c1f9708ce3ec36d8bc6ef060df57"),
+    "cotwist-swap": (0, "89ec69b189e5621a4c400c93957a914c6defe1d003ecd9c2688ef77ed79078d2"),
+    "not-a-map": (2, "53b8219b1ec8b902e2593e89fd84d6be4a3ded04f42114fae4145284085a5285"),
 }
 
 
@@ -366,11 +372,134 @@ ACCEPTANCE_DIGESTS = {
 }
 
 
+# sha256 of "error: modulus 4 is not prime\n"
+_NOT_PRIME = "9b254b6b442fceda281e5deb97307268eef97bcac6bb77c1cbae32e719436ea3"
+
+# exit code and stdout sha256 of the CLI runs whose dispatch cli.py owns:
+# every `construct --kind` built, with each of its flags missing (an empty
+# --points or --arrows counts as missing), over a non-prime --p with and
+# without --n (the field is checked first), at --n 0, and one
+# `qplane-point` report
+CLI_SURFACE_DIGESTS = {
+    "construct --kind comatrix --p 5 --n 2":
+        (0, "f6d0d7f897820d821c666a1a5f034cda8a7e344dc673088237ed77a8a2858e0c"),
+    "construct --kind comatrix --p 5":
+        (2, "26497891130832be00dc29c357c688e287d2d67d248afa8b4f308f64a08cb81c"),
+    "construct --kind comatrix --p 4 --n 2": (3, _NOT_PRIME),
+    "construct --kind comatrix --p 4": (3, _NOT_PRIME),
+    "construct --kind comatrix --n 0":
+        (3, "4825a44a51e68bb8219f9ec18be530fd603641af30cb9d89ac420dd80e699b38"),
+    "construct --kind triangular --p 5 --n 3":
+        (0, "e1297d483d16a4d36299a45e0cf73a21fd9515daff68aca0f3f8bf7c557cfd69"),
+    "construct --kind triangular --p 5":
+        (2, "69df84085fa61190614d7a12ef6b91c454af254cdd05297dd774f943c6cc71d9"),
+    "construct --kind triangular --p 4 --n 3": (3, _NOT_PRIME),
+    "construct --kind triangular --p 4": (3, _NOT_PRIME),
+    "construct --kind triangular --n 0":
+        (0, "41d3d01070e5693e735ffb27d3039ca12f4451e02089a9de00e9255fb989d16b"),
+    "construct --kind grouplike --p 5 --n 2":
+        (0, "be82fe048a5293208c8496395b5584d5d8b4db40287fd47fec1cdc87481ad585"),
+    "construct --kind grouplike --p 5":
+        (2, "a0bf29324b9d1a2f0d183f328a26dfa7da99a9d87fd9c710d2e75a370c8fdb53"),
+    "construct --kind grouplike --p 4 --n 2": (3, _NOT_PRIME),
+    "construct --kind grouplike --p 4": (3, _NOT_PRIME),
+    "construct --kind grouplike --n 0":
+        (3, "e437781c048226fe086a41f08a042e17af38ddc88da06afb8fdd74e5473f42b3"),
+    "construct --kind divided-power --p 5 --n 3":
+        (0, "f7f095854048cb37e063be55d01ce27736a94aa48c42f1fd6a126af2cf192a94"),
+    "construct --kind divided-power --p 5":
+        (2, "52a3a22a984fe96072c237a67c1fb2e4dadf07c412a9c5b6a7a2fa82be33574f"),
+    "construct --kind divided-power --p 4 --n 3": (3, _NOT_PRIME),
+    "construct --kind divided-power --p 4": (3, _NOT_PRIME),
+    "construct --kind divided-power --n 0":
+        (3, "56741b0188efd5ed30d264e31498a0d2ddd6c447142362cf2d4a9e569f3edc03"),
+    "construct --kind line-dist --p 5 --points 0:2,1:1":
+        (0, "774f35530e2a7c50a04b5d66b14eb7cfbf69101d05dbd5c0b371fcf0d468ae41"),
+    "construct --kind line-dist --p 5":
+        (2, "aff753348ddaef13f4a947713be38fdf8872dc7fcbe13852c1e1e92ad04d37c2"),
+    "construct --kind line-dist --p 4 --points 0:2,1:1": (3, _NOT_PRIME),
+    "construct --kind line-dist --p 4": (3, _NOT_PRIME),
+    "construct --kind path --p 5 --vertices 2 --arrows 1-0":
+        (0, "ff8dd8195599df65bf5a1ad31e86ef79d7c6cc3070aa78d3f068c25b32fa8492"),
+    "construct --kind path --p 5 --arrows 1-0":
+        (2, "f46159b9c385c9027ae245cb914265ae7e672211de069b54c93a387d04dbe4a5"),
+    "construct --kind path --p 5 --vertices 2":
+        (2, "f46159b9c385c9027ae245cb914265ae7e672211de069b54c93a387d04dbe4a5"),
+    "construct --kind path --p 4 --vertices 2 --arrows 1-0": (3, _NOT_PRIME),
+    "construct --kind path --p 4": (3, _NOT_PRIME),
+    "construct --kind matrix-algebra --p 5 --n 2":
+        (0, "e0364d2cb36a01e15b13ac910014e8e195921970ed6b573454afaf6a8bad5c12"),
+    "construct --kind matrix-algebra --p 5":
+        (2, "b6108ba8596f7488e093fd273d9937c6ecab4c228b32d3dee42faa053856947f"),
+    "construct --kind matrix-algebra --p 4 --n 2": (3, _NOT_PRIME),
+    "construct --kind matrix-algebra --p 4": (3, _NOT_PRIME),
+    "construct --kind matrix-algebra --n 0":
+        (3, "4825a44a51e68bb8219f9ec18be530fd603641af30cb9d89ac420dd80e699b38"),
+    "construct --kind triangular-algebra --p 5 --n 2":
+        (0, "48742456930a7bf7488b60252c20ae695cf5f27c70e253c611e83b12e6f2e668"),
+    "construct --kind triangular-algebra --p 5":
+        (2, "6a32a3e42489aa7ea45ddd05bfca8ce218485bfe3b3cf1bd73d6b9ec68e05947"),
+    "construct --kind triangular-algebra --p 4 --n 2": (3, _NOT_PRIME),
+    "construct --kind triangular-algebra --p 4": (3, _NOT_PRIME),
+    "construct --kind triangular-algebra --n 0":
+        (3, "4a72bc152fbf0a078494ef76aff3a2605eed3aef7b4c415da188bb9e9736af5a"),
+    "construct --kind poly-algebra --p 5 --n 3":
+        (0, "78182f46452de3e19f5db50196120d38ab2d3d1059aa4412fafb6bafc26c2a55"),
+    "construct --kind poly-algebra --p 5":
+        (2, "3a1d317abb25b1ca4c590b23019a19f30e3473a5ed4c549226fc46790ceec3bc"),
+    "construct --kind poly-algebra --p 4 --n 3": (3, _NOT_PRIME),
+    "construct --kind poly-algebra --p 4": (3, _NOT_PRIME),
+    "construct --kind poly-algebra --n 0":
+        (3, "e6d587525496e12230f58a00bc2ddc1efd5f589ca5e719d93bc197204f109e14"),
+    "construct --kind group-algebra --p 5 --n 3":
+        (0, "738ab75755eaf63ea81a21327e290087283e72d3a9bbefe33378fe44456b102c"),
+    "construct --kind group-algebra --p 5":
+        (2, "b18c215bd44ea9654aea16036b6b7949a48f287635a5ddc81edc5c8a57297b6d"),
+    "construct --kind group-algebra --p 4 --n 3": (3, _NOT_PRIME),
+    "construct --kind group-algebra --p 4": (3, _NOT_PRIME),
+    "construct --kind group-algebra --n 0":
+        (3, "a28afa04eff94b2995713e8bdd5f2edc3405cf9f9e46e20224ba94ce02d1cd6b"),
+    "construct --kind line-dist --p 5 --points ''":
+        (2, "aff753348ddaef13f4a947713be38fdf8872dc7fcbe13852c1e1e92ad04d37c2"),
+    "construct --kind path --p 5 --vertices 2 --arrows ''":
+        (2, "f46159b9c385c9027ae245cb914265ae7e672211de069b54c93a387d04dbe4a5"),
+    "construct --kind qplane-box --q-order 2 --p 5 --a 2 --b 2":
+        (0, "38fdeb20565f95eaaac0e138236d13771ba2e911401f941911f3d72f42b94c85"),
+    "construct --kind qplane-box --p 5 --a 2 --b 2":
+        (2, "ae23054674ed83cc39179e67b4969fab294f45fba4e086010869410e994aaa08"),
+    "construct --kind qplane-box --q-order 2 --a 2 --b 2":
+        (2, "ae23054674ed83cc39179e67b4969fab294f45fba4e086010869410e994aaa08"),
+    "construct --kind qplane-box --q-order 2 --p 5 --b 2":
+        (2, "d5ff13be39bf1479993833cb9c2ae40d6f671882ed85ce387694c50acc69c892"),
+    "construct --kind qplane-box --q-order 2 --p 5 --a 2":
+        (2, "d5ff13be39bf1479993833cb9c2ae40d6f671882ed85ce387694c50acc69c892"),
+    "construct --kind qplane-fiber --q-order 2 --p 5 --c 1 --d 2":
+        (0, "cc4eb3b785771ee66f6dee0e9281961895131bbce6a74fa2cb51da6517f26699"),
+    "construct --kind qplane-fiber --p 5 --c 1 --d 2":
+        (2, "ae23054674ed83cc39179e67b4969fab294f45fba4e086010869410e994aaa08"),
+    "construct --kind qplane-fiber --q-order 2 --c 1 --d 2":
+        (2, "ae23054674ed83cc39179e67b4969fab294f45fba4e086010869410e994aaa08"),
+    "construct --kind qplane-fiber --q-order 2 --p 5 --d 2":
+        (2, "7013aa4f5e520b44de712f5ed4aa808bc26942099faad5c289892e3b796ddad9"),
+    "construct --kind qplane-fiber --q-order 2 --p 5 --c 1":
+        (2, "7013aa4f5e520b44de712f5ed4aa808bc26942099faad5c289892e3b796ddad9"),
+    "qplane-point --n 3 --p 13 --c 2 --d 5":
+        (0, "57ec54214f408e59d67572e84ef4b5c06b133b3438968cf0071366fff3cd95e8"),
+}
+
+
 class TestAcceptanceReportBytes:
     @pytest.mark.parametrize("argv", list(ACCEPTANCE_DIGESTS), ids=["selftest-seed5", "verify-all-seed11"])
     def test_report_is_byte_identical(self, argv):
         code, out = run(list(argv))
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, ACCEPTANCE_DIGESTS[argv])
+
+
+class TestCliSurfaceBytes:
+    @pytest.mark.parametrize("argv", list(CLI_SURFACE_DIGESTS))
+    def test_bytes_and_exit_code(self, argv):
+        code, out = run(shlex.split(argv))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_SURFACE_DIGESTS[argv]
 
 
 class TestTwistCheckBytes:

@@ -75,3 +75,35 @@ def test_row_reduction_guard_reports_imports_and_attributes():
               "from . import kernel\n"
               "kernel.rref_kernel(Matrix.zeros(None, 0, 0))\n")
     assert row_reduction_uses(source) == [(1, "echelon_rows"), (3, "rref_kernel")]
+
+
+# Every import is a statement of the module body: a module that a function
+# imports at call time is one that its file can import at the top.
+PACKAGE_FILES = sorted(SRC.rglob("*.py"))
+
+
+def local_imports(source: str):
+    """(line, module) of each import below the top level of the module."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(
+        (node.lineno, node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[str(p.relative_to(SRC)) for p in PACKAGE_FILES])
+def test_no_function_local_imports(path):
+    assert local_imports(path.read_text()) == []
+
+
+def test_local_import_guard_reports_nested_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    from .kernel import Poly\n"
+              "    import json\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        from . import twist\n")
+    assert local_imports(source) == [(3, "kernel"), (4, "json"), (7, None)]

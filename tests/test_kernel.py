@@ -29,6 +29,7 @@ from findual.kernel import (
 )
 from findual.kernel import fields as fields_module
 from findual.kernel.fields import prime_factors
+from findual.kernel.poly import _berlekamp_split, _squarefree_decomposition_gf
 
 
 def trial_division_is_prime(n):
@@ -324,6 +325,87 @@ class TestFactor:
             prod = factor_over_field(f * g)
             assert dict(prod.factors) == combined
 
+
+
+def oracle_berlekamp_split(f, p):
+    """The split by trial constants: gcd(g, v - c) for c = 0, ..., p - 1."""
+    field = f.field
+    n = f.degree()
+    if n <= 1:
+        return [f]
+    tp = Poly.x(field).pow_mod(p, f)
+    rows = []
+    cur = Poly.constant(field, field.one())
+    for i in range(n):
+        rows.append(list(cur.coeffs) + [field.zero()] * (n - len(cur.coeffs)))
+        cur = (cur * tp) % f
+    for i in range(n):
+        rows[i][i] = field.sub(rows[i][i], field.one())
+    ker = rref_kernel(Matrix.from_rows(field, rows).transpose()).kernel
+    kernel = [ker.col(c) for c in range(ker.cols)]
+    if len(kernel) == 1:
+        return [f]
+    factors = [f]
+    for vec in kernel[1:]:
+        v = Poly(field, vec)
+        if v.degree() < 1:
+            continue
+        next_factors = []
+        for g in factors:
+            if g.degree() <= 1:
+                next_factors.append(g)
+                continue
+            pieces = []
+            rest = g
+            for c in range(p):
+                if rest.degree() < 1:
+                    break
+                d = rest.gcd(v - Poly.constant(field, field.of(c)))
+                if 1 <= d.degree() < rest.degree():
+                    pieces.append(d)
+                    rest = (rest // d).monic()
+                elif d.degree() == rest.degree():
+                    break
+            pieces.append(rest)
+            next_factors.extend(q for q in pieces if q.degree() >= 1)
+        factors = next_factors
+        if len(factors) == len(kernel):
+            break
+    return factors
+
+
+SPLIT_PRIMES = [2, 3, 5, 7, 11, 13, 31, 157]
+
+
+class TestBerlekampSplit:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(SPLIT_PRIMES), st.data())
+    def test_matches_trial_constant_split(self, p, data):
+        f = GF(p)
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+        poly = Poly.from_ints(f, coeffs + [1])
+        for g in _squarefree_decomposition_gf(poly, p):
+            got = sorted(_berlekamp_split(g, p), key=Poly.sort_key)
+            assert got == sorted(oracle_berlekamp_split(g, p), key=Poly.sort_key)
+
+    def test_large_moduli_split_promptly(self):
+        # trying every constant would take about p gcds: hours at p = 10^9 + 7
+        out = run_snippet(
+            "from findual import GF, Poly, dualize_algebra, factor_over_field, grouplikes,"
+            " monogenic_algebra, one_dim_characters, semisimple_profile\n"
+            "f = GF(10**9 + 7)\n"
+            "a = monogenic_algebra(f, Poly.from_ints(f, [-5 * 10**8, 1]) * Poly.from_ints(f, [-7 * 10**8, 1]))\n"
+            "print(semisimple_profile(a), len(one_dim_characters(a)), len(grouplikes(dualize_algebra(a))))\n"
+            "P = 3317044064679887385961813\n"
+            "g = Poly.from_ints(GF(P), [1])\n"
+            "for r in (1, 2, 3, 7, 10**20, 12345678901234567, P // 2, P - 1):\n"
+            "    g = g * Poly.from_ints(GF(P), [-r, 1])\n"
+            "fac = factor_over_field(g)\n"
+            "print(fac.complete, sorted(P - h.coeffs[0] for h, m in fac.factors if m == 1 and h.degree() == 1))\n",
+            timeout=10)
+        assert out == ("SemisimpleProfile(radical_dim=0, factors=((1, 1), (1, 1))) 2 2\n"
+                       "True [1, 2, 3, 7, 12345678901234567, 100000000000000000000, "
+                       "1658522032339943692980906, 3317044064679887385961812]\n")
 
 class TestRref:
     def test_identity(self):

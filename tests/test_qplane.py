@@ -12,7 +12,7 @@ from test_algebra import (
     uncertified_copy,
 )
 
-from findual import algebra as algebra_module, qplane
+from findual import algebra as algebra_module, coalgebra as coalgebra_module, qplane
 from findual.algebra import (
     FinDimAlgebra,
     Subspace,
@@ -452,6 +452,19 @@ class TestBoxTower:
         assert [lv.dim for lv in tower.levels] == [4, 16, 36]
         for small, big in zip(tower.levels, tower.levels[1:]):
             assert big.labels[: small.dim] == small.labels
+
+    @pytest.mark.parametrize("steps", [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]])
+    def test_each_step_checked_once(self, monkeypatch, steps):
+        checked = []
+        step_check = coalgebra_module._check_tower_step
+
+        def spy(small, big, inc):
+            checked.append((small.dim, big.dim))
+            return step_check(small, big, inc)
+
+        monkeypatch.setattr(coalgebra_module, "_check_tower_step", spy)
+        box_dual_tower(2, 5, steps)
+        assert checked == [(4 * k * k, 4 * (k + 1) ** 2) for k in steps[:-1]]
 
 
 # sha256 of to_canonical_json, recorded before the jet algebra and the box

@@ -1,4 +1,5 @@
 import inspect
+import random
 from unittest import mock
 
 import pytest
@@ -493,6 +494,86 @@ class TestCorpusEquivalence:
             crep = check_cotwisting_map(phi)
             assert trep.normal == crep.conormal
             assert trep.multiplicative == crep.comultiplicative
+
+
+# ---------------------------------------------------------------------------
+# twist_corpus builds each Ore twist once per call; the body that built one
+# for every draw is kept as the oracle.
+
+
+def oracle_twist_corpus(field, seed, trials, ore=ore_twist):
+    rng = random.Random(seed)
+    pool = twist_module._corpus_pool(field)
+    out = []
+    for _ in range(trials):
+        a = rng.choice(pool)
+        b = rng.choice(pool)
+        kind = rng.random()
+        if kind < 0.25:
+            out.append(tensor_swap(a, b))
+            continue
+        if kind < 0.40:
+            order = rng.choice([2, 3])
+            if field.characteristic() > 0:
+                scale = rng.randrange(1, field.characteristic())
+            else:
+                scale = rng.choice([1, -1])
+            base = rng.choice(pool[:3])
+            theta = scaling_automorphism(base, field.of(scale))
+            out.append(ore(base, theta, order))
+            continue
+        rho = tensor_swap(a, b)
+        n = a.dim * b.dim
+        f = field
+        unit_rows = {i * b.dim + j for i in range(a.dim) for j in range(b.dim)
+                     if a.unit[i] != f.zero() or b.unit[j] != f.zero()}
+        unit_cols = {j * a.dim + i for j in range(b.dim) for i in range(a.dim)
+                     if b.unit[j] != f.zero() or a.unit[i] != f.zero()}
+        legal_rows = [r for r in range(n) if r not in unit_rows]
+        legal_cols = [c for c in range(n) if c not in unit_cols]
+        ent = list(rho.matrix.entries)
+        touch_units = rng.random() < 0.10
+        k = rng.randint(1, 3)
+        for _ in range(k):
+            if touch_units or not legal_rows or not legal_cols:
+                r = rng.randrange(n)
+                cc = rng.randrange(n)
+            else:
+                r = rng.choice(legal_rows)
+                cc = rng.choice(legal_cols)
+            if f.characteristic():
+                ent[r * n + cc] = f.of(rng.randrange(f.characteristic()))
+            else:
+                ent[r * n + cc] = f.of(rng.randint(-3, 3))
+        out.append(TwistingMap(a, b, Matrix(f, n, n, ent)))
+    return out
+
+
+class TestCorpusOreTwistsBuiltOnce:
+    @pytest.mark.parametrize("field,seed,trials", [(F5, 5, 500), (F5, 7, 500), (GF(7), 5, 300),
+                                                   (QQ, 5, 200), (F5, 5, 100)],
+                             ids=["gf5-seed5", "gf5-seed7", "gf7", "rationals", "gf5-prefix"])
+    def test_matches_per_draw_oracle(self, field, seed, trials):
+        got = twist_corpus(field, seed, trials)
+        want = oracle_twist_corpus(field, seed, trials)
+        assert len(got) == len(want)
+        for rho, expect in zip(got, want):
+            assert rho == expect
+
+    def test_each_ore_twist_is_built_once(self):
+        draws = []
+
+        def counting(*args):
+            draws.append(args)
+            return ore_twist(*args)
+
+        oracle_twist_corpus(F5, 5, 500, ore=counting)
+        with mock.patch.object(twist_module, "ore_twist", side_effect=ore_twist) as spy:
+            corpus = twist_corpus(F5, 5, 500)
+        # pool[:3] x 4 scales x 2 orders over GF(5)
+        assert spy.call_count <= 24 < len(draws)
+        # repeated Ore draws share one object; every other map is its own
+        assert len({id(rho) for rho in corpus}) == len(corpus) - len(draws) + spy.call_count
 
 
 # ---------------------------------------------------------------------------
