@@ -6,7 +6,9 @@ b_i b_j = sum coeff * b_r.  This table is the source of truth: products,
 validation, the center and the trace form are computed by walking it, never
 from a densified copy.  Arithmetic on it is lazy over GF(p): loops use the
 plain ``+ - *`` operators on ints and reduce each output entry once with
-`Field.canonical`; over Q the same operators act on Fractions.
+`Field.canonical`.  Over Q a scalar is an int when it is integral and a
+Fraction otherwise (see `kernel.fields`), so the same operators act on ints
+for integer tables, and `canonical` turns an integral Fraction into its int.
 
 All operations are pure; subspaces are kept in canonical reduced echelon form
 so equal subspaces have equal representations.
@@ -15,6 +17,7 @@ so equal subspaces have equal representations.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -162,8 +165,11 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
 
 def _normal_cell(cell, p: int) -> bool:
     """Whether `cell` is a tuple or list of (r, coeff) pairs, r ints strictly
-    increasing and every coeff canonical and nonzero (over GF(p), p > 0, an
-    int in [1, p)): the form `_normalize_mul` stores, as a tuple."""
+    increasing and every coeff canonical and nonzero: the form
+    `_normalize_mul` stores, as a tuple.  Over GF(p), p > 0, a canonical
+    nonzero coeff is an int in [1, p); over Q (p = 0) it is a nonzero int or
+    a Fraction whose denominator is not 1, so a cell holding Fraction(1) is
+    normalized to hold 1."""
     if type(cell) is not tuple and type(cell) is not list:
         return False
     prev = -1
@@ -171,7 +177,12 @@ def _normal_cell(cell, p: int) -> bool:
         if type(pair) is not tuple or len(pair) != 2:
             return False
         r, c = pair
-        if type(r) is not int or r <= prev or not (type(c) is int and 0 < c < p if p else c):
+        if type(r) is not int or r <= prev:
+            return False
+        if type(c) is int:
+            if not (0 < c < p if p else c):
+                return False
+        elif p or type(c) is not Fraction or c.denominator == 1:
             return False
         prev = r
     return True

@@ -444,6 +444,8 @@ def comatrix_coalgebra(field: Field, d: int) -> FinDimCoalgebra:
 
 def triangular_coalgebra(field: Field, n: int) -> FinDimCoalgebra:
     """Dual of the upper-triangular algebra, basis E^ij for i <= j."""
+    if n < 1:
+        raise BadParamsError("n must be >= 1")
     idx = {}
     labels = []
     for i in range(n):

@@ -1,10 +1,14 @@
 """Exact base fields: the rationals and prime fields GF(p).
 
-Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
-residues ``int`` in [0, p) over GF(p)); a Field object supplies the arithmetic.
-Both representations are canonical, so ``==`` on scalars is exact equality.
+Scalars are plain Python values; a Field object supplies the arithmetic.
+Over GF(p) a scalar is its residue, an ``int`` in [0, p).  Over Q it is an
+``int`` when it is integral and a ``fractions.Fraction`` with denominator
+greater than 1 otherwise, so tables of integers compute on int arithmetic.
+Both forms are canonical, so ``==`` on scalars is exact equality, and
+``/`` is never applied to a scalar: `Field.div` and `Field.inv` divide.
 Hot loops compute with the plain ``+ - *`` operators and call `canonical`
-once at the end; over GF(p) that is the single ``% p`` per entry.
+once per output entry; over GF(p) that is the single ``% p``, over Q it
+turns an integral Fraction into its int.
 """
 
 from __future__ import annotations
@@ -112,40 +116,51 @@ class Field:
         raise NotImplementedError
 
 
+def _rational(x):
+    """The canonical Q scalar equal to x: an int when x is integral, a
+    Fraction with denominator greater than 1 otherwise."""
+    if type(x) is not int:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
+
+
 class Rationals(Field):
     kind = "rationals"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def of(self, n):
-        return Fraction(n)
+        return _rational(n)
 
     def add(self, x, y):
-        return x + y
+        return _rational(x + y)
 
     def sub(self, x, y):
-        return x - y
+        return _rational(x - y)
 
     def mul(self, x, y):
-        return x * y
+        return _rational(x * y)
 
     def neg(self, x):
         return -x
 
     def canonical(self, values) -> list:
-        return list(values)
+        return [x if type(x) is int else _rational(x) for x in values]
 
     def dot(self, u, v):
-        return sum(map(operator.mul, u, v), Fraction(0))
+        return _rational(sum(map(operator.mul, u, v)))
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(x)
+        return _rational(1 / Fraction(x))
 
     def characteristic(self) -> int:
         return 0
@@ -157,7 +172,9 @@ class Rationals(Field):
         if not isinstance(doc, str) or "/" not in doc:
             raise BadParamsError(f"not a rational scalar: {doc!r}")
         num, den = doc.split("/", 1)
-        return Fraction(int(num), int(den))
+        if den == "1":
+            return int(num)
+        return _rational(Fraction(int(num), int(den)))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -332,8 +349,9 @@ def check_root_order(field: Field, n: int) -> None:
         raise OrderUnavailableError(f"{n} does not divide {field.p} - 1")
 
 
-# The most steps `primitive_root_of_unity` starts on.  A step is a modular
-# power or two, 7-9 us at p near 10^18 (2-core x86-64, CPython 3.11.7).
+# The most steps `primitive_root_of_unity` starts on.  A scan step is a
+# modular power or two, 4-9 us at p near 10^12 to 10^18; a walk step is one
+# modular product, about 0.3-0.4 us (2-core x86-64, CPython 3.11.7).
 _ROOT_SEARCH_BOUND = 10 ** 7
 
 
@@ -343,10 +361,14 @@ def primitive_root_of_unity(field: Field, n: int):
     Over GF(p) this needs n | p - 1; over Q only n in {1, 2} is realizable.
     z with z^n = 1 has order n iff z^(n/l) != 1 for every prime l | n.  A scan
     of x = 1, 2, ... meets one of the phi(n) elements of order n about every
-    (p - 1) / phi(n) steps: when n phi(n) > p - 1 the first such x is taken;
-    otherwise the first z = x^((p-1)/n) of order n gives them all as the z^k
-    with gcd(k, n) = 1, and their min takes n steps.  Both are about sqrt(p)
-    when n is: above `_ROOT_SEARCH_BOUND` steps, BadParamsError is raised.
+    (p - 1) / phi(n) steps; a walk takes the first z = x^((p-1)/n) of order n
+    and steps through z, z^2, ..., z^n by one product each, keeping the least
+    z^k with gcd(k, n) = 1: all phi(n) elements of order n.  The search
+    estimate is the scan's (p - 1) / phi(n) steps when n phi(n) > p - 1 and
+    the walk's n otherwise; both are about sqrt(p) when n is, and above
+    `_ROOT_SEARCH_BOUND` steps BadParamsError is raised.  A scan step is a
+    power to the exponent n, about n.bit_length() / 2 walk steps, so the walk
+    is taken whenever it is the cheaper of the two.
     """
     check_root_order(field, n)
     if isinstance(field, Rationals):
@@ -361,8 +383,17 @@ def primitive_root_of_unity(field: Field, n: int):
     if steps > _ROOT_SEARCH_BOUND:
         raise BadParamsError(f"finding the smallest element of order {n} in GF({p}) would take "
                              f"about {steps} steps, more than {_ROOT_SEARCH_BOUND}")
+    if dense and 2 * n > steps * n.bit_length():
+        for x in range(1, p):
+            if pow(x, n, p) == 1 and all(pow(x, n // ell, p) != 1 for ell in primes):
+                return x
     for x in range(1, p):
-        z = x if dense else pow(x, (p - 1) // n, p)
-        if pow(z, n, p) == 1 and all(pow(z, n // ell, p) != 1 for ell in primes):
-            return z if dense else min(pow(z, k, p) for k in range(1, n + 1) if gcd(k, n) == 1)
-    raise OrderUnavailableError(f"no element of order {n} in GF({p})")
+        z = pow(x, (p - 1) // n, p)
+        if all(pow(z, n // ell, p) != 1 for ell in primes):
+            break
+    least = w = z
+    for k in range(2, n):
+        w = w * z % p
+        if w < least and gcd(k, n) == 1:
+            least = w
+    return least

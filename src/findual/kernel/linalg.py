@@ -7,11 +7,12 @@ duality comparisons.
 
 Reduction is lazy over GF(p): the kernels compute on plain ints with the
 ``+ - *`` operators and take ``% p`` once per output entry; over Q the same
-operators act on Fractions, which are always canonical.  There is one row
-reduction, `_row_reduce` (behind `rref_kernel`, `echelon_rows` and
-`solve_linear`).  Membership in a row span is reduced sparsely in the algebra
-layer, by `algebra.Subspace.residue`; the dense `reduce_against` remains
-behind `in_row_span` and `coordinates_in_row_span`.
+operators act on ints and Fractions, and `Field.canonical` turns each
+integral result back into an int.  There is one row reduction,
+`_row_reduce` (behind `rref_kernel`, `echelon_rows` and `solve_linear`).
+Membership in a row span is reduced sparsely in the algebra layer, by
+`algebra.Subspace.residue`; the dense `reduce_against` remains behind
+`in_row_span` and `coordinates_in_row_span`.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _row_reduce(rows, field: Field):
             if p:
                 prow[c:] = [inv * x % p for x in prow[c:]]
             else:
-                prow[c:] = [inv * x for x in prow[c:]]
+                prow[c:] = field.canonical(inv * x for x in prow[c:])
         tail = prow[c:]
         for rr in range(nrows):
             row = rows[rr]
@@ -174,7 +175,7 @@ def _row_reduce(rows, field: Field):
                 if p:
                     row[c:] = [(x - factor * y) % p for x, y in zip(row[c:], tail)]
                 else:
-                    row[c:] = [x - factor * y for x, y in zip(row[c:], tail)]
+                    row[c:] = field.canonical(x - factor * y for x, y in zip(row[c:], tail))
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -1,7 +1,9 @@
 """Univariate polynomials with exact coefficients, and factorization.
 
-Coefficients are stored lowest degree first with a nonzero leading
-coefficient (the zero polynomial is the empty list).  Factorization over
+Coefficients are stored lowest degree first, each canonical (see
+`Field.canonical`), with a nonzero leading coefficient (the zero polynomial
+is the empty list).  Arithmetic computes with the plain ``+ - *`` operators
+and reduces each output coefficient once, as the algebra layer does.  Factorization over
 GF(p) is complete (squarefree split + Berlekamp, O(log p) products per
 split); over Q only detection of a full split into linear factors is
 attempted, and the unfactored remainder is returned with
@@ -11,7 +13,6 @@ attempted, and the unfactored remainder is returned with
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
@@ -24,15 +25,17 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == field.zero():
+        """coeffs may be computed with the plain ``+ - *`` operators: they
+        are reduced once each here (see `Field.canonical`)."""
+        coeffs = field.canonical(coeffs)
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
 
     @classmethod
     def from_ints(cls, field: Field, ints) -> "Poly":
-        return cls(field, [field.of(c) for c in ints])
+        return cls(field, ints)
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
@@ -61,7 +64,7 @@ class Poly:
         if lc == self.field.one():
             return self
         inv = self.field.inv(lc)
-        return Poly(self.field, [self.field.mul(c, inv) for c in self.coeffs])
+        return Poly(self.field, [c * inv for c in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -74,56 +77,52 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __add__(self, other: "Poly") -> "Poly":
-        f = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+            out[i] += c
+        return Poly(self.field, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(self.field.of(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
-        f = self.field
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly(self.field, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
+        return Poly(self.field, _product(self.coeffs, other.coeffs))
+
+    def _divide(self, rem) -> list:
+        """Divide the coefficient list `rem`, whose entries may be unreduced,
+        by self in place: rem[:degree] is left holding the remainder,
+        unreduced.  Returns the quotient's coefficients, each reduced by the
+        one `Field.mul` that reads it off the leading remainder entry."""
         f = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly(f, [])
-        out = [f.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == f.zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+        if not self.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = len(self.coeffs) - 1
+        quo = [0] * max(len(rem) - d, 0)
+        inv_lc = f.inv(self.coeffs[-1])
+        low = self.coeffs[:-1]
+        for k in range(len(quo) - 1, -1, -1):
+            c = f.mul(rem[k + d], inv_lc)
+            if c:
+                quo[k] = c
+                for i, b in enumerate(low, k):
+                    rem[i] -= c * b
+        return quo
 
     def divmod(self, other: "Poly"):
-        f = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(f, []), self
-        quo = [f.zero()] * (dq + 1)
-        inv_lc = f.inv(other.leading())
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree()]
-            if top == f.zero():
-                continue
-            c = f.mul(top, inv_lc)
-            quo[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = f.sub(rem[k + i], f.mul(c, b))
-        return Poly(f, quo), Poly(f, rem)
+        quo = other._divide(rem)
+        return Poly(self.field, quo), Poly(self.field, rem[:other.degree()])
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
+        rem = list(self.coeffs)
+        other._divide(rem)
+        return Poly(self.field, rem[:other.degree()])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -135,8 +134,7 @@ class Poly:
         return a.monic()
 
     def derivative(self) -> "Poly":
-        f = self.field
-        return Poly(f, [f.mul(f.of(i), c) for i, c in enumerate(self.coeffs)][1:])
+        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
         f = self.field
@@ -146,15 +144,25 @@ class Poly:
         return acc
 
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
+        """self^n modulo `modulus`, by squaring from the top bit of n down, on
+        coefficient lists: each product is divided by `modulus` unreduced and
+        reduced once after."""
         f = self.field
-        acc = Poly(f, [f.one()]) % modulus
-        base = self % modulus
-        while n:
-            if n & 1:
-                acc = (acc * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return acc
+        if not n:
+            return Poly(f, [f.one()]) % modulus
+        d = modulus.degree()
+
+        def mulmod(a, b):
+            prod = _product(a, b)
+            modulus._divide(prod)
+            return f.canonical(prod[:d])
+
+        base = acc = (self % modulus).coeffs
+        for bit in bin(n)[3:]:
+            acc = mulmod(acc, acc)
+            if bit == "1":
+                acc = mulmod(acc, base)
+        return Poly(f, acc)
 
     def sort_key(self):
         return (self.degree(), self.coeffs)
@@ -173,6 +181,18 @@ class Poly:
             else:
                 terms.append(f"{c}*t^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _product(a, b) -> list:
+    """Coefficients of the product of two coefficient sequences, unreduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 class Factorization(NamedTuple):
@@ -258,27 +278,31 @@ def _berlekamp_split(f: Poly, p: int):
     return factors
 
 
-def _split_by(g: Poly, v: Poly, p: int):
+def _split_by(g: Poly, v: Poly, p: int, start: int = 0):
     """The factors of g grouped by the constant v takes modulo each.
 
     Over GF(2), gcd(g, v) collects the factors where v is 0.  For odd p,
     gcd(g, (v + d)^((p-1)/2) - 1) collects those where v + d is a nonzero
     square; two distinct constants a, b are separated by about half of all
     d (the character sum of (a + d)(b + d) over d is -1), so the expected
-    number of trials is about two and one below p always exists.
+    number of trials is about two and one below p always exists.  A d that
+    did not split g, or that split it, splits neither piece, so the pieces
+    go on from the next d: `start` is the first d not yet tried.
     """
     field = g.field
     r = v % g
     if r.degree() < 1:  # one constant modulo every factor of g
         return [g]
+    d = start
     if p == 2:
         h = g.gcd(r)
     else:
-        one = Poly.constant(field, field.one())
-        shifted = (r + Poly.constant(field, field.of(d)) for d in count())
-        halves = (g.gcd(w.pow_mod((p - 1) // 2, g) - one) for w in shifted)
-        h = next(h for h in halves if 1 <= h.degree() < g.degree())
-    return _split_by(h, v, p) + _split_by((g // h).monic(), v, p)
+        minus_one = Poly.constant(field, -1)
+        for d in count(start):
+            h = g.gcd((r + Poly.constant(field, d)).pow_mod((p - 1) // 2, g) + minus_one)
+            if 1 <= h.degree() < g.degree():
+                break
+    return _split_by(h, v, p, d + 1) + _split_by((g // h).monic(), v, p, d + 1)
 
 
 def _rational_linear_split(f: Poly):
@@ -333,7 +357,7 @@ def _rational_roots(f: Poly):
             m *= m
             x = (x - value(ints, x, m) * pow(value(slopes, x, m), -1, m)) % m
         y = lead * x % m
-        root = Fraction(y - m if 2 * y > m else y, lead)
+        root = f.field.div(y - m if 2 * y > m else y, lead)
         if f.evaluate(root) == zero:
             roots.append(root)
     return roots

@@ -540,7 +540,7 @@ PROPERTY_FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
 def small_scalars(draw, field, nonzero=False):
     if isinstance(field, Rationals):
         n = draw(st.integers(-3, 3).filter(lambda x: x or not nonzero))
-        return field.of(n) / draw(st.sampled_from([1, 1, 2, 3]))
+        return field.div(field.of(n), field.of(draw(st.sampled_from([1, 1, 2, 3]))))
     return field.of(draw(st.integers(1 if nonzero else 0, field.p - 1)))
 
 

@@ -396,7 +396,7 @@ CLI_SURFACE_DIGESTS = {
     "construct --kind triangular --p 4 --n 3": (3, _NOT_PRIME),
     "construct --kind triangular --p 4": (3, _NOT_PRIME),
     "construct --kind triangular --n 0":
-        (0, "41d3d01070e5693e735ffb27d3039ca12f4451e02089a9de00e9255fb989d16b"),
+        (3, "4a72bc152fbf0a078494ef76aff3a2605eed3aef7b4c415da188bb9e9736af5a"),
     "construct --kind grouplike --p 5 --n 2":
         (0, "be82fe048a5293208c8496395b5584d5d8b4db40287fd47fec1cdc87481ad585"),
     "construct --kind grouplike --p 5":
@@ -512,6 +512,36 @@ class TestTwistCheckBytes:
             code, out = run(["twist-check", "--in", "doc.json"])
             got[name] = (code, hashlib.sha256(out.encode()).hexdigest())
         assert got == TWIST_CHECK_DIGESTS
+
+
+# exit code and stdout sha256 of construct, dualize and dualize-back over Q
+# for the duality chains: Q scalar arithmetic must reproduce these bytes
+_MATRIX6 = "893b2fde4d305a3ebe071d62a8f26406dc828116efb07addc8e89b8f0fad0230"
+_COMATRIX6 = "733a492592cedeb47227557043ad3943d29e80dcf96632aafe651ff50c6e6f24"
+_TRIANGULAR8 = "e9550496a6ad9fdcef0f13f023d1147173569ae6260a80221db9e07884f62f09"
+_DIVPOW40 = "7ca36e282d94e54f1d25671a79a46171e09b8feaba2cea1d8bed901a223be785"
+RATIONAL_CHAIN_DIGESTS = {
+    "matrix-algebra --n 6": (_MATRIX6, _COMATRIX6, _MATRIX6),
+    "comatrix --n 6": (_COMATRIX6, _MATRIX6, _COMATRIX6),
+    "triangular --n 8":
+        (_TRIANGULAR8, "7240bdd9c05acf186fb7490eb07562ecdfe466413b9a0bb27f26eec6ffe5b012", _TRIANGULAR8),
+    "divided-power --n 40":
+        (_DIVPOW40, "e6a0b0d7925fd25e5710402f47319721dba04dfbae53f9149d172b27397135cc", _DIVPOW40),
+}
+
+
+class TestRationalChainBytes:
+    @pytest.mark.parametrize("kind", list(RATIONAL_CHAIN_DIGESTS))
+    def test_construct_dualize_dualize(self, tmp_path, kind):
+        got = []
+        argv = ["construct", "--kind", *shlex.split(kind)]
+        for step in range(3):
+            code, out = run(argv)
+            assert code == 0
+            got.append(hashlib.sha256(out.encode()).hexdigest())
+            (tmp_path / f"{step}.json").write_text(out)
+            argv = ["dualize", "--in", str(tmp_path / f"{step}.json")]
+        assert tuple(got) == RATIONAL_CHAIN_DIGESTS[kind]
 
 
 class TestUnexpectedErrors:
