@@ -330,7 +330,7 @@ class Character:
 
     def __init__(self, algebra: FinDimAlgebra, values):
         self.algebra = algebra
-        self.values = tuple(values)
+        self.values = tuple(algebra.field.canonical(values))
 
     def evaluate(self, vec):
         return self.algebra.field.dot(self.values, vec)

@@ -69,8 +69,8 @@ class TwistingMap:
             raise BadParamsError(f"twisting matrix must be {n}x{n}")
         self.a = a
         self.b = b
-        self.matrix = matrix
-        self._cols = _sparse_cols(matrix)
+        self.matrix = _canonical_entries(matrix)
+        self._cols = _sparse_cols(self.matrix)
 
     def image_of(self, j: int, i: int):
         """Sparse image of b_j (x) a_i as ((flat A(x)B index, coeff), ...)."""
@@ -99,8 +99,8 @@ class CotwistingMap:
             raise BadParamsError(f"cotwisting matrix must be {n}x{n}")
         self.c = c
         self.d = d
-        self.matrix = matrix
-        self._cols = _sparse_cols(matrix)
+        self.matrix = _canonical_entries(matrix)
+        self._cols = _sparse_cols(self.matrix)
 
     def image_of(self, i: int, j: int):
         """Sparse image of c_i (x) d_j as ((flat D(x)C index, coeff), ...)."""
@@ -116,6 +116,13 @@ class CotwistingMap:
 
     def __repr__(self):
         return f"CotwistingMap({self.c.dim}x{self.d.dim})"
+
+
+def _canonical_entries(matrix: Matrix) -> Matrix:
+    """The matrix with its entries in canonical form (`Field.canonical`), so
+    that equal maps compare, hash and encode equal, as the algebra and
+    coalgebra constructors do for their scalars."""
+    return Matrix(matrix.field, matrix.rows, matrix.cols, matrix.field.canonical(matrix.entries))
 
 
 def _sparse_cols(matrix: Matrix):
@@ -686,7 +693,7 @@ def smash_twist(h: Bialgebra, a: FinDimAlgebra, action: Matrix) -> TwistingMap:
             for j1, j2, cf in h.coalg.comul[j]:
                 for x, v in act[j1 * da + i]:
                     ent[(x * dh + j2) * n + col] += cf * v
-    return TwistingMap(a, h.alg, Matrix(f, n, n, f.canonical(ent)))
+    return TwistingMap(a, h.alg, Matrix(f, n, n, ent))
 
 
 class CrossedBialgebraReport(NamedTuple):

@@ -363,12 +363,17 @@ TWIST_CHECK_DIGESTS = {
 }
 
 
-# sha256 of the stdout of the two acceptance reports, both exit 0: every
-# criterion's verdict and details must reproduce these bytes exactly
+# sha256 of the stdout of the acceptance reports, all exit 0: every
+# criterion's verdict and details must reproduce these bytes exactly (the
+# twists and coradical suites are the benchmark's other selftest-workload runs)
 ACCEPTANCE_DIGESTS = {
     ("selftest", "--seed", "5"): "c3f1d8ffe14c0b08ed2086c5537d0075f7e5a6b6c86f3ef70b50a0658e4e956c",
     ("verify", "--suite", "all", "--seed", "11"):
         "b3def9d0a69f01511fa7a97af671add0313fab38e9fced11222d65692adc2486",
+    ("verify", "--suite", "twists", "--seed", "7"):
+        "57eb925c2385700f2092587da1b57adfc445b273e36cc5fbd0058fdf52f80622",
+    ("verify", "--suite", "coradical"):
+        "08205a7245131a30698ef32756e1086f679857b24dcdedaa640365c8a6e1713e",
 }
 
 
@@ -489,7 +494,7 @@ CLI_SURFACE_DIGESTS = {
 
 
 class TestAcceptanceReportBytes:
-    @pytest.mark.parametrize("argv", list(ACCEPTANCE_DIGESTS), ids=["selftest-seed5", "verify-all-seed11"])
+    @pytest.mark.parametrize("argv", list(ACCEPTANCE_DIGESTS), ids=["selftest-seed5", "verify-all-seed11", "verify-twists-seed7", "verify-coradical"])
     def test_report_is_byte_identical(self, argv):
         code, out = run(list(argv))
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, ACCEPTANCE_DIGESTS[argv])

@@ -1,13 +1,24 @@
 """Selftest criterion 6 (`irreps`): the vector-lookup intertwiner products
-against the direct per-t matrix products, and the criterion's product count."""
+against the direct per-t matrix products, and the criterion's product count.
+Criteria 2 and 3 (`twist-equivalence`, `twisted-duality`): the results of the
+per-trial loops that check every trial's map, and one check per distinct map
+or (A, B) pair."""
 
 from array import array
 
 import pytest
 
 from findual import selftest
+from findual.algebra import validate_algebra
 from findual.kernel import Matrix
-from findual.qplane import irrep
+from findual.qplane import irrep, qtwist_decomposition
+from findual.twist import (
+    check_twisting_map,
+    raw_twisted_algebra,
+    tensor_swap,
+    twist_corpus,
+    verify_twisted_duality,
+)
 
 POINTS = [(a, b) for a in range(1, 5) for b in range(1, 5)]
 
@@ -66,3 +77,86 @@ def test_criterion_products_are_vector_lookups(monkeypatch):
     # per representation: 100 vector products for the search, and 4 for its
     # relation and central-character checks (YX, XY, X^2, Y^2)
     assert calls[0] <= constructions + 16 * (100 + 4)
+
+
+def oracle_criterion_2(seed, trials=500):
+    """Criterion 2 as the plain per-trial loop: both checks on every map."""
+    corpus = twist_corpus(selftest.F5, seed=seed, trials=trials)
+    discrepancies = []
+    passes = fails = 0
+    for k, rho in enumerate(corpus):
+        rep = check_twisting_map(rho)
+        direct = validate_algebra(raw_twisted_algebra(rho))
+        if rep.ok != direct.ok:
+            discrepancies.append(k)
+        passes += rep.ok
+        fails += not rep.ok
+    return selftest.CriterionResult(
+        "twist-equivalence", "normal+multiplicative iff m_rho associative+unital",
+        not discrepancies and passes > 0 and fails > 0,
+        {"trials": trials, "seed": seed, "passes": passes, "fails": fails,
+         "discrepancies": discrepancies},
+    )
+
+
+def oracle_criterion_3(seed, trials=100):
+    """Criterion 3 as the plain per-trial loop: one duality check per swap."""
+    failures = []
+    corpus = twist_corpus(selftest.F5, seed=seed, trials=trials)
+    swaps = 0
+    for rho in corpus:
+        sigma = tensor_swap(rho.a, rho.b)
+        swaps += 1
+        if not verify_twisted_duality(sigma).equal:
+            failures.append(f"swap#{swaps}")
+    if not verify_twisted_duality(selftest._sweedler_ore()).equal:
+        failures.append("ore-sweedler")
+    for a, b in ((2, 2), (4, 4)):
+        rep = qtwist_decomposition(2, 5, a, b)
+        if not rep.identity_holds:
+            failures.append(f"qtwist-identity-box({a},{b})")
+        if not verify_twisted_duality(rep.rho_q).equal:
+            failures.append(f"rho_q-box({a},{b})")
+    return selftest.CriterionResult(
+        "twisted-duality", "finite-level twisted duality is entrywise equality",
+        not failures, {"swaps": swaps, "failures": failures},
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7, 9, 11])
+def test_twist_criteria_match_per_trial_oracle(seed):
+    assert selftest.criterion_2_twist_equivalence(seed=seed) == oracle_criterion_2(seed)
+    assert selftest.criterion_3_twisted_duality(seed=seed) == oracle_criterion_3(seed)
+
+
+def counting(monkeypatch, name):
+    """Count the calls selftest makes to its imported `name`."""
+    calls = [0]
+    fn = getattr(selftest, name)
+
+    def spy(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(selftest, name, spy)
+    return calls
+
+
+def test_criterion_2_checks_each_distinct_map_once(monkeypatch):
+    distinct = len({(rho.a, rho.b, rho.matrix) for rho in twist_corpus(selftest.F5, seed=5, trials=500)})
+    assert distinct < 500
+    checks = counting(monkeypatch, "check_twisting_map")
+    validations = counting(monkeypatch, "validate_algebra")
+    result = selftest.criterion_2_twist_equivalence(seed=5)
+    assert result.passed and result.details["passes"] + result.details["fails"] == 500
+    assert checks[0] == validations[0] == distinct
+
+
+def test_criterion_3_checks_each_distinct_swap_once(monkeypatch):
+    distinct = len({(rho.a, rho.b) for rho in twist_corpus(selftest.F5, seed=5, trials=100)})
+    assert distinct < 100
+    verifications = counting(monkeypatch, "verify_twisted_duality")
+    result = selftest.criterion_3_twisted_duality(seed=5)
+    assert result.passed and result.details["swaps"] == 100
+    # one per distinct swap, one for the Ore/Sweedler instance, two rho_q maps
+    assert verifications[0] == distinct + 3

@@ -1,5 +1,6 @@
 import inspect
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from test_algebra import algebras
 
 from findual.algebra import (
+    Character,
     FinDimAlgebra,
     cyclic_group_algebra,
     monogenic_algebra,
@@ -29,6 +31,7 @@ from findual.errors import (
     NotAnAutomorphismError,
 )
 from findual import twist as twist_module
+from findual.codec import to_canonical_json
 from findual.kernel import GF, QQ, Matrix, Poly
 from findual.qplane import qtwist_decomposition
 from findual.twist import (
@@ -294,6 +297,56 @@ class TestMixedFields:
         h = grouplike_bialgebra(F5, 2)
         with pytest.raises(BadParamsError):
             Bialgebra(h.alg, h.coalg, Matrix.identity(other, 2))
+
+
+def raised(matrix, p=5):
+    """The matrix with every nonzero GF(p) entry c written as c + p."""
+    return Matrix(matrix.field, matrix.rows, matrix.cols, [x + p if x else x for x in matrix.entries])
+
+
+class TestCanonicalScalars:
+    """The map and character constructors store canonical scalars, as the
+    algebra and coalgebra constructors do."""
+
+    def test_raised_swap_equals_swap(self):
+        a = truncated_polynomial_algebra(F5, 2)
+        swap = tensor_swap(a, a)
+        rho = TwistingMap(a, a, raised(swap.matrix))
+        assert rho == swap
+        assert rho.matrix.entries == swap.matrix.entries
+        assert hash(rho.matrix) == hash(swap.matrix)
+        assert to_canonical_json(rho) == to_canonical_json(swap)
+
+    def test_raised_cotwist_equals_coswap(self):
+        c = divided_power_coalgebra(F5, 2)
+        coswap = cotensor_swap(c, c)
+        phi = CotwistingMap(c, c, raised(coswap.matrix))
+        assert phi == coswap
+        assert to_canonical_json(phi) == to_canonical_json(coswap)
+
+    def test_zero_written_as_p_has_no_sparse_entry(self):
+        a = truncated_polynomial_algebra(F5, 2)
+        entries = list(tensor_swap(a, a).matrix.entries)
+        entries[1] = 5
+        rho = TwistingMap(a, a, Matrix(F5, 4, 4, entries))
+        assert rho == tensor_swap(a, a)
+        assert all(c for col in rho._cols for _, c in col)
+
+    def test_integral_rational_entry_is_an_int(self):
+        a = truncated_polynomial_algebra(QQ, 2)
+        entries = [Fraction(x) for x in tensor_swap(a, a).matrix.entries]
+        entries[5] = Fraction(2)
+        rho = TwistingMap(a, a, Matrix(QQ, 4, 4, entries))
+        assert rho.matrix.entries[5] == 2
+        assert all(type(x) is int for x in rho.matrix.entries)
+        c = divided_power_coalgebra(QQ, 2)
+        phi = CotwistingMap(c, c, Matrix(QQ, 4, 4, [Fraction(2)] + [0] * 15))
+        assert phi.matrix.entries[0] == 2 and type(phi.matrix.entries[0]) is int
+
+    def test_character_values(self):
+        assert Character(truncated_polynomial_algebra(F5, 2), [6, 5]).values == (1, 0)
+        values = Character(truncated_polynomial_algebra(QQ, 2), [Fraction(2), Fraction(1, 2)]).values
+        assert values == (2, Fraction(1, 2)) and type(values[0]) is int
 
 
 class TestSmash:
