@@ -341,7 +341,11 @@ def grouplikes(c: FinDimCoalgebra):
     return [ch.values for ch in chars]
 
 
-def grouplikes_bruteforce(c: FinDimCoalgebra, max_dim: int = 4):
+# the brute force tries all p^dim - 1 vectors, so it stops at this dimension
+_BRUTEFORCE_MAX_DIM = 4
+
+
+def grouplikes_bruteforce(c: FinDimCoalgebra):
     """Exhaustive solution set of Delta(x) = x (x) x over a small prime field.
 
     Every nonzero x in GF(p)^dim is tried.  The equation is compared one
@@ -352,7 +356,7 @@ def grouplikes_bruteforce(c: FinDimCoalgebra, max_dim: int = 4):
     f = c.field
     if not isinstance(f, PrimeField):
         raise BadParamsError("brute-force enumeration needs a prime field")
-    if c.dim > max_dim:
+    if c.dim > _BRUTEFORCE_MAX_DIM:
         raise BadParamsError(f"dimension {c.dim} too large for brute force")
     p, dim = f.p, c.dim
     terms = {}

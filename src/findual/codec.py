@@ -255,6 +255,11 @@ def decode(doc):
         fibers = []
         for fd in _require(doc, "fibers", list):
             prof = _require(fd, "profile", dict)
+            factors = _require(prof, "factors", list)
+            # type(x) is int: JSON true/false is never a dimension
+            if not all(isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)
+                       for pair in factors):
+                raise SchemaMismatchError("profile factors must be [dim, center_dim] pairs of ints")
             fibers.append(
                 FiberRecord(
                     _require(fd, "c", int),
@@ -262,7 +267,7 @@ def decode(doc):
                     _require(fd, "azumaya", bool),
                     SemisimpleProfile(
                         _require(prof, "radical_dim", int),
-                        tuple(tuple(pair) for pair in _require(prof, "factors", list)),
+                        tuple(tuple(pair) for pair in factors),
                     ),
                 )
             )

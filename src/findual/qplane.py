@@ -27,9 +27,11 @@ The jet algebra R/(R m^2) rests on the same proof: it is the fiber table
 taken over K = k[u, v]/(u, v)^2 at (c + u, d + v), and the grading and
 associativity certificates compare monomials q^e c^a d^b as polynomials, so
 they cover every commutative base ring.  It is marked certified with
-generators x and y, and not validated.  The fiber tables, the jet table and
-the box tower's levels are emitted in the normal form `FinDimAlgebra`
-stores, so they are not normalized again (`algebra._from_normal_table`).
+generators x and y, and not validated.  Modulo (u, v) it is fiber(c, d), so
+once its radical is checked to be (u, v), `_orbit_class` profiles its top.
+The fiber tables, the jet table and the box tower's levels are emitted in
+the normal form `FinDimAlgebra` stores, so they are not normalized again
+(`algebra._from_normal_table`).
 
 The grading certificate also makes the profiles cheap.  Basis index t of a
 fiber has degree (i, j) = divmod(t, n) in Z/n x Z/n, and jet index 3r + e
@@ -51,8 +53,8 @@ from typing import NamedTuple
 from .algebra import (
     FinDimAlgebra,
     SemisimpleProfile,
-    Subspace,
     _from_normal_table,
+    _generators,
     _graded_center,
     _graded_radical,
     _radical_trace_form,
@@ -297,7 +299,7 @@ def _orbit_class(field, q, table, n: int, c: int, d: int) -> _OrbitClass:
     degree divmod(t, n), so the profile reads J and the center of A/J off
     the graded kernels (`_graded_top`)."""
     alg = _monomial_algebra(field, n, n, _fiber_table(field, q, table, c, d), _xy(n))
-    rad, factors = _graded_top(alg, n, range(n * n), _xy(n))
+    rad, factors = _graded_top(alg, n)
     prof = SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in factors)))
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     # over GF(p) a simple factor of dimension 1 is k: one character each
@@ -414,23 +416,17 @@ def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_ro
                                 f"({rep.c}, {rep.d}) under lam = {lam}, mu = {mu}")
 
 
-def _graded_top(alg: FinDimAlgebra, n: int, degree, gens):
-    """(J, the simple factors of A/J) of a graded algebra generated by
-    the homogeneous basis elements `gens`, from `_graded_radical` and
-    `_graded_center`.
-
-    J is spanned by basis vectors on a fiber (each component is one basis
-    element) and on the jet at an Azumaya point (J = (u, v)).  So A/J,
-    built by `quotient_algebra`, has as basis the images of the b_t with t
-    no pivot of J, each of degree degree[t], and the generators that lie
-    outside J generate it.
-    """
-    rad = _graded_radical(alg, n, degree)
-    top = quotient_algebra(alg, rad)[0]
+def _graded_top(alg: FinDimAlgebra, n: int):
+    """(J, the simple factors of A/J) of a central fiber, from
+    `_graded_radical` and `_graded_center`.  Each component is one basis
+    element, so J is spanned by basis vectors, and A/J (A itself when J = 0)
+    has as basis the images of the b_t with t no pivot of J, each of degree
+    t; the images of x and y (`_xy`) outside J generate it."""
+    rad = _graded_radical(alg, n, range(n * n))
+    top = quotient_algebra(alg, rad)[0] if rad.dim else alg
     pivots = set(rad.pivots)
     position = {t: x for x, t in enumerate(t for t in range(alg.dim) if t not in pivots)}
-    rows = _graded_center(top, n, [degree[t] for t in position],
-                          [position[s] for s in gens if s in position]).rows
+    rows = _graded_center(top, n, list(position), [position[s] for s in _xy(n) if s in position]).rows
     return rad, _simple_factors(top, rows)
 
 
@@ -530,14 +526,24 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
     y^n = d + v: S = {y, x}, jet indices 3 and 3n.  At n = 1 the fiber is k
     and x = c + u is no basis element; there S = {u, v}, indices 1 and 2.
     """
+    field, q, c, d = _azumaya_point(n, p, c, d)
+    return _jet_algebra(field, q, _certified_exponent_table(n), n, c, d)
+
+
+def _azumaya_point(n: int, p: int, c, d):
+    """GF(p), its root of unity q of order n, and c, d reduced, cd != 0."""
     field, q = _require_root(n, p)
-    c = field.of(c)
-    d = field.of(d)
+    c, d = field.of(c), field.of(d)
     if field.mul(c, d) == field.zero():
         raise NotAzumayaError("point lies on a coordinate axis (cd = 0)")
+    return field, q, c, d
+
+
+def _jet_algebra(field, q, table, n: int, c: int, d: int) -> FinDimAlgebra:
+    """`regular_point_jet_algebra` from the certified exponent table."""
+    p = field.p
     c_inv, d_inv = field.inv(c), field.inv(d)
     labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
-    table = _certified_exponent_table(n)
     mul = []
     for row, flags in zip(_fiber_table(field, q, table, c, d), table):
         for e1 in range(3):
@@ -557,17 +563,11 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
                     jet_row.append(cell)
             mul.append(jet_row)
     unit = [field.one()] + [field.zero()] * (len(labels) - 1)
-    return _from_normal_table(field, labels, mul, unit, _jet_xy(n))
-
-
-def _jet_xy(n: int):
-    """Jet indices of y and x, which generate the jet algebra; at n = 1,
-    where x = c + u is no basis element, those of u and v."""
-    return (3, 3 * n) if n > 1 else (1, 2)
+    return _from_normal_table(field, labels, mul, unit, (3, 3 * n) if n > 1 else (1, 2))
 
 
 # The jet algebra has dim 3n^2 and its invariants cost O(n^4), the cells of
-# its table: n = 12 (dim 432) takes 0.22-0.36 s in process, 0.37 s as a CLI
+# its table: n = 12 (dim 432) takes 0.14-0.16 s in process, 0.26 s as a CLI
 # run, on a 2-core x86-64 machine with CPython 3.11.7.
 _MAX_JET_DIM = 432
 
@@ -577,9 +577,9 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     matrix-jet model M_n(k[u, v]/(u, v)^2).
 
     The jet index 3r + e has the certified degree of the fiber index r, so
-    the radical, the center and the center of the top are the graded kernels
-    (`_graded_top`, `_graded_center`), under the gate p coprime to 3n;
-    `measure_point_invariants` takes them at the trivial grading.
+    the radical and the center are graded kernels (gate: p coprime to 3n).
+    The radical must be exactly (u, v); then the top is fiber(c, d), which
+    `_orbit_class` profiles.  `measure_point_invariants` is the oracle.
     """
     # the field and the order of q first, so that a bad modulus or order is
     # named as such; neither check searches for the root of unity
@@ -594,10 +594,19 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
         raise BadParamsError(
             f"jet algebra dim 3n^2 must be at most {_MAX_JET_DIM}; got n = {n}"
         )
-    jet = regular_point_jet_algebra(n, p, c, d)
-    degree, gens = [r for r in range(n * n) for _ in range(3)], _jet_xy(n)
-    rad, factors = _graded_top(jet, n, degree, gens)
-    return _point_invariants(jet, rad, factors, _graded_center(jet, n, degree, gens))
+    field, q, c, d = _azumaya_point(n, p, c, d)
+    table = _certified_exponent_table(n)
+    jet = _jet_algebra(field, q, table, n, c, d)
+    degree = [r for r in range(n * n) for _ in range(3)]
+    rad = _graded_radical(jet, n, degree)
+    if (rad.pivots != tuple(3 * r + e for r in range(n * n) for e in (1, 2))
+            or any(row.count(0) != jet.dim - 1 for row in rad.rows)):
+        raise InvalidInputError(f"the jet radical at ({c}, {d}) is not (u, v)")
+    top = _orbit_class(field, q, table, n, c, d).profile
+    if top.radical_dim:
+        raise InvalidInputError(f"fiber ({c}, {d}) is not semisimple")
+    return PointInvariants(jet.dim, rad.dim, subspace_product(jet, rad, rad).dim == 0, top.factors,
+                           _graded_center(jet, n, degree, _generators(jet)).dim)
 
 
 def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
@@ -608,19 +617,9 @@ def measure_point_invariants(alg: FinDimAlgebra) -> PointInvariants:
     (3n for the jet algebra, whose dim 3n^2 may exceed p)."""
     rad = _radical_trace_form(alg)
     top = quotient_algebra(alg, rad)[0]
-    return _point_invariants(alg, rad, _simple_factors(top, center(top).rows), center(alg))
-
-
-def _point_invariants(alg: FinDimAlgebra, rad: Subspace, factors, cen: Subspace) -> PointInvariants:
-    """The invariants of `alg` from its radical, the simple factors of its
-    top and its center."""
-    return PointInvariants(
-        total_dim=alg.dim,
-        radical_dim=rad.dim,
-        radical_square_zero=subspace_product(alg, rad, rad).dim == 0,
-        top_profile=tuple(sorted(factor[1:] for factor in factors)),
-        center_dim=cen.dim,
-    )
+    factors = _simple_factors(top, center(top).rows)
+    return PointInvariants(alg.dim, rad.dim, subspace_product(alg, rad, rad).dim == 0,
+                           tuple(sorted(factor[1:] for factor in factors)), center(alg).dim)
 
 
 def box_dual_tower(n: int, p: int, steps) -> DualTower:

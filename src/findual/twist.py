@@ -135,13 +135,19 @@ def _sparse_cols(matrix: Matrix):
 
 def tensor_swap(a: FinDimAlgebra, b: FinDimAlgebra) -> TwistingMap:
     """The braiding sigma: b_j (x) a_i -> a_i (x) b_j."""
+    n = a.dim * b.dim
+    return TwistingMap(a, b, Matrix(a.field, n, n, _swap_entries(a, b)))
+
+
+def _swap_entries(a: FinDimAlgebra, b: FinDimAlgebra):
+    """The row-major entries of `tensor_swap(a, b)`'s matrix, as a new list."""
     f = a.field
     n = a.dim * b.dim
     ent = [f.zero()] * (n * n)
     for j in range(b.dim):
         for i in range(a.dim):
             ent[(i * b.dim + j) * n + (j * a.dim + i)] = f.one()
-    return TwistingMap(a, b, Matrix(f, n, n, ent))
+    return ent
 
 
 def cotensor_swap(c: FinDimCoalgebra, d: FinDimCoalgebra) -> CotwistingMap:
@@ -827,7 +833,6 @@ def twist_corpus(field: Field, seed: int, trials: int):
                 ore[key] = ore_twist(pool[base], theta, order)
             out.append(ore[key])
             continue
-        rho = tensor_swap(a, b)
         n = a.dim * b.dim
         f = field
         unit_rows = {
@@ -844,7 +849,7 @@ def twist_corpus(field: Field, seed: int, trials: int):
         }
         legal_rows = [r for r in range(n) if r not in unit_rows]
         legal_cols = [c for c in range(n) if c not in unit_cols]
-        ent = list(rho.matrix.entries)
+        ent = _swap_entries(a, b)
         touch_units = rng.random() < 0.10
         k = rng.randint(1, 3)
         for _ in range(k):

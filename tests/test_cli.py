@@ -16,6 +16,7 @@ from findual.codec import loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
 from findual.algebra import matrix_algebra
 from findual.kernel import GF, QQ, Matrix
+from findual.qplane import azumaya_census
 from findual.twist import cotensor_swap, tensor_swap
 from findual.algebra import truncated_polynomial_algebra
 
@@ -493,6 +494,22 @@ CLI_SURFACE_DIGESTS = {
 }
 
 
+# stdout sha256 of `qplane-point` at n = 1, where the fiber is k, and at
+# the largest n the jet bound admits, recorded while the point still took
+# its top as the generic quotient of the jet algebra by its radical
+POINT_DIGESTS = {
+    "qplane-point --n 1 --p 5 --c 2 --d 3": "4a004d9f78efeab245d1d46811c7f0105a59e661299445c5561af637a8097410",
+    "qplane-point --n 12 --p 157 --c 2 --d 3": "113dfc6cb90ca826eef84f623477533d2cecbc941b02befaaeb75b084f1c76fe",
+}
+
+
+class TestPointReportBytes:
+    @pytest.mark.parametrize("argv", list(POINT_DIGESTS))
+    def test_report_is_byte_identical(self, argv):
+        code, out = run(shlex.split(argv))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, POINT_DIGESTS[argv])
+
+
 class TestAcceptanceReportBytes:
     @pytest.mark.parametrize("argv", list(ACCEPTANCE_DIGESTS), ids=["selftest-seed5", "verify-all-seed11", "verify-twists-seed7", "verify-coradical"])
     def test_report_is_byte_identical(self, argv):
@@ -571,6 +588,15 @@ class TestHostileDocuments:
         code, out = run(["dualize", "--in", str(path)])
         assert code == 2
         assert "given twice" in out
+
+    def test_census_int_factor_exits_2(self, tmp_path):
+        # a bare int where a [dim, center_dim] pair belongs is a schema error, not exit 4
+        doc = json.loads(to_canonical_json(azumaya_census(2, 5)))
+        doc["fibers"][0]["profile"]["factors"] = [1]
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["dualize", "--in", str(path)])
+        assert (code, out) == (2, "error: profile factors must be [dim, center_dim] pairs of ints\n")
 
     def test_huge_modulus_exits_2_promptly(self, tmp_path):
         # primality of a 31-digit modulus by trial division would not return

@@ -800,6 +800,13 @@ class TestGrouplikesBruteforce:
     def test_perturbed_comultiplications(self, c):
         assert grouplikes_bruteforce(c) == oracle_grouplikes_bruteforce(c)
 
+    def test_dim_bound(self):
+        """Dim 4 is enumerated and dim 5 refused."""
+        four = grouplike_coalgebra(GF(3), 4)
+        assert grouplikes_bruteforce(four) == oracle_grouplikes_bruteforce(four)
+        with pytest.raises(BadParamsError, match="dimension 5 too large for brute force"):
+            grouplikes_bruteforce(grouplike_coalgebra(GF(3), 5))
+
 
 # ---------------------------------------------------------------------------
 # Dualization stores the transposed table as it stands: both duals equal the

@@ -123,6 +123,18 @@ def test_census_bool_coordinate_rejected():
         loads(to_canonical_json(doc))
 
 
+@pytest.mark.parametrize("factors", [[1], [{"a": 1}], ["ab"], [[1, 1, 1]], [[1]], [[4, True]], [[4, 1.0]],
+                                     [[4, "1"]], [[4, 1], [1]]],
+                         ids=["int", "dict", "string", "triple", "single", "bool", "float", "digit-string",
+                              "second-bad"])
+def test_census_malformed_factors_rejected(factors):
+    """Each profile factor is a list of two ints (dim, center dim)."""
+    doc = encode(azumaya_census(2, 5))
+    doc["fibers"][1]["profile"]["factors"] = factors
+    with pytest.raises(SchemaMismatchError, match=r"profile factors must be \[dim, center_dim\] pairs of ints"):
+        loads(to_canonical_json(doc))
+
+
 def test_csv_emitter():
     report = azumaya_census(2, 5)
     csv = census_to_csv(report)

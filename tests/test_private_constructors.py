@@ -24,7 +24,7 @@ NAME = "_from_normal_table"
 BUILDERS = {
     ("algebra.py", "quotient_algebra"),
     ("qplane.py", "_monomial_algebra"),
-    ("qplane.py", "regular_point_jet_algebra"),
+    ("qplane.py", "_jet_algebra"),
     ("qplane.py", "box_dual_tower"),
     ("twist.py", "raw_twisted_algebra"),
     ("coalgebra.py", "dualize_coalgebra"),

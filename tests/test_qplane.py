@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 import sys
 
@@ -23,12 +24,14 @@ from findual.algebra import (
     is_ideal,
     matrix_algebra,
     monogenic_algebra,
+    quotient_algebra,
     radical,
     semisimple_profile,
     subspace_product,
     triangular_algebra,
     validate_algebra,
 )
+from findual.cli import cli_run
 from findual.codec import census_to_csv, to_canonical_json
 from findual.errors import (
     CharacteristicTooSmallError,
@@ -552,6 +555,18 @@ class TestFiberTableExponentBound:
 JET_POINTS = [(1, 5, 2, 3), (2, 5, 1, 1), (3, 13, 2, 5), (4, 17, 9, 12)]
 
 
+def jet_xy(n):
+    """Jet indices of y and x, which generate the jet algebra; at n = 1,
+    where x = c + u is no basis element, those of u and v."""
+    return (3, 3 * n) if n > 1 else (1, 2)
+
+
+def jet_uv(jet):
+    """(u, v) in a jet algebra: the span of the basis vectors of the jet
+    indices 3r + 1 and 3r + 2."""
+    return Subspace(jet, [[int(k == t) for k in range(jet.dim)] for t in range(jet.dim) if t % 3])
+
+
 def private_builds(monkeypatch):
     """(builder, algebra) for each algebra built through `_from_normal_table`
     from here on, the builder named by the calling function."""
@@ -613,9 +628,10 @@ class TestCertifiedBuilders:
 
     @pytest.mark.parametrize("point", JET_POINTS, ids=str)
     def test_jet_tables_are_normal(self, point, monkeypatch):
+        """The point builds the jet and fiber(c, d), its top, and no quotient."""
         built = private_builds(monkeypatch)
         azumaya_point_invariants(*point)
-        assert [name for name, _ in built] == ["regular_point_jet_algebra", "quotient_algebra"]
+        assert [name for name, _ in built] == ["_jet_algebra", "_monomial_algebra"]
         for _, alg in built:
             assert_normal_table(alg)
 
@@ -714,7 +730,7 @@ class TestGradedKernels:
         degree, gens = range(n * n), qplane._xy(n)
         profiles = []
         for alg in reps:
-            rad, factors = qplane._graded_top(alg, n, degree, gens)
+            rad, factors = qplane._graded_top(alg, n)
             assert rad == radical(alg)
             (top, rows), = seen
             seen.clear()
@@ -729,33 +745,40 @@ class TestGradedKernels:
 
     @pytest.mark.parametrize("point", JET_POINTS + [(5, 31, 26, 23)], ids=str)
     def test_jets(self, point, monkeypatch):
+        """The graded radical of the jet is (u, v), and the top the point
+        profiles is fiber(c, d), equal to the generic quotient jet / J."""
         n = point[0]
         jet = regular_point_jet_algebra(*point)
-        degree, gens = [r for r in range(n * n) for _ in range(3)], qplane._jet_xy(n)
+        degree, gens = [r for r in range(n * n) for _ in range(3)], jet_xy(n)
+        assert _generators(jet) == gens
+        rad = qplane._graded_radical(jet, n, degree)
+        assert rad == _radical_trace_form(jet) == jet_uv(jet)
         seen = recorded_center_rows(monkeypatch)
-        rad, _ = qplane._graded_top(jet, n, degree, gens)
-        assert rad == _radical_trace_form(jet)
+        inv = azumaya_point_invariants(*point)
         (top, rows), = seen
+        assert top == quotient_algebra(jet, rad)[0]
         assert Subspace(top, rows) == center(top)
         assert qplane._graded_center(jet, n, degree, gens) == center(jet)
-        assert azumaya_point_invariants(*point) == qplane.measure_point_invariants(jet)
+        assert inv == qplane.measure_point_invariants(jet)
 
     @pytest.mark.parametrize("case", ["census (3, 13)", "jet (2, 5, 1, 1)"])
     def test_per_scalar_oracles(self, case, monkeypatch):
         """The graded radical and centers against the Gram and dense
         commutator oracles, which share no code with any grading."""
+        seen = recorded_center_rows(monkeypatch)
         if case.startswith("census"):
             n, algs = 3, census_representatives(3, 13)
+            seen.clear()  # the census's own profiles
             degree, gens = range(n * n), qplane._xy(n)
+            rads = [qplane._graded_top(alg, n)[0] for alg in algs]
         else:
             n, algs = 2, [regular_point_jet_algebra(2, 5, 1, 1)]
-            degree, gens = [r for r in range(n * n) for _ in range(3)], qplane._jet_xy(n)
-        seen = recorded_center_rows(monkeypatch)
-        for alg in algs:
-            rad, _ = qplane._graded_top(alg, n, degree, gens)
+            degree, gens = [r for r in range(n * n) for _ in range(3)], jet_xy(n)
+            rads = [qplane._graded_radical(algs[0], n, degree)]
+            azumaya_point_invariants(2, 5, 1, 1)  # profiles the top, fiber(1, 1)
+        assert len(seen) == len(algs)
+        for alg, rad, (top, rows) in zip(algs, rads, seen):
             assert rad == oracle_radical_trace_form(alg)
-            (top, rows), = seen
-            seen.clear()
             assert Subspace(top, rows) == oracle_center(top)
             assert algebra_module._graded_center(alg, n, degree, gens) == oracle_center(alg)
 
@@ -770,6 +793,94 @@ class TestGradedKernels:
             degree = [(i - j) % d * d for i, j in cells]
             assert qplane._graded_radical(alg, d, degree) == radical(alg)
             assert qplane._graded_center(alg, d, degree, range(alg.dim)) == center(alg)
+
+
+class TestPointTop:
+    """`azumaya_point_invariants` checks that the jet's radical is (u, v) and
+    takes the profile of its top, fiber(c, d), from the census's
+    `_orbit_class`, on one certified exponent table."""
+
+    @pytest.mark.parametrize("point", JET_POINTS + [(5, 31, 26, 23)], ids=str)
+    def test_no_quotient(self, point, monkeypatch):
+        calls = []
+
+        def spy(alg, ideal):
+            calls.append((alg.dim, ideal.dim))
+            return quotient_algebra(alg, ideal)
+
+        monkeypatch.setattr(qplane, "quotient_algebra", spy)
+        monkeypatch.setattr(algebra_module, "quotient_algebra", spy)
+        azumaya_point_invariants(*point)
+        assert calls == []
+
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_certificates_run_once(self, point, monkeypatch):
+        calls = []
+        for name in ("_certify_grading", "_certify_associative"):
+            def spy(table, n, name=name, real=getattr(qplane, name)):
+                calls.append(name)
+                return real(table, n)
+
+            monkeypatch.setattr(qplane, name, spy)
+        azumaya_point_invariants(*point)
+        assert sorted(calls) == ["_certify_associative", "_certify_grading"]
+
+    @pytest.mark.parametrize("point", [(2, 5, 1, 1), (3, 13, 2, 5)], ids=str)
+    @pytest.mark.parametrize("change", ["tail", "missing", "extra"])
+    def test_radical_other_than_uv_rejected(self, point, change, monkeypatch):
+        """A jet radical with the pivots of (u, v) but a row that is no basis
+        vector, one without v at x^(n-1) y^(n-1), or one holding 1 is
+        refused; the fibers' radicals are left as they are."""
+        perturbed_radical(monkeypatch, change)
+        n, _, c, d = point
+        with pytest.raises(InvalidInputError, match=rf"the jet radical at \({c}, {d}\) is not \(u, v\)"):
+            azumaya_point_invariants(*point)
+        argv = ["qplane-point", "--n", str(n), "--p", str(point[1]), "--c", str(c), "--d", str(d)]
+        assert cli_run(argv, stdout=(out := io.StringIO())) == 3
+        assert out.getvalue() == f"error: the jet radical at ({c}, {d}) is not (u, v)\n"
+
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_fiber_radical_must_be_zero(self, point, monkeypatch):
+        real = qplane._orbit_class
+
+        def radical_one(*args):
+            cls = real(*args)
+            return cls._replace(profile=cls.profile._replace(radical_dim=1))
+
+        monkeypatch.setattr(qplane, "_orbit_class", radical_one)
+        with pytest.raises(InvalidInputError, match=rf"fiber \({point[2]}, {point[3]}\) is not semisimple"):
+            azumaya_point_invariants(*point)
+
+    def test_n_1(self, monkeypatch):
+        """At n = 1 the jet is k[u, v]/(u, v)^2 and its top, fiber(2, 3), is
+        k: `_xy(1)` is empty, and the center of k is k."""
+        seen = recorded_center_rows(monkeypatch)
+        assert qplane._xy(1) == ()
+        assert azumaya_point_invariants(1, 5, 2, 3) == PointInvariants(3, 2, True, ((1, 1),), 3)
+        (top, rows), = seen
+        assert (top.labels, top.mul, top.unit, rows) == (("x^0y^0",), ((((0, 1),),),), (1,), ((1,),))
+
+
+def perturbed_radical(monkeypatch, change):
+    """Make `_graded_radical` return, on a jet algebra only, (u, v) changed:
+    "tail" adds b_3 to the row of u at 1, "missing" drops the last row and
+    "extra" adds the unit's basis vector."""
+    real = qplane._graded_radical
+
+    def spy(alg, n, degree):
+        rad = real(alg, n, degree)
+        if alg.dim != 3 * n * n:
+            return rad
+        rows = [list(row) for row in rad.rows]
+        if change == "tail":
+            rows[0][3] = 1
+        elif change == "missing":
+            rows.pop()
+        else:
+            rows.append([int(k == 0) for k in range(alg.dim)])
+        return Subspace(alg, rows)
+
+    monkeypatch.setattr(qplane, "_graded_radical", spy)
 
 
 class TestGradedPathIsTaken:
