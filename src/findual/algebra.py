@@ -121,17 +121,14 @@ class FinDimAlgebra:
 def _normalize_mul(field: Field, dim: int, mul):
     """One (r, coeff) pair per r with coeff canonical (see `Field.canonical`)
     and nonzero, sorted by r; the coefficients of repeated pairs (i, j, r)
-    are summed.  A cell already in that form (as a tuple or a list, such as
-    a decoded document's) is kept as it is."""
+    are summed.  A cell already in that form, as a tuple, is kept as it is."""
     p = field.characteristic()
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
             cell = mul[i][j]
-            if _normal_cell(cell, p):
-                cell = tuple(cell)
-            else:
+            if not _normal_cell(cell, p):
                 if cell and isinstance(cell[0], tuple):
                     merged = {}
                     for r, c in cell:
@@ -154,9 +151,11 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     Only builders whose cells are normal by construction call this: the
     quotient by an ideal, the census and jet tables and the box tower's
     levels (`qplane`), the twisted product's table
-    (`twist.raw_twisted_algebra`), and the transpose of a normalized
-    comultiplication (`coalgebra.dualize_coalgebra`).  Public input and codec
-    documents go through `FinDimAlgebra`, which normalizes.
+    (`twist.raw_twisted_algebra`), the transpose of a normalized
+    comultiplication (`coalgebra.dualize_coalgebra`), and a codec document
+    whose entries the decoder's checks proved normal
+    (`codec._decode_algebra`).  Public input goes through `FinDimAlgebra`,
+    which normalizes.
     """
     alg = object.__new__(FinDimAlgebra)
     alg._store(field, tuple(labels), tuple(map(tuple, mul)), unit, gens)
@@ -164,13 +163,13 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
 
 
 def _normal_cell(cell, p: int) -> bool:
-    """Whether `cell` is a tuple or list of (r, coeff) pairs, r ints strictly
+    """Whether `cell` is a tuple of (r, coeff) pairs, r ints strictly
     increasing and every coeff canonical and nonzero: the form
-    `_normalize_mul` stores, as a tuple.  Over GF(p), p > 0, a canonical
+    `_normalize_mul` stores.  Over GF(p), p > 0, a canonical
     nonzero coeff is an int in [1, p); over Q (p = 0) it is a nonzero int or
     a Fraction whose denominator is not 1, so a cell holding Fraction(1) is
     normalized to hold 1."""
-    if type(cell) is not tuple and type(cell) is not list:
+    if type(cell) is not tuple:
         return False
     prev = -1
     for pair in cell:

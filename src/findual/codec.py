@@ -4,13 +4,25 @@ Encodings are byte-deterministic: sparse triples are emitted in sorted order,
 objects carry a "type" tag, and `to_canonical_json` fixes key order and
 separators.  Decoding foreign or malformed documents raises
 SchemaMismatchError rather than crashing.
+
+A document's structure constants and scalar lists are checked and reduced
+as whole lists (`_entries_in`, `_scalars_read`): the checks prove the
+decoded entries sorted, canonical and nonzero, the form the constructors
+store, so algebras and coalgebras are stored as decoded, without a second
+normalization (`algebra._from_normal_table`, `FinDimCoalgebra._store`), and
+a decoded algebra is not certified.  A failed check falls back to the
+per-entry walk (`_index_triples`, `_scalar_in`), which names the first bad
+entry in document order.  A map's matrix is type-checked here and reduced
+once, by the `TwistingMap` or `CotwistingMap` constructor.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress, groupby
+from operator import itemgetter
 
-from .algebra import FinDimAlgebra, SemisimpleProfile
+from .algebra import FinDimAlgebra, SemisimpleProfile, _from_normal_table
 from .coalgebra import CoalgebraHom, DualTower, FinDimCoalgebra
 from .errors import BadParamsError, SchemaMismatchError
 from .kernel import Matrix, field_from_json, field_to_json
@@ -25,6 +37,17 @@ def _scalars_out(field: Field, values):
     return [field.scalar_to_json(v) for v in values]
 
 
+def _entries_out(field: Field, entries):
+    """`entries`, lists [index, index, index, scalar] of canonical scalars,
+    with each Q scalar written as its JSON string, in place; a GF(p) scalar
+    is written as stored, the int residue."""
+    if not field.characteristic():
+        out = field.scalar_to_json
+        for entry in entries:
+            entry[3] = out(entry[3])
+    return entries
+
+
 def _scalar_in(field: Field, doc):
     try:
         return field.scalar_from_json(doc)
@@ -32,12 +55,36 @@ def _scalar_in(field: Field, doc):
         raise SchemaMismatchError(f"bad scalar {doc!r}: {exc}") from exc
 
 
-def _scalars_in(field: Field, doc, expected_len=None):
+def _scalars_read(field: Field, values):
+    """The JSON scalars `values` as read, checked as a whole: over GF(p) the
+    ints themselves, not yet reduced (`Field.canonical` reduces them; a
+    bool is never a scalar), over Q their canonical values.  If a check
+    fails, `_scalar_in` walks the entries, and raises for the first bad one
+    in document order."""
+    if field.characteristic():
+        if set(map(type, values)) <= {int}:
+            return values
+    else:
+        read = field.scalar_from_json
+        try:
+            return [read(v) for v in values]
+        except (BadParamsError, ValueError, ZeroDivisionError):
+            pass
+    return [_scalar_in(field, v) for v in values]
+
+
+def _raw_scalars_in(field: Field, doc, expected_len=None):
+    """The scalar list `doc` as read (`_scalars_read`), for a constructor
+    that reduces it."""
     if not isinstance(doc, list):
         raise SchemaMismatchError("expected a list of scalars")
     if expected_len is not None and len(doc) != expected_len:
         raise SchemaMismatchError(f"expected {expected_len} scalars, got {len(doc)}")
-    return [_scalar_in(field, v) for v in doc]
+    return _scalars_read(field, doc)
+
+
+def _scalars_in(field: Field, doc, expected_len=None):
+    return field.canonical(_raw_scalars_in(field, doc, expected_len))
 
 
 def _field_in(doc) -> Field:
@@ -55,12 +102,35 @@ def _same_field(*parts):
         raise SchemaMismatchError("components are over different fields")
 
 
-def _index_triples(doc, key, dim):
-    """The [a, b, c, scalar] entries of doc[key] as ((a, b, c), scalar), each
-    index an int in [0, dim); JSON true/false is never an index.  A structure
-    constant is given once: encode never repeats a triple."""
+def _entries_in(field: Field, doc, key, dim):
+    """The [a, b, c, scalar] entries of doc[key] as (a, b, c, scalar) tuples
+    sorted by (a, b, c), each scalar canonical and nonzero: the normal form
+    the constructors store, so a table built from them is not normalized
+    again.
+
+    The schema checks run on whole columns: every entry a list of length 4,
+    every index an int (never a bool) in [0, dim), no triple given twice
+    (encode never repeats one), every scalar valid.  If one fails, the
+    entries are walked in document order (`_index_triples`, `_scalar_in`)
+    to name the first bad one."""
+    entries = _require(doc, key, list)
+    if entries and set(map(type, entries)) == {list} and set(map(len, entries)) == {4}:
+        a, b, c, scalars = zip(*entries)
+        indices = a + b + c
+        if (set(map(type, indices)) == {int} and min(indices) >= 0 and max(indices) < dim
+                and len(set(zip(a, b, c))) == len(entries)):
+            scalars = field.canonical(_scalars_read(field, scalars))
+            return sorted(compress(zip(a, b, c, scalars), scalars))
+    return sorted((*triple, x) for triple, raw in _index_triples(entries, key, dim)
+                  if (x := _scalar_in(field, raw)))
+
+
+def _index_triples(entries, key, dim):
+    """The [a, b, c, scalar] entries as ((a, b, c), scalar), each checked in
+    turn: a list of length 4, each index an int in [0, dim), the triple not
+    seen before."""
     seen = set()
-    for entry in _require(doc, key, list):
+    for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise SchemaMismatchError(f"{key} entries must be [index, index, index, scalar]")
         if not all(type(x) is int and 0 <= x < dim for x in entry[:3]):
@@ -98,31 +168,24 @@ def _require(doc, key, types=None):
 def encode(value):
     if isinstance(value, FinDimAlgebra):
         f = value.field
-        triples = []
-        for i in range(value.dim):
-            for j in range(value.dim):
-                for r, c in value.mul[i][j]:
-                    triples.append([i, j, r, f.scalar_to_json(c)])
         return {
             "type": "algebra",
             "field": field_to_json(f),
             "dim": value.dim,
             "labels": list(value.labels),
-            "mul": triples,
+            "mul": _entries_out(f, [[i, j, r, c] for i, row in enumerate(value.mul)
+                                    for j, cell in enumerate(row) for r, c in cell]),
             "unit": _scalars_out(f, value.unit),
         }
     if isinstance(value, FinDimCoalgebra):
         f = value.field
-        triples = []
-        for r in range(value.dim):
-            for i, j, c in value.comul[r]:
-                triples.append([r, i, j, f.scalar_to_json(c)])
         return {
             "type": "coalgebra",
             "field": field_to_json(f),
             "dim": value.dim,
             "labels": list(value.labels),
-            "comul": triples,
+            "comul": _entries_out(f, [[r, i, j, c] for r, terms in enumerate(value.comul)
+                                      for i, j, c in terms]),
             "counit": _scalars_out(f, value.counit),
         }
     if isinstance(value, Matrix):
@@ -209,14 +272,14 @@ def decode(doc):
         b = _decode_algebra(_require(doc, "b", dict))
         _same_field(a, b)
         n = a.dim * b.dim
-        ent = _scalars_in(a.field, _require(doc, "matrix", list), n * n)
+        ent = _raw_scalars_in(a.field, _require(doc, "matrix", list), n * n)
         return TwistingMap(a, b, Matrix(a.field, n, n, ent))
     if tag == "cotwisting-map":
         c = _decode_coalgebra(_require(doc, "c", dict))
         d = _decode_coalgebra(_require(doc, "d", dict))
         _same_field(c, d)
         n = c.dim * d.dim
-        ent = _scalars_in(c.field, _require(doc, "matrix", list), n * n)
+        ent = _raw_scalars_in(c.field, _require(doc, "matrix", list), n * n)
         return CotwistingMap(c, d, Matrix(c.field, n, n, ent))
     if tag == "bialgebra":
         field = _field_in(doc)
@@ -280,11 +343,11 @@ def _decode_algebra(doc) -> FinDimAlgebra:
         raise SchemaMismatchError("expected an algebra document")
     field = _field_in(doc)
     dim, labels = _basis_in(doc)
-    mul = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (i, j, r), c in _index_triples(doc, "mul", dim):
-        mul[i][j].append((r, _scalar_in(field, c)))
+    mul = [[()] * dim for _ in range(dim)]
+    for (i, j), cell in groupby(_entries_in(field, doc, "mul", dim), itemgetter(0, 1)):
+        mul[i][j] = tuple([(r, c) for _, _, r, c in cell])
     unit = _scalars_in(field, _require(doc, "unit", list), dim)
-    return FinDimAlgebra(field, labels, mul, unit)
+    return _from_normal_table(field, labels, mul, unit, None)
 
 
 def _decode_coalgebra(doc) -> FinDimCoalgebra:
@@ -292,11 +355,13 @@ def _decode_coalgebra(doc) -> FinDimCoalgebra:
         raise SchemaMismatchError("expected a coalgebra document")
     field = _field_in(doc)
     dim, labels = _basis_in(doc)
-    comul = [[] for _ in range(dim)]
-    for (r, i, j), c in _index_triples(doc, "comul", dim):
-        comul[r].append((i, j, _scalar_in(field, c)))
+    comul = [()] * dim
+    for r, terms in groupby(_entries_in(field, doc, "comul", dim), itemgetter(0)):
+        comul[r] = tuple([(i, j, c) for _, i, j, c in terms])
     counit = _scalars_in(field, _require(doc, "counit", list), dim)
-    return FinDimCoalgebra(field, labels, comul, counit)
+    coalg = object.__new__(FinDimCoalgebra)
+    coalg._store(field, tuple(labels), tuple(comul), counit)
+    return coalg
 
 
 def _decode_matrix(doc) -> Matrix:

@@ -28,7 +28,8 @@ taken over K = k[u, v]/(u, v)^2 at (c + u, d + v), and the grading and
 associativity certificates compare monomials q^e c^a d^b as polynomials, so
 they cover every commutative base ring.  It is marked certified with
 generators x and y, and not validated.  Modulo (u, v) it is fiber(c, d), so
-once its radical is checked to be (u, v), `_orbit_class` profiles its top.
+once its radical is checked to be (u, v), `_orbit_class` profiles its top,
+from the same fiber(c, d) table the jet was built on.
 The fiber tables, the jet table and the box tower's levels are emitted in
 the normal form `FinDimAlgebra` stores, so they are not normalized again
 (`algebra._from_normal_table`).
@@ -291,14 +292,15 @@ def _xy(n: int):
     return (1, n) if n > 1 else ()
 
 
-def _orbit_class(field, q, table, n: int, c: int, d: int) -> _OrbitClass:
-    """Build and profile fiber(c, d) straight from the certified exponent
-    table: `_certify_associative` proved it associative and unital with
-    generators x and y, so it is marked certified with S = {x, y} and is not
-    validated again.  `_certify_grading` proved basis index t homogeneous of
-    degree divmod(t, n), so the profile reads J and the center of A/J off
-    the graded kernels (`_graded_top`)."""
-    alg = _monomial_algebra(field, n, n, _fiber_table(field, q, table, c, d), _xy(n))
+def _orbit_class(field, fiber, n: int, c: int, d: int) -> _OrbitClass:
+    """Build and profile fiber(c, d) from its table `fiber`, the certified
+    exponent table instantiated at (c, d) (`_fiber_table`):
+    `_certify_associative` proved it associative and unital with generators
+    x and y, so it is marked certified with S = {x, y} and is not validated
+    again.  `_certify_grading` proved basis index t homogeneous of degree
+    divmod(t, n), so the profile reads J and the center of A/J off the
+    graded kernels (`_graded_top`)."""
+    alg = _monomial_algebra(field, n, n, fiber, _xy(n))
     rad, factors = _graded_top(alg, n)
     prof = SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in factors)))
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
@@ -483,7 +485,7 @@ def azumaya_census(n: int, p: int) -> CensusReport:
                 _certify_torus_image(field, n, d, c, mirror, nth_root, inverse)
                 rep = classes[key] = mirror._replace(c=c, d=d)
             else:
-                rep = classes[key] = _orbit_class(field, q, table, n, c, d)
+                rep = classes[key] = _orbit_class(field, _fiber_table(field, q, table, c, d), n, c, d)
             fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
             if field.mul(c, d) == field.zero():
                 rational_axis_points += rep.characters
@@ -527,7 +529,8 @@ def regular_point_jet_algebra(n: int, p: int, c, d) -> FinDimAlgebra:
     and x = c + u is no basis element; there S = {u, v}, indices 1 and 2.
     """
     field, q, c, d = _azumaya_point(n, p, c, d)
-    return _jet_algebra(field, q, _certified_exponent_table(n), n, c, d)
+    table = _certified_exponent_table(n)
+    return _jet_algebra(field, _fiber_table(field, q, table, c, d), table, n, c, d)
 
 
 def _azumaya_point(n: int, p: int, c, d):
@@ -539,13 +542,14 @@ def _azumaya_point(n: int, p: int, c, d):
     return field, q, c, d
 
 
-def _jet_algebra(field, q, table, n: int, c: int, d: int) -> FinDimAlgebra:
-    """`regular_point_jet_algebra` from the certified exponent table."""
+def _jet_algebra(field, fiber, table, n: int, c: int, d: int) -> FinDimAlgebra:
+    """`regular_point_jet_algebra` from the certified exponent table `table`
+    and its instance `fiber` at (c, d) (`_fiber_table`)."""
     p = field.p
     c_inv, d_inv = field.inv(c), field.inv(d)
     labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
     mul = []
-    for row, flags in zip(_fiber_table(field, q, table, c, d), table):
+    for row, flags in zip(fiber, table):
         for e1 in range(3):
             jet_row = []
             for ((r, k0),), (_, _, a, b) in zip(row, flags):
@@ -579,7 +583,8 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     The jet index 3r + e has the certified degree of the fiber index r, so
     the radical and the center are graded kernels (gate: p coprime to 3n).
     The radical must be exactly (u, v); then the top is fiber(c, d), which
-    `_orbit_class` profiles.  `measure_point_invariants` is the oracle.
+    `_orbit_class` profiles from the fiber table the jet was built on.
+    `measure_point_invariants` is the oracle.
     """
     # the field and the order of q first, so that a bad modulus or order is
     # named as such; neither check searches for the root of unity
@@ -596,13 +601,14 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
         )
     field, q, c, d = _azumaya_point(n, p, c, d)
     table = _certified_exponent_table(n)
-    jet = _jet_algebra(field, q, table, n, c, d)
+    fiber = _fiber_table(field, q, table, c, d)
+    jet = _jet_algebra(field, fiber, table, n, c, d)
     degree = [r for r in range(n * n) for _ in range(3)]
     rad = _graded_radical(jet, n, degree)
     if (rad.pivots != tuple(3 * r + e for r in range(n * n) for e in (1, 2))
             or any(row.count(0) != jet.dim - 1 for row in rad.rows)):
         raise InvalidInputError(f"the jet radical at ({c}, {d}) is not (u, v)")
-    top = _orbit_class(field, q, table, n, c, d).profile
+    top = _orbit_class(field, fiber, n, c, d).profile
     if top.radical_dim:
         raise InvalidInputError(f"fiber ({c}, {d}) is not semisimple")
     return PointInvariants(jet.dim, rad.dim, subspace_product(jet, rad, rad).dim == 0, top.factors,

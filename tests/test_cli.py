@@ -84,6 +84,122 @@ class TestConstruct:
         assert code == 2
 
 
+# Mutants of the three structure constants [a, b, c, scalar] of a dim-2
+# document (entries 0, 1 and 2)
+ENTRY_MUTANTS = [
+    ("not-a-list", lambda e: e.__setitem__(0, 7)),
+    ("length-3", lambda e: e.__setitem__(0, e[0][:3])),
+    ("float-index", lambda e: e[0].__setitem__(0, float(e[0][0]))),
+    ("negative-index", lambda e: e[0].__setitem__(1, -1)),
+    ("out-of-range-index", lambda e: e[0].__setitem__(2, 2)),
+    ("bool-scalar", lambda e: e[0].__setitem__(3, True)),
+    # the first bad entry in document order is named, whatever the faults
+    ("bad-scalar-then-bad-shape", lambda e: (e[1].__setitem__(3, True), e.__setitem__(2, 7))),
+    ("bad-index-then-bad-index", lambda e: (e[1].__setitem__(0, 2), e[2].__setitem__(0, -1))),
+]
+# Mutants of a dense scalar list: a unit, a counit or a map's matrix
+SCALAR_LIST_MUTANTS = [
+    ("bool-in-list", lambda v: v.__setitem__(0, True)),
+    ("two-bad-in-list", lambda v: (v.__setitem__(0, 1.5), v.__setitem__(1, True))),
+    ("short-list", lambda v: v.pop()),
+]
+_MALFORMED_KEYS = {"algebra": ("mul", "unit"), "coalgebra": ("comul", "counit"),
+                   "twisting-map": ("mul", "matrix")}
+
+
+def _malformed_cases(kind):
+    """(field, mutate, key) for every entry and scalar-list mutant over GF(5)
+    and Q; `mutate` edits the list doc[key]."""
+    entries, scalars = _MALFORMED_KEYS[kind]
+    return [(field, mutate, key) for field in (F5, QQ)
+            for mutants, key in ((ENTRY_MUTANTS, entries), (SCALAR_LIST_MUTANTS, scalars))
+            for _, mutate in mutants]
+
+
+def _malformed_ids(kind):
+    return [f"{name}-{field}" for field in ("gf5", "q")
+            for name, _ in ENTRY_MUTANTS + SCALAR_LIST_MUTANTS]
+
+
+# The stdout line of each malformed document (exit 2 for every one), keyed
+# by document kind and test id; the messages name the first bad entry in
+# document order
+MALFORMED_LINES = {
+    ("algebra", "zero-denominator"): "error: bad scalar '1/0': Fraction(1, 0)\n",
+    ("algebra", "string-modulus"): "error: key 'p' has wrong type\n",
+    ("algebra", "float-scalar"): 'error: bad scalar 1.5: not a GF(5) scalar: 1.5\n',
+    ("algebra", "non-rational-string"): "error: bad scalar 'abc': not a rational scalar: 'abc'\n",
+    ("algebra", "repeated-triple"): 'error: mul triple [0, 0, 0] given twice\n',
+    ("algebra", "bool-index"): 'error: mul index out of range or not an int: [True, 0, 0, 1]\n',
+    ("algebra", "not-a-list-gf5"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("algebra", "length-3-gf5"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("algebra", "float-index-gf5"): 'error: mul index out of range or not an int: [0.0, 0, 0, 1]\n',
+    ("algebra", "negative-index-gf5"): 'error: mul index out of range or not an int: [0, -1, 0, 1]\n',
+    ("algebra", "out-of-range-index-gf5"): 'error: mul index out of range or not an int: [0, 0, 2, 1]\n',
+    ("algebra", "bool-scalar-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("algebra", "bad-scalar-then-bad-shape-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("algebra", "bad-index-then-bad-index-gf5"): 'error: mul index out of range or not an int: [2, 1, 1, 1]\n',
+    ("algebra", "bool-in-list-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("algebra", "two-bad-in-list-gf5"): 'error: bad scalar 1.5: not a GF(5) scalar: 1.5\n',
+    ("algebra", "short-list-gf5"): 'error: expected 2 scalars, got 1\n',
+    ("algebra", "not-a-list-q"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("algebra", "length-3-q"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("algebra", "float-index-q"): "error: mul index out of range or not an int: [0.0, 0, 0, '1/1']\n",
+    ("algebra", "negative-index-q"): "error: mul index out of range or not an int: [0, -1, 0, '1/1']\n",
+    ("algebra", "out-of-range-index-q"): "error: mul index out of range or not an int: [0, 0, 2, '1/1']\n",
+    ("algebra", "bool-scalar-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("algebra", "bad-scalar-then-bad-shape-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("algebra", "bad-index-then-bad-index-q"): "error: mul index out of range or not an int: [2, 1, 1, '1/1']\n",
+    ("algebra", "bool-in-list-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("algebra", "two-bad-in-list-q"): 'error: bad scalar 1.5: not a rational scalar: 1.5\n',
+    ("algebra", "short-list-q"): 'error: expected 2 scalars, got 1\n',
+    ("coalgebra", "not-a-list-gf5"): 'error: comul entries must be [index, index, index, scalar]\n',
+    ("coalgebra", "length-3-gf5"): 'error: comul entries must be [index, index, index, scalar]\n',
+    ("coalgebra", "float-index-gf5"): 'error: comul index out of range or not an int: [0.0, 0, 0, 1]\n',
+    ("coalgebra", "negative-index-gf5"): 'error: comul index out of range or not an int: [0, -1, 0, 1]\n',
+    ("coalgebra", "out-of-range-index-gf5"): 'error: comul index out of range or not an int: [0, 0, 2, 1]\n',
+    ("coalgebra", "bool-scalar-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("coalgebra", "bad-scalar-then-bad-shape-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("coalgebra", "bad-index-then-bad-index-gf5"): 'error: comul index out of range or not an int: [2, 0, 1, 1]\n',
+    ("coalgebra", "bool-in-list-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("coalgebra", "two-bad-in-list-gf5"): 'error: bad scalar 1.5: not a GF(5) scalar: 1.5\n',
+    ("coalgebra", "short-list-gf5"): 'error: expected 2 scalars, got 1\n',
+    ("coalgebra", "not-a-list-q"): 'error: comul entries must be [index, index, index, scalar]\n',
+    ("coalgebra", "length-3-q"): 'error: comul entries must be [index, index, index, scalar]\n',
+    ("coalgebra", "float-index-q"): "error: comul index out of range or not an int: [0.0, 0, 0, '1/1']\n",
+    ("coalgebra", "negative-index-q"): "error: comul index out of range or not an int: [0, -1, 0, '1/1']\n",
+    ("coalgebra", "out-of-range-index-q"): "error: comul index out of range or not an int: [0, 0, 2, '1/1']\n",
+    ("coalgebra", "bool-scalar-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("coalgebra", "bad-scalar-then-bad-shape-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("coalgebra", "bad-index-then-bad-index-q"): "error: comul index out of range or not an int: [2, 0, 1, '1/1']\n",
+    ("coalgebra", "bool-in-list-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("coalgebra", "two-bad-in-list-q"): 'error: bad scalar 1.5: not a rational scalar: 1.5\n',
+    ("coalgebra", "short-list-q"): 'error: expected 2 scalars, got 1\n',
+    ("twisting-map", "not-a-list-gf5"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("twisting-map", "length-3-gf5"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("twisting-map", "float-index-gf5"): 'error: mul index out of range or not an int: [0.0, 0, 0, 1]\n',
+    ("twisting-map", "negative-index-gf5"): 'error: mul index out of range or not an int: [0, -1, 0, 1]\n',
+    ("twisting-map", "out-of-range-index-gf5"): 'error: mul index out of range or not an int: [0, 0, 2, 1]\n',
+    ("twisting-map", "bool-scalar-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("twisting-map", "bad-scalar-then-bad-shape-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("twisting-map", "bad-index-then-bad-index-gf5"): 'error: mul index out of range or not an int: [2, 1, 1, 1]\n',
+    ("twisting-map", "bool-in-list-gf5"): 'error: bad scalar True: not a GF(5) scalar: True\n',
+    ("twisting-map", "two-bad-in-list-gf5"): 'error: bad scalar 1.5: not a GF(5) scalar: 1.5\n',
+    ("twisting-map", "short-list-gf5"): 'error: expected 16 scalars, got 15\n',
+    ("twisting-map", "not-a-list-q"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("twisting-map", "length-3-q"): 'error: mul entries must be [index, index, index, scalar]\n',
+    ("twisting-map", "float-index-q"): "error: mul index out of range or not an int: [0.0, 0, 0, '1/1']\n",
+    ("twisting-map", "negative-index-q"): "error: mul index out of range or not an int: [0, -1, 0, '1/1']\n",
+    ("twisting-map", "out-of-range-index-q"): "error: mul index out of range or not an int: [0, 0, 2, '1/1']\n",
+    ("twisting-map", "bool-scalar-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("twisting-map", "bad-scalar-then-bad-shape-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("twisting-map", "bad-index-then-bad-index-q"): "error: mul index out of range or not an int: [2, 1, 1, '1/1']\n",
+    ("twisting-map", "bool-in-list-q"): 'error: bad scalar True: not a rational scalar: True\n',
+    ("twisting-map", "two-bad-in-list-q"): 'error: bad scalar 1.5: not a rational scalar: 1.5\n',
+    ("twisting-map", "short-list-q"): 'error: expected 16 scalars, got 15\n',
+}
+
+
 class TestDualize:
     def test_algebra_to_coalgebra(self, tmp_path):
         path = tmp_path / "m2.json"
@@ -147,16 +263,39 @@ class TestDualize:
         (F5, lambda doc: doc["mul"].append(list(doc["mul"][0]))),
         # a JSON bool as an index
         (F5, lambda doc: doc["mul"][0].__setitem__(0, doc["mul"][0][0] == 0)),
-    ], ids=["zero-denominator", "string-modulus", "float-scalar", "non-rational-string",
-            "repeated-triple", "bool-index"])
-    def test_malformed_algebra_exits_2(self, tmp_path, field, mutate):
+    ] + [(field, lambda doc, mutate=mutate, key=key: mutate(doc[key]))
+         for field, mutate, key in _malformed_cases("algebra")],
+        ids=["zero-denominator", "string-modulus", "float-scalar", "non-rational-string",
+             "repeated-triple", "bool-index"] + _malformed_ids("algebra"))
+    def test_malformed_algebra_exits_2(self, tmp_path, field, mutate, request):
         doc = json.loads(to_canonical_json(truncated_polynomial_algebra(field, 2)))
         mutate(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out = run(["dualize", "--in", str(path)])
-        assert code == 2
-        assert out.startswith("error: ")
+        assert (code, out) == (2, MALFORMED_LINES["algebra", request.node.callspec.id])
+
+    @pytest.mark.parametrize("field,mutate,key", _malformed_cases("coalgebra"), ids=_malformed_ids("coalgebra"))
+    def test_malformed_coalgebra_exits_2(self, tmp_path, field, mutate, key, request):
+        doc = json.loads(to_canonical_json(dualize_algebra(truncated_polynomial_algebra(field, 2))))
+        mutate(doc[key])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["dualize", "--in", str(path)])
+        assert (code, out) == (2, MALFORMED_LINES["coalgebra", request.node.callspec.id])
+
+    @pytest.mark.parametrize("field,mutate,key", _malformed_cases("twisting-map"),
+                             ids=_malformed_ids("twisting-map"))
+    def test_malformed_twisting_map_exits_2(self, tmp_path, field, mutate, key, request):
+        """The entry mutants edit the second component's table, which is
+        decoded after the first."""
+        a = truncated_polynomial_algebra(field, 2)
+        doc = json.loads(to_canonical_json(tensor_swap(a, a)))
+        mutate(doc["b"]["mul"] if key == "mul" else doc[key])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["twist-check", "--in", str(path)])
+        assert (code, out) == (2, MALFORMED_LINES["twisting-map", request.node.callspec.id])
 
     def test_bool_dim_rejected(self, tmp_path):
         doc = json.loads(to_canonical_json(truncated_polynomial_algebra(F5, 1)))

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from test_algebra import algebras
 from test_coalgebra import coalgebras
 from test_twist import perturbed_cotwists, twisting_maps
 
-from findual.algebra import matrix_algebra, triangular_algebra, truncated_polynomial_algebra
+from findual import codec
+from findual.algebra import FinDimAlgebra, matrix_algebra, triangular_algebra, truncated_polynomial_algebra
 from findual.coalgebra import (
     DualTower,
+    FinDimCoalgebra,
     canonical_inclusion,
     divided_power_coalgebra,
     dualize_algebra,
@@ -19,7 +23,7 @@ from findual.coalgebra import (
 from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
 from findual.errors import SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
-from findual.qplane import azumaya_census, oq_truncation
+from findual.qplane import azumaya_census, oq_truncation, qtwist_decomposition
 from findual.selftest import sweedler_crossed_instance
 from findual.twist import cotensor_swap, grouplike_bialgebra, tensor_swap
 
@@ -220,3 +224,101 @@ def test_round_trip_property(value):
 @given(documents())
 def test_blockwise_bytes_equal_one_dumps_call_on_documents(value):
     assert to_canonical_json(value) == one_dumps_call(encode(value))
+
+
+@st.composite
+def unnormalized_documents(draw):
+    """(text, value): the document of an algebra drawn by `algebras`, or of
+    the coalgebra on its transposed table, over GF(2/3/5/7) or Q, written
+    unnormalized, and the public constructor's object on the same entries.
+    The entries are shuffled, zero coefficients are added at unused
+    triples, each GF(p) scalar c is written as c + k p and each Q scalar
+    num/den as (k num)/(k den), k drawn per scalar."""
+    a = draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
+    f, dim, p = a.field, a.dim, a.field.characteristic()
+    coalgebra = draw(st.booleans())
+    entries = [[r, i, j, c] if coalgebra else [i, j, r, c]
+               for i, row in enumerate(a.mul) for j, cell in enumerate(row) for r, c in cell]
+    used = {tuple(entry[:3]) for entry in entries}
+    unused = [list(t) for t in product(range(dim), repeat=3) if t not in used]
+    if unused:
+        entries += [t + [0] for t in draw(st.lists(st.sampled_from(unused), max_size=3, unique_by=tuple))]
+    entries = draw(st.permutations(entries))
+
+    def written(x):
+        """(JSON scalar, the value it reads as) for the scalar x."""
+        k = draw(st.integers(0 if p else 1, 3))
+        if p:
+            return x + k * p, x + k * p
+        x = Fraction(x)
+        return f"{k * x.numerator}/{k * x.denominator}", Fraction(k * x.numerator, k * x.denominator)
+
+    table = [[] for _ in range(dim)] if coalgebra else [[[] for _ in range(dim)] for _ in range(dim)]
+    doc_entries = []
+    for s, t, u, x in entries:
+        text, value = written(x)
+        doc_entries.append([s, t, u, text])
+        if coalgebra:
+            table[s].append((t, u, value))
+        else:
+            table[s][t].append((u, value))
+    unit = [written(x) for x in a.unit]
+    doc = {"type": "coalgebra" if coalgebra else "algebra", "field": encode(a)["field"], "dim": dim,
+           "labels": list(a.labels), "comul" if coalgebra else "mul": doc_entries,
+           "counit" if coalgebra else "unit": [text for text, _ in unit]}
+    build = FinDimCoalgebra if coalgebra else FinDimAlgebra
+    return json.dumps(doc), build(f, a.labels, table, [value for _, value in unit])
+
+
+@settings(max_examples=100)
+@given(unnormalized_documents())
+def test_unnormalized_documents_decode_as_the_constructors_build(case):
+    """The codec stores a document's checked entries without normalizing
+    them again: they equal, also in repr, what the normalizing public
+    constructor stores, and a decoded algebra is not taken as certified."""
+    text, want = case
+    got = loads(text)
+    if isinstance(want, FinDimAlgebra):
+        assert repr((got.mul, got.unit)) == repr((want.mul, want.unit))
+        assert got._gens is None
+    else:
+        assert repr((got.comul, got.counit)) == repr((want.comul, want.counit))
+    assert got == want
+    assert to_canonical_json(got) == to_canonical_json(want)
+
+
+def _box8_documents():
+    box = oq_truncation(4, 17, "box", (8, 8)).algebra
+    return [box, dualize_algebra(box), matrix_algebra(QQ, 3), dualize_algebra(matrix_algebra(QQ, 3)),
+            qtwist_decomposition(4, 17, 8, 8).rho_q]
+
+
+class TestBulkPathIsTaken:
+    """A valid document's entries and scalars are checked as whole lists;
+    the per-entry walk runs only on a malformed one, to name its first bad
+    entry."""
+
+    def test_valid_documents_are_never_walked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-entry walk called")
+
+        monkeypatch.setattr(codec, "_index_triples", refuse)
+        monkeypatch.setattr(codec, "_scalar_in", refuse)
+        for value in _box8_documents():
+            assert loads(to_canonical_json(value)) == value
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_malformed_documents_are_walked(self, k, monkeypatch):
+        calls = []
+        for name in ("_index_triples", "_scalar_in"):
+            def spy(*args, name=name, real=getattr(codec, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(codec, name, spy)
+        doc = encode(_box8_documents()[k])
+        entries = doc["matrix"] if k == 4 else doc["mul" if "mul" in doc else "comul"]
+        entries[-1] = True
+        with pytest.raises(SchemaMismatchError):
+            decode(doc)
+        assert calls

@@ -1,9 +1,11 @@
 """`algebra._from_normal_table` stores a table without normalizing it, so
 only the builders whose tables are normal by construction may call it:
-public input and codec documents stay on the normalizing `FinDimAlgebra`.
-The same holds for `_store`, which both classes' constructors end in and
-which `coalgebra.dualize_algebra` calls to store the transpose of a normal
-table as a comultiplication.
+public input stays on the normalizing `FinDimAlgebra`, and the codec builds
+a document's table only once its checks have proved the decoded entries
+normal (`codec._entries_in`).  The same holds for `_store`, which both
+classes' constructors end in, which `coalgebra.dualize_algebra` calls to
+store the transpose of a normal table as a comultiplication, and which
+`codec._decode_coalgebra` calls on a document's checked entries.
 
 A mention counts wherever the name appears in a module under src/findual:
 as a name, an attribute, a string (say, for getattr) or an import under
@@ -28,12 +30,14 @@ BUILDERS = {
     ("qplane.py", "box_dual_tower"),
     ("twist.py", "raw_twisted_algebra"),
     ("coalgebra.py", "dualize_coalgebra"),
+    ("codec.py", "_decode_algebra"),
 }
 STORE_CALLERS = {
     ("algebra.py", "FinDimAlgebra"),
     ("algebra.py", "_from_normal_table"),
     ("coalgebra.py", "FinDimCoalgebra"),
     ("coalgebra.py", "dualize_algebra"),
+    ("codec.py", "_decode_coalgebra"),
 }
 
 

@@ -825,6 +825,19 @@ class TestPointTop:
         azumaya_point_invariants(*point)
         assert sorted(calls) == ["_certify_associative", "_certify_grading"]
 
+    @pytest.mark.parametrize("point", JET_POINTS, ids=str)
+    def test_fiber_table_built_once(self, point, monkeypatch):
+        """The jet and its top share one fiber(c, d) table."""
+        calls = []
+
+        def spy(field, q, table, c, d, real=qplane._fiber_table):
+            calls.append((c, d))
+            return real(field, q, table, c, d)
+
+        monkeypatch.setattr(qplane, "_fiber_table", spy)
+        azumaya_point_invariants(*point)
+        assert calls == [(point[2] % point[1], point[3] % point[1])]
+
     @pytest.mark.parametrize("point", [(2, 5, 1, 1), (3, 13, 2, 5)], ids=str)
     @pytest.mark.parametrize("change", ["tail", "missing", "extra"])
     def test_radical_other_than_uv_rejected(self, point, change, monkeypatch):
