@@ -218,8 +218,22 @@ class Subspace:
     __slots__ = ("ambient", "rows", "_tails")
 
     def __init__(self, ambient: FinDimAlgebra, rows):
+        self._set_rows(ambient, echelon_rows(ambient.field, rows))
+
+    @classmethod
+    def _from_disjoint_blocks(cls, ambient: FinDimAlgebra, rows) -> "Subspace":
+        """The span of `rows`, the RREF rows of blocks on disjoint sets of
+        coordinates (`_block_kernel`'s rows for the components of a
+        grading), with no elimination: a row is 1 at its pivot and 0 at
+        the other pivots of its block and off its block, so in pivot order
+        the rows are the span's RREF."""
+        space = cls.__new__(cls)
+        space._set_rows(ambient, sorted(rows, key=lambda row: next(j for j, x in enumerate(row) if x)))
+        return space
+
+    def _set_rows(self, ambient: FinDimAlgebra, rows) -> None:
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in echelon_rows(ambient.field, rows))
+        self.rows = tuple(tuple(r) for r in rows)
         # an RREF row's first nonzero entry is its pivot
         terms = [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
         self._tails = {t[0][0]: t[1:] for t in terms}
@@ -267,7 +281,7 @@ class Subspace:
 def _annihilator(ambient, rows) -> Subspace:
     """The vectors x of `ambient` with row . x = 0 for every row: the kernel of
     the matrix of rows, which is the whole space when there are no rows."""
-    return Subspace(ambient, _block_kernel(ambient.field, rows, range(ambient.dim), ambient.dim))
+    return Subspace._from_disjoint_blocks(ambient, _block_kernel(ambient.field, rows, range(ambient.dim), ambient.dim))
 
 
 class AlgebraHom:
@@ -803,22 +817,32 @@ def _components(degree):
 
 
 def _block_kernel(field, block, cols, dim: int):
-    """A basis of the kernel of the matrix `block` (canonical rows, possibly
-    none), whose columns stand for the basis indices `cols`, as vectors of
-    length `dim`: a small block per graded component, or all of a matrix."""
+    """The kernel of the matrix `block` (canonical rows, possibly none),
+    whose columns stand for the basis indices `cols` in increasing order,
+    as RREF rows of length `dim`, zero off `cols`: a small block per graded
+    component, or all of a matrix."""
     if len(cols) == 1:  # as on every fiber: the kernel is all or nothing
-        rows = [(field.one(),)] if any(row[0] for row in block) else []
+        kernel = [] if any(row[0] for row in block) else [(field.one(),)]
     else:
         rows = echelon_rows(field, block)
-    pivots = {next(k for k, x in enumerate(row) if x): row for row in rows}
+        pivots = {next(k for k, x in enumerate(row) if x): row for row in rows}
+        kernel = []
+        for fc in range(len(cols)):
+            if fc not in pivots:
+                vec = [field.zero()] * len(cols)
+                vec[fc] = field.one()
+                for pc, row in pivots.items():
+                    vec[pc] = field.neg(row[fc])
+                kernel.append(vec)
+        kernel = echelon_rows(field, kernel)
+    if len(cols) == dim:  # one block: the rows are whole already
+        return kernel
     out = []
-    for fc, t in enumerate(cols):
-        if fc not in pivots:
-            vec = [field.zero()] * dim
-            vec[t] = field.one()
-            for pc, row in pivots.items():
-                vec[cols[pc]] = field.neg(row[fc])
-            out.append(vec)
+    for row in kernel:
+        vec = [field.zero()] * dim
+        for t, x in zip(cols, row):
+            vec[t] = x
+        out.append(vec)
     return out
 
 
@@ -856,7 +880,7 @@ def _graded_radical(alg: FinDimAlgebra, n: int, degree) -> Subspace:
                     out[x] += c * tau[r]
             block.append(f.canonical(out))
         rows += _block_kernel(f, block, cols, alg.dim)
-    return Subspace(alg, rows)
+    return Subspace._from_disjoint_blocks(alg, rows)
 
 
 def _radical_trace_form(a: FinDimAlgebra) -> Subspace:
@@ -913,7 +937,7 @@ def _graded_center(alg: FinDimAlgebra, n: int, degree, gens) -> Subspace:
                 if any(row):
                     block[row] = None
         rows += _block_kernel(f, block, cols, alg.dim)
-    return Subspace(alg, rows)
+    return Subspace._from_disjoint_blocks(alg, rows)
 
 
 def center(a: FinDimAlgebra) -> Subspace:

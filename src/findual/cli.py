@@ -5,6 +5,11 @@ Exit codes: 0 success / all checks pass; 1 a verification returned false
 precondition was violated; 4 an unexpected internal error (one line on
 stdout, the traceback on stderr).  All output bytes are deterministic for
 fixed (argv, seed).
+
+Each `cli_run` builds its parser afresh: the top level, which names every
+command with its help line, and the subparser of each command named in
+argv, since argparse can run no other (see `_build_parser`).  Help, usage
+and argparse's errors are the bytes a parser with every subparser gives.
 """
 
 from __future__ import annotations
@@ -80,59 +85,80 @@ _KINDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _subparser(build: bool, **kwargs):
+    # add_subparsers' parser_class: a parser for a command named in argv, and
+    # nothing for the others, whose name and help line the top level keeps
+    return argparse.ArgumentParser(**kwargs) if build else None
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for each command named in argv.
+
+    Every command's name and help line are registered, which is all argparse
+    reads of a command it does not run: the usage line, `findual --help` and
+    the invalid-choice error.  It runs the subparser of the first positional
+    argument only, and looks that up by its literal text (no prefix matching
+    of command names, no argument files), so a command whose name is not an
+    element of argv can never run, and building its subparser would be waste.
+    """
     parser = argparse.ArgumentParser(
         prog="findual",
         description="exact algebra/coalgebra duality, twisted tensor products, "
                     "and quantum-plane censuses",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog: the prefix of the subparsers' usage, which argparse would format
+    # from the top level's usage and positionals, here none
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, parser_class=_subparser)
+    named = set(argv)
 
-    c = sub.add_parser("construct", help="emit a named algebra or coalgebra as JSON")
-    c.add_argument("--kind", required=True, choices=list(_KINDS))
-    c.add_argument("--p", type=int, help="prime modulus; omit for the rationals")
-    c.add_argument("--n", type=int, help="size parameter (dimension, order, ...)")
-    c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds; exit 3 when "
-                   "its smallest root needs over 10^7 search steps (an order near sqrt(p))")
-    c.add_argument("--a", type=int, help="x-truncation for qplane-box")
-    c.add_argument("--b", type=int, help="y-truncation for qplane-box")
-    c.add_argument("--c", type=int, help="x^n value for qplane-fiber")
-    c.add_argument("--d", type=int, help="y^n value for qplane-fiber")
-    c.add_argument("--points", help="line-dist points as 'pt:mult,pt:mult'")
-    c.add_argument("--vertices", type=int, help="vertex count for path quivers")
-    c.add_argument("--arrows", help="arrows as 'src-tgt,src-tgt'")
-    c.add_argument("--out")
+    def command(name, help):
+        return sub.add_parser(name, help=help, build=name in named)
 
-    d = sub.add_parser("dualize", help="dualize an algebra/coalgebra/bialgebra document")
-    d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--out")
+    if c := command("construct", "emit a named algebra or coalgebra as JSON"):
+        c.add_argument("--kind", required=True, choices=list(_KINDS))
+        c.add_argument("--p", type=int, help="prime modulus; omit for the rationals")
+        c.add_argument("--n", type=int, help="size parameter (dimension, order, ...)")
+        c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds; exit 3 when "
+                       "its smallest root needs over 10^7 search steps (an order near sqrt(p))")
+        c.add_argument("--a", type=int, help="x-truncation for qplane-box")
+        c.add_argument("--b", type=int, help="y-truncation for qplane-box")
+        c.add_argument("--c", type=int, help="x^n value for qplane-fiber")
+        c.add_argument("--d", type=int, help="y^n value for qplane-fiber")
+        c.add_argument("--points", help="line-dist points as 'pt:mult,pt:mult'")
+        c.add_argument("--vertices", type=int, help="vertex count for path quivers")
+        c.add_argument("--arrows", help="arrows as 'src-tgt,src-tgt'")
+        c.add_argument("--out")
 
-    t = sub.add_parser("twist-check", help="check twisting/cotwisting axioms on a document")
-    t.add_argument("--in", dest="infile", required=True)
-    t.add_argument("--out")
+    if d := command("dualize", "dualize an algebra/coalgebra/bialgebra document"):
+        d.add_argument("--in", dest="infile", required=True)
+        d.add_argument("--out")
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", default="all", choices=["all", *SUITES, *ALL_KEYS])
-    v.add_argument("--seed", type=int, default=5)
-    v.add_argument("--out")
+    if t := command("twist-check", "check twisting/cotwisting axioms on a document"):
+        t.add_argument("--in", dest="infile", required=True)
+        t.add_argument("--out")
 
-    qc = sub.add_parser("qplane-census", help="Azumaya census of central fibers")
-    qc.add_argument("--n", type=int, required=True, help="root-of-unity order")
-    qc.add_argument("--p", type=int, required=True)
-    qc.add_argument("--format", default="json", choices=["json", "csv"])
-    qc.add_argument("--out")
+    if v := command("verify", "run a verification suite"):
+        v.add_argument("--suite", default="all", choices=["all", *SUITES, *ALL_KEYS])
+        v.add_argument("--seed", type=int, default=5)
+        v.add_argument("--out")
 
-    qp = sub.add_parser("qplane-point", help="jet invariants at an Azumaya point")
-    qp.add_argument("--n", type=int, required=True,
-                    help=f"root-of-unity order; the jet algebra's dim 3n^2 must be at most {_MAX_JET_DIM}")
-    qp.add_argument("--p", type=int, required=True)
-    qp.add_argument("--c", type=int, required=True)
-    qp.add_argument("--d", type=int, required=True)
-    qp.add_argument("--out")
+    if qc := command("qplane-census", "Azumaya census of central fibers"):
+        qc.add_argument("--n", type=int, required=True, help="root-of-unity order")
+        qc.add_argument("--p", type=int, required=True)
+        qc.add_argument("--format", default="json", choices=["json", "csv"])
+        qc.add_argument("--out")
 
-    st = sub.add_parser("selftest", help="run the full acceptance suite")
-    st.add_argument("--seed", type=int, default=5)
-    st.add_argument("--out")
+    if qp := command("qplane-point", "jet invariants at an Azumaya point"):
+        qp.add_argument("--n", type=int, required=True,
+                        help=f"root-of-unity order; the jet algebra's dim 3n^2 must be at most {_MAX_JET_DIM}")
+        qp.add_argument("--p", type=int, required=True)
+        qp.add_argument("--c", type=int, required=True)
+        qp.add_argument("--d", type=int, required=True)
+        qp.add_argument("--out")
+
+    if st := command("selftest", "run the full acceptance suite"):
+        st.add_argument("--seed", type=int, default=5)
+        st.add_argument("--out")
     return parser
 
 
@@ -248,9 +274,9 @@ _HANDLERS = {
 def cli_run(argv, stdout=None) -> int:
     """Run the CLI on an argv list; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

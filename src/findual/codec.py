@@ -51,7 +51,7 @@ def _entries_out(field: Field, entries):
 def _scalar_in(field: Field, doc):
     try:
         return field.scalar_from_json(doc)
-    except (BadParamsError, ValueError, ZeroDivisionError) as exc:
+    except (BadParamsError, ValueError) as exc:
         raise SchemaMismatchError(f"bad scalar {doc!r}: {exc}") from exc
 
 
@@ -68,7 +68,7 @@ def _scalars_read(field: Field, values):
         read = field.scalar_from_json
         try:
             return [read(v) for v in values]
-        except (BadParamsError, ValueError, ZeroDivisionError):
+        except (BadParamsError, ValueError):
             pass
     return [_scalar_in(field, v) for v in values]
 

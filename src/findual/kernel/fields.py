@@ -174,7 +174,10 @@ class Rationals(Field):
         num, den = doc.split("/", 1)
         if den == "1":
             return int(num)
-        return _rational(Fraction(int(num), int(den)))
+        den = int(den)
+        if den == 0:
+            raise BadParamsError(f"zero denominator in {doc!r}")
+        return _rational(Fraction(int(num), den))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -125,7 +127,7 @@ def _malformed_ids(kind):
 # by document kind and test id; the messages name the first bad entry in
 # document order
 MALFORMED_LINES = {
-    ("algebra", "zero-denominator"): "error: bad scalar '1/0': Fraction(1, 0)\n",
+    ("algebra", "zero-denominator"): "error: bad scalar '1/0': zero denominator in '1/0'\n",
     ("algebra", "string-modulus"): "error: key 'p' has wrong type\n",
     ("algebra", "float-scalar"): 'error: bad scalar 1.5: not a GF(5) scalar: 1.5\n',
     ("algebra", "non-rational-string"): "error: bad scalar 'abc': not a rational scalar: 'abc'\n",
@@ -663,6 +665,158 @@ class TestCliSurfaceBytes:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_SURFACE_DIGESTS[argv]
 
 
+# sha256 of no output
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# exit code, stdout sha256 and stderr sha256 of the runs argparse answers
+# (help, usage errors, invalid choices), at 80 columns: argparse writes help
+# to sys.stdout and its errors to sys.stderr, so both are pinned.  verify
+# and selftest have no required flag; theirs is a --seed with no value.
+# The last two argvs name a command that does not run.
+CLI_PARSE_DIGESTS = {
+    "":
+        (2, _EMPTY,
+         "107427f212c8c8cb9d7f3d2f31bcdccebf1fcb3f1dcc9ec952405e644fbd8384"),
+    "-h":
+        (0, "88096326b18df5e075cb064df44f43ccb98d49707eebd56b111cf658d8d84665",
+         _EMPTY),
+    "--help":
+        (0, "88096326b18df5e075cb064df44f43ccb98d49707eebd56b111cf658d8d84665",
+         _EMPTY),
+    "bogus":
+        (2, _EMPTY,
+         "10a217308ff965e58d1eb3cacca7c4fb87c61ace13708ac418211d28fd7643dd"),
+    "--bogus":
+        (2, _EMPTY,
+         "107427f212c8c8cb9d7f3d2f31bcdccebf1fcb3f1dcc9ec952405e644fbd8384"),
+    "construct --help":
+        (0, "9f2eb4b2840c7e3e0e83b9c2e279de60e2710b06ba0752506065acabad92e447",
+         _EMPTY),
+    "dualize --help":
+        (0, "3259d7d633ef60ccc38ce29d1c5d5cce938d74a0541f23aba35b2a3135bd3cf6",
+         _EMPTY),
+    "twist-check --help":
+        (0, "20ee1e14d843b10a5059b5b623d513561e81df951379ae9dff19c3d446a53f3b",
+         _EMPTY),
+    "verify --help":
+        (0, "1172ffbca8bfa69a6cf781d18bc1a1bb0c0b393ffa778e8e2fefc1208a83369c",
+         _EMPTY),
+    "qplane-census --help":
+        (0, "c96f6e0e4e2ba964a7abd75c05f042e0afa983c7133eacef90aecf3854112fec",
+         _EMPTY),
+    "qplane-point --help":
+        (0, "dff14a47cb31328b737f51d7ce82fa325aefc98fcbe77f315c524cd23fa82b75",
+         _EMPTY),
+    "selftest --help":
+        (0, "00d9f571ffbe7730e728f980fb9455e75a1626520daefe5ba3d6992feaeb4e47",
+         _EMPTY),
+    "construct":
+        (2, _EMPTY,
+         "d69d53df80e5a1ae71ebd68d6c29ef1cba6ffb24b3dd969b3031581639251724"),
+    "dualize":
+        (2, _EMPTY,
+         "bb7d7aa46f8197ba4072d4768035040276872f1a74cbfd59835026bb45205450"),
+    "twist-check":
+        (2, _EMPTY,
+         "f0d995ea0fd3094f8ba8fc14e1586b718a497a7042bc6d5c3fe133ead20f0b44"),
+    "verify --seed":
+        (2, _EMPTY,
+         "c42b5f7a4b147ee5d93940a7ac2df1426da43223dbbe36d1958c038df29212d0"),
+    "qplane-census --n 3":
+        (2, _EMPTY,
+         "092ed4263d4623dae051763a1bb7cc31fe2dbea2063af933026336c11fbf3efd"),
+    "qplane-point --n 3 --p 13 --c 2":
+        (2, _EMPTY,
+         "07f737efc0a7edf6ab6607f40edf7791bacef4dd73e1ec2dd1bf3d75d8a3ab7c"),
+    "selftest --seed":
+        (2, _EMPTY,
+         "f0b6c48b6466fa74016da283be92a558176abced4db9276a4dc01d2eb7f49e46"),
+    "selftest --bogus":
+        (2, _EMPTY,
+         "f758601a3fd09080ac7b450b50e93744048e7bde34980ebdc93b94db9be61422"),
+    "construct --kind bogus":
+        (2, _EMPTY,
+         "20029e5cfffb5de69e2759426913b450720d784b470837177e12091355e5b9b4"),
+    "qplane-census --n 3 --p 13 --format xml":
+        (2, _EMPTY,
+         "83aabf9f72c1981217b39ef9faa26923ed82b90ed3eded055423f3fe5f0ab7a3"),
+    "verify --suite bogus":
+        (2, _EMPTY,
+         "acbd805b465737d2b759c0b9c871eb8669ce52c03b1d3670368d73c0e94a9ae6"),
+    "construct --kind comatrix --n x":
+        (2, _EMPTY,
+         "d9895788787b5ed0631c0af2d1ad9c7d19ed330525935a27c468e8fb9ff6a058"),
+    "construct --kind line-dist --points dualize":
+        (2, "0f712a56001268a5434d49bc08adadc67e58a162ba2a915fddf8a070be0df094",
+         _EMPTY),
+    "-- dualize --in x":
+        (2, _EMPTY,
+         "229ea2d8fd25e2af00b0a6d5e88d28c627020616533fc392a7312022668b7b03"),
+}
+
+
+def run_streams(argv):
+    """(exit code, stdout, stderr) of cli_run writing to the process's streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCliParseBytes:
+    @pytest.mark.parametrize("argv", list(CLI_PARSE_DIGESTS))
+    def test_bytes_and_exit_code(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_streams(shlex.split(argv))
+        assert (code, sha(out), sha(err)) == CLI_PARSE_DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", ["--help", "dualize --help"])
+    def test_module_entry_point(self, argv):
+        # main() and the __main__ guard, which no in-process run reaches
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "findual.cli", *argv.split()],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, sha(proc.stdout)) == CLI_PARSE_DIGESTS[argv][:2]
+
+
+def parsers_built(monkeypatch, argv):
+    """How many ArgumentParsers one cli_run(argv) constructs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", spy)
+        run_streams(argv)
+    return len(built)
+
+
+class TestParsersBuilt:
+    """A run builds the top-level parser and the subparser of each command
+    named in argv, and no other: one parser for an argv naming no command."""
+
+    @pytest.mark.parametrize("argv", list(CLI_PARSE_DIGESTS))
+    def test_parse_runs(self, argv, monkeypatch):
+        argv = shlex.split(argv)
+        assert parsers_built(monkeypatch, argv) == 1 + len(set(argv) & set(cli_module._HANDLERS))
+
+    @pytest.mark.parametrize("argv", list(CLI_SURFACE_DIGESTS))
+    def test_surface_runs(self, argv, monkeypatch):
+        assert parsers_built(monkeypatch, shlex.split(argv)) == 2
+
+    def test_every_command_named_at_once(self, monkeypatch):
+        assert parsers_built(monkeypatch, ["--help", *cli_module._HANDLERS]) == 8
+
 class TestTwistCheckBytes:
     def test_reports_are_byte_identical(self, tmp_path, monkeypatch):
         # the report echoes argv, so the --in path is a fixed relative one
@@ -778,6 +932,7 @@ def _fuzz_documents():
 # a scalar, index, label, field spec or list may become any of these
 _HOSTILE = [None, True, False, 0, 1, -1, 7, 2**70, 1.5, "", "x", "1/0", "3/2", "-0/5",
             [], [0], [[]], {}, {"kind": "prime-field", "p": 4}, {"kind": "rationals"}]
+_HOSTILE_AT_IMPORT = json.loads(json.dumps(_HOSTILE))
 
 
 def _nodes(doc, path=()):
@@ -806,10 +961,16 @@ def _mutant(rng, doc):
         elif how == 1:
             del parent[key]
         elif how == 2 and isinstance(value, list) and value:
-            value[rng.randrange(len(value))] = rng.choice(_HOSTILE)
+            value[rng.randrange(len(value))] = _hostile(rng)
         else:
-            parent[key] = rng.choice(_HOSTILE)
+            parent[key] = _hostile(rng)
     return doc
+
+
+def _hostile(rng):
+    """A copy of a random `_HOSTILE` value, so that later edits of the
+    mutant leave `_HOSTILE` as it is."""
+    return json.loads(json.dumps(rng.choice(_HOSTILE)))
 
 
 class TestMutationFuzz:
@@ -828,3 +989,4 @@ class TestMutationFuzz:
                 assert code in (0, 1) or (out.startswith("error: ") and out.count("\n") == 1)
                 seen.add(code)
         assert seen == {0, 1, 2, 3}
+        assert _HOSTILE == _HOSTILE_AT_IMPORT

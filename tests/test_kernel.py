@@ -71,6 +71,18 @@ def run_snippet(code, timeout):
     return proc.stdout
 
 
+class TestRationalScalarFromJson:
+    @pytest.mark.parametrize("doc, value", [("3/2", Fraction(3, 2)), ("-4/2", -2), ("5/1", 5), ("-0/5", 0)])
+    def test_reads_canonical_scalars(self, doc, value):
+        got = QQ.scalar_from_json(doc)
+        assert (got, type(got)) == (value, type(value))
+
+    @pytest.mark.parametrize("doc", ["1/0", "-3/-0", "2/00"])
+    def test_zero_denominator_is_named(self, doc):
+        with pytest.raises(BadParamsError, match=f"zero denominator in {doc!r}"):
+            QQ.scalar_from_json(doc)
+
+
 class TestPrimitiveRoots:
     def test_gf5_order_2(self):
         assert primitive_root_of_unity(GF(5), 2) == 4

@@ -6,6 +6,9 @@ normal (`codec._entries_in`).  The same holds for `_store`, which both
 classes' constructors end in, which `coalgebra.dualize_algebra` calls to
 store the transpose of a normal table as a comultiplication, and which
 `codec._decode_coalgebra` calls on a document's checked entries.
+Likewise `Subspace._from_disjoint_blocks` takes rows as the span's RREF
+once sorted by pivot, without eliminating, so only the callers that hand it
+`_block_kernel`'s per-component kernels may call it.
 
 A mention counts wherever the name appears in a module under src/findual:
 as a name, an attribute, a string (say, for getattr) or an import under
@@ -38,6 +41,12 @@ STORE_CALLERS = {
     ("coalgebra.py", "FinDimCoalgebra"),
     ("coalgebra.py", "dualize_algebra"),
     ("codec.py", "_decode_coalgebra"),
+}
+
+DISJOINT_BLOCK_CALLERS = {
+    ("algebra.py", "_annihilator"),
+    ("algebra.py", "_graded_radical"),
+    ("algebra.py", "_graded_center"),
 }
 
 
@@ -73,6 +82,11 @@ def test_every_builder_uses_the_private_constructor():
 def test_only_builders_store_unnormalized_tables():
     used = {(path.name, owner) for path in MODULES for _, owner in mentions(path.read_text(), "_store")}
     assert used == STORE_CALLERS
+
+
+def test_only_block_kernels_skip_elimination():
+    used = {(path.name, owner) for path in MODULES for _, owner in mentions(path.read_text(), "_from_disjoint_blocks")}
+    assert used == DISJOINT_BLOCK_CALLERS
 
 
 def test_guard_flags_stray_uses():

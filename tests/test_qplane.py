@@ -40,7 +40,7 @@ from findual.errors import (
     NotAzumayaError,
     OrderUnavailableError,
 )
-from findual.kernel import GF, Matrix, Poly, primitive_root_of_unity
+from findual.kernel import GF, Matrix, Poly, echelon_rows, primitive_root_of_unity
 from findual.qplane import (
     CensusReport,
     FiberRecord,
@@ -760,6 +760,40 @@ class TestGradedKernels:
         assert Subspace(top, rows) == center(top)
         assert qplane._graded_center(jet, n, degree, gens) == center(jet)
         assert inv == qplane.measure_point_invariants(jet)
+
+    @pytest.mark.parametrize("case", [(3, 13), (4, 17), (5, 31), (6, 37), (4, 17, 3, 5), (5, 31, 26, 23)], ids=str)
+    def test_merged_block_rows_are_the_rref(self, case, monkeypatch):
+        """The graded radical's and center's rows, each component's kernel
+        in RREF merged in pivot order, equal `echelon_rows` of the same
+        vectors; no elimination runs over more than one component."""
+        n = case[0]
+        if len(case) == 2:
+            algs, degree, gens = census_representatives(*case), range(n * n), qplane._xy(n)
+        else:
+            algs = [regular_point_jet_algebra(*case)]
+            degree, gens = [r for r in range(n * n) for _ in range(3)], jet_xy(n)
+        blocks, widths = [], set()
+        block_kernel, echelon = algebra_module._block_kernel, algebra_module.echelon_rows
+
+        def kernel_spy(*args):
+            blocks.append(block_kernel(*args))
+            return blocks[-1]
+
+        def echelon_spy(field, rows):
+            rows = list(rows)
+            widths.update(map(len, rows))
+            return echelon(field, rows)
+
+        monkeypatch.setattr(algebra_module, "_block_kernel", kernel_spy)
+        monkeypatch.setattr(algebra_module, "echelon_rows", echelon_spy)
+        for alg in algs:
+            for build in (lambda: qplane._graded_radical(alg, n, degree),
+                          lambda: qplane._graded_center(alg, n, degree, gens)):
+                blocks.clear()
+                rows = build().rows
+                assert len(blocks) > 1
+                assert rows == tuple(echelon_rows(alg.field, [row for block in blocks for row in block]))
+        assert widths <= {1, 2, 3}
 
     @pytest.mark.parametrize("case", ["census (3, 13)", "jet (2, 5, 1, 1)"])
     def test_per_scalar_oracles(self, case, monkeypatch):
