@@ -9,12 +9,14 @@ fixed (argv, seed).
 Each `cli_run` builds its parser afresh: the top level, which names every
 command with its help line, and the subparser of each command named in
 argv, since argparse can run no other (see `_build_parser`).  Help, usage
-and argparse's errors are the bytes a parser with every subparser gives.
+and argparse's errors are the bytes a parser with every subparser gives, and
+they wrap at a fixed width, not at the terminal's.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -85,10 +87,15 @@ _KINDS = {
 }
 
 
+# help, usage and argparse's errors wrap at 78 columns, what argparse gives an
+# 80-column terminal, whatever COLUMNS says: argv alone fixes their bytes
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def _subparser(build: bool, **kwargs):
     # add_subparsers' parser_class: a parser for a command named in argv, and
     # nothing for the others, whose name and help line the top level keeps
-    return argparse.ArgumentParser(**kwargs) if build else None
+    return argparse.ArgumentParser(**kwargs, formatter_class=_FORMATTER) if build else None
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
@@ -103,6 +110,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="findual",
+        formatter_class=_FORMATTER,
         description="exact algebra/coalgebra duality, twisted tensor products, "
                     "and quantum-plane censuses",
     )

@@ -129,7 +129,8 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        return rref_kernel(self).rank
+        """The pivot count of one row reduction; no RREF or kernel matrix."""
+        return len(_row_reduce(self.row_lists(), self.field)[1])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -298,33 +298,28 @@ def _gl2_gf5():
 
 def _products(r, gl):
     """(t X, t Y) and (X t, Y t) for each 2x2 t in gl: the eight entries of
-    each pair, residues mod 5, packed into one 8-byte word of an array (as
-    tuples, the products of all representations would hold about 1.8 MB).
+    each pair, residues mod 5 in row-major order, packed little-endian into
+    one 8-byte word of an array (as tuples, the products of all
+    representations would hold about 1.8 MB).
 
-    Row i of t X is row_i(t) X, and column j of X t is X col_j(t).  So X and
-    Y are multiplied once by each of the 25 row vectors and the 25 column
-    vectors of GF(5)^2, and every t's words are read off those 100 products:
-    with t = [[a, b], [c, d]], t X is the rows v X at v = (a, b), (c, d), and
-    X t interleaves the columns X w at w = (a, c), (b, d)."""
-    x, y = r.x_matrix, r.y_matrix
+    Row i of t X is row_i(t) X, and column j of X t is X col_j(t).  So the
+    words are read off the products of X and Y with the 25 vectors of
+    GF(5)^2, computed on plain ints from the matrices' four entries: with
+    t = [[a, b], [c, d]], t X is the rows v X at v = (a, b), (c, d), and X t
+    interleaves the columns X w at w = (a, c), (b, d).  Each vector's X and
+    Y products are stored together, their entries at the bit offsets they
+    take in a word, so a t's word is two of them or-ed, one shifted."""
+    (x00, x01, x10, x11), (y00, y01, y10, y11) = r.x_matrix.entries, r.y_matrix.entries
     vectors = [(u, v) for u in range(5) for v in range(5)]  # (u, v) at index 5u + v
-    rows = [Matrix(F5, 1, 2, vec) for vec in vectors]
-    cols = [Matrix(F5, 2, 1, vec) for vec in vectors]
-    x_rows = [(v @ x).entries for v in rows]
-    y_rows = [(v @ y).entries for v in rows]
-    x_cols = [(x @ w).entries for w in cols]
-    y_cols = [(y @ w).entries for w in cols]
-    left = bytearray()
-    right = bytearray()
-    for t in gl:
-        a, b, c, d = t.entries
-        r0, r1 = 5 * a + b, 5 * c + d
-        left += bytes(x_rows[r0] + x_rows[r1] + y_rows[r0] + y_rows[r1])
-        c0, c1 = 5 * a + c, 5 * b + d
-        (x00, x10), (x01, x11) = x_cols[c0], x_cols[c1]
-        (y00, y10), (y01, y11) = y_cols[c0], y_cols[c1]
-        right += bytes((x00, x01, x10, x11, y00, y01, y10, y11))
-    return array("Q", left), array("Q", right)
+    # v X = (v0 x00 + v1 x10, v0 x01 + v1 x11) at bytes 0, 1 (and 4, 5 for Y)
+    rows = [(u * x00 + v * x10) % 5 | (u * x01 + v * x11) % 5 << 8
+            | (u * y00 + v * y10) % 5 << 32 | (u * y01 + v * y11) % 5 << 40 for u, v in vectors]
+    # X w = (x00 w0 + x01 w1, x10 w0 + x11 w1) at bytes 0, 2 (and 4, 6 for Y)
+    cols = [(x00 * u + x01 * v) % 5 | (x10 * u + x11 * v) % 5 << 16
+            | (y00 * u + y01 * v) % 5 << 32 | (y10 * u + y11 * v) % 5 << 48 for u, v in vectors]
+    ents = [t.entries for t in gl]
+    return (array("Q", [rows[5 * a + b] | rows[5 * c + d] << 16 for a, b, c, d in ents]),
+            array("Q", [cols[5 * a + c] | cols[5 * b + d] << 8 for a, b, c, d in ents]))
 
 
 def _intertwined(prods1, prods2):

@@ -139,8 +139,9 @@ def tensor_swap(a: FinDimAlgebra, b: FinDimAlgebra) -> TwistingMap:
     return TwistingMap(a, b, Matrix(a.field, n, n, _swap_entries(a, b)))
 
 
-def _swap_entries(a: FinDimAlgebra, b: FinDimAlgebra):
-    """The row-major entries of `tensor_swap(a, b)`'s matrix, as a new list."""
+def _swap_entries(a, b):
+    """The row-major entries of `tensor_swap(a, b)`'s matrix, as a new list;
+    a and b are algebras or coalgebras, of which it reads field and dim."""
     f = a.field
     n = a.dim * b.dim
     ent = [f.zero()] * (n * n)
@@ -151,13 +152,10 @@ def _swap_entries(a: FinDimAlgebra, b: FinDimAlgebra):
 
 
 def cotensor_swap(c: FinDimCoalgebra, d: FinDimCoalgebra) -> CotwistingMap:
-    f = c.field
+    """The coswap c_i (x) d_j -> d_j (x) c_i: `tensor_swap(d, c)`'s entries,
+    since only the two factors' dimensions enter them."""
     n = c.dim * d.dim
-    ent = [f.zero()] * (n * n)
-    for i in range(c.dim):
-        for j in range(d.dim):
-            ent[(j * c.dim + i) * n + (i * d.dim + j)] = f.one()
-    return CotwistingMap(c, d, Matrix(f, n, n, ent))
+    return CotwistingMap(c, d, Matrix(c.field, n, n, _swap_entries(d, c)))
 
 
 class TwistReport(NamedTuple):
@@ -234,28 +232,43 @@ def check_twisting_map(rho: TwistingMap) -> TwistReport:
 def _twisted_mul_table(rho: TwistingMap):
     """Structure constants of m_rho on the A(x)B basis, no validity gate, in
     the normal form `FinDimAlgebra` stores: each cell sorted by output index,
-    canonical coefficients, zero sums dropped."""
+    canonical coefficients, zero sums dropped.
+
+    A term's key is the int (left * n + right) * n + output, so the keys
+    sort in table order: they are sorted once, their sums reduced once, and
+    each nonzero cell is the run of its keys, emitted in order."""
     a, b = rho.a, rho.b
     da, db = a.dim, b.dim
     n = da * db
-    acc = {}  # (left, right, output) -> coefficient, one reduction for the table
+    # the terms of b_y b_j2, each at its key offset j2 * n + output
+    b_terms = [[(j2 * n + z, c3) for j2, cell in enumerate(row) for z, c3 in cell] for row in b.mul]
+    acc = {}  # (left * n + right) * n + output -> coefficient
     for i1 in range(da):
+        a_row = a.mul[i1]
         for j1 in range(db):
             left = i1 * db + j1
             for i2 in range(da):
+                base = (left * n + i2 * db) * n
                 for flat, c in rho.image_of(j1, i2):
                     x, y = divmod(flat, db)
-                    for w, c2 in a.mul[i1][x]:
+                    terms = b_terms[y]
+                    for w, c2 in a_row[x]:
                         cc = c * c2
-                        for j2 in range(db):
-                            for z, c3 in b.mul[y][j2]:
-                                key = (left, i2 * db + j2, w * db + z)
-                                acc[key] = acc.get(key, 0) + cc * c3
-    mul = [[[] for _ in range(n)] for _ in range(n)]
-    for (left, right, out), v in zip(acc, a.field.canonical(acc.values())):
+                        cell = base + w * db
+                        for offset, c3 in terms:
+                            key = cell + offset
+                            acc[key] = acc.get(key, 0) + cc * c3
+    keys = sorted(acc)
+    cells = [()] * (n * n)  # at left * n + right
+    last = -1
+    for key, v in zip(keys, a.field.canonical(map(acc.__getitem__, keys))):
         if v:
-            mul[left][right].append((out, v))
-    return [[tuple(sorted(cell)) for cell in row] for row in mul]
+            cell, out = divmod(key, n)
+            if cell != last:
+                cells[cell] = run = []
+                last = cell
+            run.append((out, v))
+    return [list(map(tuple, cells[left:left + n])) for left in range(0, n * n, n)]
 
 
 def _tensor_unit(a: FinDimAlgebra, b: FinDimAlgebra):
@@ -806,16 +819,21 @@ def _corpus_pool(field: Field):
 def twist_corpus(field: Field, seed: int, trials: int):
     """Seeded stream of twisting-map candidates: swaps, valid Ore-style
     twists, and sparse perturbations of the swap (mostly away from unit
-    rows/columns so multiplicativity is the discriminating axiom)."""
+    rows/columns so multiplicativity is the discriminating axiom).
+
+    Each Ore twist, and each pool pair's swap entries and unit-free rows and
+    columns, is built once per call: draws of one (base, scale, order) share
+    one map, and a perturbation copies its pair's swap entries.  No caller
+    mutates a map."""
     rng = random.Random(seed)
     pool = _corpus_pool(field)
-    # at most 3 * (p - 1) * 2 distinct Ore twists exist, and no caller mutates
-    # a map, so repeated draws share one object
-    ore = {}
+    ore = {}  # (base, scale, order) -> map; at most 3 * (p - 1) * 2 over GF(p)
+    swaps = {}  # (a, b) pool indices -> (swap entries, legal rows, legal cols)
+    indices = range(len(pool))
     out = []
     for _ in range(trials):
-        a = rng.choice(pool)
-        b = rng.choice(pool)
+        ia, ib = rng.choice(indices), rng.choice(indices)
+        a, b = pool[ia], pool[ib]
         kind = rng.random()
         if kind < 0.25:
             out.append(tensor_swap(a, b))
@@ -835,21 +853,10 @@ def twist_corpus(field: Field, seed: int, trials: int):
             continue
         n = a.dim * b.dim
         f = field
-        unit_rows = {
-            i * b.dim + j
-            for i in range(a.dim)
-            for j in range(b.dim)
-            if a.unit[i] != f.zero() or b.unit[j] != f.zero()
-        }
-        unit_cols = {
-            j * a.dim + i
-            for j in range(b.dim)
-            for i in range(a.dim)
-            if b.unit[j] != f.zero() or a.unit[i] != f.zero()
-        }
-        legal_rows = [r for r in range(n) if r not in unit_rows]
-        legal_cols = [c for c in range(n) if c not in unit_cols]
-        ent = _swap_entries(a, b)
+        if (ia, ib) not in swaps:
+            swaps[ia, ib] = (_swap_entries(a, b), *_unit_free(a, b))
+        swap, legal_rows, legal_cols = swaps[ia, ib]
+        ent = list(swap)
         touch_units = rng.random() < 0.10
         k = rng.randint(1, 3)
         for _ in range(k):
@@ -865,3 +872,13 @@ def twist_corpus(field: Field, seed: int, trials: int):
                 ent[r * n + cc] = f.of(rng.randint(-3, 3))
         out.append(TwistingMap(a, b, Matrix(f, n, n, ent)))
     return out
+
+
+def _unit_free(a: FinDimAlgebra, b: FinDimAlgebra):
+    """The rows a_i (x) b_j and the columns b_j (x) a_i of a map on (a, b)
+    where neither a_i nor b_j has a unit coefficient, in index order."""
+    free_a = [i for i, u in enumerate(a.unit) if not u]
+    free_b = [j for j, u in enumerate(b.unit) if not u]
+    rows = [i * b.dim + j for i in free_a for j in free_b]
+    cols = [j * a.dim + i for j in free_b for i in free_a]
+    return rows, cols

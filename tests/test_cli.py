@@ -774,14 +774,28 @@ class TestCliParseBytes:
         code, out, err = run_streams(shlex.split(argv))
         assert (code, sha(out), sha(err)) == CLI_PARSE_DIGESTS[argv]
 
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", list(CLI_PARSE_DIGESTS))
+    def test_bytes_do_not_depend_on_columns(self, argv, columns, monkeypatch):
+        # the pins above are taken at 80 columns; a narrower or wider
+        # terminal must give the same bytes
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_streams(shlex.split(argv))
+        assert (code, sha(out), sha(err)) == CLI_PARSE_DIGESTS[argv]
+
+    @pytest.mark.parametrize("columns", ["80", None])
     @pytest.mark.parametrize("argv", ["--help", "dualize --help"])
-    def test_module_entry_point(self, argv):
-        # main() and the __main__ guard, which no in-process run reaches
+    def test_module_entry_point(self, argv, columns):
+        # main() and the __main__ guard, which no in-process run reaches;
+        # with COLUMNS unset, argparse would ask the terminal for its width
         src = os.path.dirname(os.path.dirname(findual.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "COLUMNS"}
+        if columns is not None:
+            env["COLUMNS"] = columns
         proc = subprocess.run(
             [sys.executable, "-m", "findual.cli", *argv.split()],
             capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+            env={**env, "PYTHONPATH": src},
         )
         assert (proc.returncode, sha(proc.stdout)) == CLI_PARSE_DIGESTS[argv][:2]
 

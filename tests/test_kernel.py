@@ -578,10 +578,10 @@ KERNEL_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(10007), QQ]
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw, square=False, min_size=1):
     f = draw(st.sampled_from(KERNEL_FIELDS))
-    rows = draw(st.integers(1, 7))
-    cols = rows if square else draw(st.integers(1, 7))
+    rows = draw(st.integers(min_size, 7))
+    cols = rows if square else draw(st.integers(min_size, 7))
     # few distinct values, so that rank deficiency is common
     if isinstance(f, PrimeField):
         scalar = st.integers(0, min(f.p - 1, 4)).map(f.of)
@@ -600,6 +600,12 @@ class TestRowReductionAgainstOracle:
         res = rref_kernel(m)
         assert res.pivots == tuple(pivots)
         assert res.rref == Matrix.from_rows(m.field, rows)
+
+    @given(matrices(min_size=0))
+    def test_rank_is_the_rref_rank(self, m):
+        # empty shapes included: a 0 x c or r x 0 matrix has rank 0
+        assert m.rank() == rref_kernel(m).rank
+        assert m.is_invertible() == (m.rows == m.cols == rref_kernel(m).rank)
 
     @given(matrices())
     def test_echelon_rows_are_the_nonzero_rref_rows(self, m):

@@ -1,5 +1,6 @@
-"""Selftest criterion 6 (`irreps`): the vector-lookup intertwiner products
-against the direct per-t matrix products, and the criterion's product count.
+"""Selftest criterion 6 (`irreps`): the intertwiner products computed on
+ints against the direct per-t matrix products, and the criterion's matmul
+count.
 Criteria 2 and 3 (`twist-equivalence`, `twisted-duality`): the results of the
 per-trial loops that check every trial's map, and one check per distinct map
 or (A, B) pair."""
@@ -24,11 +25,16 @@ POINTS = [(a, b) for a in range(1, 5) for b in range(1, 5)]
 
 
 def oracle_products(r, gl):
-    """The direct definition: t X, t Y, X t and Y t for every t, packed as
+    """The direct definition: t X, t Y, X t and Y t for every t, their eight
+    row-major entries packed little-endian into one word, as
     `selftest._products` packs them."""
     x, y = r.x_matrix, r.y_matrix
-    return (array("Q", bytes(e for t in gl for e in (t @ x).entries + (t @ y).entries)),
-            array("Q", bytes(e for t in gl for e in (x @ t).entries + (y @ t).entries)))
+
+    def word(m1, m2):
+        return int.from_bytes(bytes(m1.entries + m2.entries), "little")
+
+    return (array("Q", [word(t @ x, t @ y) for t in gl]),
+            array("Q", [word(x @ t, y @ t) for t in gl]))
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +80,9 @@ def test_criterion_products_are_vector_lookups(monkeypatch):
     constructions = calls[0]
     calls[0] = 0
     assert selftest.criterion_6_irreps().passed
-    # per representation: 100 vector products for the search, and 4 for its
-    # relation and central-character checks (YX, XY, X^2, Y^2)
-    assert calls[0] <= constructions + 16 * (100 + 4)
+    # per representation: 4 for its relation and central-character checks
+    # (YX, XY, X^2, Y^2); the search's products are computed on ints
+    assert calls[0] <= constructions + 16 * 4
 
 
 def oracle_criterion_2(seed, trials=500):

@@ -20,7 +20,9 @@ from findual.coalgebra import (
     FinDimCoalgebra,
     divided_power_coalgebra,
     dualize_algebra,
+    grouplike_coalgebra,
     grouplikes,
+    triangular_coalgebra,
     validate_coalgebra,
 )
 from findual.errors import (
@@ -147,6 +149,18 @@ class TestCotwisting:
         phi = dual_cotwist(tensor_swap(a, b))
         expected = cotensor_swap(dualize_algebra(a), dualize_algebra(b))
         assert phi.matrix == expected.matrix
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "rationals"])
+    def test_swap_sends_each_basis_pair_to_its_swap(self, field):
+        # column c_i (x) d_j at i * dim(D) + j; row d_j (x) c_i at j * dim(C) + i
+        zoo = [triangular_coalgebra(field, 2), grouplike_coalgebra(field, 3),
+               divided_power_coalgebra(field, 2)]
+        for c in zoo:
+            for d in zoo:
+                m = cotensor_swap(c, d).matrix
+                want = [[int(row == j * c.dim + i) for i in range(c.dim) for j in range(d.dim)]
+                        for row in range(m.rows)]
+                assert m == Matrix.from_rows(field, want)
 
     def test_dual_of_passing_twist_passes(self):
         phi = dual_cotwist(sweedler_ore_twist())
@@ -659,19 +673,30 @@ def oracle_unsorted_twisted_mul_table(rho):
     return mul
 
 
-NORMAL_TABLE_CORPORA = [(F5, 5, 500), (QQ, 5, 200)]
+NORMAL_TABLE_CORPORA = [(F5, 5, 500), (QQ, 5, 200), (GF(7), 5, 300)]
+NORMAL_TABLE_IDS = ["gf5", "rationals", "gf7"]
+
+
+def assert_normal_twisted_table(rho):
+    raw = raw_twisted_algebra(rho)
+    want = FinDimAlgebra(rho.a.field, raw.labels, oracle_unsorted_twisted_mul_table(rho), raw.unit)
+    assert raw == want and repr((raw.mul, raw.unit)) == repr((want.mul, want.unit))
+    assert raw._gens is None
 
 
 class TestNormalTwistedTable:
-    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=["gf5", "rationals"])
+    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=NORMAL_TABLE_IDS)
     def test_table_matches_normalizing_constructor(self, field, seed, trials):
         for rho in twist_corpus(field, seed, trials):
-            raw = raw_twisted_algebra(rho)
-            want = FinDimAlgebra(field, raw.labels, oracle_unsorted_twisted_mul_table(rho), raw.unit)
-            assert raw == want and repr((raw.mul, raw.unit)) == repr((want.mul, want.unit))
-            assert raw._gens is None
+            assert_normal_twisted_table(rho)
 
-    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=["gf5", "rationals"])
+    def test_rho_q_table_matches_normalizing_constructor(self):
+        # dim 64, with cells of several terms over GF(17)
+        rho = qtwist_decomposition(4, 17, 8, 8).rho_q
+        assert rho.a.dim * rho.b.dim == 64
+        assert_normal_twisted_table(rho)
+
+    @pytest.mark.parametrize("field,seed,trials", NORMAL_TABLE_CORPORA, ids=NORMAL_TABLE_IDS)
     def test_failing_maps_give_undualizable_products(self, field, seed, trials):
         """The raw product is never taken as certified: where rho fails its
         check, dualizing the product still validates it and refuses it."""
