@@ -555,23 +555,28 @@ def _first_non_associative_triple(field: Field, mul, pairs):
     (i, j) pairs, visited in the order given, with the least such k; or None.
 
     For each (i, j) one accumulator holds the difference for every k at once,
-    keyed k * dim + t, and is reduced once at the end.
+    keyed k * dim + t, and is reduced once at the end.  Both sides walk only
+    nonzero terms, so a pair costs its nonzero two-step products, not dim
+    cells of row j.
     """
     dim = len(mul)
     # flat[s]: the products b_s b_k for every k, as (k * dim + t, coeff)
     flat = [[(k * dim + t, c) for k, cell in enumerate(row) for t, c in cell] for row in mul]
+    # terms[j]: the products b_j b_k for every k, as (k * dim, s, coeff),
+    # built the first time j is used
+    terms = {}
     for i, j in pairs:
         row_i = mul[i]
         acc = {}
         for s, c in row_i[j]:
             for key, c2 in flat[s]:
                 acc[key] = acc.get(key, 0) + c * c2
-        base = 0
-        for cell in mul[j]:
-            for s, c in cell:
-                for t, c2 in row_i[s]:
-                    acc[base + t] = acc.get(base + t, 0) - c * c2
-            base += dim
+        row_j = terms.get(j)
+        if row_j is None:
+            row_j = terms[j] = [(k * dim, s, c) for k, cell in enumerate(mul[j]) for s, c in cell]
+        for base, s, c in row_j:
+            for t, c2 in row_i[s]:
+                acc[base + t] = acc.get(base + t, 0) - c * c2
         residue = field.canonical(acc.values())
         if any(residue):
             return i, j, min(key for key, x in zip(acc, residue) if x) // dim

@@ -6,11 +6,19 @@ precondition was violated; 4 an unexpected internal error (one line on
 stdout, the traceback on stderr).  All output bytes are deterministic for
 fixed (argv, seed).
 
-Each `cli_run` builds its parser afresh: the top level, which names every
-command with its help line, and the subparser of each command named in
-argv, since argparse can run no other (see `_build_parser`).  Help, usage
-and argparse's errors are the bytes a parser with every subparser gives, and
-they wrap at a fixed width, not at the terminal's.
+Every command's flags are declared once, in `_ARGS`, and an argv takes one
+of two paths to its Namespace.  The plain form `command --flag value ...`,
+the form of the README's examples and of the benchmark's jobs, is read
+straight off that table by `_table_args`, with no parser built: argparse
+reads such an argv one way only, so the Namespace is the one it would give.
+Every other argv (help, abbreviations, `--flag=value`, repeated flags,
+`--`, a value led by "-", a bad value, a missing flag) goes to argparse,
+built afresh for the call: the top level, which names every command with
+its help line, and the subparser of each command named in argv, since
+argparse can run no other (see `_build_parser`).  Help, usage and
+argparse's errors are the bytes a parser with every subparser gives, and
+they wrap at a fixed width, not at the terminal's.  An argv element that is
+not a string exits 2 before either path.
 """
 
 from __future__ import annotations
@@ -98,15 +106,124 @@ def _subparser(build: bool, **kwargs):
     return argparse.ArgumentParser(**kwargs, formatter_class=_FORMATTER) if build else None
 
 
+# each command's help line and its flags, in `--help` order: (flag,
+# add_argument kwargs); `_build_parser` and `_table_args` both read them
+_COMMANDS = {
+    "construct": "emit a named algebra or coalgebra as JSON",
+    "dualize": "dualize an algebra/coalgebra/bialgebra document",
+    "twist-check": "check twisting/cotwisting axioms on a document",
+    "verify": "run a verification suite",
+    "qplane-census": "Azumaya census of central fibers",
+    "qplane-point": "jet invariants at an Azumaya point",
+    "selftest": "run the full acceptance suite",
+}
+_ARGS = {
+    "construct": (
+        ("--kind", dict(required=True, choices=list(_KINDS))),
+        ("--p", dict(type=int, help="prime modulus; omit for the rationals")),
+        ("--n", dict(type=int, help="size parameter (dimension, order, ...)")),
+        ("--q-order", dict(type=int, help="root-of-unity order for qplane kinds; exit 3 when "
+                           "its smallest root needs over 10^7 search steps (an order near sqrt(p))")),
+        ("--a", dict(type=int, help="x-truncation for qplane-box")),
+        ("--b", dict(type=int, help="y-truncation for qplane-box")),
+        ("--c", dict(type=int, help="x^n value for qplane-fiber")),
+        ("--d", dict(type=int, help="y^n value for qplane-fiber")),
+        ("--points", dict(help="line-dist points as 'pt:mult,pt:mult'")),
+        ("--vertices", dict(type=int, help="vertex count for path quivers")),
+        ("--arrows", dict(help="arrows as 'src-tgt,src-tgt'")),
+        ("--out", dict()),
+    ),
+    "dualize": (
+        ("--in", dict(dest="infile", required=True)),
+        ("--out", dict()),
+    ),
+    "twist-check": (
+        ("--in", dict(dest="infile", required=True)),
+        ("--out", dict()),
+    ),
+    "verify": (
+        ("--suite", dict(default="all", choices=["all", *SUITES, *ALL_KEYS])),
+        ("--seed", dict(type=int, default=5)),
+        ("--out", dict()),
+    ),
+    "qplane-census": (
+        ("--n", dict(type=int, required=True, help="root-of-unity order")),
+        ("--p", dict(type=int, required=True)),
+        ("--format", dict(default="json", choices=["json", "csv"])),
+        ("--out", dict()),
+    ),
+    "qplane-point": (
+        ("--n", dict(type=int, required=True,
+                     help=f"root-of-unity order; the jet algebra's dim 3n^2 must be at most {_MAX_JET_DIM}")),
+        ("--p", dict(type=int, required=True)),
+        ("--c", dict(type=int, required=True)),
+        ("--d", dict(type=int, required=True)),
+        ("--out", dict()),
+    ),
+    "selftest": (
+        ("--seed", dict(type=int, default=5)),
+        ("--out", dict()),
+    ),
+}
+
+
+def _table_args(argv):
+    """The Namespace `_build_parser(argv).parse_args(argv)` returns, read
+    straight off `_ARGS`, for an argv of the plain form
+    `command --flag value ...`; None for any other argv.
+
+    The plain form: argv[0] is a command, and `--flag value` pairs follow in
+    which each flag is an exact option of that command and appears once, no
+    value is empty or starts with "-", each value passes its flag's `type`
+    and `choices`, and every required flag is given.  Argparse reads such
+    an argv one way only: the top level hands everything after the command
+    to its subparser, each exact option string takes the next element as
+    its value (an element not led by "-" is never an option), `type` and
+    `choices` are applied as here, and every flag not given takes its
+    default, none of which is a string to convert.  So the Namespace is the
+    same, and argparse is left the argvs that need its help, usage or error
+    text, or its rules for abbreviations, `--flag=value`, repeats and `--`.
+    """
+    if not argv or argv[0] not in _ARGS or len(argv) % 2 == 0:
+        return None
+    flags = dict(_ARGS[argv[0]])
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        # popped, so that a repeated flag is not found again
+        kwargs = flags.pop(flag, None)
+        if kwargs is None or not text or text[0] == "-":
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        choices = kwargs.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[_dest(flag, kwargs)] = value
+    for flag, kwargs in flags.items():
+        if kwargs.get("required"):
+            return None
+        values[_dest(flag, kwargs)] = kwargs.get("default")
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _dest(flag: str, kwargs) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The top-level parser, with a subparser for each command named in argv.
 
+    `cli_run` builds it only for an argv `_table_args` leaves: help, usage
+    errors, bad values, missing flags, and any argv not of the plain form.
     Every command's name and help line are registered, which is all argparse
     reads of a command it does not run: the usage line, `findual --help` and
     the invalid-choice error.  It runs the subparser of the first positional
     argument only, and looks that up by its literal text (no prefix matching
     of command names, no argument files), so a command whose name is not an
     element of argv can never run, and building its subparser would be waste.
+    Each subparser's flags come from `_ARGS`, in its order.
     """
     parser = argparse.ArgumentParser(
         prog="findual",
@@ -118,55 +235,10 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     # from the top level's usage and positionals, here none
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, parser_class=_subparser)
     named = set(argv)
-
-    def command(name, help):
-        return sub.add_parser(name, help=help, build=name in named)
-
-    if c := command("construct", "emit a named algebra or coalgebra as JSON"):
-        c.add_argument("--kind", required=True, choices=list(_KINDS))
-        c.add_argument("--p", type=int, help="prime modulus; omit for the rationals")
-        c.add_argument("--n", type=int, help="size parameter (dimension, order, ...)")
-        c.add_argument("--q-order", type=int, help="root-of-unity order for qplane kinds; exit 3 when "
-                       "its smallest root needs over 10^7 search steps (an order near sqrt(p))")
-        c.add_argument("--a", type=int, help="x-truncation for qplane-box")
-        c.add_argument("--b", type=int, help="y-truncation for qplane-box")
-        c.add_argument("--c", type=int, help="x^n value for qplane-fiber")
-        c.add_argument("--d", type=int, help="y^n value for qplane-fiber")
-        c.add_argument("--points", help="line-dist points as 'pt:mult,pt:mult'")
-        c.add_argument("--vertices", type=int, help="vertex count for path quivers")
-        c.add_argument("--arrows", help="arrows as 'src-tgt,src-tgt'")
-        c.add_argument("--out")
-
-    if d := command("dualize", "dualize an algebra/coalgebra/bialgebra document"):
-        d.add_argument("--in", dest="infile", required=True)
-        d.add_argument("--out")
-
-    if t := command("twist-check", "check twisting/cotwisting axioms on a document"):
-        t.add_argument("--in", dest="infile", required=True)
-        t.add_argument("--out")
-
-    if v := command("verify", "run a verification suite"):
-        v.add_argument("--suite", default="all", choices=["all", *SUITES, *ALL_KEYS])
-        v.add_argument("--seed", type=int, default=5)
-        v.add_argument("--out")
-
-    if qc := command("qplane-census", "Azumaya census of central fibers"):
-        qc.add_argument("--n", type=int, required=True, help="root-of-unity order")
-        qc.add_argument("--p", type=int, required=True)
-        qc.add_argument("--format", default="json", choices=["json", "csv"])
-        qc.add_argument("--out")
-
-    if qp := command("qplane-point", "jet invariants at an Azumaya point"):
-        qp.add_argument("--n", type=int, required=True,
-                        help=f"root-of-unity order; the jet algebra's dim 3n^2 must be at most {_MAX_JET_DIM}")
-        qp.add_argument("--p", type=int, required=True)
-        qp.add_argument("--c", type=int, required=True)
-        qp.add_argument("--d", type=int, required=True)
-        qp.add_argument("--out")
-
-    if st := command("selftest", "run the full acceptance suite"):
-        st.add_argument("--seed", type=int, default=5)
-        st.add_argument("--out")
+    for name, help in _COMMANDS.items():
+        if command := sub.add_parser(name, help=help, build=name in named):
+            for flag, kwargs in _ARGS[name]:
+                command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -283,10 +355,16 @@ def cli_run(argv, stdout=None) -> int:
     """Run the CLI on an argv list; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    for index, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            stdout.write(f"error: argv[{index}] is {type(arg).__name__}, not str\n")
+            return 2
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return _HANDLERS[args.command](args, argv, stdout)
     except (SchemaMismatchError, UsageError, OSError, ValueError) as exc:

@@ -1,6 +1,6 @@
 import operator
 import random
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -756,6 +756,62 @@ class TestLightTest:
         assert (rep.associative, rep.unital) == (False, False)
         assert tuple(rep) == oracle_validate(a)
         assert rep.witnesses[0] == ("associativity", (0, 0, 1, 1))
+
+
+def oracle_first_triple(f, mul, pairs):
+    """The dense per-triple scan: for each (i, j) in the order given and
+    each k, both sides of (b_i b_j) b_k = b_i (b_j b_k) as dense vectors;
+    the first (i, j, k) where they differ, or None."""
+    dim = len(mul)
+    for i, j in pairs:
+        for k in range(dim):
+            lhs, rhs = [f.zero()] * dim, [f.zero()] * dim
+            for s, c in mul[i][j]:
+                for t, c2 in mul[s][k]:
+                    lhs[t] = f.add(lhs[t], f.mul(c, c2))
+            for s, c in mul[j][k]:
+                for t, c2 in mul[i][s]:
+                    rhs[t] = f.add(rhs[t], f.mul(c, c2))
+            if lhs != rhs:
+                return i, j, k
+    return None
+
+
+@st.composite
+def scan_tables(draw):
+    """A diagonal, truncated polynomial, triangular, matrix or cyclic group
+    algebra of dim up to 12, on its own sparse basis or under a dense change
+    of basis, with up to two structure constants moved by a nonzero amount."""
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    build, sizes = draw(st.sampled_from([
+        (diagonal_algebra, (1, 12)), (truncated_polynomial_algebra, (1, 12)),
+        (triangular_algebra, (1, 4)), (matrix_algebra, (1, 3)), (cyclic_group_algebra, (1, 6)),
+    ]))
+    base = build(f, draw(st.integers(*sizes)))
+    n = base.dim
+    if n <= 6 and draw(st.booleans()):
+        mul, unit = rebased_table(base, draw(basis_changes(f, n)))
+    else:
+        mul, unit = [[base.basis_product(i, j) for j in range(n)] for i in range(n)], list(base.unit)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, r = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mul[i][j][r] = f.add(mul[i][j][r], draw(small_scalars(f, nonzero=True)))
+    return FinDimAlgebra(f, base.labels, mul, unit)
+
+
+class TestAssociativityScanAgainstDenseScan:
+    """`_first_non_associative_triple` walks only the nonzero terms of each
+    row; the dense per-triple scan gives the same verdict and witness, over
+    all pairs and over the pairs (i, j) with j in a drawn subset, as Light's
+    test scans them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_tables(), st.data())
+    def test_same_verdict_and_witness(self, a, data):
+        f, mul, n = a.field, a.mul, a.dim
+        middles = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        for pairs in (list(product(range(n), repeat=2)), list(product(range(n), middles))):
+            assert algebra_module._first_non_associative_triple(f, mul, iter(pairs)) == oracle_first_triple(f, mul, pairs)
 
 
 # ---------------------------------------------------------------------------

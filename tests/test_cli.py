@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import findual
 from findual import cli as cli_module
@@ -815,21 +817,130 @@ def parsers_built(monkeypatch, argv):
     return len(built)
 
 
+# the one CLI_PARSE_DIGESTS argv of the plain form: its value names a
+# command, and the table path reads it as argparse does, as a value
+_PLAIN_PARSE_ARGVS = {"construct --kind line-dist --points dualize"}
+
+
 class TestParsersBuilt:
-    """A run builds the top-level parser and the subparser of each command
+    """An argv of the plain form `command --flag value ...` builds no parser;
+    any other builds the top-level parser and the subparser of each command
     named in argv, and no other: one parser for an argv naming no command."""
 
     @pytest.mark.parametrize("argv", list(CLI_PARSE_DIGESTS))
     def test_parse_runs(self, argv, monkeypatch):
+        plain = argv in _PLAIN_PARSE_ARGVS
         argv = shlex.split(argv)
-        assert parsers_built(monkeypatch, argv) == 1 + len(set(argv) & set(cli_module._HANDLERS))
+        assert (cli_module._table_args(argv) is not None) == plain
+        want = 0 if plain else 1 + len(set(argv) & set(cli_module._HANDLERS))
+        assert parsers_built(monkeypatch, argv) == want
 
     @pytest.mark.parametrize("argv", list(CLI_SURFACE_DIGESTS))
     def test_surface_runs(self, argv, monkeypatch):
-        assert parsers_built(monkeypatch, shlex.split(argv)) == 2
+        # an empty value leaves the plain form
+        argv = shlex.split(argv)
+        assert parsers_built(monkeypatch, argv) == (2 if "" in argv else 0)
 
     def test_every_command_named_at_once(self, monkeypatch):
         assert parsers_built(monkeypatch, ["--help", *cli_module._HANDLERS]) == 8
+
+
+# the parts the argv streams below are drawn from: each command's flags,
+# the abbreviations and near-misses argparse resolves or rejects, and values
+# that pass or fail each flag's type and choices
+_FLAGS = sorted({flag for flags in cli_module._ARGS.values() for flag, _ in flags})
+_ODD_FLAGS = ["--ki", "--poi", "--q", "--su", "--se", "--fo", "--i", "--ou", "--bogus",
+              "-h", "--help", "--", "-n", "--kind=comatrix", "--n=3", "--in=x.json", "--seed=7"]
+_BAD_VALUES = ["", "-1", "-x", "--n", "-- x", "x", "2.5", "xml", "bogus"]
+_VALUES = ["0", "2", "5", "13", "+3", " 4", "4_0", "all", "twists", "json", "csv", "comatrix",
+           "qplane-box", "line-dist", "dualize", "construct", "x.json", "0:2,1:1", "a b", *_BAD_VALUES]
+_ARGV_PARTS = st.lists(st.one_of(
+    st.sampled_from(_FLAGS), st.sampled_from(_ODD_FLAGS), st.sampled_from(_VALUES),
+    st.sampled_from(sorted(cli_module._ARGS)),
+), max_size=8)
+
+
+def _good_values(kwargs):
+    if kwargs.get("type") is int:
+        return ["0", "2", "5", "13", "+3", " 4", "4_0"]
+    return kwargs.get("choices") or ["x.json", "0:2,1:1", "a b", "dualize", "1-0"]
+
+
+@st.composite
+def plainish_argvs(draw):
+    """An argv of the plain form for one command, with each required flag
+    and some of the others in any order, then broken up to twice: a pair
+    dropped, a value made bad (empty, led by "-", not an int, out of its
+    choices), a flag repeated, or an odd part inserted (an abbreviated or
+    unknown flag, `--flag=value`, `--`, `-h`, a lone value)."""
+    command = draw(st.sampled_from(sorted(cli_module._ARGS)))
+    argv = [command]
+    for flag, kwargs in draw(st.permutations(cli_module._ARGS[command])):
+        if kwargs.get("required") or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_good_values(kwargs)))]
+    for _ in range(draw(st.integers(0, 2))):
+        pair = 1 + 2 * draw(st.integers(0, len(argv) // 2))
+        how = draw(st.sampled_from(["drop", "bad value", "repeat", "insert"]))
+        if how == "drop":
+            del argv[pair:pair + 2]
+        elif how == "bad value" and pair + 1 < len(argv):
+            argv[pair + 1] = draw(st.sampled_from(_BAD_VALUES))
+        elif how == "repeat" and pair + 1 < len(argv):
+            argv += argv[pair:pair + 2]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))),
+                        draw(st.sampled_from([*_ODD_FLAGS, *_VALUES])))
+    return argv
+
+
+def parse_args(argv):
+    """argparse's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli_module._build_parser(argv).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestTableArgsAgainstArgparse:
+    """`_table_args` returns a Namespace only where argparse gives the same
+    one."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(plainish_argvs(), _ARGV_PARTS))
+    def test_namespace_is_argparse_namespace(self, argv):
+        args = cli_module._table_args(argv)
+        if args is not None:
+            assert args == parse_args(argv)
+
+    @pytest.mark.parametrize("command", list(cli_module._ARGS))
+    def test_defaults(self, command):
+        # every flag given, and every flag but the required ones left out
+        full, least = [command], [command]
+        for flag, kwargs in cli_module._ARGS[command]:
+            value = "7" if kwargs.get("type") is int else kwargs.get("choices", ["x.json"])[-1]
+            full += [flag, value]
+            if kwargs.get("required"):
+                least += [flag, value]
+        for argv in (full, least):
+            args = cli_module._table_args(argv)
+            assert args is not None and args == parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [key for key in CLI_SURFACE_DIGESTS if "''" not in key])
+    def test_surface_argvs_take_the_table(self, argv):
+        args = cli_module._table_args(shlex.split(argv))
+        assert args is not None and args == parse_args(shlex.split(argv))
+
+
+class TestNonStringArgv:
+    @pytest.mark.parametrize("argv, line", [
+        (["selftest", "--seed", 5], "error: argv[2] is int, not str\n"),
+        (["dualize", "--in", None], "error: argv[2] is NoneType, not str\n"),
+    ])
+    def test_exit_2_with_one_line(self, argv, line):
+        code, out, err = run_streams(argv)
+        assert (code, out, err) == (2, line, "")
+
 
 class TestTwistCheckBytes:
     def test_reports_are_byte_identical(self, tmp_path, monkeypatch):
