@@ -121,20 +121,32 @@ class FinDimAlgebra:
 def _normalize_mul(field: Field, dim: int, mul):
     """One (r, coeff) pair per r with coeff canonical (see `Field.canonical`)
     and nonzero, sorted by r; the coefficients of repeated pairs (i, j, r)
-    are summed.  A cell already in that form, as a tuple, is kept as it is."""
+    are summed.  A cell already in that form, as a tuple, is kept as it is.
+
+    A table that is not dim x dim, a dense cell that does not hold dim
+    scalars, or a pair whose r is not an int in [0, dim) is refused with
+    BadParamsError, naming the first bad row, cell or index."""
     p = field.characteristic()
+    if len(mul) != dim:
+        raise BadParamsError(f"mul has {len(mul)} rows, expected {dim}")
     out = []
-    for i in range(dim):
+    for i, cells in enumerate(mul):
+        if len(cells) != dim:
+            raise BadParamsError(f"mul[{i}] has {len(cells)} cells, expected {dim}")
         row = []
-        for j in range(dim):
-            cell = mul[i][j]
-            if not _normal_cell(cell, p):
+        for j, cell in enumerate(cells):
+            if not _normal_cell(cell, p, dim):
                 if cell and isinstance(cell[0], tuple):
                     merged = {}
                     for r, c in cell:
                         merged[r] = merged.get(r, 0) + c
-                else:
+                    for r in merged:
+                        if not (type(r) is int and 0 <= r < dim):
+                            raise BadParamsError(f"mul[{i}][{j}] names basis index {r!r}, not an int in [0, {dim})")
+                elif not cell or len(cell) == dim:
                     merged = dict(enumerate(cell))
+                else:
+                    raise BadParamsError(f"mul[{i}][{j}] has {len(cell)} scalars, expected {dim}")
                 cell = tuple(sorted((r, c) for r, c in zip(merged, field.canonical(merged.values())) if c))
             row.append(cell)
         out.append(tuple(row))
@@ -162,9 +174,9 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     return alg
 
 
-def _normal_cell(cell, p: int) -> bool:
-    """Whether `cell` is a tuple of (r, coeff) pairs, r ints strictly
-    increasing and every coeff canonical and nonzero: the form
+def _normal_cell(cell, p: int, dim: int) -> bool:
+    """Whether `cell` is a tuple of (r, coeff) pairs, r ints in [0, dim)
+    strictly increasing and every coeff canonical and nonzero: the form
     `_normalize_mul` stores.  Over GF(p), p > 0, a canonical
     nonzero coeff is an int in [1, p); over Q (p = 0) it is a nonzero int or
     a Fraction whose denominator is not 1, so a cell holding Fraction(1) is
@@ -184,7 +196,7 @@ def _normal_cell(cell, p: int) -> bool:
         elif p or type(c) is not Fraction or c.denominator == 1:
             return False
         prev = r
-    return True
+    return prev < dim
 
 
 def _basis_vec(field: Field, dim: int, i: int):
@@ -536,45 +548,54 @@ def _least_non_associative_triple(field: Field, mul, gens):
     left-normed words 1 s_1 ... s_k span the algebra, then M is everything
     and the table is associative.  A failure among those pairs at (i0, j0)
     is the least failing pair with j in S, so a scan of the pairs before
-    (i0, j0), with every middle index, finds the least failing triple.
-    Without a generating set the full scan runs.
+    (i0, j0), with every middle index, finds the least failing triple; the
+    two scans share their row term lists.  Without a generating set the full
+    scan runs.
     """
     dim = len(mul)
     pairs = product(range(dim), repeat=2)
     if gens is None:
         return _first_non_associative_triple(field, mul, pairs)
-    triple = _first_non_associative_triple(field, mul, product(range(dim), gens))
+    rows = [None] * dim
+    triple = _first_non_associative_triple(field, mul, product(range(dim), gens), rows)
     if triple is None:
         return None
     i0, j0, _ = triple
-    return _first_non_associative_triple(field, mul, islice(pairs, i0 * dim + j0)) or triple
+    return _first_non_associative_triple(field, mul, islice(pairs, i0 * dim + j0), rows) or triple
 
 
-def _first_non_associative_triple(field: Field, mul, pairs):
+def _first_non_associative_triple(field: Field, mul, pairs, rows=None):
     """First (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k) among the given
     (i, j) pairs, visited in the order given, with the least such k; or None.
 
     For each (i, j) one accumulator holds the difference for every k at once,
     keyed k * dim + t, and is reduced once at the end.  Both sides walk only
     nonzero terms, so a pair costs its nonzero two-step products, not dim
-    cells of row j.
+    cells of a row.  They read one term list per row x, the products
+    b_x b_k = sum c b_s for every k as (k * dim, s, c) in any order: the
+    left side takes row s of each b_s in b_i b_j, the right side row j.
+    `rows` holds a list per row, or None where it is not built yet; a list
+    is built the first time its row is used (`coalgebra._dual_table` builds
+    them all while it builds the table).
     """
     dim = len(mul)
-    # flat[s]: the products b_s b_k for every k, as (k * dim + t, coeff)
-    flat = [[(k * dim + t, c) for k, cell in enumerate(row) for t, c in cell] for row in mul]
-    # terms[j]: the products b_j b_k for every k, as (k * dim, s, coeff),
-    # built the first time j is used
-    terms = {}
+    bases = [k * dim for k in range(dim)]
+    if rows is None:
+        rows = [None] * dim
     for i, j in pairs:
         row_i = mul[i]
         acc = {}
         for s, c in row_i[j]:
-            for key, c2 in flat[s]:
+            terms = rows[s]
+            if terms is None:
+                terms = rows[s] = _row_terms(mul[s], bases)
+            for base, t, c2 in terms:
+                key = base + t
                 acc[key] = acc.get(key, 0) + c * c2
-        row_j = terms.get(j)
-        if row_j is None:
-            row_j = terms[j] = [(k * dim, s, c) for k, cell in enumerate(mul[j]) for s, c in cell]
-        for base, s, c in row_j:
+        terms = rows[j]
+        if terms is None:
+            terms = rows[j] = _row_terms(mul[j], bases)
+        for base, s, c in terms:
             for t, c2 in row_i[s]:
                 acc[base + t] = acc.get(base + t, 0) - c * c2
         residue = field.canonical(acc.values())
@@ -583,17 +604,26 @@ def _first_non_associative_triple(field: Field, mul, pairs):
     return None
 
 
-def _light_generators(field: Field, mul, unit):
+def _row_terms(row, bases):
+    """The nonzero terms of a table row as (k * dim, s, coeff), k in order,
+    k * dim read from `bases`."""
+    return [(base, s, c) for base, cell in zip(bases, row) for s, c in cell]
+
+
+def _light_generators(field: Field, mul, unit, most=None):
     """The generating set Light's test uses in a validation: None below dim
     `_LIGHT_MIN_DIM`, where the full scan is cheaper, else
-    `_generating_set`."""
-    return None if len(mul) < _LIGHT_MIN_DIM else _generating_set(field, mul, unit)
+    `_generating_set` (capped at `most` indices where given)."""
+    return None if len(mul) < _LIGHT_MIN_DIM else _generating_set(field, mul, unit, most)
 
 
-def _generating_set(field: Field, mul, unit):
+def _generating_set(field: Field, mul, unit, most=None):
     """Basis indices S, picked greedily in order, whose left-normed words
     1 s_1 ... s_k span the space of the table `mul`; None once S would hold
-    more than dim // `_LIGHT_MAX_SHARE` indices.
+    more than dim // `_LIGHT_MAX_SHARE` indices, or more than `most` where
+    that is given and smaller.  The picks do not depend on the cap, so a
+    capped search finds the uncapped S, or None exactly when that S is too
+    large.
 
     V, the span of the words, is kept as a sparse echelon basis: each row a
     dict keyed by column, 1 at its least column (its pivot), at most one row
@@ -602,6 +632,7 @@ def _generating_set(field: Field, mul, unit):
     picked when its basis vector is not in V; S is done when rank V = dim.
     """
     dim = len(mul)
+    cap = dim // _LIGHT_MAX_SHARE if most is None else min(most, dim // _LIGHT_MAX_SHARE)
     one = field.one()
     rows = {}
     gens = []
@@ -644,7 +675,7 @@ def _generating_set(field: Field, mul, unit):
         if len(rows) == dim:
             break
         if residue({b: one}):
-            if len(gens) == dim // _LIGHT_MAX_SHARE:
+            if len(gens) == cap:
                 return None
             gens.append(b)
             todo.extend((row, b) for row in rows.values())

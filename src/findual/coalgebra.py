@@ -43,14 +43,21 @@ class FinDimCoalgebra:
         """comul[r] is an iterable of (i, j, coeff) triples; the coefficients
         of repeated (i, j) are summed and zero sums dropped, and the
         coefficients and the counit are stored canonical (see
-        `Field.canonical`)."""
+        `Field.canonical`).  A comul without one row per label, or a triple
+        whose i or j is not an int in [0, dim), is refused with
+        BadParamsError, naming the first bad row or triple."""
         labels = tuple(labels)
+        dim = len(labels)
+        if len(comul) != dim:
+            raise BadParamsError(f"comul has {len(comul)} rows, expected {dim}")
         merged = {}
-        for r in range(len(labels)):
-            for i, j, c in comul[r]:
+        for r, terms in enumerate(comul):
+            for i, j, c in terms:
                 merged[r, i, j] = merged.get((r, i, j), 0) + c
         norm = [[] for _ in labels]
         for (r, i, j), c in zip(merged, field.canonical(merged.values())):
+            if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
+                raise BadParamsError(f"comul[{r}] names basis indices {(i, j)!r}, not ints in [0, {dim})")
             if c:
                 norm[r].append((i, j, c))
         self._store(field, labels, tuple(tuple(sorted(triples)) for triples in norm),
@@ -198,7 +205,12 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
 def _validate_coalgebra(c: FinDimCoalgebra):
     """(report, mul, gens): `validate_coalgebra`'s report, with the dual
     table and the generating set of `_light_certified` (each None where it
-    was not built), so a dualization builds neither twice."""
+    was not built), so a dualization builds neither twice.
+
+    The counit laws of every r are checked in one pass (`_counit_failure`);
+    coassociativity, where Light's test does not certify it, runs per r and
+    stops at the first failing r.
+    """
     f = c.field
 
     def coassociative():
@@ -212,17 +224,7 @@ def _validate_coalgebra(c: FinDimCoalgebra):
                     diff[i, x, y] = diff.get((i, x, y), 0) - cf * cf2
             yield "coassociativity", (r,), diff
 
-    def counital():
-        for r in range(c.dim):
-            # (eps (x) id) Delta(b_r) = b_r = (id (x) eps) Delta(b_r), the
-            # right-hand law keyed dim + i
-            diff = {r: -1, c.dim + r: -1}
-            for i, j, cf in c.comul[r]:
-                diff[j] = diff.get(j, 0) + cf * c.counit[i]
-                diff[c.dim + i] = diff.get(c.dim + i, 0) + cf * c.counit[j]
-            yield "counit", (r,), diff
-
-    counit = _first_failure(f, counital())
+    counit = _counit_failure(c)
     certified, mul, gens = (False, None, None) if counit else _light_certified(c)
     coassoc = None if certified else _first_failure(f, coassociative())
     if coassoc:
@@ -232,6 +234,35 @@ def _validate_coalgebra(c: FinDimCoalgebra):
     return report, mul, gens
 
 
+def _counit_failure(c: FinDimCoalgebra):
+    """("counit", (r,)) for the least r at which (eps (x) id) Delta(b_r) = b_r
+    or (id (x) eps) Delta(b_r) = b_r fails, or None.
+
+    One accumulator holds both laws of every r, keyed r * 2 dim + t for the
+    left law and r * 2 dim + dim + t for the right, and is reduced once.  A
+    term b_i (x) b_j adds only where eps(b_i) or eps(b_j) is nonzero (the
+    counit of a dual is its unit, mostly zero), and the keys of each r come
+    before those of r + 1, so the first nonzero residue names the least
+    failing r.
+    """
+    dim, eps = c.dim, c.counit
+    width = 2 * dim
+    acc = {}
+    for r, terms in enumerate(c.comul):
+        base = r * width
+        acc[base + r] = -1
+        acc[base + dim + r] = -1
+        for i, j, cf in terms:
+            if eps[i]:
+                key = base + j
+                acc[key] = acc.get(key, 0) + cf * eps[i]
+            if eps[j]:
+                key = base + dim + i
+                acc[key] = acc.get(key, 0) + cf * eps[j]
+    residue = c.field.canonical(acc.values())
+    return next((("counit", (key // width,)) for key, x in zip(acc, residue) if x), None)
+
+
 def _light_certified(c: FinDimCoalgebra):
     """(certified, mul, gens): whether Light's test proves the dual algebra
     of the counital c associative (a small generating set S is found and
@@ -239,22 +270,27 @@ def _light_certified(c: FinDimCoalgebra):
     they were built, else None.  Once c is coassociative, S generates the
     dual algebra whether or not the test was run on it.
 
-    The test is tried only where it can be the cheaper scan.  The per-r scan
-    takes one step per term of Delta(b_i) or Delta(b_j) for each term
-    b_i (x) b_j of each Delta(b_r); the restricted scan walks the dim cells of
-    a row for each of its dim * |S| pairs.  So S is looked for only when the
-    per-r scan has more than dim^2 steps (|S| >= 1), and used only when it has
-    more than dim^2 |S|.
+    The test is tried only where it can be the cheaper scan, by a budget of
+    dim^2 steps per generator.  The per-r scan takes one step per term of
+    Delta(b_i) or Delta(b_j) for each term b_i (x) b_j of each Delta(b_r).
+    So S is looked for only when the per-r scan has more than dim^2 steps,
+    and the search stops once S would need more than (steps - 1) // dim^2
+    indices, the most for which steps > dim^2 |S| still holds; the greedy
+    picks do not depend on that cap, so it only stops a search whose S would
+    not be used.  The dual table comes with its row term lists, so the
+    restricted scan builds none.
     """
     sizes = [len(terms) for terms in c.comul]
     steps = sum(sizes[i] + sizes[j] for terms in c.comul for i, j, _ in terms)
-    if steps <= c.dim * c.dim:
+    budget = c.dim * c.dim
+    if steps <= budget:
         return False, None, None
-    mul = _dual_table(c)
-    gens = _light_generators(c.field, mul, c.counit)
-    if gens is None or steps <= c.dim * c.dim * len(gens):
-        return False, mul, gens
-    return _first_non_associative_triple(c.field, mul, product(range(c.dim), gens)) is None, mul, gens
+    mul, rows = _dual_table(c)
+    gens = _light_generators(c.field, mul, c.counit, (steps - 1) // budget)
+    if gens is None:
+        return False, mul, None
+    pairs = product(range(c.dim), gens)
+    return _first_non_associative_triple(c.field, mul, pairs, rows) is None, mul, gens
 
 
 def _coassociativity_witness(c: FinDimCoalgebra, r: int):
@@ -314,21 +350,28 @@ def dualize_coalgebra(c: FinDimCoalgebra) -> FinDimAlgebra:
     if not report.ok:
         raise InvalidInputError("coalgebra fails validation")
     if mul is None:
-        mul = _dual_table(c)
+        mul = _dual_table(c)[0]
     return _from_normal_table(c.field, c.labels, mul, c.counit, True if gens is None else tuple(gens))
 
 
 def _dual_table(c: FinDimCoalgebra):
-    """Multiplication table of the dual algebra: mul[i][j] holds (r, coeff)
-    for each (i, j, coeff) in comul[r].  Visiting r in order keeps each cell
-    sorted by r, and a normalized comul holds each (i, j) once per r with a
-    canonical nonzero coefficient, so the table is in the normal form of
+    """(mul, rows): the multiplication table of the dual algebra, mul[i][j]
+    holding (r, coeff) for each (i, j, coeff) in comul[r], and each row's
+    term list for `algebra._first_non_associative_triple`, rows[i] holding
+    (j * dim, r, coeff) for the same terms, both built in one pass over
+    comul.  Visiting r in order keeps each cell sorted by r, and a
+    normalized comul holds each (i, j) once per r with a canonical nonzero
+    coefficient, so the table is in the normal form of
     `FinDimAlgebra.mul`."""
-    mul = [[()] * c.dim for _ in range(c.dim)]
-    for r in range(c.dim):
-        for i, j, cf in c.comul[r]:
+    dim = c.dim
+    bases = [j * dim for j in range(dim)]
+    mul = [[()] * dim for _ in range(dim)]
+    rows = [[] for _ in range(dim)]
+    for r, terms in enumerate(c.comul):
+        for i, j, cf in terms:
             mul[i][j] += ((r, cf),)
-    return mul
+            rows[i].append((bases[j], r, cf))
+    return mul, rows
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from findual.kernel import (
     solve_linear,
 )
 from findual import qplane
+from findual.coalgebra import FinDimCoalgebra, _dual_table
 from findual.qplane import azumaya_census, azumaya_point_invariants, oq_truncation, regular_point_jet_algebra
 from findual.twist import raw_twisted_algebra, tensor_swap, twisted_product
 
@@ -393,6 +394,55 @@ class TestDuplicateStructureConstants:
                           [1, 0])
         assert a.mul[1][1] == ((1, 2),)
         assert a.multiply([0, 1], [0, 1]) == [0, 2]
+
+
+class TestTableShapeIsChecked:
+    """A table that is not dim x dim, or names a basis index outside
+    [0, dim), is refused with BadParamsError naming the first bad row, cell
+    or index, in every input form of a cell."""
+
+    UNIT = [1, 0]
+
+    def table(self):
+        return [[((0, 1),), ((1, 1),)], [((1, 1),), ()]]
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_row_count(self, rows):
+        mul = (self.table() + [[(), ()]])[:rows]
+        with pytest.raises(BadParamsError, match=f"mul has {rows} rows, expected 2"):
+            FinDimAlgebra(F5, ["1", "e"], mul, self.UNIT)
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    def test_cell_count(self, cells):
+        mul = self.table()
+        mul[1] = (mul[1] + [()])[:cells]
+        with pytest.raises(BadParamsError, match=f"mul\\[1\\] has {cells} cells, expected 2"):
+            FinDimAlgebra(F5, ["1", "e"], mul, self.UNIT)
+
+    @pytest.mark.parametrize("cell,bad", [
+        (((0, 1), (2, 1)), 2),      # normal form
+        (((2, 1), (0, 1)), 2),      # unsorted
+        ([(0, 1), (-1, 1)], -1),    # a list of pairs
+        ([(3, 1), (3, 4)], 3),      # a pair summing to zero
+        ([(0, 1), (7, 1), (-1, 2)], 7),  # the first bad index in the cell
+        ([(0, 1), (True, 1)], True),
+        ([(1.0, 1)], 1.0),
+    ])
+    def test_index_out_of_range(self, cell, bad):
+        mul = self.table()
+        mul[1][1] = cell
+        with pytest.raises(BadParamsError, match=rf"mul\[1\]\[1\] names basis index {bad!r}, not an int in \[0, 2\)"):
+            FinDimAlgebra(F5, ["1", "e"], mul, self.UNIT)
+
+    @pytest.mark.parametrize("cell", [[1], [0, 1, 0]])
+    def test_dense_cell_length(self, cell):
+        mul = [[[1, 0], [0, 1]], [[0, 1], cell]]
+        with pytest.raises(BadParamsError, match=rf"mul\[1\]\[1\] has {len(cell)} scalars, expected 2"):
+            FinDimAlgebra(F5, ["1", "e"], mul, self.UNIT)
+
+    def test_empty_dense_cell_is_zero(self):
+        a = FinDimAlgebra(F5, ["1", "e"], [[[1, 0], [0, 1]], [[0, 1], []]], self.UNIT)
+        assert a.mul[1][1] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -803,15 +853,28 @@ class TestAssociativityScanAgainstDenseScan:
     """`_first_non_associative_triple` walks only the nonzero terms of each
     row; the dense per-triple scan gives the same verdict and witness, over
     all pairs and over the pairs (i, j) with j in a drawn subset, as Light's
-    test scans them."""
+    test scans them.  Drawn per table, the scan builds its row term lists as
+    it goes, or reads the ones `coalgebra._dual_table` builds with the dual
+    table of the coalgebra on the transposed table (each row's terms in
+    comul order, not k order)."""
 
     @settings(max_examples=300, deadline=None)
-    @given(scan_tables(), st.data())
-    def test_same_verdict_and_witness(self, a, data):
+    @given(scan_tables(), st.booleans(), st.data())
+    def test_same_verdict_and_witness(self, a, prebuilt, data):
         f, mul, n = a.field, a.mul, a.dim
+        rows = None
+        if prebuilt:
+            comul = [[] for _ in range(n)]
+            for i, row in enumerate(mul):
+                for j, cell in enumerate(row):
+                    for r, c in cell:
+                        comul[r].append((i, j, c))
+            dual_mul, rows = _dual_table(FinDimCoalgebra(f, a.labels, comul, a.unit))
+            assert tuple(map(tuple, dual_mul)) == mul
         middles = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         for pairs in (list(product(range(n), repeat=2)), list(product(range(n), middles))):
-            assert algebra_module._first_non_associative_triple(f, mul, iter(pairs)) == oracle_first_triple(f, mul, pairs)
+            got = algebra_module._first_non_associative_triple(f, mul, iter(pairs), rows)
+            assert got == oracle_first_triple(f, mul, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import (
+    PROPERTY_FIELDS,
     algebras,
     character_values,
+    generating_set_spy,
     large_algebras,
     light_cut,
     oracle_one_dim_characters,
     small_scalars,
 )
 
+from findual import algebra as algebra_module
 from findual import coalgebra as coalgebra_module
 from findual.algebra import (
     AlgebraHom,
@@ -488,6 +491,39 @@ class TestRepeatedComulTriples:
         assert twice == FinDimCoalgebra(F5, ["a"], [[(0, 0, 2)]], [1])
 
 
+class TestComulShapeIsChecked:
+    """A comul with a row per label and every index in [0, dim) is stored;
+    any other is refused with BadParamsError naming the first bad row or
+    triple, before anything can index out of range or wrap."""
+
+    def test_index_too_large(self):
+        with pytest.raises(BadParamsError, match=r"comul\[0\] names basis indices \(0, 5\), not ints in \[0, 1\)"):
+            FinDimCoalgebra(F5, ["a"], [[(0, 5, 1)]], [1])
+
+    def test_negative_index(self):
+        with pytest.raises(BadParamsError, match=r"comul\[1\] names basis indices \(-1, -1\)"):
+            FinDimCoalgebra(F5, ["g0", "g1"], [[(0, 0, 1)], [(-1, -1, 1)]], [1, 1])
+
+    def test_first_bad_triple_is_named(self):
+        with pytest.raises(BadParamsError, match=r"comul\[1\] names basis indices \(2, 0\)"):
+            FinDimCoalgebra(F5, ["a", "b"], [[(0, 0, 1)], [(1, 1, 1), (2, 0, 1), (0, 3, 1)]], [1, 1])
+
+    def test_index_of_a_zero_sum_is_checked(self):
+        with pytest.raises(BadParamsError, match=r"\(0, 1\), not ints"):
+            FinDimCoalgebra(F5, ["a"], [[(0, 0, 1), (0, 1, 1), (0, 1, 4)]], [1])
+
+    @pytest.mark.parametrize("bad", [True, 0.0, "0"])
+    def test_index_that_is_not_an_int(self, bad):
+        with pytest.raises(BadParamsError, match=rf"comul\[1\] names basis indices \(1, {bad!r}\), not ints"):
+            FinDimCoalgebra(F5, ["a", "b"], [[(0, 0, 1)], [(1, bad, 1)]], [1, 1])
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_row_count(self, rows):
+        comul = [[(r, r, 1)] for r in range(min(rows, 2))] + [[]] * (rows - 2)
+        with pytest.raises(BadParamsError, match=f"comul has {rows} rows, expected 2"):
+            FinDimCoalgebra(F5, ["a", "b"], comul, [1, 1])
+
+
 # ---------------------------------------------------------------------------
 # the per-scalar coalgebra checks that the lazy lhs - rhs checks replaced,
 # kept as oracles
@@ -575,6 +611,58 @@ def coalgebras(draw, perturbed=False, field=None):
     return FinDimCoalgebra(f, c.labels, comul, counit)
 
 
+def split_algebra(n, p=101):
+    """k^n over GF(p) on the basis 1, t, e_2, ..., e_(n-1), t = sum_i i e_i:
+    generated by t alone, so Light's test needs the one index 1."""
+    f = GF(p)
+
+    def vec(k):
+        return [1] * n if k == 0 else list(range(n)) if k == 1 else [int(i == k) for i in range(n)]
+
+    def coords(v):
+        a, b = v[0], v[1] - v[0]
+        return [a, b] + [v[k] - a - k * b for k in range(2, n)]
+
+    mul = [[coords([x * y for x, y in zip(vec(i), vec(j))]) for j in range(n)] for i in range(n)]
+    return FinDimAlgebra(f, [f"b{k}" for k in range(n)], mul, coords([1] * n))
+
+
+@st.composite
+def counit_cases(draw):
+    """A named coalgebra or the dual of a drawn algebra, its counit then
+    given no, one or several nonzero coefficients, with up to two counit
+    entries changed and up to two comul terms added, each at a pair (i, j)
+    where eps(b_i) or eps(b_j) is nonzero when there is one, so that the
+    counit laws of some r can fail."""
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    c = draw(st.sampled_from([
+        lambda: comatrix_coalgebra(f, draw(st.integers(1, 3))),
+        lambda: divided_power_coalgebra(f, draw(st.integers(1, 8))),
+        lambda: grouplike_coalgebra(f, draw(st.integers(1, 4))),
+        lambda: triangular_coalgebra(f, draw(st.integers(1, 3))),
+        lambda: line_dist_coalgebra(f, {0: 2, 1: 3}),
+        lambda: dualize_algebra(draw(algebras(field=f))),
+    ]))()
+    dim = c.dim
+    counit = list(c.counit)
+    shape = draw(st.sampled_from(["as built", "none", "one", "several"]))
+    if shape != "as built":
+        support = {"none": set(), "one": {draw(st.integers(0, dim - 1))},
+                   "several": draw(st.sets(st.integers(0, dim - 1), min_size=min(2, dim)))}[shape]
+        counit = [counit[k] or draw(small_scalars(f, nonzero=True)) if k in support else f.zero()
+                  for k in range(dim)]
+    for _ in range(draw(st.integers(0, 2))):
+        counit[draw(st.integers(0, dim - 1))] = draw(small_scalars(f))
+    comul = [list(terms) for terms in c.comul]
+    nonzero = [k for k, e in enumerate(counit) if e] or list(range(dim))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.sampled_from(nonzero)), draw(st.integers(0, dim - 1))
+        if draw(st.booleans()):
+            i, j = j, i
+        comul[draw(st.integers(0, dim - 1))].append((i, j, draw(small_scalars(f, nonzero=True))))
+    return FinDimCoalgebra(f, c.labels, comul, counit)
+
+
 class TestLawChecksAgainstOracles:
     @settings(max_examples=200)
     @given(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
@@ -600,21 +688,37 @@ class TestLawChecksAgainstOracles:
         c = FinDimCoalgebra(a.field, a.labels, comul, a.unit)
         assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
 
-    @pytest.mark.parametrize("c,light", [
-        # 2,592 per-r steps against 36^2 * 11 cells: the per-r scan
-        (comatrix_coalgebra(GF(31), 6), False),
+    @pytest.mark.parametrize("c,caps,gens", [
+        # 2,592 per-r steps, at most 36^2 * 2: a search capped at 1 index,
+        # which M_6 (11 generators uncapped) exceeds, then the per-r scan
+        (comatrix_coalgebra(GF(31), 6), [1], None),
         # 660 per-r steps, under 36^2: no generating set is looked for
-        (triangular_coalgebra(GF(31), 8), False),
-        # 28,800 per-r steps against 64^2 * 2 cells: Light's test
-        (dualize_algebra(oq_truncation(4, 17, "box", (8, 8)).algebra), True),
-    ], ids=["comatrix-6", "triangular-8", "box-8x8-dual"])
-    def test_cheaper_scan_is_chosen(self, c, light):
+        (triangular_coalgebra(GF(31), 8), [], None),
+        # 28,800 per-r steps, at most 64^2 * 8: a search capped at 7
+        # indices finds 2, and Light's test certifies
+        (dualize_algebra(oq_truncation(4, 17, "box", (8, 8)).algebra), [7], [1, 8]),
+        # 1,266 per-r steps, at most 27^2 * 2: a cap of 1 index does not
+        # rule Light's test out, since t alone generates k^27
+        (dualize_algebra(split_algebra(27)), [1], [1]),
+    ], ids=["comatrix-6", "triangular-8", "box-8x8-dual", "split-27-dual"])
+    def test_cheaper_scan_is_chosen(self, c, caps, gens):
         real = coalgebra_module._first_non_associative_triple
         with mock.patch.object(coalgebra_module, "_first_non_associative_triple", wraps=real) as scan, \
-                mock.patch.object(coalgebra_module, "_first_failure", wraps=_first_failure) as laws:
-            assert validate_coalgebra(c).ok
-        # counit laws, then the per-r scan unless Light's test certified
-        assert (scan.call_count, laws.call_count) == ((1, 1) if light else (0, 2))
+                mock.patch.object(coalgebra_module, "_first_failure", wraps=_first_failure) as laws, \
+                generating_set_spy() as search:
+            report, _, found = coalgebra_module._validate_coalgebra(c)
+        assert report.ok and found == gens
+        assert [call.args[3] for call in search.call_args_list] == caps
+        # the counit laws run in one pass of their own, not through
+        # `_first_failure`; then the per-r scan unless Light's test certified
+        assert (scan.call_count, laws.call_count) == ((1, 0) if gens else (0, 1))
+
+    @settings(max_examples=150)
+    @given(counit_cases())
+    def test_counit_laws_verdict_and_witness(self, c):
+        assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
+        with light_cut(0):
+            assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
 
     @given(st.data())
     def test_delta_of_vector_matches_per_scalar_sum(self, data):
@@ -867,6 +971,16 @@ class TestNormalDuals:
             fresh = normalized_dual_algebra(c)
             assert validate_algebra(fresh).ok
             assert dual._gens is True or dual._gens == fresh._gens
+
+    def test_capped_search_leaves_the_generators_to_first_use(self):
+        """The search that stopped at comatrix-6's cap leaves its dual
+        certified without S; the first use finds the uncapped S, once."""
+        dual = dualize_coalgebra(comatrix_coalgebra(GF(31), 6))
+        assert dual._gens is True
+        with generating_set_spy() as search:
+            assert algebra_module._generators(dual) == (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30)
+            assert algebra_module._generators(dual) == (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30)
+        assert search.call_count == 1
 
     def test_certified_algebras_are_not_validated_again(self):
         validated = triangular_algebra(GF(7), 3)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,61 @@ def test_unnormalized_documents_decode_as_the_constructors_build(case):
     assert to_canonical_json(got) == to_canonical_json(want)
 
 
+def oracle_entries_in(field, doc, key, dim):
+    """The per-entry walk alone: the entries, checked one by one in document
+    order, sorted; what `_entries_in` returns for a valid list, and the
+    first-bad-entry error it raises for any other."""
+    entries = codec._require(doc, key, list)
+    return sorted((*triple, x) for triple, raw in codec._index_triples(entries, key, dim)
+                  if (x := codec._scalar_in(field, raw)))
+
+
+def decoded(doc):
+    """decode(doc) with the stored form of its table, or the error message."""
+    try:
+        value = decode(doc)
+    except SchemaMismatchError as exc:
+        return str(exc)
+    return value, repr(value.mul if isinstance(value, FinDimAlgebra) else value.comul)
+
+
+@st.composite
+def reordered_documents(draw):
+    """The document of an algebra or coalgebra drawn by `algebras` or
+    `coalgebras`, its mul or comul list shuffled, or one entry repeated
+    (with its own scalar or another), or both; now and then one entry is
+    then made bad (an index out of range or a bool, a short entry, a bad
+    scalar)."""
+    strategy = draw(st.sampled_from([algebras, coalgebras]))
+    value = draw(strategy(perturbed=draw(st.booleans())))
+    doc = encode(value)
+    key = "mul" if "mul" in doc else "comul"
+    entries = doc[key]
+    if entries and draw(st.booleans()):
+        entry = list(draw(st.sampled_from(entries)))
+        if draw(st.booleans()):
+            entry[3] = draw(st.sampled_from([1, 2, "1/2"] if doc["field"]["kind"] == "rationals" else [1, 2]))
+        entries.insert(draw(st.integers(0, len(entries))), entry)
+    if draw(st.booleans()):
+        entries[:] = draw(st.permutations(entries))
+    if entries and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(entries) - 1))
+        entries[k] = draw(st.sampled_from([
+            [value.dim, 0, 0, 1], [0, -1, 0, 1], [0, 0, True, 1], [0, 0, 0], [0, 0, 0, "x"],
+        ]))
+    return doc
+
+
+@settings(max_examples=150)
+@given(reordered_documents())
+def test_reordered_entries_decode_as_the_per_entry_walk(doc):
+    """Shuffled, repeated or broken entry lists decode to the same value, or
+    raise the same first-bad-entry message, as the per-entry walk."""
+    with mock.patch.object(codec, "_entries_in", oracle_entries_in):
+        want = decoded(doc)
+    assert decoded(doc) == want
+
+
 def _box8_documents():
     box = oq_truncation(4, 17, "box", (8, 8)).algebra
     return [box, dualize_algebra(box), matrix_algebra(QQ, 3), dualize_algebra(matrix_algebra(QQ, 3)),
@@ -299,13 +355,17 @@ class TestBulkPathIsTaken:
     entry."""
 
     def test_valid_documents_are_never_walked(self, monkeypatch):
+        # nor sorted: encode writes the entries in order
         def refuse(*args):
-            raise AssertionError("per-entry walk called")
+            raise AssertionError("per-entry walk or sort called")
 
+        values = _box8_documents()
+        texts = [to_canonical_json(value) for value in values]
         monkeypatch.setattr(codec, "_index_triples", refuse)
         monkeypatch.setattr(codec, "_scalar_in", refuse)
-        for value in _box8_documents():
-            assert loads(to_canonical_json(value)) == value
+        monkeypatch.setattr(codec, "sorted", refuse, raising=False)
+        for value, text in zip(values, texts):
+            assert loads(text) == value
 
     @pytest.mark.parametrize("k", range(5))
     def test_malformed_documents_are_walked(self, k, monkeypatch):
