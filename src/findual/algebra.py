@@ -984,15 +984,34 @@ def center(a: FinDimAlgebra) -> Subspace:
 
 def minimal_polynomial(a: FinDimAlgebra, vec) -> Poly:
     """Monic minimal polynomial of an element."""
+    return _minimal_polynomial(a, vec, range(a.dim))
+
+
+def _minimal_polynomial(a: FinDimAlgebra, vec, keep) -> Poly:
+    """Monic minimal polynomial of the image of `vec` in the quotient of `a`
+    by the span of the basis vectors outside `keep`, which the caller has
+    checked to be an ideal: each power is read on the table of `a`, and
+    reducing it modulo that ideal drops every coordinate outside `keep`.
+    With every coordinate kept it is the minimal polynomial in `a`."""
     f = a.field
-    powers = [list(a.unit)]
-    cur = list(a.unit)
-    for _ in range(a.dim + 1):
-        cur = a.multiply(cur, list(vec))
-        sol = solve_linear(Matrix.from_rows(f, powers).transpose(), cur)
+    keep = list(keep)
+    vec = list(vec)
+
+    def reduced(v):
+        out = [f.zero()] * a.dim
+        for k in keep:
+            out[k] = v[k]
+        return out
+
+    cur = reduced(a.unit)
+    powers = [[cur[k] for k in keep]]
+    for _ in range(len(keep) + 1):
+        cur = reduced(a.multiply(cur, vec))
+        kept = [cur[k] for k in keep]
+        sol = solve_linear(Matrix.from_rows(f, powers).transpose(), kept)
         if sol is not None:
             return Poly(f, [f.neg(c) for c in sol] + [f.one()])
-        powers.append(cur)
+        powers.append(kept)
     raise InvalidInputError("minimal polynomial search exceeded the dimension")
 
 

@@ -148,15 +148,33 @@ def _index_triples(entries, key, dim):
         yield triple, entry[3]
 
 
+# An algebra's table, and the dual table a coalgebra's validation and dual
+# read, are dense: dim^2 cells, allocated before any entry is read.  So the
+# header dim is bounded before anything is allocated: 1024 is above every
+# table the commands build at desk scale (the box(12, 12) dual has dim 144,
+# the quantum-plane jet at most 432), and its dense table is 1M cells.
+# `encode` refuses the same dims, so no document is written that `decode`
+# would refuse.
+_MAX_TABLE_DIM = 1024
+
+
+def _bounded_dim(dim):
+    if dim > _MAX_TABLE_DIM:
+        raise BadParamsError(f"document dim {dim} exceeds the table bound {_MAX_TABLE_DIM}")
+    return dim
+
+
 def _basis_in(doc):
-    """doc's dim and labels: dim strings, repeats allowed (a basis element is its index)."""
+    """doc's dim and labels: dim strings, repeats allowed (a basis element is
+    its index).  A dim above `_MAX_TABLE_DIM` is refused once the labels
+    have passed, before any table is allocated."""
     dim = _require(doc, "dim", int)
     labels = _require(doc, "labels", list)
     if len(labels) != dim:
         raise SchemaMismatchError("label count does not match dim")
     if not all(isinstance(label, str) for label in labels):
         raise SchemaMismatchError("labels must be strings")
-    return dim, labels
+    return _bounded_dim(dim), labels
 
 
 def _require(doc, key, types=None):
@@ -177,10 +195,11 @@ def encode(value):
         return {
             "type": "algebra",
             "field": field_to_json(f),
-            "dim": value.dim,
+            "dim": _bounded_dim(value.dim),
             "labels": list(value.labels),
             "mul": _entries_out(f, [[i, j, r, c] for i, row in enumerate(value.mul)
-                                    for j, cell in enumerate(row) for r, c in cell]),
+                                    for j, cell in filter(itemgetter(1), enumerate(row))
+                                    for r, c in cell]),
             "unit": _scalars_out(f, value.unit),
         }
     if isinstance(value, FinDimCoalgebra):
@@ -188,7 +207,7 @@ def encode(value):
         return {
             "type": "coalgebra",
             "field": field_to_json(f),
-            "dim": value.dim,
+            "dim": _bounded_dim(value.dim),
             "labels": list(value.labels),
             "comul": _entries_out(f, [[r, i, j, c] for r, terms in enumerate(value.comul)
                                       for i, j, c in terms]),

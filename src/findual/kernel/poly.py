@@ -305,6 +305,34 @@ def _split_by(g: Poly, v: Poly, p: int, start: int = 0):
     return _split_by(h, v, p, d + 1) + _split_by((g // h).monic(), v, p, d + 1)
 
 
+def _factor_degrees(f: Poly) -> list:
+    """The degrees of the irreducible factors of a squarefree monic f over
+    GF(p), in increasing order, by distinct-degree factorization.
+
+    t^(p^i) - t is the product of the monic irreducibles whose degree
+    divides i, so once the factors of degree below i are divided out,
+    gcd(f, t^(p^i) - t) is the product of those of degree i.  Each i costs
+    one p-th power modulo f, O(log p) products; a factor of degree above
+    deg f / 2 is the one left at the end.
+    """
+    p = f.field.p
+    t = Poly.x(f.field)
+    degrees = []
+    h = t  # t^(p^i) modulo f
+    i = 0
+    while 2 * (i + 1) <= f.degree():
+        i += 1
+        h = h.pow_mod(p, f)
+        g = f.gcd(h - t)
+        if g.degree() > 0:
+            degrees += [i] * (g.degree() // i)
+            f = f // g
+            h = h % f
+    if f.degree() > 0:
+        degrees.append(f.degree())
+    return degrees
+
+
 def _rational_linear_split(f: Poly):
     """Extract all rational roots with multiplicity; return (factors, remainder)."""
     field = f.field

@@ -44,7 +44,10 @@ fiber and 3 x 3 on the jet.  They live in `algebra`: the generic `radical`
 and `center` are the same kernels at the trivial grading, one component
 holding the whole table, not a separate oracle.  The radical is the
 trace-form kernel under the gates p > n^2 for the census and p coprime to
-3n for the jet.
+3n for the jet.  On the axis c = 0, x lies in J and A/J is generated by the
+image of y alone (of 1 at (0, 0)), so A/J = k[t]/(mu); the census reads its
+simple factors off the degrees of the irreducible factors of mu, with no
+quotient table and no center (`_graded_top`).
 """
 
 from __future__ import annotations
@@ -58,9 +61,11 @@ from .algebra import (
     _generators,
     _graded_center,
     _graded_radical,
+    _minimal_polynomial,
     _radical_trace_form,
     _simple_factors,
     center,
+    is_ideal,
     quotient_algebra,
     subspace_product,
     truncated_polynomial_algebra,
@@ -71,10 +76,13 @@ from .errors import (
     BadParamsError,
     CharacteristicTooSmallError,
     GradingError,
+    ImproperIdealError,
     InvalidInputError,
+    NotAnIdealError,
     NotAzumayaError,
 )
 from .kernel import GF, Matrix, check_root_order, primitive_root_of_unity
+from .kernel.poly import _factor_degrees
 from .twist import TwistingMap, check_twisting_map, tensor_swap
 
 
@@ -302,7 +310,7 @@ def _orbit_class(field, fiber, n: int, c: int, d: int) -> _OrbitClass:
     graded kernels (`_graded_top`)."""
     alg = _monomial_algebra(field, n, n, fiber, _xy(n))
     rad, factors = _graded_top(alg, n)
-    prof = SemisimpleProfile(rad.dim, tuple(sorted(factor[1:] for factor in factors)))
+    prof = SemisimpleProfile(rad.dim, factors)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     # over GF(p) a simple factor of dimension 1 is k: one character each
     characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % field.p == 0 else 0
@@ -419,17 +427,48 @@ def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_ro
 
 
 def _graded_top(alg: FinDimAlgebra, n: int):
-    """(J, the simple factors of A/J) of a central fiber, from
-    `_graded_radical` and `_graded_center`.  Each component is one basis
-    element, so J is spanned by basis vectors, and A/J (A itself when J = 0)
-    has as basis the images of the b_t with t no pivot of J, each of degree
-    t; the images of x and y (`_xy`) outside J generate it."""
+    """(J, the sorted (dim, center dim) of the simple factors of A/J) of a
+    central fiber, from `_graded_radical`.  Each component is one basis
+    element, so J is spanned by basis vectors, and A/J has as basis the
+    images of the b_t with t no pivot of J, each of degree t; the images of
+    x and y (`_xy`) outside J generate it.
+
+    Where x or y lies in J, as on the axis c = 0 (x^n = c), A/J is generated
+    by one element g: the image of the other generator, or 1 where neither
+    survives, as at (0, 0).  So A/J = k[t]/(mu), mu the minimal polynomial
+    of g, read on the fiber's own table modulo J, which drops the pivot
+    coordinates (`algebra._minimal_polynomial`).  J is checked to be a
+    proper ideal, as `quotient_algebra` would, and mu to have degree
+    dim A/J and no repeated factor; then A/J is the product of the fields
+    k[t]/(h) over the irreducible factors h of mu, each of (dim, center dim)
+    (deg h, deg h), read off a distinct-degree factorization
+    (`_factor_degrees`).  No quotient table, center or idempotent is built.
+
+    Otherwise both generators survive and J = 0: off the axes x and y are
+    units, and at n = 1 the fiber is k.  A is then profiled from its graded
+    center over x and y (`_graded_center`) and its simple factors
+    (`_simple_factors`); a nonzero J holding neither generator raises
+    InvalidInputError.
+    """
     rad = _graded_radical(alg, n, range(n * n))
-    top = quotient_algebra(alg, rad)[0] if rad.dim else alg
     pivots = set(rad.pivots)
-    position = {t: x for x, t in enumerate(t for t in range(alg.dim) if t not in pivots)}
-    rows = _graded_center(top, n, list(position), [position[s] for s in _xy(n) if s in position]).rows
-    return rad, _simple_factors(top, rows)
+    keep = [t for t in range(alg.dim) if t not in pivots]
+    gens = [s for s in _xy(n) if s not in pivots]
+    if len(gens) < len(_xy(n)):
+        if not is_ideal(alg, rad):
+            raise NotAnIdealError("subspace is not closure-stable")
+        if rad.contains(alg.unit):
+            raise ImproperIdealError("ideal contains the unit")
+        g = alg.unit if not gens else [int(t == gens[0]) for t in range(alg.dim)]
+        mu = _minimal_polynomial(alg, g, keep)
+        if mu.degree() != len(keep) or mu.gcd(mu.derivative()).degree():
+            raise InvalidInputError(f"a fiber top of dim {len(keep)} is not k[t]/(mu) with mu "
+                                    f"squarefree of that degree: mu = {mu!r}")
+        return rad, tuple((k, k) for k in _factor_degrees(mu))
+    if rad.dim:
+        raise InvalidInputError(f"a fiber radical of dim {rad.dim} holds neither x nor y")
+    rows = _graded_center(alg, n, keep, gens).rows
+    return rad, tuple(sorted(factor[1:] for factor in _simple_factors(alg, rows)))
 
 
 def azumaya_census(n: int, p: int) -> CensusReport:
@@ -446,8 +485,11 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     fiber(c, d) (`_certify_mirror`).  The first fiber of each class in c-major
     order stands for it.  If the mirror class (beta, alpha) of its class
     (alpha, beta) has no representative yet, the fiber is the class's
-    representative: built from the table, not validated, profiled, and on the
-    axes cd = 0 its one-dimensional characters are counted.  Otherwise the
+    representative: built from the table, not validated, profiled
+    (`_graded_top`: an axis representative, c = 0, from the minimal
+    polynomial of its one surviving generator, with no quotient table,
+    center or idempotent), and on the axes cd = 0 its one-dimensional
+    characters are counted.  Otherwise the
     class takes the mirror class's profile and character count, which an
     algebra shares with its opposite, once the exact field check
     `_certify_torus_image` puts fiber(d, c) in the mirror class.  Every other

@@ -1682,3 +1682,19 @@ class TestSimpleFactorsAgainstRank:
         ]
         assert [check_simple_factors(a) for a in algebras] == [3, 4, 2, 2]
         assert check_simple_factors(field_block(f, 3)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The two input-dependent checks of `_primitive_idempotents`.
+
+
+class TestIdempotentChecks:
+    @pytest.mark.parametrize("mu,error", [
+        ([1, -2, 1], InvalidInputError),  # (t - 1)^2
+        ([-2, 0, 1], NotSplitError),  # t^2 - 2, irreducible over GF(5)
+    ], ids=["non-squarefree", "not-split"])
+    def test_planted_minimal_polynomials_raise(self, mu, error):
+        a = diagonal_algebra(F5, 2)
+        with mock.patch.object(algebra_module, "minimal_polynomial", lambda alg, z: Poly.from_ints(F5, mu)):
+            with pytest.raises(error):
+                _primitive_idempotents(a, [[1, 1], [1, 2]])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import findual
 from findual import cli as cli_module
 from findual.cli import cli_run
-from findual.codec import loads, to_canonical_json
+from findual.codec import _MAX_TABLE_DIM, loads, to_canonical_json
 from findual.coalgebra import comatrix_coalgebra, dualize_algebra
 from findual.algebra import matrix_algebra
 from findual.kernel import GF, QQ, Matrix
@@ -50,6 +50,18 @@ class TestConstruct:
                          "--p", "5", "--a", "2", "--b", "2"])
         assert code == 0
         assert json.loads(out)["dim"] == 4
+
+    def test_no_document_above_the_table_bound(self, tmp_path):
+        """construct writes no document that dualize would refuse: the
+        grouplike coalgebra of dim 1024 dualizes, and dim 1025 exits 3 at
+        creation, naming the bound, with nothing written."""
+        path = tmp_path / "g.json"
+        code, _ = run(["construct", "--kind", "grouplike", "--n", str(_MAX_TABLE_DIM),
+                       "--p", "5", "--out", str(path)])
+        assert code == 0
+        assert run(["dualize", "--in", str(path)])[0] == 0
+        code, out = run(["construct", "--kind", "grouplike", "--n", str(_MAX_TABLE_DIM + 1)])
+        assert (code, out) == (3, "error: document dim 1025 exceeds the table bound 1024\n")
 
     def test_qplane_root_search_refused_promptly(self):
         # q-order near sqrt(p): the scan for the smallest root of that order
@@ -204,6 +216,20 @@ MALFORMED_LINES = {
 }
 
 
+def table_document(kind, dim, labels=None):
+    """An algebra, coalgebra or bialgebra document over GF(5) of dimension
+    `dim` with empty structure constants and a zero unit and counit."""
+    doc = {"type": kind, "field": {"kind": "prime-field", "p": 5}, "dim": dim,
+           "labels": [f"b{k}" for k in range(dim)] if labels is None else labels}
+    if kind != "coalgebra":
+        doc.update(mul=[], unit=[0] * dim)
+    if kind != "algebra":
+        doc.update(comul=[], counit=[0] * dim)
+    if kind == "bialgebra":
+        doc["antipode"] = None
+    return doc
+
+
 class TestDualize:
     def test_algebra_to_coalgebra(self, tmp_path):
         path = tmp_path / "m2.json"
@@ -235,6 +261,33 @@ class TestDualize:
     def test_missing_file(self):
         code, out = run(["dualize", "--in", "/nonexistent/file.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["algebra", "coalgebra", "bialgebra"])
+    def test_dim_above_the_table_bound(self, kind, tmp_path):
+        """A header dim above the bound exits 3 and names the bound, before
+        any dim^2 table is allocated."""
+        dim = _MAX_TABLE_DIM + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(table_document(kind, dim)))
+        code, out = run(["dualize", "--in", str(path)])
+        assert (code, out) == (3, f"error: document dim {dim} exceeds the table bound 1024\n")
+
+    def test_huge_dim_refused_under_a_memory_limit(self, tmp_path):
+        """dim 50,000 with an empty mul: its dense table would be 2.5 * 10^9
+        cells.  Under a 1 GiB address-space limit the run exits 3, with no
+        MemoryError."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(table_document("algebra", 50_000)))
+        script = ("import resource\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from findual.cli import main\n"
+                  "main()\n")
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, "dualize", "--in", str(path)],
+                              capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "error: document dim 50000 exceeds the table bound 1024\n", "")
 
     def test_directory_as_input(self, tmp_path):
         code, out = run(["dualize", "--in", str(tmp_path)])

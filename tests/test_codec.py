@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import algebras
+from test_cli import table_document
 from test_coalgebra import coalgebras
 from test_twist import perturbed_cotwists, twisting_maps
 
@@ -18,11 +19,12 @@ from findual.coalgebra import (
     canonical_inclusion,
     divided_power_coalgebra,
     dualize_algebra,
+    grouplike_coalgebra,
     line_dist_coalgebra,
     tower_extend,
 )
 from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
-from findual.errors import SchemaMismatchError
+from findual.errors import BadParamsError, SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
 from findual.qplane import azumaya_census, oq_truncation, qtwist_decomposition
 from findual.selftest import sweedler_crossed_instance
@@ -190,6 +192,28 @@ def test_non_string_labels_rejected(value, labels):
     doc["labels"] = labels
     with pytest.raises(SchemaMismatchError, match="labels must be strings"):
         decode(doc)
+
+
+@pytest.mark.parametrize("kind", ["algebra", "coalgebra", "bialgebra"])
+def test_table_dim_bound(kind):
+    """A document of dim `_MAX_TABLE_DIM` decodes; one above it is refused
+    as a precondition (exit 3), naming the bound, once its labels pass:
+    a label list of the wrong length is still malformed input."""
+    dim = codec._MAX_TABLE_DIM
+    assert decode(table_document(kind, dim)).dim == dim
+    with pytest.raises(BadParamsError, match=f"document dim {dim + 1} exceeds the table bound {dim}"):
+        decode(table_document(kind, dim + 1))
+    with pytest.raises(SchemaMismatchError, match="label count does not match dim"):
+        decode(table_document(kind, dim + 1, labels=["short"]))
+
+
+def test_table_dim_bound_on_encode():
+    """encode refuses the dims decode refuses, so a written document
+    always reads back."""
+    dim = codec._MAX_TABLE_DIM
+    assert codec_roundtrip(grouplike_coalgebra(F5, dim)).dim == dim
+    with pytest.raises(BadParamsError, match=f"document dim {dim + 1} exceeds the table bound {dim}"):
+        encode(grouplike_coalgebra(F5, dim + 1))
 
 
 def test_repeated_labels_accepted():

@@ -29,7 +29,7 @@ from findual.kernel import (
 )
 from findual.kernel import fields as fields_module
 from findual.kernel.fields import prime_factors
-from findual.kernel.poly import _berlekamp_split, _squarefree_decomposition_gf
+from findual.kernel.poly import _berlekamp_split, _factor_degrees, _squarefree_decomposition_gf
 
 
 def trial_division_is_prime(n):
@@ -430,6 +430,44 @@ class TestBerlekampSplit:
         assert out == ("SemisimpleProfile(radical_dim=0, factors=((1, 1), (1, 1))) 2 2\n"
                        "True [1, 2, 3, 7, 12345678901234567, 100000000000000000000, "
                        "1658522032339943692980906, 3317044064679887385961812]\n")
+
+
+@st.composite
+def squarefree_products(draw):
+    """A squarefree monic product of irreducibles over GF(p), with the
+    degrees of its irreducible factors as `factor_over_field` finds them:
+    the distinct monic irreducible factors of a product of random monic
+    polynomials."""
+    p = draw(st.sampled_from([2, 3, 5, 13, 10007, 10**9 + 7]))
+    f = GF(p)
+    product = Poly.constant(f, 1)
+    for coeffs in draw(st.lists(st.lists(st.integers(0, p - 1), max_size=5), min_size=1, max_size=3)):
+        product = product * Poly.from_ints(f, coeffs + [1])
+    irreducibles = [g for g, _ in factor_over_field(product).factors]
+    squarefree = Poly.constant(f, 1)
+    for g in irreducibles:
+        squarefree = squarefree * g
+    return squarefree, sorted(g.degree() for g in irreducibles)
+
+
+class TestFactorDegrees:
+    @settings(max_examples=400, deadline=None)
+    @given(squarefree_products())
+    def test_matches_factor_over_field(self, case):
+        poly, degrees = case
+        assert _factor_degrees(poly) == degrees
+
+    def test_named_polynomials(self):
+        f = GF(17)
+        # t^4 - d over GF(17), whose units are cyclic of order 16: d = 1 and
+        # d = -1 split, d = 2, a square but no fourth power, gives two
+        # quadratics, and d = 3, a non-square, stays irreducible
+        assert _factor_degrees(Poly.from_ints(f, [-1, 0, 0, 0, 1])) == [1, 1, 1, 1]
+        assert _factor_degrees(Poly.from_ints(f, [1, 0, 0, 0, 1])) == [1, 1, 1, 1]
+        assert _factor_degrees(Poly.from_ints(f, [-2, 0, 0, 0, 1])) == [2, 2]
+        assert _factor_degrees(Poly.from_ints(f, [-3, 0, 0, 0, 1])) == [4]
+        assert _factor_degrees(Poly.from_ints(f, [-1, 1])) == [1]
+        assert _factor_degrees(Poly.constant(f, 1)) == []
 
 
 # Poly arithmetic computes with the plain + - * operators and reduces each

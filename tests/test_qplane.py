@@ -37,6 +37,7 @@ from findual.errors import (
     CharacteristicTooSmallError,
     GradingError,
     InvalidInputError,
+    NotAnIdealError,
     NotAzumayaError,
     OrderUnavailableError,
 )
@@ -619,10 +620,12 @@ def perturbed_jet(jet, n, c, d, both_only):
 
 class TestCertifiedBuilders:
     def test_census_tables_are_normal(self, monkeypatch):
+        """The census builds its 10 representatives and no quotient: an
+        axis top is read off one minimal polynomial, and an off-axis fiber
+        is its own top."""
         built = private_builds(monkeypatch)
         azumaya_census(3, 13)
-        assert [name for name, _ in built].count("_monomial_algebra") == 10
-        assert {name for name, _ in built} == {"_monomial_algebra", "quotient_algebra"}
+        assert [name for name, _ in built] == ["_monomial_algebra"] * 10
         for _, alg in built:
             assert_normal_table(alg)
 
@@ -723,7 +726,7 @@ def recorded_center_rows(monkeypatch):
 
 
 class TestGradedKernels:
-    @pytest.mark.parametrize("n,p", [(3, 13), (4, 17), (5, 31)])
+    @pytest.mark.parametrize("n,p", [(3, 13), (4, 17), (5, 31), (6, 37), (7, 71)])
     def test_census_representatives(self, n, p, monkeypatch):
         reps = census_representatives(n, p)
         seen = recorded_center_rows(monkeypatch)
@@ -732,15 +735,21 @@ class TestGradedKernels:
         for alg in reps:
             rad, factors = qplane._graded_top(alg, n)
             assert rad == radical(alg)
-            (top, rows), = seen
-            seen.clear()
-            assert top.dim == alg.dim - rad.dim and Subspace(top, rows) == center(top)
+            # only a top with both generators, A itself off the axes, has
+            # its center taken; an axis top is read off a minimal polynomial
+            if rad.dim:
+                assert seen == []
+            else:
+                (top, rows), = seen
+                seen.clear()
+                assert top is alg and Subspace(top, rows) == center(top)
             assert qplane._graded_center(alg, n, degree, gens) == center(alg)
             profiles.append(semisimple_profile(alg))
-            assert (rad.dim, tuple(sorted(factor[1:] for factor in factors))) == profiles[-1]
-        # on the axes and off them, with several factors on some axis
+            assert (rad.dim, factors) == profiles[-1]
+        # off the axes J = 0; on them A/J is k at (0, 0) and k[t]/(t^n - d)
+        # at d != 0, with several factors on some axis
         assert len(reps) == (n + 1) * (n + 2) // 2
-        assert {prof.radical_dim == 0 for prof in profiles} == {True, False}
+        assert {prof.radical_dim for prof in profiles} == {0, n * n - n, n * n - 1}
         assert max(len(prof.factors) for prof in profiles) > 1
 
     @pytest.mark.parametrize("point", JET_POINTS + [(5, 31, 26, 23)], ids=str)
@@ -802,18 +811,26 @@ class TestGradedKernels:
         seen = recorded_center_rows(monkeypatch)
         if case.startswith("census"):
             n, algs = 3, census_representatives(3, 13)
-            seen.clear()  # the census's own profiles
             degree, gens = range(n * n), qplane._xy(n)
-            rads = [qplane._graded_top(alg, n)[0] for alg in algs]
+            rads, tops = [], []
+            for alg in algs:
+                seen.clear()
+                rads.append(qplane._graded_top(alg, n)[0])
+                # the center rows of the top, taken off the axes only
+                tops.append(seen[0] if seen else None)
+            assert [top is None for top in tops] == [rad.dim > 0 for rad in rads]
+            assert tops.count(None) == n + 1
         else:
             n, algs = 2, [regular_point_jet_algebra(2, 5, 1, 1)]
             degree, gens = [r for r in range(n * n) for _ in range(3)], jet_xy(n)
             rads = [qplane._graded_radical(algs[0], n, degree)]
             azumaya_point_invariants(2, 5, 1, 1)  # profiles the top, fiber(1, 1)
-        assert len(seen) == len(algs)
-        for alg, rad, (top, rows) in zip(algs, rads, seen):
+            tops = list(seen)
+        assert len(tops) == len(algs)
+        for alg, rad, top in zip(algs, rads, tops):
             assert rad == oracle_radical_trace_form(alg)
-            assert Subspace(top, rows) == oracle_center(top)
+            if top is not None:
+                assert Subspace(*top) == oracle_center(top[0])
             assert algebra_module._graded_center(alg, n, degree, gens) == oracle_center(alg)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -827,6 +844,82 @@ class TestGradedKernels:
             degree = [(i - j) % d * d for i, j in cells]
             assert qplane._graded_radical(alg, d, degree) == radical(alg)
             assert qplane._graded_center(alg, d, degree, range(alg.dim)) == center(alg)
+
+
+def spied_orbit_classes(monkeypatch):
+    """((c, d), names) per representative the census profiles: the names of
+    the calls it makes to is_ideal, quotient_algebra, _graded_center and
+    _simple_factors, in order."""
+    calls = []
+    for name in ("is_ideal", "quotient_algebra", "_graded_center", "_simple_factors"):
+        def spy(*args, name=name, real=getattr(qplane, name)):
+            calls[-1][1].append(name)
+            return real(*args)
+
+        monkeypatch.setattr(qplane, name, spy)
+    real_orbit_class = qplane._orbit_class
+
+    def orbit_class(field, fiber, n, c, d):
+        calls.append(((c, d), []))
+        return real_orbit_class(field, fiber, n, c, d)
+
+    monkeypatch.setattr(qplane, "_orbit_class", orbit_class)
+    return calls
+
+
+class TestAxisTops:
+    """On the axis c = 0, x lies in J and A/J = k[t]/(mu), mu the minimal
+    polynomial of the surviving generator: the census profiles it with one
+    ideal check, and no quotient table, center or idempotent."""
+
+    @pytest.mark.parametrize("n,p", [(3, 13), (4, 17), (5, 31)])
+    def test_axis_representatives_take_no_quotient(self, n, p, monkeypatch):
+        calls = spied_orbit_classes(monkeypatch)
+        azumaya_census(n, p)
+        axis = [names for (c, _), names in calls if c == 0]
+        assert len(axis) == n + 1 and all(names == ["is_ideal"] for names in axis)
+        off_axis = [names for (c, d), names in calls if c * d % p]
+        assert len(axis) + len(off_axis) == len(calls) == (n + 1) * (n + 2) // 2
+        assert all(names == ["_graded_center", "_simple_factors"] for names in off_axis)
+
+    @pytest.mark.parametrize("plant,dim", [("low-degree", 1), ("non-squarefree", 3)])
+    def test_planted_minimal_polynomial_raises(self, plant, dim, monkeypatch):
+        """A minimal polynomial of degree below dim A/J (mu / t: caught at
+        fiber(0, 0), whose top is k), or one of the right degree with a
+        repeated factor ((t - 1)^deg mu: caught at fiber(0, 1), whose top
+        is k[t]/(t^3 - 1)), is refused, in the library and as exit 3."""
+        real = qplane._minimal_polynomial
+
+        def planted(*args):
+            mu = real(*args)
+            if plant == "low-degree":
+                return Poly(mu.field, mu.coeffs[1:])
+            power = Poly.constant(mu.field, 1)
+            for _ in range(mu.degree()):
+                power = power * Poly.from_ints(mu.field, [-1, 1])
+            return power
+
+        monkeypatch.setattr(qplane, "_minimal_polynomial", planted)
+        with pytest.raises(InvalidInputError, match=rf"a fiber top of dim {dim} is not k\[t\]/\(mu\)"):
+            azumaya_census(3, 13)
+        assert cli_run(["qplane-census", "--n", "3", "--p", "13"], stdout=(out := io.StringIO())) == 3
+        assert out.getvalue().startswith(f"error: a fiber top of dim {dim} is not k[t]/(mu)")
+
+    def test_planted_non_ideal_raises(self, monkeypatch):
+        monkeypatch.setattr(qplane, "is_ideal", lambda alg, space: False)
+        with pytest.raises(NotAnIdealError):
+            azumaya_census(3, 13)
+
+    def test_planted_radical_holding_neither_generator_raises(self, monkeypatch):
+        """Where x and y both survive, J = 0; a planted J = (xy), which
+        holds neither, is refused rather than profiled."""
+        n, (y, x) = 3, qplane._xy(3)
+        alg = census_representatives(n, 13)[-1]
+        xy = [0] * alg.dim
+        xy[x + y] = 1
+        monkeypatch.setattr(qplane, "_graded_radical", lambda alg, n, degree: Subspace(alg, [xy]))
+        with pytest.raises(InvalidInputError, match="a fiber radical of dim 1 holds neither x nor y"):
+            qplane._graded_top(alg, n)
 
 
 class TestPointTop:
