@@ -569,14 +569,17 @@ def _first_non_associative_triple(field: Field, mul, pairs, rows=None):
     (i, j) pairs, visited in the order given, with the least such k; or None.
 
     For each (i, j) one accumulator holds the difference for every k at once,
-    keyed k * dim + t, and is reduced once at the end.  Both sides walk only
-    nonzero terms, so a pair costs its nonzero two-step products, not dim
-    cells of a row.  They read one term list per row x, the products
-    b_x b_k = sum c b_s for every k as (k * dim, s, c) in any order: the
-    left side takes row s of each b_s in b_i b_j, the right side row j.
-    `rows` holds a list per row, or None where it is not built yet; a list
-    is built the first time its row is used (`coalgebra._dual_table` builds
-    them all while it builds the table).
+    keyed k * dim + t, and is reduced once at the end.  Both sides read one
+    term list per row x, the nonzero products b_x b_k = sum c b_s for every
+    k as (k * dim, s, c), k in order, and no empty cell of a row.  The left
+    side takes row s of each b_s in b_i b_j, so it costs its nonzero
+    two-step products.  The right side takes row j and, for each of its
+    terms, reads cell (i, s), which is often empty: on the box(12, 12) dual
+    (dim 144) the pairs with j in S = {x, y} take 38,016 right-side steps,
+    of which 10,296 meet a nonzero cell.  `rows` holds a list per row, or
+    None where it is not built yet; a list is built the first time its row
+    is used, and `_least_non_associative_triple` shares them between its
+    two scans.
     """
     dim = len(mul)
     bases = [k * dim for k in range(dim)]

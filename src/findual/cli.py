@@ -47,7 +47,7 @@ from .coalgebra import (
     path_coalgebra,
     triangular_coalgebra,
 )
-from .codec import SCHEMA_VERSION, census_to_csv, loads, to_canonical_json
+from .codec import SCHEMA_VERSION, _bounded_dim, census_to_csv, loads, to_canonical_json
 from .errors import PreconditionError, SchemaMismatchError, UsageError
 from .kernel import GF, QQ
 from .qplane import _MAX_JET_DIM, azumaya_census, azumaya_point_invariants, oq_truncation
@@ -62,36 +62,75 @@ from .twist import (
 )
 
 
-def _line_dist(field, points: str):
+def _points(points: str):
     pairs = (chunk.partition(":") for chunk in points.split(","))
-    return line_dist_coalgebra(field, [(int(pt), int(mult or "1")) for pt, _, mult in pairs])
+    return [(int(pt), int(mult or "1")) for pt, _, mult in pairs]
+
+
+def _line_dist(field, points: str):
+    return line_dist_coalgebra(field, _points(points))
+
+
+def _quiver(vertices: int, arrows: str):
+    pairs = (chunk.partition("-") for chunk in arrows.split(","))
+    return Quiver(vertices, [(int(s), int(t)) for s, _, t in pairs])
 
 
 def _path(field, vertices: int, arrows: str):
-    pairs = (chunk.partition("-") for chunk in arrows.split(","))
-    return path_coalgebra(field, Quiver(vertices, [(int(s), int(t)) for s, _, t in pairs]))
+    return path_coalgebra(field, _quiver(vertices, arrows))
 
 
 def _qplane(kind: str):
     return lambda q_order, p, *params: oq_truncation(q_order, p, kind, params).algebra
 
 
+# A kind's table dim, read off the arguments its constructor takes, before
+# anything is built.  A size below 1 reads as at most 0 and a cyclic quiver
+# has 0 paths, so the constructor's own refusal of them is not preempted.
+def _linear(_, n):
+    return n
+
+
+def _square(_, n):
+    return max(n, 0) ** 2
+
+
+def _triangle(_, n):
+    return max(n, 0) * (n + 1) // 2
+
+
+def _line_dist_dim(_, points: str):
+    return sum(max(mult, 0) for _, mult in _points(points))
+
+
+def _path_dim(_, vertices: int, arrows: str):
+    return _quiver(vertices, arrows).path_count()
+
+
+def _box_dim(q_order, p, a, b):
+    return max(a, 0) * max(b, 0)
+
+
+def _fiber_dim(q_order, p, c, d):
+    return max(q_order, 0) ** 2
+
+
 # --kind -> (constructor, the flags it takes after the field, the text naming
-# them when one is missing); the qplane constructors take --q-order and --p
-# in place of a field
+# them when one is missing, its table dim); the qplane constructors take
+# --q-order and --p in place of a field
 _KINDS = {
-    "comatrix": (comatrix_coalgebra, ("n",), "--n"),
-    "triangular": (triangular_coalgebra, ("n",), "--n"),
-    "grouplike": (grouplike_coalgebra, ("n",), "--n"),
-    "divided-power": (divided_power_coalgebra, ("n",), "--n"),
-    "line-dist": (_line_dist, ("points",), "--points 'pt:mult,...'"),
-    "path": (_path, ("vertices", "arrows"), "--vertices and --arrows"),
-    "matrix-algebra": (matrix_algebra, ("n",), "--n"),
-    "triangular-algebra": (triangular_algebra, ("n",), "--n"),
-    "poly-algebra": (truncated_polynomial_algebra, ("n",), "--n"),
-    "group-algebra": (cyclic_group_algebra, ("n",), "--n"),
-    "qplane-box": (_qplane("box"), ("a", "b"), "--a and --b"),
-    "qplane-fiber": (_qplane("central_fiber"), ("c", "d"), "--c and --d"),
+    "comatrix": (comatrix_coalgebra, ("n",), "--n", _square),
+    "triangular": (triangular_coalgebra, ("n",), "--n", _triangle),
+    "grouplike": (grouplike_coalgebra, ("n",), "--n", _linear),
+    "divided-power": (divided_power_coalgebra, ("n",), "--n", _linear),
+    "line-dist": (_line_dist, ("points",), "--points 'pt:mult,...'", _line_dist_dim),
+    "path": (_path, ("vertices", "arrows"), "--vertices and --arrows", _path_dim),
+    "matrix-algebra": (matrix_algebra, ("n",), "--n", _square),
+    "triangular-algebra": (triangular_algebra, ("n",), "--n", _triangle),
+    "poly-algebra": (truncated_polynomial_algebra, ("n",), "--n", _linear),
+    "group-algebra": (cyclic_group_algebra, ("n",), "--n", _linear),
+    "qplane-box": (_qplane("box"), ("a", "b"), "--a and --b", _box_dim),
+    "qplane-fiber": (_qplane("central_fiber"), ("c", "d"), "--c and --d", _fiber_dim),
 }
 
 
@@ -260,7 +299,10 @@ def _emit(text: str, out_path, stdout) -> None:
 
 
 def _cmd_construct(args, argv, stdout) -> int:
-    build, flags, names = _KINDS[args.kind]
+    """The named kind's document; a kind whose table dim exceeds
+    `codec._MAX_TABLE_DIM`, which `encode` would refuse, is refused before
+    it is built."""
+    build, flags, names, dim = _KINDS[args.kind]
     if args.kind.startswith("qplane-"):
         if args.p is None or args.q_order is None:
             raise UsageError("qplane kinds need --p and --q-order")
@@ -271,6 +313,7 @@ def _cmd_construct(args, argv, stdout) -> int:
     # an empty --points or --arrows counts as missing
     if any(value in (None, "") for value in values):
         raise UsageError(f"{args.kind} needs {names}")
+    _bounded_dim(dim(*head, *values))
     _emit(to_canonical_json(build(*head, *values)), args.out, stdout)
     return 0
 

@@ -39,15 +39,22 @@ def _scalars_out(field: Field, values):
     return [field.scalar_to_json(v) for v in values]
 
 
-def _entries_out(field: Field, entries):
-    """`entries`, lists [index, index, index, scalar] of canonical scalars,
-    with each Q scalar written as its JSON string, in place; a GF(p) scalar
-    is written as stored, the int residue."""
-    if not field.characteristic():
-        out = field.scalar_to_json
-        for entry in entries:
-            entry[3] = out(entry[3])
-    return entries
+def _entry_lists(field: Field):
+    """encode's writer of table entries: (a, b, c, scalar) to the list
+    [a, b, c, scalar], a Q scalar as its JSON string, a GF(p) scalar as
+    stored, the int residue."""
+    if field.characteristic():
+        return lambda a, b, c, x: [a, b, c, x]
+    out = field.scalar_to_json
+    return lambda a, b, c, x: [a, b, c, out(x)]
+
+
+def _entry_text(field: Field):
+    """`to_canonical_json`'s writer of table entries: (a, b, c, scalar) to
+    the JSON text of the list `_entry_lists` writes."""
+    if field.characteristic():
+        return "[{},{},{},{}]".format
+    return lambda a, b, c, x: f'[{a},{b},{c},"{x.numerator}/{x.denominator}"]'
 
 
 def _scalar_in(field: Field, doc):
@@ -190,27 +197,35 @@ def _require(doc, key, types=None):
 
 
 def encode(value):
+    return _doc(value, _entry_lists)
+
+
+def _doc(value, writer):
+    """`value`'s document, each entry of an algebra's or a coalgebra's table
+    written by writer(field) (`_entry_lists` or `_entry_text`): at the top
+    level and in both tables of a bialgebra; a nested algebra or coalgebra
+    is encoded."""
     if isinstance(value, FinDimAlgebra):
         f = value.field
+        entry = writer(f)
         return {
             "type": "algebra",
             "field": field_to_json(f),
             "dim": _bounded_dim(value.dim),
             "labels": list(value.labels),
-            "mul": _entries_out(f, [[i, j, r, c] for i, row in enumerate(value.mul)
-                                    for j, cell in filter(itemgetter(1), enumerate(row))
-                                    for r, c in cell]),
+            "mul": [entry(i, j, r, c) for i, row in enumerate(value.mul)
+                    for j, cell in filter(itemgetter(1), enumerate(row)) for r, c in cell],
             "unit": _scalars_out(f, value.unit),
         }
     if isinstance(value, FinDimCoalgebra):
         f = value.field
+        entry = writer(f)
         return {
             "type": "coalgebra",
             "field": field_to_json(f),
             "dim": _bounded_dim(value.dim),
             "labels": list(value.labels),
-            "comul": _entries_out(f, [[r, i, j, c] for r, terms in enumerate(value.comul)
-                                      for i, j, c in terms]),
+            "comul": [entry(r, i, j, c) for r, terms in enumerate(value.comul) for i, j, c in terms],
             "counit": _scalars_out(f, value.counit),
         }
     if isinstance(value, Matrix):
@@ -236,8 +251,8 @@ def encode(value):
             "matrix": _scalars_out(value.c.field, value.matrix.entries),
         }
     if isinstance(value, Bialgebra):
-        alg_doc = encode(value.alg)
-        coalg_doc = encode(value.coalg)
+        alg_doc = _doc(value.alg, writer)
+        coalg_doc = _doc(value.coalg, writer)
         return {
             "type": "bialgebra",
             "field": alg_doc["field"],
@@ -398,23 +413,32 @@ def _decode_matrix(doc) -> Matrix:
 
 
 _JSON_BLOCK = 512
+# the top-level keys whose entries `to_canonical_json` writes as text
+_TABLE_KEYS = ("mul", "comul")
 
 
 def to_canonical_json(value) -> str:
     """Byte-deterministic serialization (sorted keys, fixed separators).
 
-    The bytes are those of one ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` call on a document with string keys, but each
-    top-level list is serialized `_JSON_BLOCK` items at a time: json.dumps
-    holds a string object for every token until it joins them, about 20
-    bytes per output byte (1.8 MB at once for the 83 kB dual of the
-    quantum-plane box(12, 12), dim 144).
+    The bytes are those of one ``json.dumps(encode(value), sort_keys=True,
+    separators=(",", ":"))`` call, or of that call on `value` itself when it
+    is a document with string keys.  The entries of an algebra's `mul` and
+    a coalgebra's `comul`, at the top level and in a bialgebra, are written
+    straight from the table as ``[a,b,c,x]`` text (`_entry_text`), with no
+    list per entry.  Every other top-level list is serialized `_JSON_BLOCK`
+    items at a time: json.dumps holds a string object for every token until
+    it joins them, about 20 bytes per output byte.
     """
-    doc = value if isinstance(value, dict) else encode(value)
+    if isinstance(value, dict):
+        doc, texts = value, ()
+    else:
+        doc, texts = _doc(value, _entry_text), _TABLE_KEYS
     parts = []
     for key in sorted(doc):
         val = doc[key]
-        if isinstance(val, list):
+        if key in texts:
+            parts.append(f"{_dumps(key)}:[{','.join(val)}]")
+        elif isinstance(val, list):
             blocks = (_dumps(val[k:k + _JSON_BLOCK])[1:-1] for k in range(0, len(val), _JSON_BLOCK))
             parts.append(f"{_dumps(key)}:[{','.join(blocks)}]")
         else:

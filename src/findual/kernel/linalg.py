@@ -11,8 +11,11 @@ operators act on ints and Fractions, and `Field.canonical` turns each
 integral result back into an int.  There is one row reduction,
 `_row_reduce` (behind `rref_kernel`, `echelon_rows` and `solve_linear`).
 Membership in a row span is reduced sparsely in the algebra layer, by
-`algebra.Subspace.residue`; the dense `reduce_against` remains behind
-`in_row_span` and `coordinates_in_row_span`.
+`algebra.Subspace.residue`.  No library code calls `reduce_against`,
+`in_row_span`, `coordinates_in_row_span` or `row_pivots`: they stay only
+because the benchmark's tracer (`perfbench/tracer.py`) wraps
+`in_row_span` and `coordinates_in_row_span` by name, and the tests use
+them as oracles.
 """
 
 from __future__ import annotations

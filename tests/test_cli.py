@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,17 @@ def run(argv):
     buf = io.StringIO()
     code = cli_run(argv, stdout=buf)
     return code, buf.getvalue()
+
+
+def diamond_paths(n):
+    """The paths of n diamonds in a row, junctions 3k and middles 3k + 1,
+    3k + 2: the trivial ones, then by the kinds of their two ends, a path
+    having two choices per diamond it crosses."""
+    return (3 * n + 1
+            + sum((n - d + 1) * 2 ** d for d in range(1, n + 1))  # junction to junction
+            + sum((n - d) * 2 * 2 ** d for d in range(n))  # junction to middle
+            + sum((n - e) * 2 * 2 ** e for e in range(n))  # middle to junction
+            + sum((n - 1 - e) * 4 * 2 ** e for e in range(n - 1)))  # middle to middle
 
 
 class TestConstruct:
@@ -62,6 +74,100 @@ class TestConstruct:
         assert run(["dualize", "--in", str(path)])[0] == 0
         code, out = run(["construct", "--kind", "grouplike", "--n", str(_MAX_TABLE_DIM + 1)])
         assert (code, out) == (3, "error: document dim 1025 exceeds the table bound 1024\n")
+
+    # each kind at a size that builds in milliseconds
+    SMALL_KINDS = [
+        ["comatrix", "--n", "3"],
+        ["triangular", "--n", "4"],
+        ["grouplike", "--n", "5"],
+        ["divided-power", "--n", "6"],
+        ["line-dist", "--points", "0:2,1:3,7"],
+        ["path", "--vertices", "5", "--arrows", "1-0,2-1,2-0,2-0,4-3"],
+        ["matrix-algebra", "--n", "3", "--p", "5"],
+        ["triangular-algebra", "--n", "4"],
+        ["poly-algebra", "--n", "7"],
+        ["group-algebra", "--n", "6", "--p", "7"],
+        ["qplane-box", "--q-order", "3", "--p", "13", "--a", "2", "--b", "5"],
+        ["qplane-fiber", "--q-order", "3", "--p", "13", "--c", "2", "--d", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", SMALL_KINDS, ids=lambda argv: argv[0])
+    def test_dim_read_off_the_parameters(self, argv, monkeypatch):
+        """The dim construct bounds before it builds is the built document's."""
+        seen = []
+        monkeypatch.setattr(cli_module, "_bounded_dim", seen.append)
+        code, out = run(["construct", "--kind", *argv])
+        assert code == 0 and seen == [json.loads(out)["dim"]]
+
+    # each kind at its first size over the table bound, and the dim read off
+    # it; a path counts its paths, never listing them
+    FIRST_OVER = [
+        (["comatrix", "--n", "33"], 1089),
+        (["triangular", "--n", "45"], 1035),
+        (["grouplike", "--n", "1025"], 1025),
+        (["divided-power", "--n", "1025"], 1025),
+        (["line-dist", "--points", "0:1000,1:25"], 1025),
+        (["line-dist", "--points", ",".join(str(k) for k in range(1025))], 1025),
+        # a line of 44 vertices (990 paths) and 35 isolated vertices
+        (["path", "--vertices", "79", "--arrows", ",".join(f"{k + 1}-{k}" for k in range(43))], 1025),
+        # two vertices and 1,023 parallel arrows
+        (["path", "--vertices", "2", "--arrows", ",".join(["1-0"] * 1023)], 1025),
+        # 40 diamonds in a row: 2^40 paths from end to end alone
+        (["path", "--vertices", "121", "--arrows",
+          ",".join(f"{3 * k + m}-{3 * k + 3}" for k in range(40) for m in (1, 2)) + ","
+          + ",".join(f"{3 * k}-{3 * k + m}" for k in range(40) for m in (1, 2))], diamond_paths(40)),
+        (["matrix-algebra", "--n", "33", "--p", "5"], 1089),
+        (["triangular-algebra", "--n", "45"], 1035),
+        (["poly-algebra", "--n", "1025"], 1025),
+        (["group-algebra", "--n", "1025", "--p", "5"], 1025),
+        (["qplane-box", "--q-order", "3", "--p", "13", "--a", "41", "--b", "25"], 1025),
+        (["qplane-fiber", "--q-order", "33", "--p", "67", "--c", "1", "--d", "1"], 1089),
+    ]
+
+    @pytest.mark.parametrize("argv,dim", FIRST_OVER, ids=[argv[0] for argv, _ in FIRST_OVER])
+    def test_first_size_over_the_bound_refused_before_building(self, argv, dim, monkeypatch):
+        """Exit 3, naming the bound, within a second; the constructor is
+        never called."""
+        _, flags, names, count = cli_module._KINDS[argv[0]]
+
+        def unbuilt(*args):
+            raise AssertionError("built above the table bound")
+
+        monkeypatch.setitem(cli_module._KINDS, argv[0], (unbuilt, flags, names, count))
+        start = time.perf_counter()
+        code, out = run(["construct", "--kind", *argv])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, f"error: document dim {dim} exceeds the table bound 1024\n")
+
+    @pytest.mark.parametrize("argv,dim", [
+        (["comatrix", "--n", "32"], 1024),
+        (["triangular", "--n", "44"], 990),
+        (["line-dist", "--points", ",".join(str(k) for k in range(1024))], 1024),
+        (["path", "--vertices", "78", "--arrows", ",".join(f"{k + 1}-{k}" for k in range(43))], 1024),
+        (["path", "--vertices", "2", "--arrows", ",".join(["1-0"] * 1022)], 1024),
+    ], ids=["comatrix", "triangular", "line-dist", "path-line", "path-parallel"])
+    def test_just_under_the_bound_runs(self, argv, dim):
+        code, out = run(["construct", "--kind", *argv])
+        assert code == 0 and json.loads(out)["dim"] == dim
+
+    def test_huge_kinds_refused_under_a_memory_limit(self):
+        """Argvs whose objects would take tens of GB exit 3 under a 1 GiB
+        address-space limit, with no MemoryError."""
+        argvs = [["matrix-algebra", "--n", "200", "--p", "5"], ["comatrix", "--n", "300"],
+                 ["divided-power", "--n", "100000000"],
+                 ["qplane-box", "--q-order", "3", "--p", "13", "--a", "3000", "--b", "3000"],
+                 ["path", "--vertices", "100000000", "--arrows", "1-0"]]
+        script = ("import io, resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from findual.cli import cli_run\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    print(cli_run(['construct', '--kind', *argv]))\n")
+        src = os.path.dirname(os.path.dirname(findual.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": src})
+        dims = [40000, 90000, 100000000, 9000000, 100000001]
+        assert (proc.stdout, proc.stderr) == (
+            "".join(f"error: document dim {dim} exceeds the table bound 1024\n3\n" for dim in dims), "")
 
     def test_qplane_root_search_refused_promptly(self):
         # q-order near sqrt(p): the scan for the smallest root of that order

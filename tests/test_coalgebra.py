@@ -12,6 +12,7 @@ from test_algebra import (
     light_cut,
     oracle_one_dim_characters,
     small_scalars,
+    sparse_rebased_table,
 )
 
 from findual import algebra as algebra_module
@@ -254,6 +255,34 @@ class TestCoradical:
                 for v in lv.rows:
                     delta = coalg.delta_of_vector(list(v))
                     assert in_row_span(span, delta, f)
+
+
+@st.composite
+def quivers(draw):
+    """A quiver on up to 7 vertices with up to 10 arrows, repeats allowed;
+    acyclic (every arrow to a smaller vertex) or not."""
+    vertices = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    arrows = draw(st.lists(pairs, max_size=10))
+    if draw(st.booleans()):
+        arrows = [(max(a), min(a)) for a in arrows if a[0] != a[1]]
+    return Quiver(vertices, arrows)
+
+
+class TestPathCount:
+    @settings(max_examples=150)
+    @given(quivers())
+    def test_matches_the_listed_paths(self, quiver):
+        """The count is the path coalgebra's dim, or 0 for a cyclic quiver,
+        whose path coalgebra is refused."""
+        try:
+            dim = path_coalgebra(F5, quiver).dim
+        except CyclicQuiverError:
+            dim = 0
+        assert quiver.path_count() == dim
+
+    def test_isolated_vertices_are_not_walked(self):
+        assert Quiver(10 ** 12, [(1, 0)]).path_count() == 10 ** 12 + 1
 
 
 class TestConstructors:
@@ -663,6 +692,19 @@ def counit_cases(draw):
     return FinDimCoalgebra(f, c.labels, comul, counit)
 
 
+def transposed_coalgebra(a, extra=()):
+    """The coalgebra whose comul is the transposed table of `a`, plus the
+    (r, i, j, coeff) terms in `extra`, and whose counit is a's unit."""
+    comul = [[] for _ in range(a.dim)]
+    for i, row in enumerate(a.mul):
+        for j, cell in enumerate(row):
+            for r, cf in cell:
+                comul[r].append((i, j, cf))
+    for r, i, j, cf in extra:
+        comul[r].append((i, j, cf))
+    return FinDimCoalgebra(a.field, a.labels, comul, a.unit)
+
+
 class TestLawChecksAgainstOracles:
     @settings(max_examples=200)
     @given(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
@@ -680,12 +722,7 @@ class TestLawChecksAgainstOracles:
     def test_large_transposed_tables_match_full_scan(self, a):
         """The coalgebra whose comul is the transposed table of a drawn
         algebra, valid or not, and whose counit is its unit."""
-        comul = [[] for _ in range(a.dim)]
-        for i, row in enumerate(a.mul):
-            for j, cell in enumerate(row):
-                for r, cf in cell:
-                    comul[r].append((i, j, cf))
-        c = FinDimCoalgebra(a.field, a.labels, comul, a.unit)
+        c = transposed_coalgebra(a)
         assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
 
     @pytest.mark.parametrize("c,caps,gens", [
@@ -702,8 +739,8 @@ class TestLawChecksAgainstOracles:
         (dualize_algebra(split_algebra(27)), [1], [1]),
     ], ids=["comatrix-6", "triangular-8", "box-8x8-dual", "split-27-dual"])
     def test_cheaper_scan_is_chosen(self, c, caps, gens):
-        real = coalgebra_module._first_non_associative_triple
-        with mock.patch.object(coalgebra_module, "_first_non_associative_triple", wraps=real) as scan, \
+        real = coalgebra_module._light_certificate
+        with mock.patch.object(coalgebra_module, "_light_certificate", wraps=real) as scan, \
                 mock.patch.object(coalgebra_module, "_first_failure", wraps=_first_failure) as laws, \
                 generating_set_spy() as search:
             report, _, found = coalgebra_module._validate_coalgebra(c)
@@ -745,6 +782,94 @@ class TestLawChecksAgainstOracles:
     def test_dualization_is_an_involution(self, c):
         assert validate_coalgebra(c).ok
         assert dualize_algebra(dualize_coalgebra(c)) == c
+
+
+def light_set(c):
+    return algebra_module._light_generators(c.field, coalgebra_module._dual_table(c), c.counit)
+
+
+@st.composite
+def light_cases(draw):
+    """(c, S): the coalgebra on the transposed table of a quantum-plane box
+    over GF(p), or of k[t]/(t^m) over GF(2/3/5/7) or Q, of dim 16 to 40,
+    under a sparse change of basis (see `sparse_rebased_table`), and the
+    generating set Light's test finds on its dual table, or None.  Then,
+    where S is found, one term b_i (x) b_j may be added to some Delta(b_r):
+    anywhere, or with neither i nor j in S, and S is looked for again.  The
+    associators the latter term changes first, [b^i, b^j, .] and
+    [., b^i, b^j], have their middle index outside S."""
+    f = draw(st.sampled_from([None, *PROPERTY_FIELDS]))
+    if f is None:
+        n, p, rows = draw(st.sampled_from([(2, 5, 4), (3, 13, 4), (3, 13, 5), (4, 17, 6)]))
+        base = oq_truncation(n, p, "box", (rows, draw(st.integers(-(-16 // rows), 6)))).algebra
+        f = base.field
+    else:
+        base = truncated_polynomial_algebra(f, draw(st.integers(16, 40)))
+    dim = base.dim
+    x, y = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+    mul, unit = sparse_rebased_table(base, draw(st.permutations(range(dim))), x, y, draw(small_scalars(f)))
+    a = FinDimAlgebra(f, base.labels, mul, unit)
+    c = transposed_coalgebra(a)
+    gens = light_set(c)
+    where = draw(st.sampled_from(["nowhere", "anywhere", "outside S", "outside S"]))
+    if gens is not None and where != "nowhere":
+        index = st.integers(0, dim - 1)
+        if where == "outside S":
+            index = st.sampled_from([k for k in range(dim) if k not in gens])
+        term = (draw(st.integers(0, dim - 1)), draw(index), draw(index), draw(small_scalars(f, nonzero=True)))
+        c = transposed_coalgebra(a, [term])
+        gens = light_set(c)
+    return c, gens
+
+
+class CountedScalar(int):
+    """An int that counts its products with other counted ints."""
+
+    products = 0
+
+    def __mul__(self, other):
+        if isinstance(other, CountedScalar):
+            CountedScalar.products += 1
+        return int(self) * int(other)
+
+
+class TestLightCertificate:
+    """`_light_certificate` reads Light's test off the comultiplication: the
+    laws' terms whose middle index is in S."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(light_cases())
+    def test_verdict_matches_oracle(self, case):
+        """Where the counit laws hold and S is found, the certificate passes
+        exactly when c is coassociative; a failure planted with its middle
+        index outside S shows in some middle-S slice, as Light's theorem
+        says it must."""
+        c, gens = case
+        coassociative, counital, _ = oracle_validate_coalgebra(c)
+        if counital and gens is not None:
+            assert coalgebra_module._light_certificate(c, gens) == coassociative
+
+    def test_box_12_products(self):
+        """On the box(12, 12) dual, S = {x, y} = {1, 12}; the certificate
+        takes one product per term of Delta(b_i) with right factor in S and
+        per term of Delta(b_j) with left factor in S, for each term
+        b_i (x) b_j of each Delta(b_r): 20,592 products over 6,084 terms.
+        The dual table comes without row term lists, and the validation
+        builds none."""
+        c = dualize_algebra(oq_truncation(3, 13, "box", (12, 12)).algebra)
+        assert sum(map(len, c.comul)) == 6084
+        mul = coalgebra_module._dual_table(c)
+        assert len(mul) == 144 and all(len(row) == 144 and all(type(cell) is tuple for cell in row)
+                                        for row in mul)
+        with mock.patch.object(algebra_module, "_row_terms", wraps=algebra_module._row_terms) as rows:
+            report, _, gens = coalgebra_module._validate_coalgebra(c)
+        assert report.ok and gens == [1, 12] and rows.call_count == 0
+        counted = object.__new__(FinDimCoalgebra)
+        counted._store(c.field, c.labels, tuple(tuple((i, j, CountedScalar(cf)) for i, j, cf in terms)
+                                                for terms in c.comul), c.counit)
+        CountedScalar.products = 0
+        assert coalgebra_module._light_certificate(counted, gens)
+        assert CountedScalar.products == 20592
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_algebra import algebras
+from test_algebra import PROPERTY_FIELDS, algebras
 from test_cli import table_document
-from test_coalgebra import coalgebras
+from test_coalgebra import coalgebras, transposed_coalgebra
 from test_twist import perturbed_cotwists, twisting_maps
 
 from findual import codec
@@ -26,9 +26,16 @@ from findual.coalgebra import (
 from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
 from findual.errors import BadParamsError, SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
-from findual.qplane import azumaya_census, oq_truncation, qtwist_decomposition
+from findual.qplane import azumaya_census, box_dual_tower, oq_truncation, qtwist_decomposition
 from findual.selftest import sweedler_crossed_instance
-from findual.twist import cotensor_swap, grouplike_bialgebra, tensor_swap
+from findual.twist import (
+    Bialgebra,
+    cotensor_swap,
+    dual_components,
+    grouplike_bialgebra,
+    primitive_bialgebra_components,
+    tensor_swap,
+)
 
 F5 = GF(5)
 
@@ -224,14 +231,47 @@ def test_repeated_labels_accepted():
 
 
 @st.composite
+def bialgebras(draw):
+    """The group bialgebra of Z/m with its antipode, the raw components
+    k[x]/(x^m) and divided powers, or an algebra drawn by `algebras` (valid
+    or not) with the coalgebra on its transposed table; the first two with
+    their components dualized half of the time."""
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    kind = draw(st.sampled_from(["group", "primitive", "drawn"]))
+    if kind == "drawn":
+        a = draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad, field=f)))
+        return Bialgebra(a, transposed_coalgebra(a))
+    build = grouplike_bialgebra if kind == "group" else primitive_bialgebra_components
+    h = build(f, draw(st.integers(1, 4)))
+    return dual_components(h) if draw(st.booleans()) else h
+
+
+@st.composite
+def towers(draw):
+    """Divided-power coalgebras of growing size over GF(2/3/5/7) or Q with
+    their prefix inclusions, or now and then the dual box tower of the
+    quantum plane at (2, 5), levels of dim 4 and 16."""
+    if draw(st.integers(0, 4)) == 0:
+        return box_dual_tower(2, 5, [1, 2])
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    levels = [divided_power_coalgebra(f, m) for m in sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))]
+    return DualTower(levels, [canonical_inclusion(small, big) for small, big in zip(levels, levels[1:])])
+
+
+@st.composite
 def documents(draw):
-    """A random algebra, coalgebra, twisting map or cotwisting map over
-    GF(2/3/5/7) or Q."""
-    kind = draw(st.sampled_from(["algebra", "coalgebra", "twist", "cotwist"]))
+    """A random algebra, coalgebra, bialgebra (tables at the top level),
+    dual tower (tables nested in a list), twisting map or cotwisting map
+    (tables nested in an object) over GF(2/3/5/7) or Q."""
+    kind = draw(st.sampled_from(["algebra", "coalgebra", "bialgebra", "tower", "twist", "cotwist"]))
     if kind == "algebra":
         return draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
     if kind == "coalgebra":
         return draw(st.booleans().flatmap(lambda bad: coalgebras(perturbed=bad)))
+    if kind == "bialgebra":
+        return draw(bialgebras())
+    if kind == "tower":
+        return draw(towers())
     if kind == "twist":
         return draw(st.sampled_from(draw(twisting_maps())))
     return draw(st.sampled_from(draw(perturbed_cotwists())))
