@@ -39,6 +39,7 @@ from .kernel import (
     solve_linear,
 )
 from .kernel.fields import Field
+from .obs import span
 
 
 class FinDimAlgebra:
@@ -161,9 +162,9 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     (None, True or a generating set).
 
     Only builders whose cells are normal by construction call this: the
-    quotient by an ideal, the census and jet tables and the box tower's
-    levels (`qplane`), the twisted product's table
-    (`twist.raw_twisted_algebra`), the transpose of a normalized
+    quotient by an ideal, k[t]/(f) (`monogenic_algebra`), the census and jet
+    tables and the box tower's levels (`qplane`), the twisted product's
+    table (`twist.raw_twisted_algebra`), the transpose of a normalized
     comultiplication (`coalgebra.dualize_coalgebra`), and a codec document
     whose entries the decoder's checks proved normal
     (`codec._decode_algebra`).  Public input goes through `FinDimAlgebra`,
@@ -257,6 +258,11 @@ class Subspace:
     @property
     def pivots(self) -> tuple:
         return tuple(self._tails)
+
+    def _basis_spanned(self) -> bool:
+        """Whether the span is that of the basis vectors at its pivots: every
+        RREF row is 1 at its pivot and has no tail."""
+        return not any(self._tails.values())
 
     def residue(self, vec: dict) -> dict:
         """vec, a dict of coordinates not yet reduced (see `Field.canonical`),
@@ -436,22 +442,33 @@ def triangular_algebra(field: Field, n: int) -> FinDimAlgebra:
 
 
 def monogenic_algebra(field: Field, modulus: Poly, var: str = "t") -> FinDimAlgebra:
-    """k[t]/(f) on the basis 1, t, ..., t^(deg f - 1)."""
+    """k[t]/(f) on the basis 1, t, ..., t^(deg f - 1).
+
+    Cell (i, j) is t^(i+j) mod f, kept as its nonzero (index, coeff) pairs
+    in index order: t times a power shifts every index up by one, and a
+    term c t^d becomes -c times the lower terms of the monic f.  So each
+    power costs its own terms, a cell is normal as built, and the table is
+    not normalized again."""
     if modulus.degree() < 1:
         raise BadParamsError("modulus must have degree >= 1")
     d = modulus.degree()
-    monic = modulus.monic()
+    low = [(k, c) for k, c in enumerate(modulus.monic().coeffs[:-1]) if c]
     # t^k mod f for k up to 2d-2
-    powers = []
-    cur = Poly.constant(field, field.one())
-    t = Poly.x(field)
-    for _ in range(2 * d - 1):
-        powers.append(list(cur.coeffs) + [field.zero()] * (d - len(cur.coeffs)))
-        cur = (cur * t) % monic
-    mul = [[powers[i + j] for j in range(d)] for i in range(d)]
+    cur = ((0, field.one()),)
+    powers = [cur]
+    for _ in range(2 * d - 2):
+        shifted = [(r + 1, c) for r, c in cur]
+        if shifted and shifted[-1][0] == d:
+            _, lead = shifted.pop()
+            acc = dict(shifted)
+            for k, c in low:
+                acc[k] = acc.get(k, 0) - lead * c
+            shifted = sorted((r, c) for r, c in zip(acc, field.canonical(acc.values())) if c)
+        cur = tuple(shifted)
+        powers.append(cur)
+    mul = [powers[i:i + d] for i in range(d)]
     labels = ["1"] + [var if k == 1 else f"{var}^{k}" for k in range(1, d)]
-    unit = _basis_vec(field, d, 0)
-    return FinDimAlgebra(field, labels, mul, unit)
+    return _from_normal_table(field, labels, mul, _basis_vec(field, d, 0), None)
 
 
 def truncated_polynomial_algebra(field: Field, n: int, var: str = "t") -> FinDimAlgebra:
@@ -503,9 +520,12 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
     generating set the test looked for (the whole basis if it found none).
     """
     f = a.field
-    unit_failure = _first_failure(f, _unit_laws(a))
-    gens = _light_generators(f, a.mul, a.unit) if unit_failure is None else None
-    triple = _least_non_associative_triple(f, a.mul, gens)
+    with span("algebra.validate_algebra", dim=a.dim) as check:
+        unit_failure = _first_failure(f, _unit_laws(a))
+        gens = _light_generators(f, a.mul, a.unit) if unit_failure is None else None
+        check["certificate"] = "scan" if gens is None else "light"
+        check["S"] = None if gens is None else len(gens)
+        triple = _least_non_associative_triple(f, a.mul, gens)
     witnesses = []
     if triple is not None:
         witnesses.append(("associativity", (*triple, _associativity_witness(a, *triple))))
@@ -765,7 +785,18 @@ def ideal_closure(a: FinDimAlgebra, generators) -> Subspace:
 
 
 def is_ideal(a: FinDimAlgebra, space: Subspace) -> bool:
+    """Whether s I and I s lie in I for every s in `_generators`.
+
+    A span of basis vectors b_t, t a pivot, is tested on the table cells:
+    s b_t and b_t s are the cells (s, t) and (t, s), whose stored
+    coefficients are all nonzero, so each lies in I exactly when every
+    index it names is a pivot.  Any other I is tested on the residues of
+    the translates of its rows."""
     gens = _generators(a)
+    if space._basis_spanned():
+        pivots, mul = space._tails, a.mul
+        return all(r in pivots for s in gens for t in pivots
+                   for cell in (mul[s][t], mul[t][s]) for r, _ in cell)
     return all(
         not space.residue(left) and not space.residue(right)
         for v in space.rows
@@ -814,14 +845,33 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
 
 
 def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """The span of the products x y, x a row of u and y a row of v.  Each
-    product is summed over the nonzero entries of its two rows, and only the
-    nonzero products reach the RREF."""
+    """The span of the products x y, x a row of u and y a row of v; only the
+    nonzero products reach the RREF.
+
+    Where u and v are both spanned by basis vectors, the products are the
+    table cells (i, j), i a pivot of u and j one of v.  Otherwise each
+    product is summed over the nonzero entries of its two rows."""
     f = a.field
-    v_terms = [[(j, y) for j, y in enumerate(row) if y] for row in v.rows]
-    products = []
-    for x in u.rows:
-        x_terms = [(i, a.mul[i], xi) for i, xi in enumerate(x) if xi]
+    if u._basis_spanned() and v._basis_spanned():
+        products = [cell for i in u._tails for row in (a.mul[i],) for j in v._tails if (cell := row[j])]
+    else:
+        products = _row_products(f, a.mul, u.rows, v.rows)
+    zero = f.zero()
+    dense_rows = []
+    for terms in products:
+        dense = [zero] * a.dim
+        for r, coeff in terms:
+            dense[r] = coeff
+        dense_rows.append(dense)
+    return Subspace(a, dense_rows)
+
+
+def _row_products(field: Field, mul, u_rows, v_rows):
+    """The nonzero products x y, x in `u_rows` and y in `v_rows`, as
+    (r, coeff) pairs, each summed over the nonzero entries of its two rows."""
+    v_terms = [[(j, y) for j, y in enumerate(row) if y] for row in v_rows]
+    for x in u_rows:
+        x_terms = [(i, mul[i], xi) for i, xi in enumerate(x) if xi]
         for y_terms in v_terms:
             acc = {}
             for i, row_i, xi in x_terms:
@@ -829,12 +879,8 @@ def subspace_product(a: FinDimAlgebra, u: Subspace, v: Subspace) -> Subspace:
                     c = xi * yj
                     for r, coeff in row_i[j]:
                         acc[r] = acc.get(r, 0) + c * coeff
-            if acc and any(residue := f.canonical(acc.values())):
-                dense = [f.zero()] * a.dim
-                for r, coeff in zip(acc, residue):
-                    dense[r] = coeff
-                products.append(dense)
-    return Subspace(a, products)
+            if acc and any(residue := field.canonical(acc.values())):
+                yield tuple(zip(acc, residue))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .coalgebra import (
 from .codec import SCHEMA_VERSION, _bounded_dim, census_to_csv, loads, to_canonical_json
 from .errors import PreconditionError, SchemaMismatchError, UsageError
 from .kernel import GF, QQ
+from .obs import span
 from .qplane import _MAX_JET_DIM, azumaya_census, azumaya_point_invariants, oq_truncation
 from .selftest import ALL_KEYS, SUITES, run_suite
 from .twist import (
@@ -409,7 +410,9 @@ def cli_run(argv, stdout=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args, argv, stdout)
+        with span("cli.run", command=args.command) as run:
+            run["rc"] = code = _HANDLERS[args.command](args, argv, stdout)
+        return code
     except (SchemaMismatchError, UsageError, OSError, ValueError) as exc:
         stdout.write(f"error: {exc}\n")
         return 2

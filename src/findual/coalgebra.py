@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kernel import Matrix, PrimeField
 from .kernel.fields import Field
+from .obs import span
 
 
 class FinDimCoalgebra:
@@ -250,9 +251,12 @@ def _validate_coalgebra(c: FinDimCoalgebra):
                     diff[i, x, y] = diff.get((i, x, y), 0) - cf * cf2
             yield "coassociativity", (r,), diff
 
-    counit = _counit_failure(c)
-    certified, mul, gens = (False, None, None) if counit else _light_certified(c)
-    coassoc = None if certified else _first_failure(f, coassociative())
+    with span("coalgebra.validate_coalgebra", dim=c.dim) as check:
+        counit = _counit_failure(c)
+        certified, mul, gens = (False, None, None) if counit else _light_certified(c)
+        check["certificate"] = "light" if certified else "scan"
+        check["S"] = None if gens is None else len(gens)
+        coassoc = None if certified else _first_failure(f, coassociative())
     if coassoc:
         coassoc = ("coassociativity", coassoc[1] + _coassociativity_witness(c, *coassoc[1]))
     failures = (coassoc, counit)
@@ -389,13 +393,14 @@ def dualize_algebra(a: FinDimAlgebra) -> FinDimCoalgebra:
     out sorted, with one canonical nonzero coefficient per (i, j), which is
     the form `FinDimCoalgebra` stores, so it is not normalized again.
     """
-    if a._gens is None and not validate_algebra(a).ok:
-        raise InvalidInputError("algebra fails validation")
-    comul = [[] for _ in range(a.dim)]
-    for i, row in enumerate(a.mul):
-        for j, cell in enumerate(row):
-            for r, c in cell:
-                comul[r].append((i, j, c))
+    with span("coalgebra.dualize_algebra", dim=a.dim, certified=a._gens is not None):
+        if a._gens is None and not validate_algebra(a).ok:
+            raise InvalidInputError("algebra fails validation")
+        comul = [[] for _ in range(a.dim)]
+        for i, row in enumerate(a.mul):
+            for j, cell in enumerate(row):
+                for r, c in cell:
+                    comul[r].append((i, j, c))
     dual = object.__new__(FinDimCoalgebra)
     dual._store(a.field, a.labels, tuple(map(tuple, comul)), a.unit)
     return dual
@@ -411,11 +416,12 @@ def dualize_coalgebra(c: FinDimCoalgebra) -> FinDimAlgebra:
     Light's test built it; as the transpose of a normalized comultiplication
     it is normal (see `_dual_table`), so it is not normalized again.
     """
-    report, mul, gens = _validate_coalgebra(c)
-    if not report.ok:
-        raise InvalidInputError("coalgebra fails validation")
-    if mul is None:
-        mul = _dual_table(c)
+    with span("coalgebra.dualize_coalgebra", dim=c.dim):
+        report, mul, gens = _validate_coalgebra(c)
+        if not report.ok:
+            raise InvalidInputError("coalgebra fails validation")
+        if mul is None:
+            mul = _dual_table(c)
     return _from_normal_table(c.field, c.labels, mul, c.counit, True if gens is None else tuple(gens))
 
 

@@ -16,6 +16,12 @@ another order is checked for repeats and sorted.  A failed check falls back
 to the per-entry walk (`_index_triples`, `_scalar_in`), which names the
 first bad entry in document order.  A map's matrix is type-checked here and
 reduced once, by the `TwistingMap` or `CotwistingMap` constructor.
+
+`to_canonical_json` writes the bulk of a document as text, with no JSON
+object per item: the entries of a table (`_entry_text`) and the fibers of a
+census report (`_fiber_texts`, one profile text per distinct profile).  The
+bytes are those of one json.dumps call on `encode`'s document, whose lists
+and dicts `encode` still returns.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .coalgebra import CoalgebraHom, DualTower, FinDimCoalgebra
 from .errors import BadParamsError, SchemaMismatchError
 from .kernel import Matrix, field_from_json, field_to_json
 from .kernel.fields import Field
+from .obs import span
 from .qplane import CensusReport, FiberRecord
 from .twist import Bialgebra, CotwistingMap, TwistingMap
 
@@ -197,17 +204,18 @@ def _require(doc, key, types=None):
 
 
 def encode(value):
-    return _doc(value, _entry_lists)
+    return _doc(value, False)
 
 
-def _doc(value, writer):
-    """`value`'s document, each entry of an algebra's or a coalgebra's table
-    written by writer(field) (`_entry_lists` or `_entry_text`): at the top
-    level and in both tables of a bialgebra; a nested algebra or coalgebra
-    is encoded."""
+def _doc(value, text: bool):
+    """`value`'s document.  Where `text` is set, each entry of an algebra's
+    or a coalgebra's table, at the top level and in both tables of a
+    bialgebra, is written as JSON text (`_entry_text`, not `_entry_lists`),
+    and so is each fiber of a census report (`_fiber_texts`, not
+    `_fiber_dicts`); a nested algebra or coalgebra is encoded."""
     if isinstance(value, FinDimAlgebra):
         f = value.field
-        entry = writer(f)
+        entry = (_entry_text if text else _entry_lists)(f)
         return {
             "type": "algebra",
             "field": field_to_json(f),
@@ -219,7 +227,7 @@ def _doc(value, writer):
         }
     if isinstance(value, FinDimCoalgebra):
         f = value.field
-        entry = writer(f)
+        entry = (_entry_text if text else _entry_lists)(f)
         return {
             "type": "coalgebra",
             "field": field_to_json(f),
@@ -251,8 +259,8 @@ def _doc(value, writer):
             "matrix": _scalars_out(value.c.field, value.matrix.entries),
         }
     if isinstance(value, Bialgebra):
-        alg_doc = _doc(value.alg, writer)
-        coalg_doc = _doc(value.coalg, writer)
+        alg_doc = _doc(value.alg, text)
+        coalg_doc = _doc(value.coalg, text)
         return {
             "type": "bialgebra",
             "field": alg_doc["field"],
@@ -282,21 +290,38 @@ def _doc(value, writer):
             "type": "census-report",
             "n": value.n,
             "p": value.p,
-            "fibers": [
-                {
-                    "c": int(f.c),
-                    "d": int(f.d),
-                    "azumaya": f.azumaya,
-                    "profile": {
-                        "radical_dim": f.profile.radical_dim,
-                        "factors": [list(pair) for pair in f.profile.factors],
-                    },
-                }
-                for f in value.fibers
-            ],
+            "fibers": (_fiber_texts if text else _fiber_dicts)(value.fibers),
             "aggregate": dict(value.aggregate),
         }
     raise SchemaMismatchError(f"cannot encode value of type {type(value).__name__}")
+
+
+def _fiber_dicts(fibers):
+    """encode's census fibers: one dict per `FiberRecord`."""
+    return [{"c": int(f.c), "d": int(f.d), "azumaya": f.azumaya, "profile": _profile_doc(f.profile)}
+            for f in fibers]
+
+
+def _profile_doc(profile: SemisimpleProfile):
+    return {"radical_dim": profile.radical_dim, "factors": [list(pair) for pair in profile.factors]}
+
+
+def _fiber_texts(fibers):
+    """`to_canonical_json`'s census fibers: each the JSON text of its
+    `_fiber_dicts` dict, keys sorted.  The text around c and d is written
+    once per distinct (azumaya, profile), so a fiber costs two ints; equal
+    keys have equal text, as azumaya is a bool and the profile's dims are
+    ints in every report the census or `decode` gives."""
+    parts = {}
+    out = []
+    for f in fibers:
+        key = f.azumaya, f.profile
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = (f'{{"azumaya":{_dumps(f.azumaya)},"c":',
+                                 f',"profile":{_dumps(_profile_doc(f.profile))}}}')
+        out.append(f'{part[0]}{int(f.c)},"d":{int(f.d)}{part[1]}')
+    return out
 
 
 def decode(doc):
@@ -414,7 +439,7 @@ def _decode_matrix(doc) -> Matrix:
 
 _JSON_BLOCK = 512
 # the top-level keys whose entries `to_canonical_json` writes as text
-_TABLE_KEYS = ("mul", "comul")
+_TEXT_KEYS = ("mul", "comul", "fibers")
 
 
 def to_canonical_json(value) -> str:
@@ -425,25 +450,30 @@ def to_canonical_json(value) -> str:
     is a document with string keys.  The entries of an algebra's `mul` and
     a coalgebra's `comul`, at the top level and in a bialgebra, are written
     straight from the table as ``[a,b,c,x]`` text (`_entry_text`), with no
-    list per entry.  Every other top-level list is serialized `_JSON_BLOCK`
-    items at a time: json.dumps holds a string object for every token until
-    it joins them, about 20 bytes per output byte.
+    list per entry, and a census report's fibers straight from its records
+    (`_fiber_texts`), with no dict per fiber.  Every other top-level list
+    is serialized `_JSON_BLOCK` items at a time: json.dumps holds a string
+    object for every token until it joins them, about 20 bytes per output
+    byte.
     """
-    if isinstance(value, dict):
-        doc, texts = value, ()
-    else:
-        doc, texts = _doc(value, _entry_text), _TABLE_KEYS
-    parts = []
-    for key in sorted(doc):
-        val = doc[key]
-        if key in texts:
-            parts.append(f"{_dumps(key)}:[{','.join(val)}]")
-        elif isinstance(val, list):
-            blocks = (_dumps(val[k:k + _JSON_BLOCK])[1:-1] for k in range(0, len(val), _JSON_BLOCK))
-            parts.append(f"{_dumps(key)}:[{','.join(blocks)}]")
+    with span("codec.to_canonical_json", type=type(value).__name__) as write:
+        if isinstance(value, dict):
+            doc, texts = value, ()
         else:
-            parts.append(f"{_dumps(key)}:{_dumps(val)}")
-    return "{" + ",".join(parts) + "}\n"
+            doc, texts = _doc(value, True), _TEXT_KEYS
+        parts = []
+        for key in sorted(doc):
+            val = doc[key]
+            if key in texts:
+                parts.append(f"{_dumps(key)}:[{','.join(val)}]")
+            elif isinstance(val, list):
+                blocks = (_dumps(val[k:k + _JSON_BLOCK])[1:-1] for k in range(0, len(val), _JSON_BLOCK))
+                parts.append(f"{_dumps(key)}:[{','.join(blocks)}]")
+            else:
+                parts.append(f"{_dumps(key)}:{_dumps(val)}")
+        text = "{" + ",".join(parts) + "}\n"
+        write["bytes"] = len(text)
+    return text
 
 
 def _dumps(value) -> str:
@@ -451,11 +481,12 @@ def _dumps(value) -> str:
 
 
 def loads(text: str):
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaMismatchError(f"malformed JSON: {exc}") from exc
-    return decode(doc)
+    with span("codec.loads", chars=len(text)):
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaMismatchError(f"malformed JSON: {exc}") from exc
+        return decode(doc)
 
 
 def codec_roundtrip(value):

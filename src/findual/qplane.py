@@ -83,6 +83,7 @@ from .errors import (
 )
 from .kernel import GF, Matrix, check_root_order, primitive_root_of_unity
 from .kernel.poly import _factor_degrees
+from .obs import span
 from .twist import TwistingMap, check_twisting_map, tensor_swap
 
 
@@ -309,7 +310,10 @@ def _orbit_class(field, fiber, n: int, c: int, d: int) -> _OrbitClass:
     divmod(t, n), so the profile reads J and the center of A/J off the
     graded kernels (`_graded_top`)."""
     alg = _monomial_algebra(field, n, n, fiber, _xy(n))
-    rad, factors = _graded_top(alg, n)
+    with span("qplane.orbit_class", n=n, p=field.p, c=c, d=d) as top:
+        rad, factors = _graded_top(alg, n)
+        # `_graded_top` reads a top off mu exactly where J is not 0
+        top["top"] = "mu" if rad.dim else "center"
     prof = SemisimpleProfile(rad.dim, factors)
     azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
     # over GF(p) a simple factor of dimension 1 is k: one character each
@@ -438,10 +442,12 @@ def _graded_top(alg: FinDimAlgebra, n: int):
     survives, as at (0, 0).  So A/J = k[t]/(mu), mu the minimal polynomial
     of g, read on the fiber's own table modulo J, which drops the pivot
     coordinates (`algebra._minimal_polynomial`).  J is checked to be a
-    proper ideal, as `quotient_algebra` would, and mu to have degree
-    dim A/J and no repeated factor; then A/J is the product of the fields
-    k[t]/(h) over the irreducible factors h of mu, each of (dim, center dim)
-    (deg h, deg h), read off a distinct-degree factorization
+    proper ideal, as `quotient_algebra` would: J is spanned by basis
+    vectors, so `is_ideal` reads the cells (s, t) and (t, s) for s = x, y
+    and t a pivot of J, 4 dim J cells and no residue.  mu is checked to
+    have degree dim A/J and no repeated factor; then A/J is the product of
+    the fields k[t]/(h) over the irreducible factors h of mu, each of (dim,
+    center dim) (deg h, deg h), read off a distinct-degree factorization
     (`_factor_degrees`).  No quotient table, center or idempotent is built.
 
     Otherwise both generators survive and J = 0: off the axes x and y are
@@ -471,6 +477,13 @@ def _graded_top(alg: FinDimAlgebra, n: int):
     return rad, tuple(sorted(factor[1:] for factor in _simple_factors(alg, rows)))
 
 
+# The census lists p^2 fibers, so its time and its report grow as p^2:
+# (12, 157), 24,649 fibers, is the largest census timed at desk scale, and
+# (2, 1009) would write 80 MB of JSON.  So p^2 is bounded above every
+# pinned, tested and benchmarked census: p <= 199 passes.
+_MAX_CENSUS_FIBERS = 40_000
+
+
 def azumaya_census(n: int, p: int) -> CensusReport:
     """Profile every central fiber (c, d) in GF(p)^2 and tabulate the
     Azumaya/axis split with its rational-point counts.
@@ -496,6 +509,12 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     fiber builds no table: the check lam^n c0 = c, mu^n d0 = d certifies it
     isomorphic to its class's first fiber.  So (n + 1)(n + 2) / 2 fibers are
     built, and the census costs O(p^2 + (n + 1)(n + 2) / 2 rep).
+
+    The report lists p^2 fibers, so p^2 above `_MAX_CENSUS_FIBERS` is
+    refused with BadParamsError, after the order checks and before the
+    search for the root of unity.  In process, on a 2-core x86-64 machine
+    with CPython 3.11.7, the census takes 3.7 ms at (4, 17) and 74 ms at
+    (8, 73), and its JSON (`codec._fiber_texts`) 0.2 ms at (4, 17).
     """
     # only the cheap order checks come before p <= n^2 is refused: when n is
     # near sqrt(p), the search for the root of unity is refused for its length
@@ -503,6 +522,9 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     check_root_order(field, n)
     if p <= n * n:
         raise CharacteristicTooSmallError(f"census needs p > n^2; got p = {p}, n = {n}")
+    if p * p > _MAX_CENSUS_FIBERS:
+        raise BadParamsError(f"census of p^2 = {p * p} fibers exceeds the bound {_MAX_CENSUS_FIBERS}; "
+                             f"got p = {p}")
     q = primitive_root_of_unity(field, n)
     table = _certified_exponent_table(n)
     _certify_mirror(table, n)
@@ -587,34 +609,40 @@ def _azumaya_point(n: int, p: int, c, d):
 def _jet_algebra(field, fiber, table, n: int, c: int, d: int) -> FinDimAlgebra:
     """`regular_point_jet_algebra` from the certified exponent table `table`
     and its instance `fiber` at (c, d) (`_fiber_table`)."""
-    p = field.p
-    c_inv, d_inv = field.inv(c), field.inv(d)
-    labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
-    mul = []
-    for row, flags in zip(fiber, table):
-        for e1 in range(3):
-            jet_row = []
+    with span("qplane.jet_algebra", n=n, dim=3 * n * n):
+        p = field.p
+        c_inv, d_inv = field.inv(c), field.inv(d)
+        labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
+        width = 3 * n * n
+        mul = []
+        for row, flags in zip(fiber, table):
+            # cell (3s + e1, 3t + e2) of the jet rows of fiber row s; a cell
+            # whose jets are u and v is 0
+            ones, us, vs = [], [], []
             for ((r, k0),), (_, _, a, b) in zip(row, flags):
-                for e2 in range(3):
-                    if e1 and e2:
-                        cell = ()
-                    elif e1 or e2:
-                        cell = ((3 * r + e1 + e2, k0),)
-                    else:
-                        cell = ((3 * r, k0),)
-                        if a:
-                            cell += ((3 * r + 1, k0 * c_inv % p),)
-                        if b:
-                            cell += ((3 * r + 2, k0 * d_inv % p),)
-                    jet_row.append(cell)
-            mul.append(jet_row)
-    unit = [field.one()] + [field.zero()] * (len(labels) - 1)
-    return _from_normal_table(field, labels, mul, unit, (3, 3 * n) if n > 1 else (1, 2))
+                r *= 3
+                cell = ((r, k0),)
+                if a:
+                    cell += ((r + 1, k0 * c_inv % p),)
+                if b:
+                    cell += ((r + 2, k0 * d_inv % p),)
+                ones.append(cell)
+                us.append(((r + 1, k0),))
+                vs.append(((r + 2, k0),))
+            row_1 = [None] * width
+            row_1[0::3], row_1[1::3], row_1[2::3] = ones, us, vs
+            row_u = [()] * width
+            row_u[0::3] = us
+            row_v = [()] * width
+            row_v[0::3] = vs
+            mul += (row_1, row_u, row_v)
+        unit = [field.one()] + [field.zero()] * (len(labels) - 1)
+        return _from_normal_table(field, labels, mul, unit, (3, 3 * n) if n > 1 else (1, 2))
 
 
 # The jet algebra has dim 3n^2 and its invariants cost O(n^4), the cells of
-# its table: n = 12 (dim 432) takes 0.14-0.16 s in process, 0.26 s as a CLI
-# run, on a 2-core x86-64 machine with CPython 3.11.7.
+# its table: n = 12 (dim 432) takes 75 ms in process, 0.20 s as a CLI run,
+# on a 2-core x86-64 machine with CPython 3.11.7.
 _MAX_JET_DIM = 432
 
 
@@ -626,6 +654,12 @@ def azumaya_point_invariants(n: int, p: int, c, d) -> PointInvariants:
     the radical and the center are graded kernels (gate: p coprime to 3n).
     The radical must be exactly (u, v); then the top is fiber(c, d), which
     `_orbit_class` profiles from the fiber table the jet was built on.
+    (u, v) is spanned by basis vectors, so `subspace_product` reads J^2 off
+    the 4n^4 cells (u|v)(u|v), each empty where J^2 = 0.  The jet's rows
+    are built whole (`_jet_algebra`).  In process, on a 2-core x86-64
+    machine with CPython 3.11.7, (5, 31, 26, 23) takes 2.8 ms and
+    (12, 157, 2, 3) 75 ms (4.0 and 117 ms with the row products and jet
+    rows that branched per cell).
     `measure_point_invariants` is the oracle.
     """
     # the field and the order of q first, so that a bad modulus or order is

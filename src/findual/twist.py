@@ -56,6 +56,7 @@ from .errors import (
 )
 from .kernel import Matrix, Poly, solve_linear
 from .kernel.fields import Field
+from .obs import span
 
 
 class TwistingMap:
@@ -225,7 +226,9 @@ def check_twisting_map(rho: TwistingMap) -> TwistReport:
                                 diff[u * db + w] = diff.get(u * db + w, 0) - cc * c3
                     yield "multiplicative-B", (j1, j2, i), diff
 
-    failures = (_first_failure(a.field, normal()), _first_failure(a.field, multiplicative()))
+    with span("twist.check_twisting_map", dims=[da, db]) as check:
+        failures = (_first_failure(a.field, normal()), _first_failure(a.field, multiplicative()))
+        check["ok"] = not any(failures)
     return TwistReport(*(w is None for w in failures), tuple(w for w in failures if w))
 
 
@@ -376,7 +379,9 @@ def check_cotwisting_map(phi: CotwistingMap) -> CotwistReport:
                             diff[y, v, u] = diff.get((y, v, u), 0) - cc * cf3
                 yield "comultiplicative-D", (r, s), diff
 
-    failures = (_first_failure(c.field, conormal()), _first_failure(c.field, comultiplicative()))
+    with span("twist.check_cotwisting_map", dims=[dc, dd]) as check:
+        failures = (_first_failure(c.field, conormal()), _first_failure(c.field, comultiplicative()))
+        check["ok"] = not any(failures)
     return CotwistReport(*(w is None for w in failures), tuple(w for w in failures if w))
 
 

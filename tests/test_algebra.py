@@ -1309,6 +1309,46 @@ def raw_cells(draw, a):
     return table
 
 
+def dense_monogenic_algebra(field, modulus, var="t"):
+    """k[t]/(f) as `monogenic_algebra` built it before its cells were
+    sparse: t^(i+j) mod f by `Poly` arithmetic, one dense coefficient list
+    per cell, normalized by `FinDimAlgebra`."""
+    d = modulus.degree()
+    monic = modulus.monic()
+    powers = []
+    cur = Poly.constant(field, field.one())
+    t = Poly.x(field)
+    for _ in range(2 * d - 1):
+        powers.append(list(cur.coeffs) + [field.zero()] * (d - len(cur.coeffs)))
+        cur = (cur * t) % monic
+    mul = [[powers[i + j] for j in range(d)] for i in range(d)]
+    labels = ["1"] + [var if k == 1 else f"{var}^{k}" for k in range(1, d)]
+    return FinDimAlgebra(field, labels, mul, basis_vec(field, d, 0))
+
+
+@st.composite
+def moduli(draw):
+    """A field of `PROPERTY_FIELDS` and a polynomial over it of degree 1 to
+    9, not monic, sparse (t^d, t^d - 1 and the like) or dense."""
+    f = draw(st.sampled_from(PROPERTY_FIELDS))
+    d = draw(st.integers(1, 9))
+    low = draw(st.lists(st.one_of(st.just(f.zero()), small_scalars(f)), min_size=d, max_size=d))
+    return f, Poly(f, low + [draw(small_scalars(f, nonzero=True))])
+
+
+class TestSparseMonogenic:
+    @settings(max_examples=150)
+    @given(moduli())
+    def test_equals_the_dense_build(self, modulus):
+        from findual.codec import to_canonical_json
+
+        f, g = modulus
+        a, want = monogenic_algebra(f, g), dense_monogenic_algebra(f, g)
+        assert a == want and a._gens is None
+        assert to_canonical_json(a) == to_canonical_json(want)
+        assert_normal_table(a)
+
+
 class TestNormalization:
     def test_named_constructors(self):
         """The public constructors store the table their own checked
@@ -1320,12 +1360,12 @@ class TestNormalization:
 
         public = [
             lambda: matrix_algebra(F5, 3), lambda: triangular_algebra(QQ, 3),
-            lambda: truncated_polynomial_algebra(GF(7), 5), lambda: cyclic_group_algebra(QQ, 4),
             lambda: diagonal_algebra(F5, 3),
         ]
         triangular = triangular_algebra(GF(7), 3)
         swap = tensor_swap(matrix_algebra(F5, 2), triangular_algebra(F5, 2))
         private = [
+            lambda: truncated_polynomial_algebra(GF(7), 5), lambda: cyclic_group_algebra(QQ, 4),
             lambda: oq_truncation(3, 13, "box", (4, 5)).algebra,
             lambda: oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
             lambda: regular_point_jet_algebra(3, 13, 2, 5),

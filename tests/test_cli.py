@@ -145,7 +145,9 @@ class TestConstruct:
         (["line-dist", "--points", ",".join(str(k) for k in range(1024))], 1024),
         (["path", "--vertices", "78", "--arrows", ",".join(f"{k + 1}-{k}" for k in range(43))], 1024),
         (["path", "--vertices", "2", "--arrows", ",".join(["1-0"] * 1022)], 1024),
-    ], ids=["comatrix", "triangular", "line-dist", "path-line", "path-parallel"])
+        (["poly-algebra", "--n", "1024", "--p", "5"], 1024),
+        (["group-algebra", "--n", "1024", "--p", "5"], 1024),
+    ], ids=["comatrix", "triangular", "line-dist", "path-line", "path-parallel", "poly-algebra", "group-algebra"])
     def test_just_under_the_bound_runs(self, argv, dim):
         code, out = run(["construct", "--kind", *argv])
         assert code == 0 and json.loads(out)["dim"] == dim
@@ -556,6 +558,38 @@ class TestCensusCommands:
         )
         assert proc.returncode == 3
         assert proc.stdout == f"error: census needs p > n^2; got p = {p}, n = {n}\n"
+
+    def test_census_fiber_bound_admits_every_timed_census(self):
+        """The largest census timed at desk scale, (12, 157), and p = 199
+        pass; p = 211, the next prime, is the first refused."""
+        from findual.qplane import _MAX_CENSUS_FIBERS
+
+        assert 157 ** 2 < 199 ** 2 <= _MAX_CENSUS_FIBERS < 211 ** 2
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_census_first_p_over_the_fiber_bound_refused(self, n, monkeypatch):
+        """p = 211 exits 3 naming the bound, before the root search."""
+        from findual import qplane
+
+        def unsearched(*args):
+            raise AssertionError("root searched above the census bound")
+
+        monkeypatch.setattr(qplane, "primitive_root_of_unity", unsearched)
+        code, out = run(["qplane-census", "--n", str(n), "--p", "211"])
+        assert (code, out) == (3, "error: census of p^2 = 44521 fibers exceeds the bound 40000; got p = 211\n")
+
+    def test_census_order_checks_come_before_the_fiber_bound(self):
+        """An order that does not divide p - 1, or whose square is at least
+        p, is named as such above the bound too."""
+        assert run(["qplane-census", "--n", "4", "--p", "211"]) == (3, "error: 4 does not divide 211 - 1\n")
+        assert run(["qplane-census", "--n", "15", "--p", "211"]) == (
+            3, "error: census needs p > n^2; got p = 211, n = 15\n")
+
+    def test_census_just_under_the_fiber_bound_runs(self):
+        code, out = run(["qplane-census", "--n", "2", "--p", "199", "--format", "csv"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1 + 199 ** 2
+        assert sum(line.split(",")[4] == "1" for line in lines[1:]) == 198 ** 2
 
     def test_point(self):
         code, out = run(["qplane-point", "--n", "2", "--p", "5", "--c", "1", "--d", "1"])

@@ -12,7 +12,13 @@ from test_coalgebra import coalgebras, transposed_coalgebra
 from test_twist import perturbed_cotwists, twisting_maps
 
 from findual import codec
-from findual.algebra import FinDimAlgebra, matrix_algebra, triangular_algebra, truncated_polynomial_algebra
+from findual.algebra import (
+    FinDimAlgebra,
+    SemisimpleProfile,
+    matrix_algebra,
+    triangular_algebra,
+    truncated_polynomial_algebra,
+)
 from findual.coalgebra import (
     DualTower,
     FinDimCoalgebra,
@@ -26,7 +32,14 @@ from findual.coalgebra import (
 from findual.codec import census_to_csv, codec_roundtrip, decode, encode, loads, to_canonical_json
 from findual.errors import BadParamsError, SchemaMismatchError
 from findual.kernel import GF, QQ, Matrix
-from findual.qplane import azumaya_census, box_dual_tower, oq_truncation, qtwist_decomposition
+from findual.qplane import (
+    CensusReport,
+    FiberRecord,
+    azumaya_census,
+    box_dual_tower,
+    oq_truncation,
+    qtwist_decomposition,
+)
 from findual.selftest import sweedler_crossed_instance
 from findual.twist import (
     Bialgebra,
@@ -259,11 +272,31 @@ def towers(draw):
 
 
 @st.composite
+def census_reports(draw):
+    """A census at a small (n, p), or a report of records drawn from a few
+    profiles, so that equal profiles recur, as separate objects too."""
+    if draw(st.booleans()):
+        return azumaya_census(*draw(st.sampled_from([(1, 3), (2, 5), (2, 7), (3, 7)])))
+    pool = [SemisimpleProfile(rad, tuple(sorted(factors)))
+            for rad, factors in draw(st.lists(st.tuples(st.integers(0, 40), st.lists(
+                st.tuples(st.integers(1, 16), st.integers(1, 4)), max_size=3)), min_size=1, max_size=3))]
+    records = draw(st.lists(st.builds(FiberRecord, st.integers(0, 300), st.integers(0, 300), st.booleans(),
+                                      st.sampled_from(pool).map(lambda prof: SemisimpleProfile(*prof))),
+                            max_size=20))
+    aggregate = draw(st.dictionaries(st.sampled_from(["azumaya_fibers", "axis_fibers", "azumaya_iff_off_axis"]),
+                                     st.one_of(st.integers(0, 10 ** 6), st.booleans())))
+    return CensusReport(draw(st.integers(1, 9)), draw(st.integers(2, 300)), tuple(records), aggregate)
+
+
+@st.composite
 def documents(draw):
     """A random algebra, coalgebra, bialgebra (tables at the top level),
     dual tower (tables nested in a list), twisting map or cotwisting map
-    (tables nested in an object) over GF(2/3/5/7) or Q."""
-    kind = draw(st.sampled_from(["algebra", "coalgebra", "bialgebra", "tower", "twist", "cotwist"]))
+    (tables nested in an object) over GF(2/3/5/7) or Q, or a census report
+    (fibers at the top level)."""
+    kind = draw(st.sampled_from(["algebra", "coalgebra", "bialgebra", "tower", "twist", "cotwist", "census"]))
+    if kind == "census":
+        return draw(census_reports())
     if kind == "algebra":
         return draw(st.booleans().flatmap(lambda bad: algebras(perturbed=bad)))
     if kind == "coalgebra":

@@ -28,6 +28,7 @@ MODULES = sorted(SRC.rglob("*.py"))
 NAME = "_from_normal_table"
 BUILDERS = {
     ("algebra.py", "quotient_algebra"),
+    ("algebra.py", "monogenic_algebra"),
     ("qplane.py", "_monomial_algebra"),
     ("qplane.py", "_jet_algebra"),
     ("qplane.py", "box_dual_tower"),

@@ -29,6 +29,7 @@ from findual.algebra import (
     semisimple_profile,
     subspace_product,
     triangular_algebra,
+    truncated_polynomial_algebra,
     validate_algebra,
 )
 from findual.cli import cli_run
@@ -920,6 +921,163 @@ class TestAxisTops:
         monkeypatch.setattr(qplane, "_graded_radical", lambda alg, n, degree: Subspace(alg, [xy]))
         with pytest.raises(InvalidInputError, match="a fiber radical of dim 1 holds neither x nor y"):
             qplane._graded_top(alg, n)
+
+
+# ---------------------------------------------------------------------------
+# Cell reads: `is_ideal` and `subspace_product` on spans of basis vectors read
+# table cells, and the jet rows are built whole; the row loops they replace
+# are the oracles.
+
+
+def row_loop_is_ideal(a, space):
+    """`is_ideal` on the residues of the translates of every row."""
+    gens = _generators(a)
+    return all(not space.residue(left) and not space.residue(right)
+               for v in space.rows for left, right in algebra_module._basis_translates(a, v, gens))
+
+
+def row_loop_subspace_product(a, u, v):
+    """`subspace_product` with each product summed over the nonzero entries
+    of its two rows."""
+    f = a.field
+    v_terms = [[(j, y) for j, y in enumerate(row) if y] for row in v.rows]
+    products = []
+    for x in u.rows:
+        x_terms = [(i, a.mul[i], xi) for i, xi in enumerate(x) if xi]
+        for y_terms in v_terms:
+            acc = {}
+            for i, row_i, xi in x_terms:
+                for j, yj in y_terms:
+                    for r, coeff in row_i[j]:
+                        acc[r] = acc.get(r, 0) + xi * yj * coeff
+            if acc and any(residue := f.canonical(acc.values())):
+                dense = [f.zero()] * a.dim
+                for r, coeff in zip(acc, residue):
+                    dense[r] = coeff
+                products.append(dense)
+    return Subspace(a, products)
+
+
+def branchy_jet_algebra(field, fiber, table, n, c, d):
+    """`qplane._jet_algebra` as it was when it branched on the jets of
+    every cell."""
+    p = field.p
+    c_inv, d_inv = field.inv(c), field.inv(d)
+    labels = [f"x^{i}y^{j}{e}" for i in range(n) for j in range(n) for e in ("", "u", "v")]
+    mul = []
+    for row, flags in zip(fiber, table):
+        for e1 in range(3):
+            jet_row = []
+            for ((r, k0),), (_, _, a, b) in zip(row, flags):
+                for e2 in range(3):
+                    if e1 and e2:
+                        cell = ()
+                    elif e1 or e2:
+                        cell = ((3 * r + e1 + e2, k0),)
+                    else:
+                        cell = ((3 * r, k0),)
+                        if a:
+                            cell += ((3 * r + 1, k0 * c_inv % p),)
+                        if b:
+                            cell += ((3 * r + 2, k0 * d_inv % p),)
+                    jet_row.append(cell)
+            mul.append(jet_row)
+    unit = [field.one()] + [field.zero()] * (len(labels) - 1)
+    return FinDimAlgebra(field, labels, mul, unit)
+
+
+def basis_span(alg, indices):
+    return Subspace(alg, [[int(k == t) for k in range(alg.dim)] for t in indices])
+
+
+CELL_READ_CASES = [(3, 13), (4, 17), (5, 31), (6, 37)]
+
+
+def check_cell_reads(alg, spaces):
+    """is_ideal on each space, and subspace_product on each pair, against
+    the row loops."""
+    for u in spaces:
+        assert is_ideal(alg, u) == row_loop_is_ideal(alg, u)
+        for v in spaces:
+            assert subspace_product(alg, u, v) == row_loop_subspace_product(alg, u, v)
+
+
+class TestCellReads:
+    @pytest.mark.parametrize("n,p", CELL_READ_CASES)
+    def test_census_representatives(self, n, p):
+        """Every representative's J is spanned by basis vectors, so the
+        census's ideal check reads cells.  On J, on the span of x (an ideal
+        nowhere: y x = q x y is outside it) and on J plus x, the cell reads
+        agree with the row loops, and so do they with a span that is not of
+        basis vectors (x + y), which takes the row loops."""
+        reps = census_representatives(n, p)
+        assert len(reps) == (n + 1) * (n + 2) // 2
+        y, x = qplane._xy(n)
+        verdicts = []
+        for alg in reps:
+            rad = qplane._graded_radical(alg, n, range(n * n))
+            assert rad._basis_spanned()
+            plus_x = basis_span(alg, sorted({*rad.pivots, x}))
+            x_plus_y = Subspace(alg, [[int(k in (x, y)) for k in range(alg.dim)]])
+            assert not x_plus_y._basis_spanned()
+            check_cell_reads(alg, [rad, basis_span(alg, [x]), plus_x, x_plus_y])
+            verdicts.append((is_ideal(alg, rad), is_ideal(alg, basis_span(alg, [x]))))
+        assert all(verdict == (True, False) for verdict in verdicts)
+
+    @pytest.mark.parametrize("n,p", CELL_READ_CASES)
+    def test_jets(self, n, p):
+        """The jet rows built whole equal the branchy build, as a table and
+        in bytes; J = (u, v) is spanned by basis vectors, an ideal with
+        J^2 = 0, by the cell reads and by the row loops."""
+        rng = random.Random(p)
+        for c, d in [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(2)]:
+            field, q, c, d = qplane._azumaya_point(n, p, c, d)
+            table = qplane._certified_exponent_table(n)
+            fiber = fiber_table(field, q, table, c, d)
+            jet = qplane._jet_algebra(field, fiber, table, n, c, d)
+            old = branchy_jet_algebra(field, fiber, table, n, c, d)
+            assert jet == old and to_canonical_json(jet) == to_canonical_json(old)
+            rad = qplane._graded_radical(jet, n, [r for r in range(n * n) for _ in range(3)])
+            assert rad._basis_spanned() and rad.dim == 2 * n * n
+            check_cell_reads(jet, [rad, basis_span(jet, [3])])
+            assert is_ideal(jet, rad) and subspace_product(jet, rad, rad).dim == 0
+
+    @pytest.mark.parametrize("field", [F5, F7, GF(2)], ids=repr)
+    def test_planted_failures(self, field):
+        """The radical of k[t]/(t^3), span(t, t^2), is spanned by basis
+        vectors and its square, span(t^2), is not 0; span(t) is no ideal,
+        as t t = t^2; span(t^2) is one."""
+        a = truncated_polynomial_algebra(field, 3)
+        rad = _radical_trace_form(a) if field.p > 3 else basis_span(a, [1, 2])
+        assert rad == basis_span(a, [1, 2]) and rad._basis_spanned()
+        square = subspace_product(a, rad, rad)
+        assert square == basis_span(a, [2]) == row_loop_subspace_product(a, rad, rad)
+        assert [is_ideal(a, basis_span(a, ts)) for ts in ([1], [2], [1, 2], [0])] == [False, True, True, False]
+        check_cell_reads(a, [rad, basis_span(a, [1]), basis_span(a, [2]), Subspace(a, [[0, 1, 1]])])
+
+    def test_basis_spanned_non_ideals_in_matrix_algebras(self):
+        """In the upper-triangular matrices span(E12) and span(E11, E12) are
+        ideals; span(E11) is not, by E11 E12 alone, nor span(E22), by
+        E12 E22 alone.  In M_2 no span of E11, E12 and E22 is one."""
+        for alg, want in [(triangular_algebra(F5, 2), [True, False, False, True, False]),
+                          (matrix_algebra(F5, 2), [False] * 5)]:
+            spans = [basis_span(alg, [alg.labels.index(label) for label in labels])
+                     for labels in (["E12"], ["E11"], ["E22"], ["E11", "E12"], ["E11", "E22"])]
+            assert [is_ideal(alg, space) for space in spans] == want
+            check_cell_reads(alg, spans + [radical(alg)])
+
+    @pytest.mark.parametrize("n,p", CELL_READ_CASES)
+    def test_census_text_is_one_dumps_call(self, n, p):
+        """The census report written fiber by fiber as text has the bytes
+        of one json.dumps call on its document, as has its decoded copy."""
+        import json
+
+        from findual.codec import encode, loads
+
+        report = azumaya_census(n, p)
+        text = to_canonical_json(report)
+        assert text == json.dumps(encode(report), sort_keys=True, separators=(",", ":")) + "\n"
+        assert to_canonical_json(loads(text)) == text
 
 
 class TestPointTop:
