@@ -17,7 +17,6 @@ so equal subspaces have equal representations.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -122,12 +121,11 @@ class FinDimAlgebra:
 def _normalize_mul(field: Field, dim: int, mul):
     """One (r, coeff) pair per r with coeff canonical (see `Field.canonical`)
     and nonzero, sorted by r; the coefficients of repeated pairs (i, j, r)
-    are summed.  A cell already in that form, as a tuple, is kept as it is.
+    are summed.
 
     A table that is not dim x dim, a dense cell that does not hold dim
     scalars, or a pair whose r is not an int in [0, dim) is refused with
     BadParamsError, naming the first bad row, cell or index."""
-    p = field.characteristic()
     if len(mul) != dim:
         raise BadParamsError(f"mul has {len(mul)} rows, expected {dim}")
     out = []
@@ -136,20 +134,18 @@ def _normalize_mul(field: Field, dim: int, mul):
             raise BadParamsError(f"mul[{i}] has {len(cells)} cells, expected {dim}")
         row = []
         for j, cell in enumerate(cells):
-            if not _normal_cell(cell, p, dim):
-                if cell and isinstance(cell[0], tuple):
-                    merged = {}
-                    for r, c in cell:
-                        merged[r] = merged.get(r, 0) + c
-                    for r in merged:
-                        if not (type(r) is int and 0 <= r < dim):
-                            raise BadParamsError(f"mul[{i}][{j}] names basis index {r!r}, not an int in [0, {dim})")
-                elif not cell or len(cell) == dim:
-                    merged = dict(enumerate(cell))
-                else:
-                    raise BadParamsError(f"mul[{i}][{j}] has {len(cell)} scalars, expected {dim}")
-                cell = tuple(sorted((r, c) for r, c in zip(merged, field.canonical(merged.values())) if c))
-            row.append(cell)
+            if cell and isinstance(cell[0], tuple):
+                merged = {}
+                for r, c in cell:
+                    merged[r] = merged.get(r, 0) + c
+                for r in merged:
+                    if not (type(r) is int and 0 <= r < dim):
+                        raise BadParamsError(f"mul[{i}][{j}] names basis index {r!r}, not an int in [0, {dim})")
+            elif not cell or len(cell) == dim:
+                merged = dict(enumerate(cell))
+            else:
+                raise BadParamsError(f"mul[{i}][{j}] has {len(cell)} scalars, expected {dim}")
+            row.append(tuple(sorted((r, c) for r, c in zip(merged, field.canonical(merged.values())) if c)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -161,43 +157,20 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     unit, without walking it again; `gens` is the `_gens` to start from
     (None, True or a generating set).
 
-    Only builders whose cells are normal by construction call this: the
-    quotient by an ideal, k[t]/(f) (`monogenic_algebra`), the census and jet
+    Only builders whose cells are normal by construction call this: M_d,
+    the upper-triangular matrices and k^m (`matrix_algebra`,
+    `triangular_algebra`, `diagonal_algebra`), the quotient by an ideal,
+    k[t]/(f) (`monogenic_algebra`), the census and jet
     tables and the box tower's levels (`qplane`), the twisted product's
     table (`twist.raw_twisted_algebra`), the transpose of a normalized
     comultiplication (`coalgebra.dualize_coalgebra`), and a codec document
     whose entries the decoder's checks proved normal
     (`codec._decode_algebra`).  Public input goes through `FinDimAlgebra`,
-    which normalizes.
+    which always normalizes.
     """
     alg = object.__new__(FinDimAlgebra)
     alg._store(field, tuple(labels), tuple(map(tuple, mul)), unit, gens)
     return alg
-
-
-def _normal_cell(cell, p: int, dim: int) -> bool:
-    """Whether `cell` is a tuple of (r, coeff) pairs, r ints in [0, dim)
-    strictly increasing and every coeff canonical and nonzero: the form
-    `_normalize_mul` stores.  Over GF(p), p > 0, a canonical
-    nonzero coeff is an int in [1, p); over Q (p = 0) it is a nonzero int or
-    a Fraction whose denominator is not 1, so a cell holding Fraction(1) is
-    normalized to hold 1."""
-    if type(cell) is not tuple:
-        return False
-    prev = -1
-    for pair in cell:
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        r, c = pair
-        if type(r) is not int or r <= prev:
-            return False
-        if type(c) is int:
-            if not (0 < c < p if p else c):
-                return False
-        elif p or type(c) is not Fraction or c.denominator == 1:
-            return False
-        prev = r
-    return prev < dim
 
 
 def _basis_vec(field: Field, dim: int, i: int):
@@ -302,12 +275,13 @@ def _annihilator(ambient, rows) -> Subspace:
     return Subspace._from_disjoint_blocks(ambient, _block_kernel(ambient.field, rows, range(ambient.dim), ambient.dim))
 
 
-class AlgebraHom:
-    """Linear map between algebras; columns of `matrix` are images of basis."""
+class _Hom:
+    """Linear map between two objects over one field, algebras or
+    coalgebras; columns of `matrix` are images of basis."""
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: FinDimAlgebra, target: FinDimAlgebra, matrix: Matrix):
+    def __init__(self, source, target, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise BadParamsError("hom matrix shape mismatch")
         if not source.field == target.field == matrix.field:
@@ -318,6 +292,15 @@ class AlgebraHom:
 
     def apply(self, vec):
         return self.matrix.apply(list(vec))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source.dim} -> {self.target.dim})"
+
+
+class AlgebraHom(_Hom):
+    """Linear map between algebras; columns of `matrix` are images of basis."""
+
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         src, tgt = self.source, self.target
@@ -349,9 +332,6 @@ class AlgebraHom:
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         """self o inner."""
         return AlgebraHom(inner.source, self.target, self.matrix @ inner.matrix)
-
-    def __repr__(self):
-        return f"AlgebraHom({self.source.dim} -> {self.target.dim})"
 
 
 class Character:
@@ -415,7 +395,7 @@ def matrix_algebra(field: Field, d: int) -> FinDimAlgebra:
     for i in range(d):
         unit[i * d + i] = one
     labels = [f"E{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    return FinDimAlgebra(field, labels, mul, unit)
+    return _from_normal_table(field, labels, mul, unit, None)
 
 
 def triangular_algebra(field: Field, n: int) -> FinDimAlgebra:
@@ -438,7 +418,7 @@ def triangular_algebra(field: Field, n: int) -> FinDimAlgebra:
     unit = [field.zero()] * dim
     for i in range(n):
         unit[idx[(i, i)]] = one
-    return FinDimAlgebra(field, labels, mul, unit)
+    return _from_normal_table(field, labels, mul, unit, None)
 
 
 def monogenic_algebra(field: Field, modulus: Poly, var: str = "t") -> FinDimAlgebra:
@@ -489,7 +469,7 @@ def diagonal_algebra(field: Field, m: int) -> FinDimAlgebra:
     """k^m with the coordinatewise product."""
     one = field.one()
     mul = [[((i, one),) if i == j else () for j in range(m)] for i in range(m)]
-    return FinDimAlgebra(field, [f"e{i + 1}" for i in range(m)], mul, [one] * m)
+    return _from_normal_table(field, [f"e{i + 1}" for i in range(m)], mul, [one] * m, None)
 
 
 # ---------------------------------------------------------------------------

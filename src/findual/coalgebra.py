@@ -18,6 +18,7 @@ from .algebra import (
     _annihilator,
     _first_failure,
     _from_normal_table,
+    _Hom,
     _light_generators,
     one_dim_characters,
     radical,
@@ -100,22 +101,10 @@ class FinDimCoalgebra:
         return f"FinDimCoalgebra(dim={self.dim}, field={self.field!r})"
 
 
-class CoalgebraHom:
+class CoalgebraHom(_Hom):
     """Linear map between coalgebras; columns of `matrix` are basis images."""
 
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FinDimCoalgebra, target: FinDimCoalgebra, matrix: Matrix):
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise BadParamsError("hom matrix shape mismatch")
-        if not source.field == target.field == matrix.field:
-            raise BadParamsError("hom source, target and matrix must share a field")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def apply(self, vec):
-        return self.matrix.apply(list(vec))
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         src, tgt = self.source, self.target
@@ -143,9 +132,6 @@ class CoalgebraHom:
     def is_injective(self) -> bool:
         return self.matrix.rank() == self.source.dim
 
-    def __repr__(self):
-        return f"CoalgebraHom({self.source.dim} -> {self.target.dim})"
-
 
 class Quiver:
     """Finite quiver given by a vertex count and (source, target) arrows."""
@@ -158,30 +144,15 @@ class Quiver:
         for s, t in self.arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise BadParamsError("arrow endpoint out of range")
+        if vertices < 0:
+            raise BadParamsError(f"vertex count must be >= 0; got {vertices}")
 
-    def is_acyclic(self) -> bool:
-        indeg = [0] * self.vertices
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in range(self.vertices) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        return seen == self.vertices
-
-    def path_count(self) -> int:
-        """The number of paths, trivial ones included, counted without
-        listing any, in time and space linear in the arrows: a vertex no
-        arrow touches is one path, and over the others, in topological
-        order, the paths ending at t are the trivial one and each path
-        ending at s extended by an arrow s -> t.  A cyclic quiver, whose
-        path coalgebra is refused, counts 0."""
+    def _topological_order(self):
+        """(order, incoming) for the vertices some arrow touches, in time and
+        space linear in the arrows: `order` lists them sources first, each
+        after every source of its incoming arrows, and `incoming[t]` holds
+        the source of each arrow into t.  None if the quiver has a cycle,
+        which leaves some vertex never freed of its incoming arrows."""
         indeg, outgoing, incoming = {}, {}, {}
         for s, t in self.arrows:
             indeg.setdefault(s, 0)
@@ -194,8 +165,22 @@ class Quiver:
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     order.append(t)
-        if len(order) < len(indeg):
+        return (order, incoming) if len(order) == len(indeg) else None
+
+    def is_acyclic(self) -> bool:
+        return self._topological_order() is not None
+
+    def path_count(self) -> int:
+        """The number of paths, trivial ones included, counted without
+        listing any, in time and space linear in the arrows: a vertex no
+        arrow touches is one path, and over the others, in the topological
+        order of `_topological_order`, the paths ending at t are the trivial
+        one and each path ending at s extended by an arrow s -> t.  A cyclic
+        quiver, whose path coalgebra is refused, counts 0."""
+        found = self._topological_order()
+        if found is None:
             return 0
+        order, incoming = found
         ending = {}
         for v in order:
             ending[v] = 1 + sum(ending[s] for s in incoming.get(v, ()))

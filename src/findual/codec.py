@@ -11,10 +11,10 @@ decoded entries sorted, canonical and nonzero, the form the constructors
 store, so algebras and coalgebras are stored as decoded, without a second
 normalization (`algebra._from_normal_table`, `FinDimCoalgebra._store`), and
 a decoded algebra is not certified.  Entries in the order encode writes
-them, index triples strictly increasing, are kept in that order; only
-another order is checked for repeats and sorted.  A failed check falls back
-to the per-entry walk (`_index_triples`, `_scalar_in`), which names the
-first bad entry in document order.  A map's matrix is type-checked here and
+them, index triples strictly increasing, are kept in that order.  Any other
+order, and any failed check, takes the per-entry walk (`_index_triples`,
+`_scalar_in`), which refuses repeated triples, names the first bad entry in
+document order and sorts.  A map's matrix is type-checked here and
 reduced once, by the `TwistingMap` or `CotwistingMap` constructor.
 
 `to_canonical_json` writes the bulk of a document as text, with no JSON
@@ -125,22 +125,19 @@ def _entries_in(field: Field, doc, key, dim):
     them is not normalized again.
 
     The schema checks run on whole columns: every entry a list of length 4,
-    every index an int (never a bool) in [0, dim), no triple given twice
-    (encode never repeats one), every scalar valid.  Triples that strictly
-    increase, the order encode writes, are distinct and sorted, so they
-    need no set and no sort; any other order is checked for repeats and
-    sorted.  If a check fails, the entries are walked in document order
-    (`_index_triples`, `_scalar_in`) to name the first bad one."""
+    every index an int (never a bool) in [0, dim), the triples strictly
+    increasing (the order encode writes, so distinct and sorted), every
+    scalar valid.  Any other order, and any failed check, takes the walk
+    in document order (`_index_triples`, `_scalar_in`), which refuses a
+    triple given twice, names the first bad entry and sorts."""
     entries = _require(doc, key, list)
     if entries and set(map(type, entries)) == {list} and set(map(len, entries)) == {4}:
         a, b, c, scalars = zip(*entries)
         indices = a + b + c
         if set(map(type, indices)) == {int} and min(indices) >= 0 and max(indices) < dim:
-            ascending = all(map(lt, zip(a, b, c), islice(zip(a, b, c), 1, None)))
-            if ascending or len(set(zip(a, b, c))) == len(entries):
+            if all(map(lt, zip(a, b, c), islice(zip(a, b, c), 1, None))):
                 scalars = field.canonical(_scalars_read(field, scalars))
-                kept = compress(zip(a, b, c, scalars), scalars)
-                return kept if ascending else sorted(kept)
+                return compress(zip(a, b, c, scalars), scalars)
     return sorted((*triple, x) for triple, raw in _index_triples(entries, key, dim)
                   if (x := _scalar_in(field, raw)))
 

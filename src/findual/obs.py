@@ -1,9 +1,12 @@
 """Opt-in tracing spans and run stats at findual's layer boundaries.
 
 `span(name, **attrs)` is a context manager around one call into a layer:
-the CLI dispatch, a validation, a dualization, the codec, a twist check, a
-census orbit class, the jet.  Its attrs carry sizes (dim, n, p, bytes) and
-which certificate or shortcut ran; more can be set inside the block with
+the CLI dispatch, a validation, a dualization, the codec, a twist check,
+the census, a census orbit class, the exponent table's certification, the
+jet.  Its attrs carry sizes (dim, n, p, bytes), counts (the census's
+representatives built, classes mirrored, fibers certified as torus
+images) and which
+certificate or shortcut ran; more can be set inside the block with
 ``s[key] = value``.  Tracing is off unless the environment switches it on,
 and off, `span` returns one shared object that does nothing, so no time is
 read and nothing is kept.  Two environment variables, read once at import,

@@ -285,40 +285,27 @@ class CensusReport(NamedTuple):
     aggregate: dict
 
 
-class _OrbitClass(NamedTuple):
-    """A torus-orbit class of central fibers, carried by its representative."""
-
-    c: int
-    d: int
-    azumaya: bool
-    profile: SemisimpleProfile
-    characters: int  # one-dimensional characters; counted on axis classes only
-
-
 def _xy(n: int):
     """Basis indices of y and x in a central fiber, which generate it; at
     n = 1 the fiber is k and needs none."""
     return (1, n) if n > 1 else ()
 
 
-def _orbit_class(field, fiber, n: int, c: int, d: int) -> _OrbitClass:
-    """Build and profile fiber(c, d) from its table `fiber`, the certified
-    exponent table instantiated at (c, d) (`_fiber_table`):
-    `_certify_associative` proved it associative and unital with generators
-    x and y, so it is marked certified with S = {x, y} and is not validated
-    again.  `_certify_grading` proved basis index t homogeneous of degree
-    divmod(t, n), so the profile reads J and the center of A/J off the
-    graded kernels (`_graded_top`)."""
+def _orbit_class(field, fiber, n: int, c: int, d: int) -> FiberRecord:
+    """The `FiberRecord` of fiber(c, d), the representative of its
+    torus-orbit class in the census, built and profiled from its table
+    `fiber`, the certified exponent table instantiated at (c, d)
+    (`_fiber_table`): `_certify_associative` proved it associative and
+    unital with generators x and y, so it is marked certified with
+    S = {x, y} and is not validated again.  `_certify_grading` proved basis
+    index t homogeneous of degree divmod(t, n), so the profile reads J and
+    the center of A/J off the graded kernels (`_graded_top`)."""
     alg = _monomial_algebra(field, n, n, fiber, _xy(n))
     with span("qplane.orbit_class", n=n, p=field.p, c=c, d=d) as top:
         rad, factors = _graded_top(alg, n)
         # `_graded_top` reads a top off mu exactly where J is not 0
         top["top"] = "mu" if rad.dim else "center"
-    prof = SemisimpleProfile(rad.dim, factors)
-    azumaya = prof.radical_dim == 0 and prof.factors == ((n * n, 1),)
-    # over GF(p) a simple factor of dimension 1 is k: one character each
-    characters = sum(1 for dim, _ in prof.factors if dim == 1) if c * d % field.p == 0 else 0
-    return _OrbitClass(c, d, azumaya, prof, characters)
+    return FiberRecord(c, d, not rad.dim and factors == ((n * n, 1),), SemisimpleProfile(rad.dim, factors))
 
 
 def _certified_exponent_table(n: int):
@@ -330,9 +317,10 @@ def _certified_exponent_table(n: int):
     commutative ring at every point (c, d): over GF(p) for the census, and
     over K = k[u, v]/(u, v)^2 at (c + u, d + v) for the jet algebra.
     """
-    table = _exponent_table(n, n)
-    _certify_grading(table, n)
-    _certify_associative(table, n)
+    with span("qplane.certify", n=n):
+        table = _exponent_table(n, n)
+        _certify_grading(table, n)
+        _certify_associative(table, n)
     return table
 
 
@@ -415,7 +403,7 @@ def _certify_mirror(table, n: int) -> None:
                                         f"the mirror of cell ({sigma(t)}, {sigma(s)})")
 
 
-def _certify_torus_image(field, n: int, c: int, d: int, rep: _OrbitClass, nth_root, inverse):
+def _certify_torus_image(field, n: int, c: int, d: int, rep: FiberRecord, nth_root, inverse):
     """Raise InvalidInputError unless lam^n c0 = c and mu^n d0 = d for some
     lam, mu != 0: on the graded exponent table that makes fiber(c, d)
     isomorphic to fiber(c0, d0).  lam is an n-th root of c / c0, read from
@@ -497,18 +485,20 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     and mirror-symmetric, so that fiber(d, c) is the opposite algebra of
     fiber(c, d) (`_certify_mirror`).  The first fiber of each class in c-major
     order stands for it.  If the mirror class (beta, alpha) of its class
-    (alpha, beta) has no representative yet, the fiber is the class's
-    representative: built from the table, not validated, profiled
-    (`_graded_top`: an axis representative, c = 0, from the minimal
-    polynomial of its one surviving generator, with no quotient table,
-    center or idempotent), and on the axes cd = 0 its one-dimensional
-    characters are counted.  Otherwise the
-    class takes the mirror class's profile and character count, which an
-    algebra shares with its opposite, once the exact field check
-    `_certify_torus_image` puts fiber(d, c) in the mirror class.  Every other
-    fiber builds no table: the check lam^n c0 = c, mu^n d0 = d certifies it
-    isomorphic to its class's first fiber.  So (n + 1)(n + 2) / 2 fibers are
-    built, and the census costs O(p^2 + (n + 1)(n + 2) / 2 rep).
+    (alpha, beta) has no representative yet, the fiber's `FiberRecord`
+    (`_orbit_class`) is the class's representative: built from the table,
+    not validated, and profiled (`_graded_top`: an axis representative,
+    c = 0, from the minimal polynomial of its one surviving generator, with
+    no quotient table, center or idempotent).  Otherwise the class takes
+    the mirror class's profile, which an algebra shares with its opposite,
+    once the exact field check `_certify_torus_image` puts fiber(d, c) in
+    the mirror class.  Every other fiber builds no table: the check
+    lam^n c0 = c, mu^n d0 = d certifies it isomorphic to its class's first
+    fiber.  So (n + 1)(n + 2) / 2 fibers are built, and the census costs
+    O(p^2 + (n + 1)(n + 2) / 2 rep).  On the axes cd = 0 the one-dimensional
+    characters (simple factors of dimension 1) and the nonsplit factors
+    (center dimension above 1) are counted off each fiber's profile, in one
+    pass over its factors.
 
     The report lists p^2 fibers, so p^2 above `_MAX_CENSUS_FIBERS` is
     refused with BadParamsError, after the order checks and before the
@@ -525,35 +515,43 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     if p * p > _MAX_CENSUS_FIBERS:
         raise BadParamsError(f"census of p^2 = {p * p} fibers exceeds the bound {_MAX_CENSUS_FIBERS}; "
                              f"got p = {p}")
-    q = primitive_root_of_unity(field, n)
-    table = _certified_exponent_table(n)
-    _certify_mirror(table, n)
-    # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
-    coset = [field.pow(z, (p - 1) // n) for z in range(p)]
-    nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do
-    # inverse[z] = 1/z by p = (p // z) z + p % z; inverse[0] = 0
-    inverse = [0, 1]
-    for z in range(2, p):
-        inverse.append(-(p // z) * inverse[p % z] % p)
-    classes = {}
-    fibers = []
-    rational_axis_points = 0
-    nonsplit_axis_factors = 0
-    for c in range(p):
-        for d in range(p):
-            key = (coset[c], coset[d])
-            rep = classes.get(key)
-            if rep is not None:
-                _certify_torus_image(field, n, c, d, rep, nth_root, inverse)
-            elif (mirror := classes.get(key[::-1])) is not None:
-                _certify_torus_image(field, n, d, c, mirror, nth_root, inverse)
-                rep = classes[key] = mirror._replace(c=c, d=d)
-            else:
-                rep = classes[key] = _orbit_class(field, _fiber_table(field, q, table, c, d), n, c, d)
-            fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
-            if field.mul(c, d) == field.zero():
-                rational_axis_points += rep.characters
-                nonsplit_axis_factors += sum(1 for _, cd in rep.profile.factors if cd > 1)
+    with span("qplane.census", n=n, p=p) as census:
+        q = primitive_root_of_unity(field, n)
+        table = _certified_exponent_table(n)
+        _certify_mirror(table, n)
+        # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
+        coset = [field.pow(z, (p - 1) // n) for z in range(p)]
+        nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do
+        # inverse[z] = 1/z by p = (p // z) z + p % z; inverse[0] = 0
+        inverse = [0, 1]
+        for z in range(2, p):
+            inverse.append(-(p // z) * inverse[p % z] % p)
+        classes = {}
+        fibers = []
+        built = mirrored = 0
+        rational_axis_points = 0
+        nonsplit_axis_factors = 0
+        for c in range(p):
+            for d in range(p):
+                key = (coset[c], coset[d])
+                rep = classes.get(key)
+                if rep is not None:
+                    _certify_torus_image(field, n, c, d, rep, nth_root, inverse)
+                elif (mirror := classes.get(key[::-1])) is not None:
+                    _certify_torus_image(field, n, d, c, mirror, nth_root, inverse)
+                    rep = classes[key] = mirror._replace(c=c, d=d)
+                    mirrored += 1
+                else:
+                    rep = classes[key] = _orbit_class(field, _fiber_table(field, q, table, c, d), n, c, d)
+                    built += 1
+                fibers.append(FiberRecord(c, d, rep.azumaya, rep.profile))
+                if field.mul(c, d) == field.zero():
+                    # over GF(p) a simple factor of dimension 1 is k: one character each
+                    for dim, center_dim in rep.profile.factors:
+                        rational_axis_points += dim == 1
+                        nonsplit_axis_factors += center_dim > 1
+        # every fiber but the representatives passed `_certify_torus_image`
+        census["built"], census["mirrored"], census["torus"] = built, mirrored, p * p - built
     aggregate = {
         "azumaya_fibers": sum(f.azumaya for f in fibers),
         "axis_fibers": sum(f.c * f.d % p == 0 for f in fibers),

@@ -1351,20 +1351,23 @@ class TestSparseMonogenic:
 
 class TestNormalization:
     def test_named_constructors(self):
-        """The public constructors store the table their own checked
+        """The public constructor stores the table its own checked
         normalization returned.  The builders that emit normal tables, the
-        codec's included, skip the normalization, and their tables are
-        compared with the oracle directly."""
+        named algebra constructors and the codec's included, skip the
+        normalization, and their tables are compared with the oracle
+        directly."""
         from findual.coalgebra import comatrix_coalgebra, dualize_algebra, dualize_coalgebra
         from findual.codec import loads, to_canonical_json
 
         public = [
-            lambda: matrix_algebra(F5, 3), lambda: triangular_algebra(QQ, 3),
-            lambda: diagonal_algebra(F5, 3),
+            lambda: FinDimAlgebra(F5, ["1", "e"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [6, 0]),
         ]
         triangular = triangular_algebra(GF(7), 3)
         swap = tensor_swap(matrix_algebra(F5, 2), triangular_algebra(F5, 2))
         private = [
+            *(lambda build=build, f=f, k=k: build(f, k)
+              for build in (matrix_algebra, triangular_algebra, diagonal_algebra)
+              for f in (GF(2), F5, QQ) for k in range(1, 6)),
             lambda: truncated_polynomial_algebra(GF(7), 5), lambda: cyclic_group_algebra(QQ, 4),
             lambda: oq_truncation(3, 13, "box", (4, 5)).algebra,
             lambda: oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,

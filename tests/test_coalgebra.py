@@ -1,3 +1,4 @@
+import io
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from test_algebra import (
 
 from findual import algebra as algebra_module
 from findual import coalgebra as coalgebra_module
+from findual.cli import cli_run
 from findual.algebra import (
     AlgebraHom,
     _first_failure,
@@ -285,6 +287,69 @@ class TestPathCount:
         assert Quiver(10 ** 12, [(1, 0)]).path_count() == 10 ** 12 + 1
 
 
+def oracle_is_acyclic(quiver):
+    """Kahn's sort with a scan of every arrow per freed vertex, O(V E):
+    acyclic exactly when every vertex is freed of its incoming arrows."""
+    indeg = [0] * quiver.vertices
+    for _, t in quiver.arrows:
+        indeg[t] += 1
+    queue = [v for v in range(quiver.vertices) if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for s, t in quiver.arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
+    return seen == quiver.vertices
+
+
+@st.composite
+def loopy_quivers(draw):
+    """A quiver on 0 to 7 vertices with up to 10 arrows: loops, parallel
+    arrows and isolated vertices all allowed; half the time every arrow is
+    turned to a smaller vertex and loops are dropped, so it is acyclic."""
+    vertices = draw(st.integers(0, 7))
+    if not vertices:
+        return Quiver(0, [])
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    arrows = draw(st.lists(pairs, max_size=10))
+    arrows += draw(st.lists(st.sampled_from(arrows), max_size=3)) if arrows else []
+    if draw(st.booleans()):
+        arrows = [(max(a), min(a)) for a in arrows if a[0] != a[1]]
+    return Quiver(vertices, draw(st.permutations(arrows)))
+
+
+class TestAcyclic:
+    @settings(max_examples=300)
+    @given(loopy_quivers())
+    def test_matches_the_quadratic_sort(self, quiver):
+        """`is_acyclic` reads the shared topological order and agrees with
+        the O(V E) sort; on an acyclic quiver `path_count` is the path
+        coalgebra's dim."""
+        acyclic = quiver.is_acyclic()
+        assert acyclic == oracle_is_acyclic(quiver)
+        if acyclic:
+            assert quiver.path_count() == path_coalgebra(F5, quiver).dim
+
+    @pytest.mark.parametrize("build", [
+        lambda: Quiver(-3, []).path_count(),
+        lambda: path_coalgebra(GF(5), Quiver(-3, [])),
+    ], ids=["path_count", "path_coalgebra"])
+    def test_negative_vertex_count_refused(self, build):
+        with pytest.raises(BadParamsError, match="vertex count must be >= 0; got -3"):
+            build()
+
+    def test_negative_vertex_count_cli(self):
+        """An arrow is checked first, so its line is the one printed."""
+        out = io.StringIO()
+        argv = ["construct", "--kind", "path", "--vertices", "-3", "--arrows", "1-0", "--p", "5"]
+        assert cli_run(argv, stdout=out) == 3
+        assert out.getvalue() == "error: arrow endpoint out of range\n"
+
+
 class TestConstructors:
     def test_divided_power_table(self):
         c = divided_power_coalgebra(F5, 3)
@@ -484,6 +549,18 @@ class TestTowers:
         c = divided_power_coalgebra(F5, 2)
         with pytest.raises(BadParamsError, match="share a field"):
             CoalgebraHom(c, c, Matrix(other, 2, 2, [1, 0, 0, 1]))
+
+    def test_hom_classes_share_shape_check_apply_and_repr(self):
+        """Both hom classes check the matrix shape, apply it and name
+        themselves in their repr the same way."""
+        small, big = divided_power_coalgebra(F5, 2), divided_power_coalgebra(F5, 3)
+        inc = canonical_inclusion(small, big)
+        assert (repr(inc), inc.apply((1, 2))) == ("CoalgebraHom(2 -> 3)", [1, 2, 0])
+        a = diagonal_algebra(F5, 2)
+        assert repr(AlgebraHom(a, a, Matrix.identity(F5, 2))) == "AlgebraHom(2 -> 2)"
+        for hom, src in ((CoalgebraHom, small), (AlgebraHom, a)):
+            with pytest.raises(BadParamsError, match="hom matrix shape mismatch"):
+                hom(src, src, Matrix(F5, 3, 2, [1, 0, 0, 1, 0, 0]))
 
 
 class TestEmbeddingFunctor:

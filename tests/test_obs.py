@@ -100,13 +100,33 @@ def test_census_spans(traced):
     recs = records(traced)
     assert_nested(recs)
     assert Counter(rec["name"] for rec in recs) == {
-        "cli.run": 1, "qplane.orbit_class": 15, "codec.to_canonical_json": 1}
+        "cli.run": 1, "qplane.census": 1, "qplane.certify": 1, "qplane.orbit_class": 15,
+        "codec.to_canonical_json": 1}
     classes = [rec["attrs"] for rec in recs if rec["name"] == "qplane.orbit_class"]
     # axis classes (c = 0) read their top off mu; off-axis ones off the center
     assert all(cls["top"] == ("mu" if cls["c"] == 0 else "center") for cls in classes)
     assert sum(cls["c"] == 0 for cls in classes) == 5 and {(cls["n"], cls["p"]) for cls in classes} == {(4, 17)}
     (write,) = [rec for rec in recs if rec["name"] == "codec.to_canonical_json"]
     assert write["attrs"] == {"type": "CensusReport", "bytes": len(out)}
+
+
+def test_census_and_certify_spans(traced):
+    """The census span sits under the dispatch and holds the certification
+    and every orbit class; its counts at (4, 17): 15 representatives built,
+    10 classes that took their mirror's profile, and the other 274 of the
+    289 fibers certified as torus images.  A point runs one certification."""
+    assert run(["qplane-census", "--n", "4", "--p", "17"])[0] == 0
+    assert run(["qplane-point", "--n", "3", "--p", "13", "--c", "2", "--d", "5"])[0] == 0
+    recs = records(traced)
+    by_id = {rec["id"]: rec for rec in recs}
+    (census,) = [rec for rec in recs if rec["name"] == "qplane.census"]
+    assert census["attrs"] == {"n": 4, "p": 17, "built": 15, "mirrored": 10, "torus": 274}
+    assert by_id[census["parent"]]["name"] == "cli.run"
+    certify = [rec for rec in recs if rec["name"] == "qplane.certify"]
+    assert [(rec["attrs"], by_id[rec["parent"]]["name"]) for rec in certify] == [
+        ({"n": 4}, "qplane.census"), ({"n": 3}, "cli.run")]
+    classes = [rec["parent"] for rec in recs if rec["name"] == "qplane.orbit_class" and rec["attrs"]["n"] == 4]
+    assert classes == [census["id"]] * 15
 
 
 def test_point_and_validation_spans(traced, tmp_path):

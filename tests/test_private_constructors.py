@@ -27,6 +27,9 @@ SRC = Path(findual.__file__).parent
 MODULES = sorted(SRC.rglob("*.py"))
 NAME = "_from_normal_table"
 BUILDERS = {
+    ("algebra.py", "matrix_algebra"),
+    ("algebra.py", "triangular_algebra"),
+    ("algebra.py", "diagonal_algebra"),
     ("algebra.py", "quotient_algebra"),
     ("algebra.py", "monogenic_algebra"),
     ("qplane.py", "_monomial_algebra"),
