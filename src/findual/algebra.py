@@ -17,7 +17,6 @@ so equal subspaces have equal representations.
 from __future__ import annotations
 
 import operator
-from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -160,11 +159,12 @@ def _from_normal_table(field: Field, labels, mul, unit, gens) -> FinDimAlgebra:
     Only builders whose cells are normal by construction call this: M_d,
     the upper-triangular matrices and k^m (`matrix_algebra`,
     `triangular_algebra`, `diagonal_algebra`), the quotient by an ideal,
-    k[t]/(f) (`monogenic_algebra`), the census and jet
-    tables and the box tower's levels (`qplane`), the twisted product's
-    table (`twist.raw_twisted_algebra`), the transpose of a normalized
-    comultiplication (`coalgebra.dualize_coalgebra`), and a codec document
-    whose entries the decoder's checks proved normal
+    k[t]/(f) (`monogenic_algebra`), the census and jet tables and the box
+    tower's levels (`qplane`), the twisted product's table
+    (`twist.raw_twisted_algebra`), the transpose of a normalized
+    comultiplication (`coalgebra.dualize_coalgebra`, see `_dual_table`),
+    the acceptance suite's matrix-jet oracle (`selftest.matrix_jet_oracle`),
+    and a codec document whose entries the decoder's checks proved normal
     (`codec._decode_algebra`).  Public input goes through `FinDimAlgebra`,
     which always normalizes.
     """
@@ -483,8 +483,8 @@ def diagonal_algebra(field: Field, m: int) -> FinDimAlgebra:
 # that costs anything has dim 25.
 _LIGHT_MIN_DIM = 16
 # A generating set is abandoned once it would hold more than dim // 3
-# indices, where the restricted scan saves too little: M_6 picks 11 of 36,
-# a quantum-plane box picks 2, triangular(8) would need more than 12 of 36.
+# indices, where it saves its users too little: M_6 picks 11 of 36, a
+# quantum-plane box picks 2, triangular(8) would need more than 12 of 36.
 _LIGHT_MAX_SHARE = 3
 
 
@@ -493,19 +493,30 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
     triple (i, j, k, t) in lexicographic order of (i, j, k), or basis index,
     is the witness.
 
-    The unit law is checked first: from dim `_LIGHT_MIN_DIM` on, a unital
-    algebra is certified associative by Light's test (see
-    `_least_non_associative_triple`); the report is the full scan's either
-    way.  An algebra that passes is marked certified, and keeps the
-    generating set the test looked for (the whole basis if it found none).
+    The unit law is checked first.  A unital algebra is then certified
+    associative by Light's test where its budget says it is the cheaper
+    check (`_light_certified`, the test `coalgebra.validate_coalgebra` runs
+    on a dual table); elsewhere, and when the certificate fails or no
+    generating set is found, the full scan
+    (`_first_non_associative_triple`) gives the verdict and the witness.
+    An algebra that passes is marked certified, with the generating set S
+    the certificate used, or True (S is then looked for on first use, see
+    `_generators`).
     """
+    return _validate_algebra(a)[0]
+
+
+def _validate_algebra(a: FinDimAlgebra):
+    """(report, comul): `validate_algebra`'s report, with the transposed
+    table where Light's test built it (else None), so a dualization builds
+    it once."""
     f = a.field
     with span("algebra.validate_algebra", dim=a.dim) as check:
         unit_failure = _first_failure(f, _unit_laws(a))
-        gens = _light_generators(f, a.mul, a.unit) if unit_failure is None else None
-        check["certificate"] = "scan" if gens is None else "light"
+        _, comul, certified, gens = (None,) * 4 if unit_failure else _light_certified(f, a.mul, None, a.unit)
+        check["certificate"] = "light" if certified else "scan"
         check["S"] = None if gens is None else len(gens)
-        triple = _least_non_associative_triple(f, a.mul, gens)
+        triple = None if certified else _first_non_associative_triple(f, a.mul)
     witnesses = []
     if triple is not None:
         witnesses.append(("associativity", (*triple, _associativity_witness(a, *triple))))
@@ -513,8 +524,8 @@ def validate_algebra(a: FinDimAlgebra) -> ValidationReport:
         witnesses.append(unit_failure)
     report = ValidationReport(triple is None, unit_failure is None, tuple(witnesses))
     if report.ok:
-        a._gens = True if a.dim < _LIGHT_MIN_DIM else tuple(range(a.dim) if gens is None else gens)
-    return report
+        a._gens = True if gens is None else tuple(gens)
+    return report, comul
 
 
 def _unit_laws(a: FinDimAlgebra):
@@ -532,78 +543,43 @@ def _unit_laws(a: FinDimAlgebra):
         yield "unit", (j,), diff
 
 
-def _least_non_associative_triple(field: Field, mul, gens):
+def _first_non_associative_triple(field: Field, mul):
     """Least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k) in the table `mul`,
-    or None; `gens` is None or a generating set of the unital table from
-    `_light_generators`.
-
-    Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
-    1.2).  Write [x, y, z] = (x y) z - x (y z) and let M be the set of m with
-    [x, m, y] = 0 for all x, y.  M is a subspace, since [x, y, z] is
-    trilinear.  It is closed under products: for m, m' in M the Teichmueller
-    identity, which holds in every algebra,
-        [x m, m', y] - [x, m m', y] + [x, m, m' y] = x [m, m', y] + [x, m, m'] y,
-    leaves [x, m m', y] = 0.  By the unit law it holds 1.  So if the basis
-    indices S lie in M (the pairs (i, j) with j in S pass) and the
-    left-normed words 1 s_1 ... s_k span the algebra, then M is everything
-    and the table is associative.  A failure among those pairs at (i0, j0)
-    is the least failing pair with j in S, so a scan of the pairs before
-    (i0, j0), with every middle index, finds the least failing triple; the
-    two scans share their row term lists.  Without a generating set the full
-    scan runs.
-    """
-    dim = len(mul)
-    pairs = product(range(dim), repeat=2)
-    if gens is None:
-        return _first_non_associative_triple(field, mul, pairs)
-    rows = [None] * dim
-    triple = _first_non_associative_triple(field, mul, product(range(dim), gens), rows)
-    if triple is None:
-        return None
-    i0, j0, _ = triple
-    return _first_non_associative_triple(field, mul, islice(pairs, i0 * dim + j0), rows) or triple
-
-
-def _first_non_associative_triple(field: Field, mul, pairs, rows=None):
-    """First (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k) among the given
-    (i, j) pairs, visited in the order given, with the least such k; or None.
+    or None: the full scan, pairs (i, j) in lexicographic order.
 
     For each (i, j) one accumulator holds the difference for every k at once,
     keyed k * dim + t, and is reduced once at the end.  Both sides read one
     term list per row x, the nonzero products b_x b_k = sum c b_s for every
-    k as (k * dim, s, c), k in order, and no empty cell of a row.  The left
-    side takes row s of each b_s in b_i b_j, so it costs its nonzero
-    two-step products.  The right side takes row j and, for each of its
-    terms, reads cell (i, s), which is often empty: on the box(12, 12) dual
-    (dim 144) the pairs with j in S = {x, y} take 38,016 right-side steps,
-    of which 10,296 meet a nonzero cell.  `rows` holds a list per row, or
-    None where it is not built yet; a list is built the first time its row
-    is used, and `_least_non_associative_triple` shares them between its
-    two scans.
+    k as (k * dim, s, c), k in order, and no empty cell of a row; a list is
+    built the first time its row is used.  The left side takes row s of each
+    b_s in b_i b_j, so it costs its nonzero two-step products.  The right
+    side takes row j and, for each of its terms, reads cell (i, s), which is
+    often empty.  It runs where Light's certificate (`_light_certificate`)
+    is not tried or fails; a failing certificate proves only that some
+    triple fails, and this scan names the least one.
     """
     dim = len(mul)
     bases = [k * dim for k in range(dim)]
-    if rows is None:
-        rows = [None] * dim
-    for i, j in pairs:
-        row_i = mul[i]
-        acc = {}
-        for s, c in row_i[j]:
-            terms = rows[s]
+    rows = [None] * dim
+    for i, row_i in enumerate(mul):
+        for j, cell in enumerate(row_i):
+            acc = {}
+            for s, c in cell:
+                terms = rows[s]
+                if terms is None:
+                    terms = rows[s] = _row_terms(mul[s], bases)
+                for base, t, c2 in terms:
+                    key = base + t
+                    acc[key] = acc.get(key, 0) + c * c2
+            terms = rows[j]
             if terms is None:
-                terms = rows[s] = _row_terms(mul[s], bases)
-            for base, t, c2 in terms:
-                key = base + t
-                acc[key] = acc.get(key, 0) + c * c2
-        terms = rows[j]
-        if terms is None:
-            terms = rows[j] = _row_terms(mul[j], bases)
-        for base, s, c in terms:
-            for t, c2 in row_i[s]:
-                acc[base + t] = acc.get(base + t, 0) - c * c2
-        residue = field.canonical(acc.values())
-        if any(residue):
-            return i, j, min(key for key, x in zip(acc, residue) if x) // dim
+                terms = rows[j] = _row_terms(mul[j], bases)
+            for base, s, c in terms:
+                for t, c2 in row_i[s]:
+                    acc[base + t] = acc.get(base + t, 0) - c * c2
+            residue = field.canonical(acc.values())
+            if any(residue):
+                return i, j, min(key for key, x in zip(acc, residue) if x) // dim
     return None
 
 
@@ -613,20 +589,132 @@ def _row_terms(row, bases):
     return [(base, s, c) for base, cell in zip(bases, row) for s, c in cell]
 
 
-def _light_generators(field: Field, mul, unit, most=None):
-    """The generating set Light's test uses in a validation: None below dim
-    `_LIGHT_MIN_DIM`, where the full scan is cheaper, else
-    `_generating_set` (capped at `most` indices where given)."""
-    return None if len(mul) < _LIGHT_MIN_DIM else _generating_set(field, mul, unit, most)
+def _transpose(mul):
+    """The comultiplication of the dual coalgebra of the table `mul`:
+    comul[r] holding (i, j, coeff) for each (r, coeff) in mul[i][j].
+    Visiting the cells in order (i, j) keeps each comul[r] sorted, and a
+    normal table holds each r once per cell with a canonical nonzero
+    coefficient, so comul is in the form `FinDimCoalgebra` stores."""
+    comul = [[] for _ in mul]
+    for i, row in enumerate(mul):
+        for j, cell in enumerate(row):
+            for r, c in cell:
+                comul[r].append((i, j, c))
+    return tuple(map(tuple, comul))
+
+
+def _dual_table(comul):
+    """The multiplication table of the dual algebra of `comul`, mul[i][j]
+    holding (r, coeff) for each (i, j, coeff) in comul[r]: the inverse of
+    `_transpose`.  Visiting r in order keeps each cell sorted by r, and a
+    normalized comul holds each (i, j) once per r with a canonical nonzero
+    coefficient, so the table is in the normal form of `FinDimAlgebra.mul`."""
+    dim = len(comul)
+    mul = [[()] * dim for _ in range(dim)]
+    for r, terms in enumerate(comul):
+        for i, j, cf in terms:
+            mul[i][j] += ((r, cf),)
+    return mul
+
+
+def _light_certified(field: Field, mul, comul, unit):
+    """(mul, comul, certified, S): whether Light's test proves the table
+    `mul`, whose transpose is `comul` and whose unit law holds for `unit`,
+    associative (a small generating set S is found and `_light_certificate`
+    passes), with both tables (either may be given as None and is built
+    only when needed, else returned as None) and S where it was found, else
+    None.  Once the table is associative, S generates it whether or not the
+    certificate was run on it.  The table and its transpose are read on
+    fixed dual bases, so this one test serves an algebra and, through its
+    dual algebra, a coalgebra whose counit laws hold.
+
+    The test is tried from dim `_LIGHT_MIN_DIM` on, and then only where it
+    can be the cheaper check, by a budget of dim^2 steps per generator.
+    The per-r scan of the coassociativity laws of `comul` takes one step
+    per term of Delta(b_i) or Delta(b_j) for each term b_i (x) b_j of each
+    Delta(b_r); the steps are counted in O(nnz) on `comul`, and the same
+    count is the algebra side's estimate of its full scan.  So S is looked
+    for only when the steps exceed dim^2, and the search stops once S would
+    need more than (steps - 1) // dim^2 indices, the most for which
+    steps > dim^2 |S| still holds; the greedy picks do not depend on that
+    cap, so it only stops a search whose S would not be used.  A diagonal
+    table (2 steps per basis element) is never searched.
+    """
+    dim = len(comul if mul is None else mul)
+    if dim < _LIGHT_MIN_DIM:
+        return mul, comul, False, None
+    with span("algebra.light_certified", dim=dim) as light:
+        comul = _transpose(mul) if comul is None else comul
+        sizes = [len(terms) for terms in comul]
+        steps = sum(sizes[i] + sizes[j] for terms in comul for i, j, _ in terms)
+        cap = (steps - 1) // (dim * dim) if steps > dim * dim else None
+        if cap is not None and mul is None:
+            mul = _dual_table(comul)
+        gens = None if cap is None else _generating_set(field, mul, unit, cap)
+        certified = gens is not None and _light_certificate(field, comul, gens)
+        light["steps"], light["cap"], light["S"], light["certified"] = steps, cap, gens, certified
+    return mul, comul, certified, gens
+
+
+def _light_certificate(field: Field, comul, gens) -> bool:
+    """Whether every associator [b^x, b^s, b^z] of the dual algebra of
+    `comul` with s in `gens` is zero: a verdict, no witness.
+
+    Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
+    1.2).  Write [x, y, z] = (x y) z - x (y z) and let M be the set of m with
+    [x, m, y] = 0 for all x, y.  M is a subspace, since [x, y, z] is
+    trilinear.  It is closed under products: for m, m' in M the Teichmueller
+    identity, which holds in every algebra,
+        [x m, m', y] - [x, m m', y] + [x, m, m' y] = x [m, m', y] + [x, m, m'] y,
+    leaves [x, m m', y] = 0.  By the unit law it holds 1.  So if the basis
+    indices S lie in M and the left-normed words 1 s_1 ... s_k span the
+    algebra (`_generating_set`), then M is everything and the table is
+    associative; if some s in S is not in M, the table is not associative.
+
+    The associators are read off the comultiplication, the transpose of the
+    table on the dual basis (`_transpose`): the b^r coefficient of
+    [b^x, b^s, b^z] is the coefficient of b_x (x) b_s (x) b_z in
+    (Delta (x) id) Delta(b_r) - (id (x) Delta) Delta(b_r), so the middle-S
+    slices of the coassociativity laws vanish exactly when S lies in M.  A
+    term b_i (x) b_j of Delta(b_r) meets only the terms of Delta(b_i) whose
+    right factor is in S and those of Delta(b_j) whose left factor is in S,
+    each listed once per index; one accumulator per r, keyed
+    (x dim + s) dim + z, is reduced once.
+    """
+    dim = len(comul)
+    square = dim * dim
+    in_s = [False] * dim
+    for s in gens:
+        in_s[s] = True
+    # Delta(b_i) (x) b_j: (x dim + s) dim, to which j is added
+    right = [[((x * dim + s) * dim, cf) for x, s, cf in terms if in_s[s]] for terms in comul]
+    # b_i (x) Delta(b_j): s dim + z, to which i dim^2 is added
+    left = [[(s * dim + z, cf) for s, z, cf in terms if in_s[s]] for terms in comul]
+    canonical = field.canonical
+    for terms in comul:
+        acc = {}
+        for i, j, cf in terms:
+            for base, cf2 in right[i]:
+                key = base + j
+                acc[key] = acc.get(key, 0) + cf * cf2
+            base = i * square
+            for offset, cf2 in left[j]:
+                key = base + offset
+                acc[key] = acc.get(key, 0) - cf * cf2
+        if any(canonical(acc.values())):
+            return False
+    return True
 
 
 def _generating_set(field: Field, mul, unit, most=None):
     """Basis indices S, picked greedily in order, whose left-normed words
     1 s_1 ... s_k span the space of the table `mul`; None once S would hold
     more than dim // `_LIGHT_MAX_SHARE` indices, or more than `most` where
-    that is given and smaller.  The picks do not depend on the cap, so a
-    capped search finds the uncapped S, or None exactly when that S is too
-    large.
+    that is given and smaller (`_light_certified` passes its step budget).
+    The picks do not depend on the cap, so a capped search finds the
+    uncapped S, or None exactly when that S is too large.  Where the table
+    is associative and unital, S generates it as an algebra: Light's
+    certificate (`_light_certificate`) and `_generators` both read it so.
 
     V, the span of the words, is kept as a sparse echelon basis: each row a
     dict keyed by column, 1 at its least column (its pivot), at most one row

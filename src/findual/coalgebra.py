@@ -16,14 +16,16 @@ from .algebra import (
     FinDimAlgebra,
     Subspace,
     _annihilator,
+    _dual_table,
     _first_failure,
     _from_normal_table,
     _Hom,
-    _light_generators,
+    _light_certified,
+    _transpose,
+    _validate_algebra,
     one_dim_characters,
     radical,
     subspace_product,
-    validate_algebra,
 )
 from .errors import (
     BadParamsError,
@@ -204,12 +206,12 @@ def validate_coalgebra(c: FinDimCoalgebra) -> CoalgebraValidation:
 
     The counit laws are checked first.  c is coassociative exactly when its
     dual algebra is associative, and the counit laws are the dual's unit law,
-    so from dim 16 on a counital c is certified by Light's test (see
-    `algebra._least_non_associative_triple`) where that is the cheaper scan:
-    a generating set S of the dual table, then the laws' terms whose middle
-    index is in S (see `_light_certified`).  Elsewhere, and when the
-    certificate fails or finds no generating set, the per-r scan gives the
-    verdict and the witness.
+    so a counital c is certified by the one Light's test that
+    `algebra.validate_algebra` runs too (`algebra._light_certified`), where
+    its budget says it is the cheaper check: a generating set S of the dual
+    table, then the laws' terms whose middle index is in S.  Elsewhere, and
+    when the certificate fails or finds no generating set, the per-r scan
+    gives the verdict and the witness.
     """
     return _validate_coalgebra(c)[0]
 
@@ -238,7 +240,7 @@ def _validate_coalgebra(c: FinDimCoalgebra):
 
     with span("coalgebra.validate_coalgebra", dim=c.dim) as check:
         counit = _counit_failure(c)
-        certified, mul, gens = (False, None, None) if counit else _light_certified(c)
+        mul, _, certified, gens = (None,) * 4 if counit else _light_certified(f, None, c.comul, c.counit)
         check["certificate"] = "light" if certified else "scan"
         check["S"] = None if gens is None else len(gens)
         coassoc = None if certified else _first_failure(f, coassociative())
@@ -278,75 +280,6 @@ def _counit_failure(c: FinDimCoalgebra):
     return next((("counit", (key // width,)) for key, x in zip(acc, residue) if x), None)
 
 
-def _light_certified(c: FinDimCoalgebra):
-    """(certified, mul, gens): whether Light's test proves the dual algebra
-    of the counital c associative (a small generating set S is found and
-    `_light_certificate` passes), with the dual table and S where they were
-    built, else None.  Once c is coassociative, S generates the dual algebra
-    whether or not the test was run on it.
-
-    The test is tried only where it can be the cheaper scan, by a budget of
-    dim^2 steps per generator.  The per-r scan takes one step per term of
-    Delta(b_i) or Delta(b_j) for each term b_i (x) b_j of each Delta(b_r).
-    So S is looked for only when the per-r scan has more than dim^2 steps,
-    and the search stops once S would need more than (steps - 1) // dim^2
-    indices, the most for which steps > dim^2 |S| still holds; the greedy
-    picks do not depend on that cap, so it only stops a search whose S would
-    not be used.  S is looked for on the dual table, which the dualization
-    then keeps.
-    """
-    sizes = [len(terms) for terms in c.comul]
-    steps = sum(sizes[i] + sizes[j] for terms in c.comul for i, j, _ in terms)
-    budget = c.dim * c.dim
-    if steps <= budget:
-        return False, None, None
-    mul = _dual_table(c)
-    gens = _light_generators(c.field, mul, c.counit, (steps - 1) // budget)
-    if gens is None:
-        return False, mul, None
-    return _light_certificate(c, gens), mul, gens
-
-
-def _light_certificate(c: FinDimCoalgebra, gens) -> bool:
-    """Whether every associator [b^x, b^s, b^z] of the dual algebra with s in
-    `gens` is zero, read off the comultiplication: a verdict, no witness.
-
-    The b^r coefficient of [b^x, b^s, b^z] = (b^x b^s) b^z - b^x (b^s b^z)
-    is the coefficient of b_x (x) b_s (x) b_z in
-    (Delta (x) id) Delta(b_r) - (id (x) Delta) Delta(b_r), so the middle-S
-    slices of the coassociativity laws vanish exactly when the pairs (x, s)
-    with s in S pass Light's test on the dual table (see
-    `algebra._least_non_associative_triple`).  A term b_i (x) b_j of
-    Delta(b_r) meets only the terms of Delta(b_i) whose right factor is in S
-    and those of Delta(b_j) whose left factor is in S, each listed once per
-    index; one accumulator per r, keyed (x dim + s) dim + z, is reduced
-    once.
-    """
-    dim = c.dim
-    square = dim * dim
-    in_s = [False] * dim
-    for s in gens:
-        in_s[s] = True
-    # Delta(b_i) (x) b_j: (x dim + s) dim, to which j is added
-    right = [[((x * dim + s) * dim, cf) for x, s, cf in terms if in_s[s]] for terms in c.comul]
-    # b_i (x) Delta(b_j): s dim + z, to which i dim^2 is added
-    left = [[(s * dim + z, cf) for s, z, cf in terms if in_s[s]] for terms in c.comul]
-    canonical = c.field.canonical
-    for terms in c.comul:
-        acc = {}
-        for i, j, cf in terms:
-            for base, cf2 in right[i]:
-                key = base + j
-                acc[key] = acc.get(key, 0) + cf * cf2
-            base = i * square
-            for offset, cf2 in left[j]:
-                key = base + offset
-                acc[key] = acc.get(key, 0) - cf * cf2
-        if any(canonical(acc.values())):
-            return False
-    return True
-
-
 def _coassociativity_witness(c: FinDimCoalgebra, r: int):
     """First key (x, y, z) at which (Delta (x) id) Delta(b_r) and
     (id (x) Delta) Delta(b_r) differ, in the order of set(lhs) | set(rhs)."""
@@ -374,20 +307,19 @@ def dualize_algebra(a: FinDimAlgebra) -> FinDimCoalgebra:
     census and jet tables, or as the quotient of a certified algebra by a
     checked ideal); the coassociativity and counit laws of the dual are its
     associativity and unit laws.  The comultiplication is the transpose of
-    the normal table, cells visited in order (i, j): each Delta(b^r) comes
-    out sorted, with one canonical nonzero coefficient per (i, j), which is
-    the form `FinDimCoalgebra` stores, so it is not normalized again.
+    the normal table (`algebra._transpose`), in the form `FinDimCoalgebra`
+    stores, so it is not normalized again; it is built once, shared with
+    the validation where Light's test built it.
     """
     with span("coalgebra.dualize_algebra", dim=a.dim, certified=a._gens is not None):
-        if a._gens is None and not validate_algebra(a).ok:
-            raise InvalidInputError("algebra fails validation")
-        comul = [[] for _ in range(a.dim)]
-        for i, row in enumerate(a.mul):
-            for j, cell in enumerate(row):
-                for r, c in cell:
-                    comul[r].append((i, j, c))
+        comul = None
+        if a._gens is None:
+            report, comul = _validate_algebra(a)
+            if not report.ok:
+                raise InvalidInputError("algebra fails validation")
+        comul = _transpose(a.mul) if comul is None else comul
     dual = object.__new__(FinDimCoalgebra)
-    dual._store(a.field, a.labels, tuple(map(tuple, comul)), a.unit)
+    dual._store(a.field, a.labels, comul, a.unit)
     return dual
 
 
@@ -396,32 +328,19 @@ def dualize_coalgebra(c: FinDimCoalgebra) -> FinDimAlgebra:
 
     The dual carries the certificate of the validation that just passed (its
     associativity and unit laws are the coassociativity and counit laws of
-    c): `_gens` is the generating set Light's test found on the dual table,
-    or True.  The table is built once, shared with the validation where
-    Light's test built it; as the transpose of a normalized comultiplication
-    it is normal (see `_dual_table`), so it is not normalized again.
+    c): `_gens` is the generating set Light's test certified on the dual
+    table, or True.  The table is built once, shared with the validation
+    where Light's test built it; as the transpose of a normalized
+    comultiplication it is normal (see `algebra._dual_table`), so it is not
+    normalized again.
     """
     with span("coalgebra.dualize_coalgebra", dim=c.dim):
         report, mul, gens = _validate_coalgebra(c)
         if not report.ok:
             raise InvalidInputError("coalgebra fails validation")
         if mul is None:
-            mul = _dual_table(c)
+            mul = _dual_table(c.comul)
     return _from_normal_table(c.field, c.labels, mul, c.counit, True if gens is None else tuple(gens))
-
-
-def _dual_table(c: FinDimCoalgebra):
-    """The multiplication table of the dual algebra, mul[i][j] holding
-    (r, coeff) for each (i, j, coeff) in comul[r].  Visiting r in order
-    keeps each cell sorted by r, and a normalized comul holds each (i, j)
-    once per r with a canonical nonzero coefficient, so the table is in the
-    normal form of `FinDimAlgebra.mul`."""
-    dim = c.dim
-    mul = [[()] * dim for _ in range(dim)]
-    for r, terms in enumerate(c.comul):
-        for i, j, cf in terms:
-            mul[i][j] += ((r, cf),)
-    return mul
 
 
 # ---------------------------------------------------------------------------

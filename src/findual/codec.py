@@ -430,6 +430,8 @@ def _decode_matrix(doc) -> Matrix:
     field = _field_in(doc)
     rows = _require(doc, "rows", int)
     cols = _require(doc, "cols", int)
+    if rows < 0 or cols < 0:
+        raise SchemaMismatchError(f"matrix shape {rows}x{cols} has a negative dim")
     ent = _scalars_in(field, _require(doc, "entries", list), rows * cols)
     return Matrix(field, rows, cols, ent)
 

@@ -1,11 +1,12 @@
 """Opt-in tracing spans and run stats at findual's layer boundaries.
 
 `span(name, **attrs)` is a context manager around one call into a layer:
-the CLI dispatch, a validation, a dualization, the codec, a twist check,
-the census, a census orbit class, the exponent table's certification, the
-jet.  Its attrs carry sizes (dim, n, p, bytes), counts (the census's
+the CLI dispatch, a validation and its Light's test, a dualization, the
+codec, a twist check, the census, a census orbit class, the exponent
+table's certification and the census's mirror check, the jet.  Its
+attrs carry sizes (dim, n, p, bytes), counts (the census's
 representatives built, classes mirrored, fibers certified as torus
-images) and which
+images; Light's steps, search cap and generating set) and which
 certificate or shortcut ran; more can be set inside the block with
 ``s[key] = value``.  Tracing is off unless the environment switches it on,
 and off, `span` returns one shared object that does nothing, so no time is

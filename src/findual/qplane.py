@@ -355,8 +355,8 @@ def _certify_associative(table, n: int) -> None:
     must be (t, 0, 0, 0).  Then the left-normed words 1 x^i y^j must reach
     every b_r with a = b = 0, so with the coefficient q^e != 0 even where c
     or d is 0: x and y generate every fiber.  Light's test (see
-    `algebra._least_non_associative_triple`) then needs only the triples
-    whose middle factor is x or y: 2 n^4 of them, not n^6.
+    `algebra._light_certificate`) then needs only the triples whose middle
+    factor is x or y: 2 n^4 of them, not n^6.
     """
     dim = n * n
     for t in range(dim):
@@ -518,7 +518,8 @@ def azumaya_census(n: int, p: int) -> CensusReport:
     with span("qplane.census", n=n, p=p) as census:
         q = primitive_root_of_unity(field, n)
         table = _certified_exponent_table(n)
-        _certify_mirror(table, n)
+        with span("qplane.certify_mirror", n=n):
+            _certify_mirror(table, n)
         # z -> z^((p-1)/n) is 0 at 0 and otherwise names the coset of z.
         coset = [field.pow(z, (p - 1) // n) for z in range(p)]
         nth_root = {field.pow(lam, n): lam for lam in range(1, p)}  # any n-th root will do

@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .algebra import (
     AlgebraHom,
     FinDimAlgebra,
+    _from_normal_table,
     cyclic_group_algebra,
     diagonal_algebra,
     matrix_algebra,
@@ -232,7 +233,9 @@ def criterion_4_census() -> CriterionResult:
 
 def matrix_jet_oracle(n: int, p: int) -> FinDimAlgebra:
     """Independent direct construction of M_n(k[u,v]/(u,v)^2): matrix units
-    tensored with the jet monomials {1, u, v}, no quantum-plane reduction."""
+    tensored with the jet monomials {1, u, v}, no quantum-plane reduction.
+    Each cell is () or one (index, 1) pair, so the table is normal as built
+    and is stored without a second walk (`algebra._from_normal_table`)."""
     field = GF(p)
     jets = ((0, 0), (1, 0), (0, 1))
     dim = n * n * 3
@@ -261,7 +264,7 @@ def matrix_jet_oracle(n: int, p: int) -> FinDimAlgebra:
         unit[index(i, i, (0, 0))] = one
     labels = [f"E{i + 1}{j + 1}{'uv'[k - 1] if k else ''}"
               for i in range(n) for j in range(n) for k in range(3)]
-    return FinDimAlgebra(field, labels, mul, unit)
+    return _from_normal_table(field, labels, mul, unit, None)
 
 
 def criterion_5_point_invariants() -> CriterionResult:

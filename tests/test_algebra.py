@@ -15,11 +15,14 @@ from findual.algebra import (
     Subspace,
     _basis_translates,
     _basis_vec,
+    _dual_table,
+    _generating_set,
     _generators,
-    _light_generators,
+    _light_certified,
     _primitive_idempotents,
     _radical_trace_form,
     _simple_factors,
+    _transpose,
     center,
     cyclic_group_algebra,
     diagonal_algebra,
@@ -60,7 +63,8 @@ from findual.kernel import (
     solve_linear,
 )
 from findual import qplane
-from findual.coalgebra import FinDimCoalgebra, _dual_table
+from findual.coalgebra import FinDimCoalgebra
+from findual.selftest import matrix_jet_oracle
 from findual.qplane import azumaya_census, azumaya_point_invariants, oq_truncation, regular_point_jet_algebra
 from findual.twist import raw_twisted_algebra, tensor_swap, twisted_product
 
@@ -785,14 +789,19 @@ class TestLightTest:
 
     def test_generating_sets(self):
         f = GF(31)
-        assert _light_generators(*table(matrix_algebra(f, 6))) == [0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30]
-        assert _light_generators(*table(oq_truncation(4, 17, "box", (8, 8)).algebra)) == [1, 8]
-        assert _light_generators(*table(truncated_polynomial_algebra(QQ, 40))) == [1]
-        # more than dim // 3 generators: the full scan runs
+        assert _generating_set(*table(matrix_algebra(f, 6))) == [0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30]
+        assert _generating_set(*table(oq_truncation(4, 17, "box", (8, 8)).algebra)) == [1, 8]
+        assert _generating_set(*table(truncated_polynomial_algebra(QQ, 40))) == [1]
+        # more than dim // 3 generators: none is kept
         for a in [matrix_algebra(f, 4), matrix_algebra(f, 5), triangular_algebra(f, 6)]:
-            assert _light_generators(*table(a)) is None
-        # below the size cut
-        assert _light_generators(*table(truncated_polynomial_algebra(f, 15))) is None
+            assert _generating_set(*table(a)) is None
+
+    def test_no_search_below_the_size_cut(self):
+        a = truncated_polynomial_algebra(GF(31), 15)
+        with generating_set_spy() as search:
+            assert _light_certified(a.field, a.mul, None, a.unit) == (a.mul, None, False, None)
+            assert validate_algebra(a).ok and a._gens is True
+        assert search.call_count == 0
 
     def test_unit_law_is_checked_first(self):
         """k[t]/(t^16) with b_0 b_0 = 0: t lies in the middle nucleus and the
@@ -851,25 +860,23 @@ def scan_tables(draw):
 
 class TestAssociativityScanAgainstDenseScan:
     """`_first_non_associative_triple` walks only the nonzero terms of each
-    row; the dense per-triple scan gives the same verdict and witness, over
-    all pairs and over the pairs (i, j) with j in a drawn subset, as Light's
-    test scans them.  The dual table of the coalgebra on the transposed
-    table is the table itself."""
+    row; the dense per-triple scan over all pairs gives the same verdict and
+    witness.  `_transpose` gives the comultiplication `FinDimCoalgebra`
+    stores, and `_dual_table` of it is the table itself."""
 
     @settings(max_examples=300, deadline=None)
-    @given(scan_tables(), st.data())
-    def test_same_verdict_and_witness(self, a, data):
+    @given(scan_tables())
+    def test_same_verdict_and_witness(self, a):
         f, mul, n = a.field, a.mul, a.dim
         comul = [[] for _ in range(n)]
         for i, row in enumerate(mul):
             for j, cell in enumerate(row):
                 for r, c in cell:
                     comul[r].append((i, j, c))
-        assert tuple(map(tuple, _dual_table(FinDimCoalgebra(f, a.labels, comul, a.unit)))) == mul
-        middles = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-        for pairs in (list(product(range(n), repeat=2)), list(product(range(n), middles))):
-            got = algebra_module._first_non_associative_triple(f, mul, iter(pairs))
-            assert got == oracle_first_triple(f, mul, pairs)
+        assert _transpose(mul) == FinDimCoalgebra(f, a.labels, comul, a.unit).comul
+        assert tuple(map(tuple, _dual_table(_transpose(mul)))) == mul
+        got = algebra_module._first_non_associative_triple(f, mul)
+        assert got == oracle_first_triple(f, mul, list(product(range(n), repeat=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -1162,6 +1169,7 @@ class TestCertifiedAlgebras:
         """The per-scalar oracles on a, the full-basis path on the quotient."""
         a = data.draw(large_algebras())
         certified = validate_algebra(a).ok
+        found = a._gens
         vec = data.draw(st.lists(small_scalars(a.field), min_size=a.dim, max_size=a.dim))
         gen = basis_vec(a.field, a.dim, data.draw(st.integers(1, a.dim - 1)))
         plain = uncertified_copy(a)
@@ -1177,8 +1185,10 @@ class TestCertifiedAlgebras:
                 assert (quot, proj.matrix) == (want, want_proj.matrix)
                 assert center(quot).rows == center(want).rows
             assert outcome(one_dim_characters, a) == outcome(one_dim_characters, plain)
-        # the validation's generating set is kept; the quotient's is searched
-        assert all(call.args[1] is not a.mul for call in spy.call_args_list)
+        # a generating set the validation certified with is kept; else a's
+        # is searched once, on first use; the quotient's is searched
+        on_a = [call for call in spy.call_args_list if call.args[1] is a.mul]
+        assert len(on_a) <= (found is True)
         if not certified:
             assert spy.call_count == 0 and a._gens is None
 
@@ -1198,10 +1208,12 @@ class TestCertifiedAlgebras:
         m6 = matrix_algebra(f, 6)
         assert _generators(m6) == range(36)
         with generating_set_spy() as spy:
-            assert validate_algebra(m6).ok
+            assert validate_algebra(m6).ok and m6._gens is True
             assert _generators(m6) == (0, 1, 2, 3, 4, 5, 6, 12, 18, 24, 30)
             center(m6)
-        assert spy.call_count == 1  # validation's search, not repeated
+        # the validation's search stops at its cap of 1 index; the first use
+        # searches uncapped, once
+        assert [call.args[3:] for call in spy.call_args_list] == [(1,), ()]
         # M_4 has no generating set of at most 5 indices: the whole basis
         m4 = matrix_algebra(f, 4)
         assert validate_algebra(m4).ok and _generators(m4) == tuple(range(16))
@@ -1372,6 +1384,7 @@ class TestNormalization:
             lambda: oq_truncation(3, 13, "box", (4, 5)).algebra,
             lambda: oq_truncation(3, 13, "central_fiber", (2, 5)).algebra,
             lambda: regular_point_jet_algebra(3, 13, 2, 5),
+            lambda: matrix_jet_oracle(2, 5), lambda: matrix_jet_oracle(3, 13),
             lambda: quotient_algebra(triangular, radical(triangular))[0],
             lambda: dualize_coalgebra(comatrix_coalgebra(F5, 3)),
             lambda: dualize_coalgebra(dualize_algebra(oq_truncation(2, 5, "box", (3, 3)).algebra)),

@@ -430,7 +430,7 @@ class TestCoradicalPreserved:
             assert coradical_preserved(hom).preserved
 
     def test_each_algebra_validated_once(self, monkeypatch):
-        calls = {"validate_algebra": 0, "validate_coalgebra": 0}
+        calls = {"_validate_algebra": 0, "validate_coalgebra": 0}
         for name in calls:
             def spy(x, name=name, real=getattr(coalgebra_module, name)):
                 calls[name] += 1
@@ -441,7 +441,7 @@ class TestCoradicalPreserved:
         cols = [list(tgt.unit), [0, 1, 0, 0], [0, 0, 0, 0]]
         mat = Matrix(F5, 4, 3, [cols[j][i] for i in range(4) for j in range(3)])
         coradical_preserved(AlgebraHom(src, tgt, mat))
-        assert calls == {"validate_algebra": 2, "validate_coalgebra": 0}
+        assert calls == {"_validate_algebra": 2, "validate_coalgebra": 0}
 
     @settings(max_examples=100)
     @given(st.data())
@@ -802,7 +802,7 @@ class TestLawChecksAgainstOracles:
         c = transposed_coalgebra(a)
         assert tuple(validate_coalgebra(c)) == oracle_validate_coalgebra(c)
 
-    @pytest.mark.parametrize("c,caps,gens", [
+    @pytest.mark.parametrize("x,caps,gens", [
         # 2,592 per-r steps, at most 36^2 * 2: a search capped at 1 index,
         # which M_6 (11 generators uncapped) exceeds, then the per-r scan
         (comatrix_coalgebra(GF(31), 6), [1], None),
@@ -814,18 +814,53 @@ class TestLawChecksAgainstOracles:
         # 1,266 per-r steps, at most 27^2 * 2: a cap of 1 index does not
         # rule Light's test out, since t alone generates k^27
         (dualize_algebra(split_algebra(27)), [1], [1]),
-    ], ids=["comatrix-6", "triangular-8", "box-8x8-dual", "split-27-dual"])
-    def test_cheaper_scan_is_chosen(self, c, caps, gens):
-        real = coalgebra_module._light_certificate
-        with mock.patch.object(coalgebra_module, "_light_certificate", wraps=real) as scan, \
-                mock.patch.object(coalgebra_module, "_first_failure", wraps=_first_failure) as laws, \
+        # the algebra side counts the same steps on its transposed table
+        (matrix_algebra(GF(31), 6), [1], None),
+        (triangular_algebra(GF(31), 8), [], None),
+        (oq_truncation(4, 17, "box", (8, 8)).algebra, [7], [1, 8]),
+        # 800 steps, under 400^2: a diagonal table is never searched
+        (diagonal_algebra(GF(5), 400), [], None),
+    ], ids=["comatrix-6", "triangular-8", "box-8x8-dual", "split-27-dual",
+            "matrix-6", "triangular-algebra-8", "box-8x8", "diagonal-400"])
+    def test_cheaper_scan_is_chosen(self, x, caps, gens):
+        """One Light's test for both sides: the search capped by the step
+        budget, the certificate where S is found, and otherwise the full
+        scan (the per-r laws through `_first_failure`, or the algebra's
+        `_first_non_associative_triple`)."""
+        coalgebra = isinstance(x, FinDimCoalgebra)
+        full_scan = (coalgebra_module, "_first_failure") if coalgebra else \
+            (algebra_module, "_first_non_associative_triple")
+        real = algebra_module._light_certificate
+        with mock.patch.object(algebra_module, "_light_certificate", wraps=real) as certificate, \
+                mock.patch.object(*full_scan, wraps=getattr(*full_scan)) as scan, \
                 generating_set_spy() as search:
-            report, _, found = coalgebra_module._validate_coalgebra(c)
+            if coalgebra:
+                report, _, found = coalgebra_module._validate_coalgebra(x)
+            else:
+                report, _ = algebra_module._validate_algebra(x)
+                found = None if x._gens is True else list(x._gens)
         assert report.ok and found == gens
         assert [call.args[3] for call in search.call_args_list] == caps
         # the counit laws run in one pass of their own, not through
-        # `_first_failure`; then the per-r scan unless Light's test certified
-        assert (scan.call_count, laws.call_count) == ((1, 0) if gens else (0, 1))
+        # `_first_failure`; then the full scan unless Light's test certified
+        assert (certificate.call_count, scan.call_count) == ((1, 0) if gens else (0, 1))
+
+    def test_grouplike_800_round_trip_searches_nothing(self, tmp_path):
+        """The dual of the dim-800 grouplike coalgebra is k^800, whose
+        transposed table takes 1,600 steps, under 800^2: `dualize` back runs
+        the full scan, looks for no generating set and gives back the first
+        document's bytes."""
+        def run(*argv):
+            out = io.StringIO()
+            assert cli_run(list(argv), stdout=out) == 0
+            return out.getvalue()
+
+        first, dual = tmp_path / "first.json", tmp_path / "dual.json"
+        first.write_text(run("construct", "--kind", "grouplike", "--p", "5", "--n", "800"))
+        with generating_set_spy() as search:
+            dual.write_text(run("dualize", "--in", str(first)))
+            assert run("dualize", "--in", str(dual)) == first.read_text()
+        assert search.call_count == 0
 
     @settings(max_examples=150)
     @given(counit_cases())
@@ -862,7 +897,7 @@ class TestLawChecksAgainstOracles:
 
 
 def light_set(c):
-    return algebra_module._light_generators(c.field, coalgebra_module._dual_table(c), c.counit)
+    return algebra_module._generating_set(c.field, algebra_module._dual_table(c.comul), c.counit)
 
 
 @st.composite
@@ -924,7 +959,7 @@ class TestLightCertificate:
         c, gens = case
         coassociative, counital, _ = oracle_validate_coalgebra(c)
         if counital and gens is not None:
-            assert coalgebra_module._light_certificate(c, gens) == coassociative
+            assert algebra_module._light_certificate(c.field, c.comul, gens) == coassociative
 
     def test_box_12_products(self):
         """On the box(12, 12) dual, S = {x, y} = {1, 12}; the certificate
@@ -935,17 +970,15 @@ class TestLightCertificate:
         builds none."""
         c = dualize_algebra(oq_truncation(3, 13, "box", (12, 12)).algebra)
         assert sum(map(len, c.comul)) == 6084
-        mul = coalgebra_module._dual_table(c)
+        mul = algebra_module._dual_table(c.comul)
         assert len(mul) == 144 and all(len(row) == 144 and all(type(cell) is tuple for cell in row)
                                         for row in mul)
         with mock.patch.object(algebra_module, "_row_terms", wraps=algebra_module._row_terms) as rows:
             report, _, gens = coalgebra_module._validate_coalgebra(c)
         assert report.ok and gens == [1, 12] and rows.call_count == 0
-        counted = object.__new__(FinDimCoalgebra)
-        counted._store(c.field, c.labels, tuple(tuple((i, j, CountedScalar(cf)) for i, j, cf in terms)
-                                                for terms in c.comul), c.counit)
+        counted = tuple(tuple((i, j, CountedScalar(cf)) for i, j, cf in terms) for terms in c.comul)
         CountedScalar.products = 0
-        assert coalgebra_module._light_certificate(counted, gens)
+        assert algebra_module._light_certificate(c.field, counted, gens)
         assert CountedScalar.products == 20592
 
 
@@ -1194,7 +1227,8 @@ class TestNormalDuals:
             oq_truncation(3, 13, "box", (4, 5)).algebra,
             dualize_coalgebra(comatrix_coalgebra(F5, 3)),
         ]
-        with mock.patch.object(coalgebra_module, "validate_algebra", wraps=validate_algebra) as spy:
+        real = algebra_module._validate_algebra
+        with mock.patch.object(coalgebra_module, "_validate_algebra", wraps=real) as spy:
             for a in certified:
                 assert a._gens is not None
                 assert dualize_algebra(a) == normalized_dual_coalgebra(a)

@@ -236,6 +236,17 @@ def test_table_dim_bound_on_encode():
         encode(grouplike_coalgebra(F5, dim + 1))
 
 
+@pytest.mark.parametrize("rows,cols,entries", [(-2, -2, [1, 2, 3, 4]), (-2, 2, []), (2, -2, []), (0, -7, [])],
+                         ids=["both", "rows", "cols", "zero-rows"])
+def test_negative_matrix_shape_rejected(rows, cols, entries):
+    doc = {"type": "matrix", "field": {"kind": "prime-field", "p": 5}, "rows": rows, "cols": cols,
+           "entries": entries}
+    with pytest.raises(SchemaMismatchError, match="negative dim"):
+        loads(json.dumps(doc))
+    assert decode({**doc, "rows": abs(rows), "cols": abs(cols), "entries": [1] * abs(rows * cols)}) == \
+        Matrix(F5, abs(rows), abs(cols), [1] * abs(rows * cols))
+
+
 def test_repeated_labels_accepted():
     # a basis element is its index; labels only name it
     doc = encode(truncated_polynomial_algebra(F5, 2))

@@ -16,7 +16,7 @@ from test_cli import CLI_SURFACE_DIGESTS
 
 import findual
 from findual import obs
-from findual.algebra import matrix_algebra, truncated_polynomial_algebra
+from findual.algebra import matrix_algebra, truncated_polynomial_algebra, validate_algebra
 from findual.cli import cli_run
 from findual.codec import to_canonical_json
 from findual.kernel import GF
@@ -100,8 +100,8 @@ def test_census_spans(traced):
     recs = records(traced)
     assert_nested(recs)
     assert Counter(rec["name"] for rec in recs) == {
-        "cli.run": 1, "qplane.census": 1, "qplane.certify": 1, "qplane.orbit_class": 15,
-        "codec.to_canonical_json": 1}
+        "cli.run": 1, "qplane.census": 1, "qplane.certify": 1, "qplane.certify_mirror": 1,
+        "qplane.orbit_class": 15, "codec.to_canonical_json": 1}
     classes = [rec["attrs"] for rec in recs if rec["name"] == "qplane.orbit_class"]
     # axis classes (c = 0) read their top off mu; off-axis ones off the center
     assert all(cls["top"] == ("mu" if cls["c"] == 0 else "center") for cls in classes)
@@ -144,6 +144,30 @@ def test_point_and_validation_spans(traced, tmp_path):
     assert ("qplane.jet_algebra", {"n": 3, "dim": 27}) in attrs
     validations = [a for name, a in attrs if name == "algebra.validate_algebra"]
     assert validations == [{"dim": 64, "certificate": "light", "S": 2}, {"dim": 4, "certificate": "scan", "S": None}]
+
+
+def test_light_certified_spans(traced, tmp_path, monkeypatch):
+    """Light's test inside a validation, from dim 16 on, with its steps on
+    the transposed table, the search cap, S and the verdict: box(8, 8) is
+    certified with S = {x, y}, M_6's search stops at its cap of 1 index,
+    and M_2 opens no span.  The dualization's stdout is the same with
+    tracing off."""
+    assert run(["construct", "--kind", "qplane-box", "--q-order", "4", "--p", "17", "--a", "8", "--b", "8"])[0] == 0
+    doc = tmp_path / "m6.json"
+    doc.write_text(to_canonical_json(matrix_algebra(F5, 6)))
+    argv = ["dualize", "--in", str(doc)]
+    code, out = run(argv)
+    assert code == 0
+    assert validate_algebra(matrix_algebra(F5, 2)).ok
+    recs = records(traced)
+    assert_nested(recs)
+    by_id = {rec["id"]: rec for rec in recs}
+    light = [(by_id[rec["parent"]]["name"], rec["attrs"]) for rec in recs if rec["name"] == "algebra.light_certified"]
+    assert light == [
+        ("algebra.validate_algebra", {"dim": 64, "steps": 28800, "cap": 7, "S": [1, 8], "certified": True}),
+        ("algebra.validate_algebra", {"dim": 36, "steps": 2592, "cap": 1, "S": None, "certified": False})]
+    monkeypatch.setattr(obs, "_recorder", None)
+    assert run(argv) == (0, out)
 
 
 def test_dualize_and_twist_spans(traced, tmp_path):

@@ -38,6 +38,7 @@ BUILDERS = {
     ("twist.py", "raw_twisted_algebra"),
     ("coalgebra.py", "dualize_coalgebra"),
     ("codec.py", "_decode_algebra"),
+    ("selftest.py", "matrix_jet_oracle"),
 }
 STORE_CALLERS = {
     ("algebra.py", "FinDimAlgebra"),
